@@ -11,6 +11,7 @@ checks, and proof-inequality certificates.
 
 from .linalg import (
     BandedMatrix,
+    ComplexSpectrumError,
     EigenConvergenceError,
     SpdError,
     SpectralSet,
@@ -18,7 +19,9 @@ from .linalg import (
     as_dense,
     generalized_sym_eigvals,
     hadamard,
+    is_symmetric,
     nonsym_eigvals,
+    real_eigvals,
     schatten_norm,
     singular_values,
     solve_spd_banded,
@@ -55,7 +58,6 @@ from .symbols import (
     trig_eval,
 )
 from .builders import (
-    ComplexSpectrumError,
     DiscretizationCase,
     Grid,
     GridMap,

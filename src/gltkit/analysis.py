@@ -209,22 +209,30 @@ class DistributionReport:
             "quadrature": {"rule": self.quad_rule, "resolution": self.quad_res,
                            "refinement_gap": self.quad_refinement},
             "backing": self.backing,
+            "solver": self.spectrum.solver if self.spectrum is not None else None,
         }
         return doc
 
 
-def _case_rect(case: DiscretizationCase):
-    return ((0.0, 1.0), (0.0, math.pi) if case.theta_even else (-math.pi, math.pi))
+#: (x, theta) domain of the symbols: every registered symbol is even in
+#: theta, so [0, pi] carries the distribution of [-pi, pi]
+SYMBOL_RECT = ((0.0, 1.0), (0.0, math.pi))
 
 
-def _backing(case: DiscretizationCase, mode: str) -> str:
+def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
+    """The theory behind the predicted distribution: registered lower-order
+    terms mean a Hermitian part plus a vanishing-norm split; otherwise the
+    solver path says whether the matrix is symmetric or diagonally similar
+    to a symmetric one."""
     if mode == "sigma":
         return "sigma distribution (symbol algebra)"
-    if case.symmetry in ("symmetric", "pencil"):
+    if "Z" in case.companions:
+        return "lambda distribution (Hermitian + vanishing-norm split)"
+    if solver.startswith(("sym_", "pencil_")):
         return "lambda distribution (Hermitian)"
-    if case.symmetry == "symmetrizable":
+    if solver.startswith("similarity_"):
         return "lambda distribution (similar to Hermitian)"
-    if case.companions.get("Z") is not None or case.companions.get("K_tilde") is not None:
+    if "K_tilde" in case.companions:
         return "lambda distribution (Hermitian + vanishing-norm split)"
     return "exploratory (no Hermitian split registered)"
 
@@ -241,9 +249,8 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
     if mode not in ("lambda", "sigma"):
         raise ValueError("mode must be 'lambda' or 'sigma'")
     kappa = case.predicted_symbol
-    rect = _case_rect(case)
     rule = "midpoint" if kappa.has_quotient else "gauss"
-    samples = _quadrature_samples(kappa, rect, quad_res, rule)
+    samples = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule)
     if mode == "sigma":
         samples = np.abs(samples)
     if F_suite is None:
@@ -254,7 +261,7 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
     gaps = []
     refinement = None
     if refine_check:
-        coarse = _quadrature_samples(kappa, rect, max(2, quad_res // 2), rule)
+        coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule)
         if mode == "sigma":
             coarse = np.abs(coarse)
     for F in F_suite:
@@ -269,7 +276,7 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
         case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode=mode,
         functionals=tuple(gaps), spectrum=spectrum,
         quad_rule=rule, quad_res=int(quad_res), quad_refinement=refinement,
-        backing=_backing(case, mode),
+        backing=_backing(case, spectrum.solver, mode),
     )
 
 
@@ -282,14 +289,15 @@ def outlier_count(spectrum, lo, hi, eps):
 
 
 def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
-                          outlier_eps=1e-8) -> DistributionReport:
+                          outlier_eps=1e-8, spectrum=None) -> DistributionReport:
     """Sorted-spectrum vs rearranged-symbol comparison.
 
     e_n: eigenvalues of alpha_n A_n ascending; s_n: rearrangement samples at
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
     magnitude of the essential range), and outliers beyond the essential
     range by more than ``outlier_eps``.  Pass a precomputed ``rearr`` to
-    amortize the sampling across several n.
+    amortize the sampling across several n, and the eigenvalue ``spectrum``
+    of alpha_n A_n when it is already at hand (e.g. from ``weyl_compare``).
     """
     if case.symbol_unbounded:
         raise UnboundedSymbolError(
@@ -297,8 +305,12 @@ def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
             "use sigma-mode Weyl comparison on a bounded window instead"
         )
     if rearr is None:
-        rearr = monotone_rearrangement(case.predicted_symbol, _case_rect(case), r)
-    spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
+        rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, r)
+    if spectrum is None:
+        spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
+    elif spectrum.kind != "eigenvalues" or len(spectrum) != n:
+        raise ValueError(f"expected the {n} eigenvalues of case {case.name}, "
+                         f"got {len(spectrum)} {spectrum.kind}")
     t = np.arange(1, n + 1) / n
     s = rearr(t)
     e = spectrum.values
@@ -310,7 +322,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
         rearrangement_gap=gap, rearrangement_gap_rel=gap / scale,
         outlier_count=count, outlier_values=tuple(values),
         spectrum=spectrum, overlay=(t, s, e),
-        backing=_backing(case, "lambda"),
+        backing=_backing(case, spectrum.solver, "lambda"),
     )
 
 

@@ -3,8 +3,14 @@ symbols and normalizations.
 
 Each family is packaged as a :class:`DiscretizationCase` carrying the matrix
 constructor ``build(n)``, the normalization ``alpha(n)`` applied before any
-spectral comparison, the predicted symbol on [0,1] x [-pi,pi], and the
-symmetry class that decides how spectra are computed.  Exact constructions:
+spectral comparison, and the predicted symbol on [0,1] x [-pi,pi].  No case
+declares how its spectrum is computed: ``DiscretizationCase.spectrum`` hands
+the normalized matrix to :func:`gltkit.linalg.real_eigvals`, which picks the
+eigensolver from the matrix itself (symmetric band, diagonal similarity to
+a symmetric band, or the dense nonsymmetric solver with a reality check);
+a case whose ``build(n)`` returns the pair ``(K, M)`` is a pencil and goes
+to the Cholesky reduction.  The ``solver`` field of the returned
+:class:`SpectralSet` names the path that ran.  Exact constructions:
 
 * FD diffusion in divergence form on the uniform grid x_j = j h, h = 1/(n+1):
   tridiagonal with row j equal to (-a_{j-1/2}, a_{j-1/2} + a_{j+1/2}, -a_{j+1/2}).
@@ -28,10 +34,13 @@ import numpy as np
 
 from .linalg import (
     BandedMatrix,
+    ComplexSpectrumError,
     SpectralSet,
     as_dense,
     generalized_sym_eigvals,
+    is_symmetric,
     nonsym_eigvals,
+    real_eigvals,
     singular_values,
     solve_spd_banded,
     spd_cholesky_banded,
@@ -53,10 +62,6 @@ from .symbols import (
     multiply,
     add,
 )
-
-
-class ComplexSpectrumError(ValueError):
-    """Eigenvalues have genuine imaginary parts; use singular-value mode."""
 
 
 ZERO_COEFFICIENT = Coefficient("zero", lambda x: np.zeros_like(x), "continuous", lambda d: 0.0)
@@ -183,7 +188,11 @@ def _hadamard_with_toeplitz(a_vals: np.ndarray, f: TrigPoly) -> BandedMatrix:
 
 @dataclass(frozen=True)
 class DiscretizationCase:
-    """One matrix family with its predicted symbol and normalization."""
+    """One matrix family with its predicted symbol and normalization.
+
+    ``build(n)`` returns the matrix A_n, or the pair ``(K, M)`` for the
+    generalized eigenproblem K x = lambda M x.
+    """
 
     name: str
     tag: str
@@ -192,9 +201,7 @@ class DiscretizationCase:
     alpha_str: str = "1"
     predicted_symbol: SymbolExpr | None = None
     symbol_str: str = ""
-    symmetry: str = "symmetric"  # symmetric | nonsymmetric | symmetrizable | pencil
     coefficients: dict = field(default_factory=dict)
-    theta_even: bool = True
     symbol_unbounded: bool = False
     companions: dict = field(default_factory=dict, repr=False)
     notes: str = ""
@@ -203,48 +210,52 @@ class DiscretizationCase:
         return self.build(n)
 
     def normalized_dense(self, n):
-        if self.symmetry == "pencil":
+        A = self.build(n)
+        if isinstance(A, tuple):
             raise ValueError(f"case {self.name} is a matrix pencil; use spectrum()")
-        return self.alpha(n) * as_dense(self.build(n))
+        return self.alpha(n) * as_dense(A)
+
+    def _scaled(self, A, n):
+        a_n = self.alpha(n)
+        return A.scaled(a_n) if isinstance(A, BandedMatrix) else a_n * as_dense(A)
+
+    def _pencil_spectrum(self, KM, n) -> SpectralSet:
+        ev = generalized_sym_eigvals(*KM)
+        return SpectralSet(np.sort(ev.values * self.alpha(n)), "eigenvalues", ev.solver)
 
     def spectrum(self, n) -> SpectralSet:
-        """Real eigenvalues of alpha_n A_n through the path fitting the
-        symmetry class; complex spectra raise ComplexSpectrumError."""
-        a_n = self.alpha(n)
-        if self.symmetry == "symmetric":
-            A = self.build(n)
-            A = A.scaled(a_n) if isinstance(A, BandedMatrix) else a_n * as_dense(A)
-            return sym_eigvals(A)
-        if self.symmetry == "symmetrizable":
-            S = self.companions["symmetrized"](n)
-            vals = sym_eigvals(S).values * a_n
-            return SpectralSet(np.sort(vals), "eigenvalues")
-        if self.symmetry == "pencil":
-            K, M = self.build(n)
-            vals = generalized_sym_eigvals(K, M).values * a_n
-            return SpectralSet(np.sort(vals), "eigenvalues")
-        ev = self.complex_spectrum(n)
-        scale = max(np.max(np.abs(ev)), np.finfo(float).tiny)
-        if np.max(np.abs(ev.imag)) > 1e-7 * scale:
-            raise ComplexSpectrumError(
-                f"case {self.name} has genuinely complex eigenvalues at n={n}; "
-                "run the singular-value mode instead"
-            )
-        return SpectralSet(np.sort(ev.real), "eigenvalues")
+        """Real eigenvalues of alpha_n A_n through the solver that
+        ``real_eigvals`` picks from the matrix; complex spectra raise
+        ComplexSpectrumError."""
+        A = self.build(n)
+        if isinstance(A, tuple):
+            return self._pencil_spectrum(A, n)
+        try:
+            return real_eigvals(self._scaled(A, n))
+        except ComplexSpectrumError as exc:
+            raise ComplexSpectrumError(f"case {self.name} at n={n}: {exc}") from None
 
     def complex_spectrum(self, n) -> np.ndarray:
-        if self.symmetry == "pencil":
-            return self.spectrum(n).values.astype(complex)
-        return nonsym_eigvals(self.normalized_dense(n)) if self.symmetry == "nonsymmetric" \
-            else self.spectrum(n).values.astype(complex)
+        """All eigenvalues of alpha_n A_n from the dense nonsymmetric solver,
+        with no structure assumed and no reality check (a pencil returns its
+        real spectrum)."""
+        A = self.build(n)
+        if isinstance(A, tuple):
+            return self._pencil_spectrum(A, n).values.astype(complex)
+        return nonsym_eigvals(self._scaled(A, n))
 
     def singular_spectrum(self, n) -> SpectralSet:
-        """Singular values of alpha_n A_n (eigenvalue magnitudes on the
-        symmetric paths, SVD otherwise)."""
-        if self.symmetry in ("symmetric", "symmetrizable", "pencil"):
-            vals = np.abs(self.spectrum(n).values)
-            return SpectralSet(np.sort(vals), "singular_values")
-        return singular_values(self.normalized_dense(n))
+        """Singular values of alpha_n A_n: eigenvalue magnitudes when the
+        matrix is symmetric (and for a pencil), the dense SVD otherwise."""
+        A = self.build(n)
+        if isinstance(A, tuple):
+            ev = self._pencil_spectrum(A, n)
+        else:
+            A = self._scaled(A, n)
+            if not is_symmetric(A):
+                return singular_values(A)
+            ev = sym_eigvals(A)
+        return SpectralSet(np.sort(np.abs(ev.values)), "singular_values", ev.solver)
 
 
 # ----------------------------------------------------------------------------
@@ -309,7 +320,6 @@ def fd_diffusion(a: Coefficient) -> DiscretizationCase:
         alpha_str="1",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        symmetry="symmetric",
         coefficients={"a": a},
     )
     return case
@@ -326,7 +336,6 @@ def fd_cdr_dirichlet(a: Coefficient, b: Coefficient, c: Coefficient) -> Discreti
         alpha_str="1",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        symmetry="nonsymmetric",
         coefficients={"a": a, "b": b, "c": c},
         companions={"Z": lambda n: fd_lower_order_matrix(b, c, n)},
         notes="lower-order terms are a vanishing Frobenius-scale perturbation",
@@ -348,7 +357,6 @@ def fd_cdr_neumann(a: Coefficient, b: Coefficient, c: Coefficient) -> Discretiza
         alpha_str="1",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        symmetry="nonsymmetric",
         coefficients={"a": a, "b": b, "c": c},
         companions={
             "Z": lambda n: fd_lower_order_matrix(b, c, n),
@@ -371,22 +379,6 @@ def _nondiv_hadamard(a: Coefficient, n) -> BandedMatrix:
     return _hadamard_with_toeplitz(av, LAPLACE_SYMBOL)
 
 
-def _diag_similarity_symmetrized(diag_vals, T: BandedMatrix) -> BandedMatrix:
-    """D^{1/2} T D^{1/2} for positive diag_vals: shares the spectrum of D T."""
-    if np.any(diag_vals <= 0):
-        raise ValueError("diagonal similarity needs strictly positive sampling values")
-    s = np.sqrt(diag_vals)
-    n = s.size
-    diags = {}
-    for k in range(-T.lower_bw, T.upper_bw + 1):
-        vals = T.diagonal_values(k)
-        if k >= 0:
-            diags[k] = vals * s[: n - k] * s[k:]
-        else:
-            diags[k] = vals * s[-k:] * s[: n + k]
-    return BandedMatrix.from_diagonals(n, diags)
-
-
 def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
     _require_continuous(a, "diffusion")
     _require_bounded(b, "convection")
@@ -400,12 +392,9 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
     companions = {
         "K": lambda n: _nondiv_diffusion(a, n),
         "K_tilde": lambda n: _nondiv_hadamard(a, n),
-        "Z": lambda n: fd_lower_order_matrix(b, c, n),
     }
-    if zero_lower:
-        companions["symmetrized"] = lambda n: _diag_similarity_symmetrized(
-            np.asarray(a(np.arange(1, n + 1) / (n + 1)), dtype=float), toeplitz(LAPLACE_SYMBOL, n)
-        )
+    if not zero_lower:  # diag(a) T alone is similar to Hermitian; Z marks the split backing
+        companions["Z"] = lambda n: fd_lower_order_matrix(b, c, n)
     return DiscretizationCase(
         name="fd_t4",
         tag="FD convection-diffusion-reaction, non-divergence form",
@@ -414,7 +403,6 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
         alpha_str="1",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        symmetry="symmetrizable" if zero_lower else "nonsymmetric",
         coefficients={"a": a, "b": b, "c": c},
         companions=companions,
         notes="eigenvalue distribution backed by the Hadamard symmetrization split",
@@ -492,7 +480,6 @@ def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> Di
         alpha_str="1",
         predicted_symbol=multiply(a, FOURTH_ORDER_LAPLACE_SYMBOL),
         symbol_str="a(x)p(theta), p=(30-32cos+2cos2)/12",
-        symmetry="nonsymmetric",
         coefficients={"a": a, "b": b, "c": c},
         companions={
             "K": lambda n: _fourth_order_diffusion(a, n),
@@ -506,16 +493,12 @@ def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> Di
 def fd_fourth_derivative(a: Coefficient) -> DiscretizationCase:
     _require_continuous(a, "coefficient")
 
-    def sampling(n):
-        h = 1.0 / (n + 3)
-        return np.asarray(a((np.arange(1, n + 1) + 1) * h), dtype=float)
-
     def build(n):
         if n < 5:
             raise ValueError("fourth-derivative stencil needs n >= 5")
-        D = BandedMatrix.diagonal(sampling(n))
+        h = 1.0 / (n + 3)
+        av = np.asarray(a((np.arange(1, n + 1) + 1) * h), dtype=float)
         T = toeplitz(FOURTH_DERIVATIVE_SYMBOL, n)
-        av = D.diagonal_values(0)
         diags = {k: T.diagonal_values(k) * (av[: n - k] if k >= 0 else av[-k:])
                  for k in range(-2, 3)}
         return BandedMatrix.from_diagonals(n, diags)
@@ -528,13 +511,7 @@ def fd_fourth_derivative(a: Coefficient) -> DiscretizationCase:
         alpha_str="1",
         predicted_symbol=multiply(a, FOURTH_DERIVATIVE_SYMBOL),
         symbol_str="a(x)q(theta), q=6-8cos+2cos2",
-        symmetry="symmetrizable",
         coefficients={"a": a},
-        companions={
-            "symmetrized": lambda n: _diag_similarity_symmetrized(
-                sampling(n), toeplitz(FOURTH_DERIVATIVE_SYMBOL, n)
-            ),
-        },
     )
 
 
@@ -565,7 +542,6 @@ def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
         alpha_str="1/(n+1)",
         predicted_symbol=symbol,
         symbol_str="a(G(x))/G'(x) (2-2cos(theta))",
-        symmetry="symmetric",
         coefficients={"a": a},
         symbol_unbounded=bool(gmap.singularities),
         companions={"grid_map": lambda n=None: gmap},
@@ -663,7 +639,6 @@ def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient, quad_order=5) -> Disc
         alpha_str="1/(n+1)",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        symmetry="symmetric" if symmetric else "nonsymmetric",
         coefficients={"a": a, "b": b, "c": c},
         companions=companions,
         notes=f"per-element Gauss-Legendre order {quad_order}",
@@ -679,7 +654,6 @@ def fe_mass_case(g: Coefficient, quad_order=5) -> DiscretizationCase:
         alpha_str="n+1",
         predicted_symbol=multiply(g, MASS_SYMBOL),
         symbol_str="g(x)(2+cos(theta))/3",
-        symmetry="symmetric",
         coefficients={"g": g},
         notes=f"per-element Gauss-Legendre order {quad_order}",
     )
@@ -706,7 +680,6 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
         alpha_str="n+1",
         predicted_symbol=sigma,
         symbol_str="(rho/3)(2+cos) + sin^2/(a(x)(2-2cos))",
-        symmetry="symmetric",
         coefficients={"a": a},
         notes="requires a > 0 a.e. so that the stiffness block is SPD",
     )
@@ -732,7 +705,6 @@ def fe_eigproblem(a: Coefficient, c: Coefficient, quad_order=5) -> Discretizatio
         alpha_str="(n+1)^-2",
         predicted_symbol=symbol,
         symbol_str="(a/c)(6-6cos)/(2+cos)",
-        symmetry="pencil",
         coefficients={"a": a, "c": c},
         notes="spectra via Cholesky reduction of the pencil, never M^{-1}K",
     )

@@ -21,9 +21,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .analysis import (
+    SYMBOL_RECT,
     UnboundedSymbolError,
     rearrangement_compare,
     weyl_compare,
@@ -105,17 +104,15 @@ def cmd_compare(args) -> int:
     reports = []
     rearr = None
     if not case.symbol_unbounded:
-        rearr = monotone_rearrangement(
-            case.predicted_symbol,
-            ((0.0, 1.0), (0.0, np.pi) if case.theta_even else (-np.pi, np.pi)),
-            args.r,
-        )
+        rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
     overlay_rows = []
     for n in args.n:
         report = weyl_compare(case, n, mode=args.mode, quad_res=args.quad_res)
         doc = report.to_json_dict()
+        # lambda mode already solved for the eigenvalues; sigma mode holds singular values
+        eigenvalues = report.spectrum if args.mode == "lambda" else None
         try:
-            rr = rearrangement_compare(case, n, r=args.r, rearr=rearr)
+            rr = rearrangement_compare(case, n, r=args.r, rearr=rearr, spectrum=eigenvalues)
             doc["rearrangement_gap"] = rr.rearrangement_gap
             doc["rearrangement_gap_rel"] = rr.rearrangement_gap_rel
             doc["outliers"] = {"count": rr.outlier_count, "values": list(rr.outlier_values)}
@@ -144,7 +141,7 @@ def cmd_compare(args) -> int:
 
 def cmd_table2(args) -> int:
     case = get_case("fd_t1", "xexp")
-    rearr = monotone_rearrangement(case.predicted_symbol, ((0.0, 1.0), (0.0, np.pi)), args.r)
+    rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
     rows, all_ok = [], True
     print(f"{'n':>6}  {'computed':>10}  {'reference':>10}  {'within tol':>10}")
     for n in TABLE2_NS:

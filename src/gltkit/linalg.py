@@ -3,14 +3,17 @@
 Eigenvalues of symmetric matrices go through LAPACK's tridiagonal/banded
 drivers when the band structure allows it (values-only QL/QR for the
 tridiagonal path), nonsymmetric spectra through Hessenberg + shifted QR,
-and SPD banded systems through banded Cholesky.  Everything works on
-64-bit floats; iteration failures inside LAPACK surface as
-``EigenConvergenceError``, never silently.
+and SPD banded systems through banded Cholesky.  :func:`real_eigvals`
+picks the eigensolver from the matrix itself: bands that are diagonally
+similar to a symmetric band are solved as one, and only the rest reach the
+dense nonsymmetric solver.  Everything works on 64-bit floats; iteration
+failures inside LAPACK surface as ``EigenConvergenceError``, never
+silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,6 +29,10 @@ class SpdError(ValueError):
 
 class EigenConvergenceError(RuntimeError):
     """The eigenvalue iteration hit its cap without converging."""
+
+
+class ComplexSpectrumError(ValueError):
+    """Eigenvalues have genuine imaginary parts; use singular-value mode."""
 
 
 # ----------------------------------------------------------------------------
@@ -121,9 +128,6 @@ class BandedMatrix:
     def scaled(self, alpha):
         return BandedMatrix(self.n, self.lower_bw, self.upper_bw, alpha * self.bands)
 
-    def is_symmetric(self, tol=1e-12):
-        return _symmetry_defect(self) <= tol * max(_max_abs(self), np.finfo(float).tiny)
-
 
 def as_dense(A):
     """Dense ndarray view of a BandedMatrix or array-like."""
@@ -150,21 +154,29 @@ def _symmetry_defect(A):
     return float(np.max(np.abs(A - A.T))) if A.size else 0.0
 
 
+def is_symmetric(A, tol=1e-12):
+    """max |A - A^T| <= tol * max |A|."""
+    return _symmetry_defect(A) <= tol * max(_max_abs(A), np.finfo(float).tiny)
+
+
 def require_symmetric(A, tol=1e-12):
-    defect = _symmetry_defect(A)
-    scale = max(_max_abs(A), np.finfo(float).tiny)
-    if defect > tol * scale:
+    if not is_symmetric(A, tol):
         raise SymmetryError(
-            f"matrix is not symmetric: max |A - A^T| = {defect:.3e} > {tol:g} * {scale:.3e}"
+            f"matrix is not symmetric: max |A - A^T| = {_symmetry_defect(A):.3e} "
+            f"> {tol:g} * {_max_abs(A):.3e}"
         )
 
 
 @dataclass(frozen=True)
 class SpectralSet:
-    """Sorted spectrum or singular values of one matrix."""
+    """Sorted spectrum or singular values of one matrix, with the name of
+    the solver path that computed them (``sym_tridiagonal``, ``sym_band``,
+    ``sym_dense``, ``similarity_tridiagonal``, ``similarity_band``,
+    ``nonsym_dense``, ``pencil_dense`` or ``svd_dense``)."""
 
     values: np.ndarray
     kind: str  # "eigenvalues" | "singular_values"
+    solver: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -195,18 +207,21 @@ def sym_eigvals(A, sym_tol=1e-12) -> SpectralSet:
     try:
         if isinstance(A, BandedMatrix):
             if max(A.lower_bw, A.upper_bw) <= 1:
+                solver = "sym_tridiagonal"
                 d = A.diagonal_values(0).astype(float)
                 if A.n == 1:
-                    return SpectralSet(d, "eigenvalues")
+                    return SpectralSet(d, "eigenvalues", solver)
                 e = A.diagonal_values(-1).astype(float)
                 vals = sla.eigvalsh_tridiagonal(d, e)
             else:
+                solver = "sym_band"
                 vals = sla.eig_banded(_upper_band(A), lower=False, eigvals_only=True)
         else:
+            solver = "sym_dense"
             vals = np.linalg.eigvalsh(as_dense(A))
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:  # pragma: no cover - rare
         raise EigenConvergenceError(str(exc)) from exc
-    return SpectralSet(np.sort(vals), "eigenvalues")
+    return SpectralSet(np.sort(vals), "eigenvalues", solver)
 
 
 def sym_eigpairs(A, sym_tol=1e-12):
@@ -228,12 +243,12 @@ def generalized_sym_eigvals(K, M, sym_tol=1e-12) -> SpectralSet:
         vals = sla.eigh(as_dense(K), as_dense(M), eigvals_only=True)
     except sla.LinAlgError as exc:
         raise SpdError(f"mass matrix of the pencil is not SPD: {exc}") from exc
-    return SpectralSet(np.sort(vals), "eigenvalues")
+    return SpectralSet(np.sort(vals), "eigenvalues", "pencil_dense")
 
 
 def singular_values(A) -> SpectralSet:
     vals = np.linalg.svd(as_dense(A), compute_uv=False)
-    return SpectralSet(np.sort(vals), "singular_values")
+    return SpectralSet(np.sort(vals), "singular_values", "svd_dense")
 
 
 def nonsym_eigvals(A) -> np.ndarray:
@@ -246,6 +261,63 @@ def nonsym_eigvals(A) -> np.ndarray:
         return np.linalg.eigvals(as_dense(A))
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
+
+
+def _diagonal_similarity(A: BandedMatrix):
+    """A symmetric band similar to ``A`` through a positive diagonal, with
+    the name of the path, or None when none is found.
+
+    A tridiagonal ``A`` with every ``A[i+1,i] * A[i,i+1] > 0`` is similar to
+    the symmetric tridiagonal matrix with off-diagonal
+    ``sqrt(A[i+1,i] * A[i,i+1])`` (Parlett, *The Symmetric Eigenvalue
+    Problem*, section 7).  A wider ``A = D S`` with ``D = diag(d > 0)`` and
+    ``S`` symmetric has ``d[i+1] / d[i] = A[i+1,i] / A[i,i+1]``; with those
+    ratios all positive, ``D^{-1/2} A D^{1/2}`` is tried and kept when it
+    passes the symmetry check.
+    """
+    lower, upper = A.diagonal_values(-1), A.diagonal_values(1)
+    if A.n < 2 or not np.all(lower * upper > 0):
+        return None
+    if max(A.lower_bw, A.upper_bw) == 1:
+        off = np.sqrt(lower * upper)
+        return BandedMatrix.tridiagonal(A.diagonal_values(0), off, off), "similarity_tridiagonal"
+    log_d = np.concatenate(([0.0], np.cumsum(np.log(lower / upper))))
+    diags = {}
+    for k in range(-A.lower_bw, A.upper_bw + 1):
+        rows = np.arange(A.n - abs(k)) + max(0, -k)
+        diags[k] = A.diagonal_values(k) * np.exp(0.5 * (log_d[rows + k] - log_d[rows]))
+    S = BandedMatrix.from_diagonals(A.n, diags)
+    return (S, "similarity_band") if is_symmetric(S) else None
+
+
+def real_eigvals(A) -> SpectralSet:
+    """Eigenvalues of a real square matrix with a real spectrum, sorted
+    ascending, through a solver chosen from the matrix itself.
+
+    Tried in order: a symmetric matrix goes to :func:`sym_eigvals`; a band
+    that is similar to a symmetric band through a positive diagonal (see
+    ``_diagonal_similarity``) is solved as that band, its strictly positive
+    products proving the spectrum real; anything else goes to the dense
+    nonsymmetric solver, where imaginary parts above ``1e-7 * max |lambda|``
+    raise ``ComplexSpectrumError``.  ``solver`` on the result names the
+    path that ran.
+    """
+    if is_symmetric(A):
+        return sym_eigvals(A)
+    if isinstance(A, BandedMatrix):
+        similar = _diagonal_similarity(A)
+        if similar is not None:
+            S, solver = similar
+            return replace(sym_eigvals(S), solver=solver)
+    ev = nonsym_eigvals(A)
+    scale = max(np.max(np.abs(ev)), np.finfo(float).tiny)
+    imag = np.max(np.abs(ev.imag))
+    if imag > 1e-7 * scale:
+        raise ComplexSpectrumError(
+            f"genuinely complex eigenvalues (max |Im| = {imag:.3e} > 1e-7 * {scale:.3e}); "
+            "run the singular-value mode instead"
+        )
+    return SpectralSet(np.sort(ev.real), "eigenvalues", "nonsym_dense")
 
 
 def schatten_norm(A, p) -> float:

@@ -117,6 +117,22 @@ def test_weyl_nonsymmetric_case_reports_split_backing():
     assert "split" in rep.backing
 
 
+HERMITIAN = "lambda distribution (Hermitian)"
+SIMILAR = "lambda distribution (similar to Hermitian)"
+SPLIT = "lambda distribution (Hermitian + vanishing-norm split)"
+
+
+@pytest.mark.parametrize("spec, backing", [
+    ("fd_t1", HERMITIAN), ("fd_t2", SPLIT), ("fd_t3", SPLIT), ("fd_t4", SPLIT),
+    ("fd_t4:b=zero,c=zero", SIMILAR), ("fd_t5", SPLIT), ("fd_t6", SIMILAR),
+    ("fd_t7", HERMITIAN), ("fe_t1", HERMITIAN), ("fe_mass", HERMITIAN),
+    ("schur", HERMITIAN), ("Ln", HERMITIAN),
+])
+def test_backing_of_every_registry_case(spec, backing):
+    # the backing names the theory, so it does not move with the solver path
+    assert weyl_compare(get_case(spec, "xexp"), 40, quad_res=40).backing == backing
+
+
 def test_weyl_sigma_mode_on_symmetric_case_matches_lambda():
     case = fd_diffusion(XEXP)  # nonnegative spectrum: sigma and lambda agree
     r_l = weyl_compare(case, 60, F_suite=[WIDE], quad_res=200)
@@ -130,6 +146,7 @@ def test_weyl_report_json_schema():
     for key in ("case", "n", "alpha_n", "functionals", "rearrangement_gap", "outliers"):
         assert key in doc
     assert {"label", "empirical", "symbol", "gap"} <= set(doc["functionals"][0])
+    assert doc["solver"] == "sym_tridiagonal"
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +172,19 @@ def test_rearrangement_compare_refuses_unbounded_symbol():
     case = get_case("fd_t7:q=2", "one")
     with pytest.raises(UnboundedSymbolError):
         rearrangement_compare(case, 30)
+
+
+def test_rearrangement_compare_reuses_a_given_spectrum():
+    case = fd_cdr_dirichlet(XEXP, ONE, ONE)
+    R = monotone_rearrangement(case.predicted_symbol, RECT, 500)
+    own = rearrangement_compare(case, 40, rearr=R)
+    given = rearrangement_compare(case, 40, rearr=R, spectrum=own.spectrum)
+    assert given.rearrangement_gap == own.rearrangement_gap
+    assert given.to_json_dict() == own.to_json_dict()
+    with pytest.raises(ValueError):
+        rearrangement_compare(case, 41, rearr=R, spectrum=own.spectrum)
+    with pytest.raises(ValueError):
+        rearrangement_compare(case, 40, rearr=R, spectrum=case.singular_spectrum(40))
 
 
 def test_rearrangement_overlay_shape():

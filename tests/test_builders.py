@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import gltkit.linalg as linalg
 from gltkit import (
     Coefficient,
+    ComplexSpectrumError,
     LAPLACE_SYMBOL,
     SIN_SYMBOL,
     SpdError,
@@ -513,3 +515,54 @@ def test_fe_symmetric_cases_exactly_symmetric():
     assert np.array_equal(K, K.T) and np.array_equal(M, M.T)
     A = as_dense(get_case("fe_t1", "xexp").matrix(25))
     assert np.array_equal(A, A.T)
+
+
+# ---------------------------------------------------------------------------
+# spectrum paths chosen from the matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, solver", [
+    ("fd_t2", "similarity_tridiagonal"),
+    ("fd_t3", "similarity_tridiagonal"),
+    ("fd_t4", "similarity_tridiagonal"),
+    ("fd_t4:b=zero,c=zero", "similarity_tridiagonal"),
+    ("fd_t6", "similarity_band"),
+])
+def test_similarity_paths_match_dense_eigenvalues(spec, solver):
+    case = get_case(spec, "xexp")
+    n = 200
+    ev = case.spectrum(n)
+    assert ev.solver == solver
+    dense = case.complex_spectrum(n)
+    assert np.max(np.abs(ev.values - np.sort(dense.real))) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_fourth_order_scheme_stays_on_the_dense_path():
+    assert get_case("fd_t5", "xexp").spectrum(60).solver == "nonsym_dense"
+
+
+def test_negative_products_fall_back_to_dense_and_raise(monkeypatch):
+    # convection h/2 outweighs diffusion 1e-6: lower * upper < 0 on every row
+    tiny = Coefficient("tiny", lambda x: np.full_like(np.asarray(x, dtype=float), 1e-6),
+                       "continuous")
+    case = fd_cdr_dirichlet(tiny, ONE, ONE)
+    n = 50
+    A = case.matrix(n)
+    assert np.all(A.diagonal_values(-1) * A.diagonal_values(1) < 0)
+    dense_calls = []
+    original = linalg.nonsym_eigvals
+    monkeypatch.setattr(linalg, "nonsym_eigvals",
+                        lambda M: dense_calls.append(M) or original(M))
+    with pytest.raises(ComplexSpectrumError, match="fd_t2 at n=50"):
+        case.spectrum(n)
+    assert len(dense_calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["fd_t1", "fd_t2", "fd_t4:b=zero,c=zero", "fd_t6", "schur"])
+def test_singular_spectrum_matches_dense_svd(spec):
+    case = get_case(spec, "xexp")
+    n = 60
+    ref = np.sort(np.linalg.svd(case.normalized_dense(n), compute_uv=False))
+    got = case.singular_spectrum(n)
+    assert got.kind == "singular_values"
+    assert np.max(np.abs(got.values - ref)) <= 1e-10

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gltkit.builders import DiscretizationCase
 from gltkit.cli import main, TABLE2_REFERENCE
 
 
@@ -92,6 +93,21 @@ def test_compare_deterministic(capsys, tmp_path):
                              "--format", "json", "--out", str(path))
         assert code == 0
     assert a.read_text() == b.read_text()
+
+
+def test_compare_solves_each_spectrum_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    original = DiscretizationCase.spectrum
+    monkeypatch.setattr(DiscretizationCase, "spectrum",
+                        lambda self, n: calls.append(n) or original(self, n))
+    path = tmp_path / "t2.json"
+    code, _, _ = run_cli(capsys, "compare", "--case", "fd_t2", "--coeff", "xexp",
+                         "--n", "30,60", "--r", "200", "--quad-res", "80",
+                         "--format", "json", "--out", str(path))
+    assert code == 0
+    assert calls == [30, 60]
+    reports = json.loads(path.read_text())["reports"]
+    assert [r["solver"] for r in reports] == ["similarity_tridiagonal"] * 2
 
 
 def test_certify_pass_and_unknown_family(capsys):

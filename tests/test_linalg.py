@@ -3,14 +3,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gltkit import (
     BandedMatrix,
+    ComplexSpectrumError,
     SpdError,
     SymmetryError,
     as_dense,
     hadamard,
     nonsym_eigvals,
+    real_eigvals,
     schatten_norm,
     singular_values,
     solve_spd_banded,
@@ -165,6 +168,86 @@ def test_nonsym_upper_triangular_gives_diagonal():
     A = np.triu(rng.standard_normal((10, 10)))
     ev = np.sort_complex(nonsym_eigvals(A))
     assert np.allclose(np.sort_complex(A.diagonal().astype(complex)), ev)
+
+
+# ---------------------------------------------------------------------------
+# solver dispatch: the path follows from the matrix
+# ---------------------------------------------------------------------------
+
+@st.composite
+def positive_product_tridiagonals(draw):
+    """Nonsymmetric tridiagonals with every lower[i] * upper[i] > 0."""
+    n = draw(st.integers(2, 20))
+    entries = st.floats(-5.0, 5.0, allow_nan=False)
+    magnitudes = st.floats(0.5, 2.0)
+    d = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    lo = np.array(draw(st.lists(magnitudes, min_size=n - 1, max_size=n - 1)))
+    up = np.array(draw(st.lists(magnitudes, min_size=n - 1, max_size=n - 1)))
+    signs = np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n - 1, max_size=n - 1)))
+    return BandedMatrix.tridiagonal(d, signs * lo, signs * up)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_product_tridiagonals())
+def test_positive_product_tridiagonal_takes_similarity_path(A):
+    ev = real_eigvals(A)
+    dense = A.toarray()
+    if ev.solver != "sym_tridiagonal":  # symmetric draws are rare but possible
+        assert ev.solver == "similarity_tridiagonal"
+    scale = max(np.max(np.abs(ev.values)), 1.0)
+    ref = np.sort(np.linalg.eigvals(dense).real)
+    assert np.max(np.abs(ev.values - ref)) <= 1e-8 * scale
+    # power traces are invariants no eigensolver enters: sum lambda^k = tr A^k
+    P = np.eye(A.n)
+    for k in (1, 2, 3):
+        P = P @ dense
+        assert abs(np.sum(ev.values ** k) - np.trace(P)) <= 1e-10 * A.n * scale ** k
+
+
+def _diag_times_symmetric_band(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.1, 3.0, n)
+    s1, s2 = rng.uniform(-2.0, -0.5, n - 1), rng.standard_normal(n - 2)
+    S = BandedMatrix.from_diagonals(n, {0: rng.uniform(4, 6, n), 1: s1, -1: s1, 2: s2, -2: s2})
+    diags = {k: S.diagonal_values(k) * (d[: n - k] if k >= 0 else d[-k:]) for k in range(-2, 3)}
+    return d, S, BandedMatrix.from_diagonals(n, diags)
+
+
+def test_diagonal_times_symmetric_band_takes_similarity_band_path():
+    d, S, A = _diag_times_symmetric_band(40, 23)
+    ev = real_eigvals(A)
+    assert ev.solver == "similarity_band"
+    root = np.sqrt(d)
+    ref = np.linalg.eigvalsh(root[:, None] * S.toarray() * root[None, :])
+    assert np.max(np.abs(ev.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_band_that_is_not_diagonal_times_symmetric_goes_dense():
+    _, _, A = _diag_times_symmetric_band(40, 29)
+    bands = A.bands.copy()
+    bands[0, 5] += 0.05  # one second-superdiagonal entry: ratios stay positive
+    ev = real_eigvals(BandedMatrix(A.n, 2, 2, bands))
+    assert ev.solver == "nonsym_dense"
+
+
+def test_symmetric_paths_are_named():
+    T = toeplitz(LAPLACE_SYMBOL, 10)
+    assert real_eigvals(T).solver == "sym_tridiagonal"
+    assert real_eigvals(T.toarray()).solver == "sym_dense"
+    _, S, _ = _diag_times_symmetric_band(10, 31)
+    assert real_eigvals(S).solver == "sym_band"
+
+
+def test_negative_products_fall_back_to_dense_and_raise():
+    n = 12
+    A = BandedMatrix.tridiagonal(np.zeros(n), -np.ones(n - 1), np.ones(n - 1))
+    with pytest.raises(ComplexSpectrumError):
+        real_eigvals(A)
+    # bidiagonal: zero products, real spectrum (the diagonal) through the dense path
+    B = BandedMatrix.tridiagonal(np.arange(1.0, n + 1), np.ones(n - 1), np.zeros(n - 1))
+    ev = real_eigvals(B)
+    assert ev.solver == "nonsym_dense"
+    assert np.allclose(ev.values, np.arange(1.0, n + 1), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
