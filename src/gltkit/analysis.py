@@ -237,45 +237,75 @@ def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
     return "exploratory (no Hermitian split registered)"
 
 
+@dataclass(frozen=True)
+class SymbolSamples:
+    """Symbol values on the Weyl quadrature grid (``full``) and on its
+    coarse half (``coarse``, None without the refinement check), as
+    magnitudes in sigma mode.  They depend on the case, ``mode`` and
+    ``quad_res`` but not on n, so one set serves every n of a case."""
+
+    mode: str
+    quad_rule: str
+    quad_res: int
+    full: np.ndarray = field(repr=False)
+    coarse: np.ndarray | None = field(default=None, repr=False)
+
+
+def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400,
+                   refine_check=True) -> SymbolSamples:
+    """Sample the predicted symbol of ``case`` for :func:`weyl_compare`."""
+    if mode not in ("lambda", "sigma"):
+        raise ValueError("mode must be 'lambda' or 'sigma'")
+    kappa = case.predicted_symbol
+    rule = "midpoint" if kappa.has_quotient else "gauss"
+    full = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule)
+    coarse = None
+    if refine_check:
+        coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule)
+    if mode == "sigma":
+        full = np.abs(full)
+        coarse = None if coarse is None else np.abs(coarse)
+    return SymbolSamples(mode, rule, int(quad_res), full, coarse)
+
+
 def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
-                 quad_res=400, refine_check=True) -> DistributionReport:
+                 quad_res=400, refine_check=True, samples=None) -> DistributionReport:
     """Test-functional comparison of the spectrum of alpha_n A_n with the
     predicted symbol.
 
     ``mode`` selects eigenvalues ("lambda") or singular values ("sigma");
     sigma mode compares against F(|kappa|) as the distribution definition
-    prescribes.
+    prescribes.  Pass ``samples`` from :func:`symbol_samples` (same case,
+    mode, ``quad_res`` and ``refine_check``) to reuse them across n.
     """
-    if mode not in ("lambda", "sigma"):
-        raise ValueError("mode must be 'lambda' or 'sigma'")
-    kappa = case.predicted_symbol
-    rule = "midpoint" if kappa.has_quotient else "gauss"
-    samples = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule)
-    if mode == "sigma":
-        samples = np.abs(samples)
+    if samples is None:
+        samples = symbol_samples(case, mode, quad_res, refine_check)
+    elif (samples.mode, samples.quad_res, samples.coarse is not None) != (
+            mode, quad_res, refine_check):
+        raise ValueError(
+            f"symbol samples were taken for mode={samples.mode}, quad_res={samples.quad_res}, "
+            f"refine_check={samples.coarse is not None}; this comparison asks for "
+            f"mode={mode}, quad_res={quad_res}, refine_check={refine_check}")
+    full, coarse = samples.full, samples.coarse
     if F_suite is None:
-        F_suite = default_suite(inflate(float(samples.min()), float(samples.max())))
+        F_suite = default_suite(inflate(float(full.min()), float(full.max())))
 
     spectrum = case.singular_spectrum(n) if mode == "sigma" else case.spectrum(n)
 
     gaps = []
     refinement = None
-    if refine_check:
-        coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule)
-        if mode == "sigma":
-            coarse = np.abs(coarse)
     for F in F_suite:
         emp = empirical_functional(spectrum, F)
-        sym = float(np.mean(F(samples)))
+        sym = float(np.mean(F(full)))
         gaps.append(FunctionalGap(F.label, emp, sym))
-        if refine_check:
+        if coarse is not None:
             d = abs(sym - float(np.mean(F(coarse))))
             refinement = d if refinement is None else max(refinement, d)
 
     return DistributionReport(
         case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode=mode,
         functionals=tuple(gaps), spectrum=spectrum,
-        quad_rule=rule, quad_res=int(quad_res), quad_refinement=refinement,
+        quad_rule=samples.quad_rule, quad_res=samples.quad_res, quad_refinement=refinement,
         backing=_backing(case, spectrum.solver, mode),
     )
 

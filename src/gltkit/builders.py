@@ -64,9 +64,6 @@ from .symbols import (
 )
 
 
-ZERO_COEFFICIENT = Coefficient("zero", lambda x: np.zeros_like(x), "continuous", lambda d: 0.0)
-
-
 # ----------------------------------------------------------------------------
 # grids and grid maps
 # ----------------------------------------------------------------------------
@@ -718,26 +715,30 @@ def _coef_param(params, key, default_name):
     name = params.get(key, default_name)
     if isinstance(name, Coefficient):
         return name
-    if name == "zero":
-        return ZERO_COEFFICIENT
     return coefficient_preset(name)
 
 
+#: name -> (accepted ``key=value`` parameters, factory(a, params))
 _CASE_FACTORIES = {
-    "fd_t1": lambda a, p: fd_diffusion(a),
-    "fd_t2": lambda a, p: fd_cdr_dirichlet(a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one")),
-    "fd_t3": lambda a, p: fd_cdr_neumann(a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one")),
-    "fd_t4": lambda a, p: fd_nondiv(a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one")),
-    "fd_t5": lambda a, p: fd_fourth_order_scheme(a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one")),
-    "fd_t6": lambda a, p: fd_fourth_derivative(a),
-    "fd_t7": lambda a, p: fd_nonuniform(a, power_map(float(p.get("q", 2.0)))),
-    "fe_t1": lambda a, p: fe_cdr(a, _coef_param(p, "b", "zero"), _coef_param(p, "c", "zero"),
-                                 quad_order=int(p.get("quad", 5))),
-    "fe_mass": lambda a, p: fe_mass_case(a, quad_order=int(p.get("quad", 5))),
-    "schur": lambda a, p: fe_system_schur(a, rho=float(p.get("rho", 1.0)),
-                                          quad_order=int(p.get("quad", 5))),
-    "Ln": lambda a, p: fe_eigproblem(a, _coef_param(p, "c", "one"),
-                                     quad_order=int(p.get("quad", 5))),
+    "fd_t1": ((), lambda a, p: fd_diffusion(a)),
+    "fd_t2": (("b", "c"), lambda a, p: fd_cdr_dirichlet(
+        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
+    "fd_t3": (("b", "c"), lambda a, p: fd_cdr_neumann(
+        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
+    "fd_t4": (("b", "c"), lambda a, p: fd_nondiv(
+        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
+    "fd_t5": (("b", "c"), lambda a, p: fd_fourth_order_scheme(
+        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
+    "fd_t6": ((), lambda a, p: fd_fourth_derivative(a)),
+    "fd_t7": (("q",), lambda a, p: fd_nonuniform(a, power_map(float(p.get("q", 2.0))))),
+    "fe_t1": (("b", "c", "quad"), lambda a, p: fe_cdr(
+        a, _coef_param(p, "b", "zero"), _coef_param(p, "c", "zero"),
+        quad_order=int(p.get("quad", 5)))),
+    "fe_mass": (("quad",), lambda a, p: fe_mass_case(a, quad_order=int(p.get("quad", 5)))),
+    "schur": (("rho", "quad"), lambda a, p: fe_system_schur(
+        a, rho=float(p.get("rho", 1.0)), quad_order=int(p.get("quad", 5)))),
+    "Ln": (("c", "quad"), lambda a, p: fe_eigproblem(
+        a, _coef_param(p, "c", "one"), quad_order=int(p.get("quad", 5)))),
 }
 
 
@@ -752,7 +753,8 @@ def get_case(spec: str, coefficient=None) -> DiscretizationCase:
     ``coefficient`` (preset name, ``csv:PATH`` spec, or Coefficient) feeds
     the main diffusion coefficient; secondary coefficients default to the
     values documented in the factory table and can be overridden with
-    ``key=value`` parameters in the spec string.
+    ``key=value`` parameters in the spec string; a key the case does not
+    accept raises ValueError.
     """
     head, _, tail = spec.partition(":")
     if head not in _CASE_FACTORIES:
@@ -764,11 +766,16 @@ def get_case(spec: str, coefficient=None) -> DiscretizationCase:
             if not value:
                 raise ValueError(f"malformed case parameter {item!r}")
             params[key.strip()] = value.strip()
+    accepted, factory = _CASE_FACTORIES[head]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"case {head!r} does not accept parameter(s) {', '.join(unknown)}; "
+                         f"accepted: {', '.join(accepted) or 'none'}")
     if coefficient is None:
         coefficient = "xexp"
     if not isinstance(coefficient, Coefficient):
         coefficient = coefficient_preset(coefficient)
-    return _CASE_FACTORIES[head](coefficient, params)
+    return factory(coefficient, params)
 
 
 def registry_lines():

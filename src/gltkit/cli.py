@@ -25,6 +25,7 @@ from .analysis import (
     SYMBOL_RECT,
     UnboundedSymbolError,
     rearrangement_compare,
+    symbol_samples,
     weyl_compare,
 )
 from .builders import ComplexSpectrumError, get_case, registry_lines
@@ -105,9 +106,10 @@ def cmd_compare(args) -> int:
     rearr = None
     if not case.symbol_unbounded:
         rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
+    samples = symbol_samples(case, args.mode, args.quad_res)
     overlay_rows = []
     for n in args.n:
-        report = weyl_compare(case, n, mode=args.mode, quad_res=args.quad_res)
+        report = weyl_compare(case, n, mode=args.mode, quad_res=args.quad_res, samples=samples)
         doc = report.to_json_dict()
         # lambda mode already solved for the eigenvalues; sigma mode holds singular values
         eigenvalues = report.spectrum if args.mode == "lambda" else None
@@ -164,13 +166,10 @@ def cmd_table2(args) -> int:
 
 def cmd_certify(args) -> int:
     families = certificate_families() if args.family == "all" else [args.family]
-    all_ok = True
-    for family in families:
-        checks = run_certificates(family, args.n, args.m, seed=args.seed)
-        for check in checks:
-            print(check.line())
-            all_ok &= check.ok
-    return 0 if all_ok else 1
+    checks = [check for family in families
+              for check in run_certificates(family, args.n, args.m, seed=args.seed)]
+    _emit(args.out, "".join(check.line() + "\n" for check in checks))
+    return 0 if all(check.ok for check in checks) else 1
 
 
 # ----------------------------------------------------------------------------

@@ -121,10 +121,6 @@ class BandedMatrix:
                 A[idx - k, idx] = vals
         return A
 
-    def transpose(self):
-        diags = {-k: self.diagonal_values(k) for k in range(-self.lower_bw, self.upper_bw + 1)}
-        return BandedMatrix.from_diagonals(self.n, diags)
-
     def scaled(self, alpha):
         return BandedMatrix(self.n, self.lower_bw, self.upper_bw, alpha * self.bands)
 
@@ -324,12 +320,63 @@ def schatten_norm(A, p) -> float:
     """Schatten p-norm: the vector p-norm of the singular values.
 
     ``p = 1`` is the trace norm, ``p = 2`` the Frobenius norm, ``p = inf``
-    the spectral norm.
+    the spectral norm.  The route follows from the matrix, and a full
+    singular spectrum is computed only when nothing cheaper is exact:
+
+    * ``p = 2``: the Frobenius norm of the entries (of the stored
+      diagonals for a BandedMatrix), an identity for every matrix;
+    * an exactly symmetric real matrix: the magnitudes of its eigenvalues
+      from :func:`sym_eigvals` (tridiagonal, banded or dense driver);
+    * a nonsymmetric real BandedMatrix with ``p = inf``: the square root of
+      the largest eigenvalue of ``A^T A``, formed in band storage;
+    * anything else: the dense SVD.
     """
     if p < 1:
         raise ValueError("Schatten norms need p >= 1")
-    s = singular_values(A).values
+    if p == 2:
+        return _frobenius_norm(A)
+    real = not np.iscomplexobj(A.bands if isinstance(A, BandedMatrix) else A)
+    if real and is_symmetric(A, tol=0.0):
+        s = np.abs(sym_eigvals(A).values)
+    elif real and isinstance(A, BandedMatrix) and np.isinf(p):
+        return _banded_spectral_norm(A)
+    else:
+        s = singular_values(A).values
     return float(np.linalg.norm(s, np.inf if np.isinf(p) else p))
+
+
+def _frobenius_norm(A) -> float:
+    if isinstance(A, BandedMatrix):
+        v = np.concatenate([A.diagonal_values(k) for k in range(-A.lower_bw, A.upper_bw + 1)])
+    else:
+        v = as_dense(A).ravel()
+    return float(np.linalg.norm(v))
+
+
+def _banded_spectral_norm(A: BandedMatrix) -> float:
+    """Largest singular value of a real band: sqrt of the top eigenvalue of
+    ``A^T A``, whose band (width ``lower_bw + upper_bw``) is formed
+    directly.  ``(A^T A)[i + k1, i + k2]`` collects ``A[i, i + k1] *
+    A[i, i + k2]`` over the rows ``i``."""
+    n, offsets = A.n, range(-A.lower_bw, A.upper_bw + 1)
+    rows = {}  # rows[k][i] = A[i, i + k], zero where the diagonal has no row i
+    for k in offsets:
+        rows[k] = np.zeros(n)
+        rows[k][max(0, -k): n - max(0, k)] = A.diagonal_values(k)
+    u = A.lower_bw + A.upper_bw
+    ab = np.zeros((u + 1, n))  # upper band storage, as in _upper_band
+    for k1 in offsets:
+        for k2 in offsets:
+            if k2 < k1:
+                continue
+            lo, hi = max(0, -k1), n - max(0, k2)
+            ab[u - (k2 - k1), lo + k2: hi + k2] += rows[k1][lo:hi] * rows[k2][lo:hi]
+    try:
+        top = sla.eig_banded(ab, lower=False, eigvals_only=True,
+                             select="i", select_range=(n - 1, n - 1))
+    except sla.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigenConvergenceError(str(exc)) from exc
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 def spectral_norm(A) -> float:

@@ -183,6 +183,7 @@ COEFFICIENT_PRESETS = {
     "xexp": Coefficient("xexp", lambda x: x * np.exp(-x), "continuous", _omega_xexp),
     "1+x": Coefficient("1+x", lambda x: 1.0 + x, "continuous", _omega_linear),
     "expx": Coefficient("expx", np.exp, "continuous", _omega_expx),
+    "zero": Coefficient("zero", lambda x: np.zeros_like(x), "continuous", lambda d: 0.0),
 }
 
 

@@ -22,12 +22,13 @@ from gltkit import (
     outlier_count,
     rearrangement_compare,
     symbol_functional,
+    symbol_samples,
     sym_eigvals,
     toeplitz,
     weyl_compare,
     zero_distribution_check,
 )
-from gltkit.builders import ZERO_COEFFICIENT, as_dense
+from gltkit.builders import as_dense
 
 ONE = coefficient_preset("one")
 XEXP = coefficient_preset("xexp")
@@ -253,3 +254,25 @@ def test_zero_distribution_neumann_correction_passes():
 
     rep = zero_distribution_check(build, (100, 200, 400, 800), p=2)
     assert rep.overall_pass
+
+
+@pytest.mark.parametrize("spec,mode", [("fd_t2", "lambda"), ("Ln", "lambda"),
+                                       ("fd_t7:q=2", "sigma")])
+def test_weyl_reused_samples_give_identical_gaps(spec, mode):
+    case = get_case(spec, "xexp")
+    samples = symbol_samples(case, mode, quad_res=60)
+    for n in (20, 40):
+        fresh = weyl_compare(case, n, mode=mode, quad_res=60)
+        reused = weyl_compare(case, n, mode=mode, quad_res=60, samples=samples)
+        assert reused.functionals == fresh.functionals
+        assert reused.quad_refinement == fresh.quad_refinement
+        assert (reused.quad_rule, reused.quad_res) == (fresh.quad_rule, fresh.quad_res)
+
+
+def test_weyl_rejects_samples_taken_for_other_settings():
+    case = get_case("fd_t1", "xexp")
+    samples = symbol_samples(case, "lambda", quad_res=60)
+    for kwargs in ({"mode": "sigma", "quad_res": 60}, {"quad_res": 80},
+                   {"quad_res": 60, "refine_check": False}):
+        with pytest.raises(ValueError, match="symbol samples"):
+            weyl_compare(case, 20, samples=samples, **kwargs)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gltkit.linalg as linalg
 from gltkit import (
@@ -39,12 +40,13 @@ from gltkit import (
     toeplitz,
     uniform_grid,
 )
-from gltkit.builders import GridMap, ZERO_COEFFICIENT, fd_nonuniform_matrix
+from gltkit.builders import _CASE_FACTORIES, GridMap, case_names, fd_nonuniform_matrix
 from gltkit.symbols import FOURTH_ORDER_LAPLACE_SYMBOL
 
 ONE = coefficient_preset("one")
 X = coefficient_preset("x")
 XEXP = coefficient_preset("xexp")
+ZERO = coefficient_preset("zero")
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +153,13 @@ def test_fd_diffusion_exact_symmetry():
 
 
 def test_fd_cdr_reduces_to_diffusion_without_lower_order_terms():
-    B = fd_cdr_dirichlet(XEXP, ZERO_COEFFICIENT, ZERO_COEFFICIENT).matrix(5)
+    B = fd_cdr_dirichlet(XEXP, ZERO, ZERO).matrix(5)
     A = fd_diffusion(XEXP).matrix(5)
     assert np.array_equal(as_dense(B), as_dense(A))
 
 
 def test_fd_cdr_pure_convection_hand_values():
-    case = fd_cdr_dirichlet(ZERO_COEFFICIENT, ONE, ZERO_COEFFICIENT)
+    case = fd_cdr_dirichlet(ZERO, ONE, ZERO)
     Z = as_dense(case.matrix(2))  # h = 1/3
     assert np.allclose(Z, (1 / 6) * np.array([[0, 1], [-1, 0]]), atol=1e-15)
 
@@ -183,7 +185,7 @@ def test_fd_cdr_requires_bounded_tags():
 
 
 def test_fd_neumann_correction_rank_and_hand_values():
-    case = fd_cdr_neumann(ONE, ZERO_COEFFICIENT, ONE)
+    case = fd_cdr_neumann(ONE, ZERO, ONE)
     n = 6
     R = as_dense(case.companions["R"](n))
     assert np.linalg.matrix_rank(R) <= 2
@@ -210,7 +212,7 @@ def test_fd_neumann_boundary_norm_bound():
 
 
 def test_fd_nondiv_constant_coefficient_collapses():
-    case = fd_nondiv(ONE, ZERO_COEFFICIENT, ZERO_COEFFICIENT)
+    case = fd_nondiv(ONE, ZERO, ZERO)
     K = as_dense(case.companions["K"](4))
     Kt = as_dense(case.companions["K_tilde"](4))
     T = as_dense(toeplitz(LAPLACE_SYMBOL, 4))
@@ -218,7 +220,7 @@ def test_fd_nondiv_constant_coefficient_collapses():
 
 
 def test_fd_nondiv_subdiagonal_shift():
-    case = fd_nondiv(X, ZERO_COEFFICIENT, ZERO_COEFFICIENT)
+    case = fd_nondiv(X, ZERO, ZERO)
     n = 3  # h = 1/4, a_j = j/4
     K = case.companions["K"](n)
     Kt = case.companions["K_tilde"](n)
@@ -227,7 +229,7 @@ def test_fd_nondiv_subdiagonal_shift():
 
 
 def test_fd_nondiv_symmetrization_bound_exact_modulus():
-    case = fd_nondiv(X, ZERO_COEFFICIENT, ZERO_COEFFICIENT)
+    case = fd_nondiv(X, ZERO, ZERO)
     n = 100
     h = 1.0 / (n + 1)
     K = as_dense(case.companions["K"](n))
@@ -242,7 +244,7 @@ def test_fd_nondiv_requires_continuous_tag():
 
 
 def test_fourth_order_scheme_rows():
-    case = fd_fourth_order_scheme(ONE, ZERO_COEFFICIENT, ZERO_COEFFICIENT)
+    case = fd_fourth_order_scheme(ONE, ZERO, ZERO)
     K = as_dense(case.companions["K"](6)) * 12
     assert np.allclose(K[2, :5], [1, -16, 30, -16, 1])
     assert np.allclose(K[0, :2], [24, -12])
@@ -269,7 +271,7 @@ def test_fourth_order_boundary_split_bounds():
 
 def test_fourth_order_rejects_small_n():
     with pytest.raises(ValueError):
-        fd_fourth_order_scheme(ONE, ZERO_COEFFICIENT, ZERO_COEFFICIENT).matrix(3)
+        fd_fourth_order_scheme(ONE, ZERO, ZERO).matrix(3)
 
 
 def test_fourth_derivative_middle_row_and_scaling():
@@ -466,6 +468,18 @@ def test_registry_parameter_parsing():
     assert "rho=0" in case.tag
     with pytest.raises(KeyError):
         get_case("fd_t99")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(case_names()), st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=5))
+def test_registry_rejects_keys_a_case_does_not_accept(name, key):
+    accepted = _CASE_FACTORIES[name][0]
+    assume(key not in accepted)
+    with pytest.raises(ValueError, match="does not accept"):
+        get_case(f"{name}:{key}=1", "one")
+    for good in accepted:  # every declared key is consumed, not rejected
+        spec = f"{name}:{good}={'one' if good in ('b', 'c') else '3'}"
+        assert get_case(spec, "one").name == get_case(name, "one").name
 
 
 def test_case_spectrum_scaling():

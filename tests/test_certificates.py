@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gltkit.linalg as linalg
 from gltkit import (
     LAPLACE_SYMBOL,
     as_dense,
@@ -10,10 +11,12 @@ from gltkit import (
     certificate_families,
     coefficient_preset,
     diag_sampling,
+    fd_cdr_dirichlet,
     run_all_certificates,
     run_certificates,
     toeplitz,
     uniform_grid,
+    zero_distribution_check,
 )
 from gltkit.certificates import truncated_tail_l1, _tail_element_integrals
 
@@ -88,3 +91,23 @@ def test_families_listing():
     fams = certificate_families()
     for expected in ("thm2", "fd_t2", "fd_t3", "fd_t4", "fd_t5", "fd_t7", "fe_t1"):
         assert expected in fams
+
+
+def test_hadamard_is_not_a_family_name():
+    # the thm2 checks keep their "hadamard" label, but the alias is gone
+    assert "hadamard" not in certificate_families()
+    with pytest.raises(KeyError):
+        run_certificates("hadamard", ns=(50,))
+    assert {c.family for c in run_certificates("thm2", ns=(50,), ms=(2,))} == {"hadamard"}
+
+
+def test_certificates_and_p2_trend_run_no_svd(monkeypatch):
+    calls = []
+    original = linalg.singular_values
+    monkeypatch.setattr(linalg, "singular_values", lambda A: calls.append(A) or original(A))
+    results = run_all_certificates()
+    assert all(c.ok for checks in results.values() for c in checks)
+    case = fd_cdr_dirichlet(coefficient_preset("one"), coefficient_preset("one"),
+                            coefficient_preset("one"))
+    assert zero_distribution_check(case.companions["Z"], (50, 100, 200), p=2).overall_pass
+    assert calls == []

@@ -136,3 +136,45 @@ def test_table2_benchmark(capsys, tmp_path):
         n, computed, reference, ok = line.split(",")
         assert ok == "yes"
         assert abs(float(computed) - float(reference)) <= max(5e-4, 0.05 * float(reference))
+
+
+def test_zero_coefficient_preset(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--case", "fd_t1", "--coeff", "zero", "--n", "5")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,index,value"
+    assert [float(line.split(",")[2]) for line in lines[1:]] == [0.0] * 5
+
+
+@pytest.mark.parametrize("spec", ["fd_t1:bogus=1", "fd_t7:qq=3"])
+def test_unknown_case_parameter_is_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "spectrum", "--case", spec, "--n", "5")
+    assert code == 2
+    assert "does not accept" in err and not out
+
+
+def test_certify_out_holds_the_stdout_lines(capsys, tmp_path):
+    code, stdout, _ = run_cli(capsys, "certify", "--family", "fd_t4", "--n", "50,100")
+    assert code == 0
+    path = tmp_path / "cert.txt"
+    code, out, _ = run_cli(capsys, "certify", "--family", "fd_t4", "--n", "50,100",
+                           "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == stdout
+    assert stdout.count("[PASS]") == 4
+
+
+def test_compare_samples_the_symbol_once_per_case(capsys, tmp_path, monkeypatch):
+    import gltkit.cli as cli
+
+    calls = []
+    original = cli.symbol_samples
+    monkeypatch.setattr(cli, "symbol_samples",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    path = tmp_path / "t1.json"
+    code, _, _ = run_cli(capsys, "compare", "--case", "fd_t1", "--coeff", "xexp",
+                         "--n", "30,60,90", "--r", "200", "--quad-res", "80",
+                         "--format", "json", "--out", str(path))
+    assert code == 0
+    assert len(calls) == 1
+    assert len(json.loads(path.read_text())["reports"]) == 3

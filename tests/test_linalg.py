@@ -1,10 +1,12 @@
 """Tests for the dense/banded linear algebra layer."""
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gltkit.linalg as linalg
 from gltkit import (
     BandedMatrix,
     ComplexSpectrumError,
@@ -289,6 +291,48 @@ def test_trace_norm_bounded_by_entry_sum():
     rng = np.random.default_rng(23)
     A = rng.standard_normal((15, 15))
     assert schatten_norm(A, 1) <= np.sum(np.abs(A)) * (1 + 1e-12)
+
+
+@st.composite
+def norm_test_matrices(draw):
+    """(matrix, structure): random bands, symmetric or not, and dense
+    matrices, with entries that are 0 or of magnitude in [0.01, 5]."""
+    n = draw(st.integers(1, 24))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.floats(-5.0, -0.01))
+    kind = draw(st.sampled_from(("band", "symmetric band", "dense", "symmetric dense")))
+    if kind.endswith("dense"):
+        A = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+        return (A + A.T if kind.startswith("symmetric") else A), kind
+    kl = draw(st.integers(0, min(3, n - 1)))
+    ku = kl if kind.startswith("symmetric") else draw(st.integers(0, min(3, n - 1)))
+    diags = {k: np.array(draw(st.lists(entry, min_size=n - abs(k), max_size=n - abs(k))))
+             for k in range(-kl, ku + 1)}
+    if kind.startswith("symmetric"):
+        diags.update({-k: diags[k] for k in range(1, ku + 1)})
+    return BandedMatrix.from_diagonals(n, diags), kind
+
+
+@settings(max_examples=120, deadline=None)
+@given(norm_test_matrices())
+def test_schatten_norm_routes_match_dense_svd(case):
+    A, kind = case
+    s = np.linalg.svd(as_dense(A), compute_uv=False)
+    for p in (1, 2, 3, np.inf):
+        with mock.patch.object(linalg, "singular_values", wraps=linalg.singular_values) as svd:
+            got = schatten_norm(A, p)
+        ref = np.linalg.norm(s, p)
+        assert abs(got - ref) <= 1e-12 * ref, (kind, p)
+        structured = (p == 2 or linalg.is_symmetric(A, tol=0.0)
+                      or (kind == "band" and np.isinf(p)))
+        assert svd.call_count == (0 if structured else 1), (kind, p)
+
+
+def test_banded_frobenius_ignores_band_padding():
+    # bands[0, 0] and bands[2, 2] lie outside the matrix; junk there must not count
+    bands = np.array([[7.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 8.0, 9.0]])
+    A = BandedMatrix(3, 1, 1, bands)
+    assert schatten_norm(A, 2) == pytest.approx(np.linalg.norm(A.toarray()), rel=1e-15)
+    assert schatten_norm(A, np.inf) == pytest.approx(np.linalg.norm(A.toarray(), 2), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
