@@ -53,7 +53,6 @@ from .symbols import (
     modulus_upper_bound,
     monotone_rearrangement,
     multiply,
-    rearrangement_eval,
     symbol_eval,
     trig_eval,
 )

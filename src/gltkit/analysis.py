@@ -188,6 +188,7 @@ class DistributionReport:
     quad_res: int = 0
     quad_refinement: float | None = None
     backing: str = ""
+    rearrangement: Rearrangement | None = field(default=None, repr=False)
 
     def max_gap(self):
         return max((f.gap for f in self.functionals), default=0.0)
@@ -206,6 +207,8 @@ class DistributionReport:
             "rearrangement_gap": self.rearrangement_gap,
             "rearrangement_gap_rel": self.rearrangement_gap_rel,
             "outliers": {"count": self.outlier_count, "values": list(self.outlier_values)},
+            "rearrangement": (self.rearrangement.to_json_dict()
+                              if self.rearrangement is not None else None),
             "quadrature": {"rule": self.quad_rule, "resolution": self.quad_res,
                            "refinement_gap": self.quad_refinement},
             "backing": self.backing,
@@ -352,7 +355,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
         rearrangement_gap=gap, rearrangement_gap_rel=gap / scale,
         outlier_count=count, outlier_values=tuple(values),
         spectrum=spectrum, overlay=(t, s, e),
-        backing=_backing(case, spectrum.solver, "lambda"),
+        backing=_backing(case, spectrum.solver, "lambda"), rearrangement=rearr,
     )
 
 

@@ -450,15 +450,20 @@ def _fourth_order_hadamard(a: Coefficient, n) -> BandedMatrix:
 
 
 def _fourth_order_boundary_split(a: Coefficient, n):
-    """(R, N) with K - K_tilde = R + N; R holds the two boundary rows."""
+    """Banded (R, N) with K - K_tilde = R + N; R holds the two boundary
+    rows (bandwidth 2) and N is pentadiagonal."""
     h = 1.0 / (n + 1)
     av = np.asarray(a(np.arange(1, n + 1) * h), dtype=float)
-    R = np.zeros((n, n))
-    R[0, :3] = np.array([-6.0 * av[0], 4.0 * av[0], -av[0]]) / 12
-    R[-1, n - 3:] = np.array([-av[n - 3], -12.0 * av[-1] + 16.0 * av[-2], -6.0 * av[-1]]) / 12
-    K = as_dense(_fourth_order_diffusion(a, n))
-    Kt = as_dense(_fourth_order_hadamard(a, n))
-    return R, K - Kt - R
+    first = np.array([-6.0 * av[0], 4.0 * av[0], -av[0]]) / 12            # R[0, 0:3]
+    last = np.array([-av[n - 3], -12.0 * av[-1] + 16.0 * av[-2], -6.0 * av[-1]]) / 12  # R[n-1, n-3:]
+    diags = {k: np.zeros(n - abs(k)) for k in range(-2, 3)}
+    for k in range(3):
+        diags[k][0] = first[k]           # R[0, k] sits at index 0 of diagonal k
+        diags[k - 2][-1] = last[k]       # R[n-1, n-3+k] is the last entry of diagonal k-2
+    R = BandedMatrix.from_diagonals(n, diags)
+    N = _banded_sum(_fourth_order_diffusion(a, n), _fourth_order_hadamard(a, n).scaled(-1.0),
+                    R.scaled(-1.0))
+    return R, N
 
 
 def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
@@ -660,10 +665,15 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
     def build(n):
         K = fe_stiffness(a, n, quad_order)
         spd_cholesky_banded(K)  # K must be SPD for the Schur complement
-        H = as_dense(fe_gradient_coupling(n))
-        X = solve_spd_banded(K, H)
+        H = fe_gradient_coupling(n)
+        X = solve_spd_banded(K, as_dense(H))
+        # H^T X from the two off-diagonals of H (its diagonal is zero):
+        # row i is H[i-1, i] X[i-1] + H[i+1, i] X[i+1]
+        HtX = np.zeros_like(X)
+        HtX[1:] = H.diagonal_values(1)[:, None] * X[:-1]
+        HtX[:-1] += H.diagonal_values(-1)[:, None] * X[1:]
         M = as_dense(fe_mass(coefficient_preset("one"), n, quad_order))
-        return rho * M + H.T @ X
+        return rho * M + HtX
 
     sigma = add(
         TrigFactor(TrigPoly.from_cosines([2 * rho / 3, rho / 3])),

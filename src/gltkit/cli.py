@@ -115,9 +115,9 @@ def cmd_compare(args) -> int:
         eigenvalues = report.spectrum if args.mode == "lambda" else None
         try:
             rr = rearrangement_compare(case, n, r=args.r, rearr=rearr, spectrum=eigenvalues)
-            doc["rearrangement_gap"] = rr.rearrangement_gap
-            doc["rearrangement_gap_rel"] = rr.rearrangement_gap_rel
-            doc["outliers"] = {"count": rr.outlier_count, "values": list(rr.outlier_values)}
+            rr_doc = rr.to_json_dict()
+            for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers", "rearrangement"):
+                doc[key] = rr_doc[key]
             t, s, e = rr.overlay
             overlay_rows += [(n, float(ti), float(si), float(ei)) for ti, si, ei in zip(t, s, e)]
         except (UnboundedSymbolError, ComplexSpectrumError) as exc:
@@ -185,29 +185,36 @@ def _build_parser():
 
     sub.add_parser("list", help="show the case registry").set_defaults(fn=cmd_list)
 
-    def common(p, needs_case=True):
-        if needs_case:
-            p.add_argument("--case", required=True, help="registry name, e.g. fd_t1 or fd_t7:q=2")
-            p.add_argument("--coeff", default="xexp", help="coefficient preset or csv:PATH")
-            p.add_argument("--n", type=_parse_int_list, default=[100],
-                           help="ascending comma list of sizes")
-            p.add_argument("--mode", choices=("sigma", "lambda"), default="lambda")
+    # each subcommand takes only the flags it reads; argparse rejects the rest
+    def case_args(p):
+        p.add_argument("--case", required=True, help="registry name, e.g. fd_t1 or fd_t7:q=2")
+        p.add_argument("--coeff", default="xexp", help="coefficient preset or csv:PATH")
+        p.add_argument("--n", type=_parse_int_list, default=[100],
+                       help="ascending comma list of sizes")
+        p.add_argument("--mode", choices=("sigma", "lambda"), default="lambda")
+
+    def r_arg(p):
         p.add_argument("--r", type=int, default=5000, help="rearrangement sampling parameter")
-        p.add_argument("--quad-res", dest="quad_res", type=int, default=400)
+
+    def output_args(p):
         p.add_argument("--format", choices=("json", "csv"), default="csv")
         p.add_argument("--out", default="", help="output path (stdout when omitted)")
-        p.add_argument("--seed", type=int, default=0)
 
     p_spec = sub.add_parser("spectrum", help="sorted spectra of the normalized matrices")
-    common(p_spec)
+    case_args(p_spec)
+    output_args(p_spec)
     p_spec.set_defaults(fn=cmd_spectrum)
 
     p_cmp = sub.add_parser("compare", help="Weyl + rearrangement reports")
-    common(p_cmp)
+    case_args(p_cmp)
+    r_arg(p_cmp)
+    p_cmp.add_argument("--quad-res", dest="quad_res", type=int, default=400)
+    output_args(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_t2 = sub.add_parser("table2", help="rearrangement-gap benchmark vs the reference column")
-    common(p_t2, needs_case=False)
+    r_arg(p_t2)
+    output_args(p_t2)
     p_t2.set_defaults(fn=cmd_table2)
 
     p_cert = sub.add_parser("certify", help="finite-n proof-inequality certificates")

@@ -478,7 +478,7 @@ class Rearrangement:
         samples = np.asarray(self.samples, dtype=float)
         if samples.size < 2:
             raise ValueError("need at least two interpolation samples")
-        if np.any(np.diff(samples) < 0):
+        if np.any(samples[1:] < samples[:-1]):
             raise ValueError("rearrangement samples must be nondecreasing")
         object.__setattr__(self, "samples", samples)
 
@@ -494,16 +494,25 @@ class Rearrangement:
     def ess_sup(self):
         return float(self.samples[-1])
 
+    def to_json_dict(self):
+        return {"r": self.r, "node_count": self.node_count, "excluded": self.excluded}
+
     def __call__(self, t):
+        """Interpolated value at ``t`` in [0, 1], O(len(t)): the nodes i/N
+        are uniform, so ``t`` lies in node interval ``floor(t N)`` and no
+        node array is built.  The arithmetic is np.interp's, bit for bit:
+        an exact node returns its sample, anything else the linear formula
+        on its interval (the last interval for t = 1)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if np.any(~((t >= 0.0) & (t <= 1.0))):
             raise ValueError("rearrangement is defined on [0, 1]")
-        N = self.samples.size - 1
-        return np.interp(t * N, np.arange(N + 1), self.samples)
-
-
-def rearrangement_eval(R: Rearrangement, t):
-    return R(t)
+        s = self.samples
+        N = s.size - 1
+        x = t * N
+        k = np.floor(x).astype(np.intp)
+        j = np.minimum(k, N - 1)
+        out = (s[j + 1] - s[j]) * (x - j) + s[j]
+        return np.where(x == k, s[k], out)[()]
 
 
 def _lattice(rect, r):
@@ -532,21 +541,24 @@ def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
         vals = np.broadcast_to(vals, (r, r))
         if np.iscomplexobj(vals):
             vals = vals.real
-        flat = np.ravel(vals)
-        if invalid is not None:
-            flat = flat[~np.ravel(np.broadcast_to(invalid, (r, r)))]
+        keep = None if invalid is None else ~np.broadcast_to(invalid, (r, r))
     else:
         fn = kappa.fn if isinstance(kappa, Coefficient) else kappa
         grids = np.meshgrid(*axes, indexing="ij") if len(rect) > 1 else [axes[0]]
-        vals = np.asarray(fn(*grids), dtype=float)
-        flat = np.ravel(np.broadcast_to(vals, tuple([r] * len(rect))))
-        flat = flat[np.isfinite(flat)]
+        vals = np.broadcast_to(np.asarray(fn(*grids), dtype=float), tuple([r] * len(rect)))
+        keep = np.isfinite(vals)
 
-    excluded = r ** len(rect) - flat.size
-    if flat.size == 0:
+    if keep is not None:
+        vals = vals[keep]
+    if vals.size == 0:
         raise SymbolSingularityError("all lattice points of the rearrangement are singular")
-    flat = np.sort(flat)
-    samples = np.concatenate(([flat[0]], flat))
+    # one full-size buffer: the kept values go to samples[1:], are sorted
+    # there in place, and node 0 repeats the smallest of them
+    samples = np.empty(vals.size + 1)
+    np.copyto(samples[1:].reshape(vals.shape), vals)
+    samples[1:].sort()
+    samples[0] = samples[1]
+    excluded = r ** len(rect) - vals.size
     return Rearrangement(samples=samples, rect=rect, r=int(r), excluded=int(excluded))
 
 

@@ -262,11 +262,16 @@ def test_fourth_order_boundary_split_bounds():
     case = fd_fourth_order_scheme(XEXP, ONE, ONE)
     n = 50
     R, N = case.companions["boundary_split"](n)
+    assert max(R.lower_bw, R.upper_bw, N.lower_bw, N.upper_bw) <= 2
+    Rd, Nd = as_dense(R), as_dense(N)
+    assert not Rd[1:-1].any()  # only the two boundary rows
+    K_diff = as_dense(case.companions["K"](n)) - as_dense(case.companions["K_tilde"](n))
+    assert np.allclose(Rd + Nd, K_diff, rtol=0.0, atol=1e-14)
     a_sup = math.exp(-1)
-    assert np.linalg.norm(R, "fro") ** 2 <= 7 * a_sup**2
+    assert np.linalg.norm(Rd, "fro") ** 2 <= 7 * a_sup**2
     h = 1.0 / (n + 1)
     omega = XEXP.exact_modulus(2 * h)
-    assert np.linalg.norm(N, "fro") ** 2 <= 257 * n * omega**2
+    assert np.linalg.norm(Nd, "fro") ** 2 <= 257 * n * omega**2
 
 
 def test_fourth_order_rejects_small_n():
@@ -422,8 +427,14 @@ def test_schur_hand_check_n2():
 
 
 def test_schur_symmetric_and_spd_requirement():
-    S = fe_system_schur(XEXP, rho=1.0).matrix(20)
+    case = fe_system_schur(XEXP, rho=1.0)
+    S = case.matrix(20)
     assert np.max(np.abs(S - S.T)) <= 1e-12 * np.max(np.abs(S))
+    assert linalg.is_symmetric(S) and case.spectrum(20).solver == "sym_dense"
+    # the off-diagonal row shifts equal the dense product H^T K^{-1} H bit for bit
+    H = as_dense(fe_gradient_coupling(20))
+    X = linalg.solve_spd_banded(fe_stiffness(XEXP, 20), H)
+    assert np.array_equal(S, as_dense(fe_mass(ONE, 20)) + H.T @ X)
     negative = Coefficient("neg", lambda x: -np.ones_like(x), "continuous")
     with pytest.raises(SpdError):
         fe_system_schur(negative, rho=1.0).matrix(5)

@@ -111,3 +111,14 @@ def test_certificates_and_p2_trend_run_no_svd(monkeypatch):
                             coefficient_preset("one"))
     assert zero_distribution_check(case.companions["Z"], (50, 100, 200), p=2).overall_pass
     assert calls == []
+
+
+def test_certificates_densify_no_matrix(monkeypatch):
+    import gltkit.builders as builders
+
+    calls = []
+    original = linalg.as_dense
+    for module in (linalg, builders):
+        monkeypatch.setattr(module, "as_dense", lambda A: calls.append(A) or original(A))
+    run_all_certificates(ns=(50, 100), ms=(2, 4))
+    assert calls == []

@@ -178,3 +178,33 @@ def test_compare_samples_the_symbol_once_per_case(capsys, tmp_path, monkeypatch)
     assert code == 0
     assert len(calls) == 1
     assert len(json.loads(path.read_text())["reports"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--case", "fd_t1", "--seed", "1"),
+    ("compare", "--case", "fd_t1", "--seed", "1"),
+    ("table2", "--seed", "1"),
+    ("spectrum", "--case", "fd_t1", "--quad-res", "100"),
+    ("table2", "--quad-res", "100"),
+    ("spectrum", "--case", "fd_t1", "--r", "100"),
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_path):
+    # a vanishes at x = 1/2, a lattice abscissa for even r, so the Schur
+    # symbol's denominator a(x)(2 - 2cos) trips the division guard on that row
+    table = tmp_path / "dip.csv"
+    table.write_text("x,value\n0,1\n0.5,0\n1,1\n")
+    path = tmp_path / "schur.json"
+    r = 40
+    code, _, _ = run_cli(capsys, "compare", "--case", "schur", "--coeff", f"csv:{table}",
+                         "--n", "20", "--r", str(r), "--quad-res", "40",
+                         "--format", "json", "--out", str(path))
+    assert code == 0
+    rep = json.loads(path.read_text())["reports"][0]
+    assert rep["rearrangement"] == {"r": r, "node_count": r * r - r + 1, "excluded": r}

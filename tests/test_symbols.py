@@ -13,6 +13,7 @@ from gltkit import (
     FOURTH_DERIVATIVE_SYMBOL,
     FOURTH_ORDER_LAPLACE_SYMBOL,
     LAPLACE_SYMBOL,
+    Rearrangement,
     SIN_SYMBOL,
     SymbolExpr,
     SymbolSingularityError,
@@ -25,7 +26,6 @@ from gltkit import (
     modulus_of_integral_continuity,
     monotone_rearrangement,
     multiply,
-    rearrangement_eval,
     symbol_eval,
     trig_eval,
 )
@@ -160,17 +160,64 @@ def test_rearrangement_endpoint_reaches_essential_sup():
 
 def test_rearrangement_eval_endpoints_and_midpoint():
     R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 13)
-    assert rearrangement_eval(R, 0.0) == R.samples[0]
-    assert rearrangement_eval(R, 1.0) == R.samples[-1]
+    assert R(0.0) == R.samples[0]
+    assert R(1.0) == R.samples[-1]
     N = R.samples.size - 1
     mid = (0.5 / N) + (1.0 / N)  # midpoint of the second node interval
-    assert rearrangement_eval(R, mid) == pytest.approx((R.samples[1] + R.samples[2]) / 2)
+    assert R(mid) == pytest.approx((R.samples[1] + R.samples[2]) / 2)
 
 
 def test_rearrangement_eval_rejects_out_of_range():
     R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 10)
-    with pytest.raises(ValueError):
-        R(1.5)
+    eps = np.finfo(float).eps
+    for bad in (1.5, np.nan, -eps, 1.0 + eps, [0.5, np.nan], [0.0, -eps]):
+        with pytest.raises(ValueError):
+            R(bad)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        Rearrangement(samples=np.array([0.0, 2.0, 1.0]), rect=RECT, r=1)
+
+
+@st.composite
+def samples_and_points(draw):
+    """Nondecreasing samples with repeats, and t in [0, 1] including 0, 1
+    and exact nodes i/N."""
+    pool = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([-1.0, 0.0, 2.5]))
+    samples = np.sort(np.array(draw(st.lists(pool, min_size=2, max_size=60))))
+    N = samples.size - 1
+    node = st.integers(0, N).map(lambda i: i / N)
+    t = draw(st.lists(st.one_of(st.floats(0.0, 1.0), node, st.sampled_from([0.0, 1.0])),
+                      min_size=1, max_size=20))
+    return samples, np.array(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples_and_points())
+def test_rearrangement_eval_is_np_interp_bit_for_bit(data):
+    samples, t = data
+    R = Rearrangement(samples=samples, rect=RECT, r=1)
+    N = samples.size - 1
+    expected = np.interp(t * N, np.arange(N + 1), samples)
+    assert R(t).tobytes() == expected.tobytes()
+    for ti, ei in zip(t, expected):
+        assert np.float64(R(ti)).tobytes() == ei.tobytes()
+
+
+def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
+    """One in-place sort into the final buffer gives the samples of the
+    sort-copy-concatenate recipe, bit for bit, on a symbol with excluded
+    lattice points."""
+    r = 40
+    dip = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
+    kappa = divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(dip), nonzero_ae=True)
+    R = monotone_rearrangement(kappa, RECT, r)
+    x = np.arange(1, r + 1) * 1.0 / r  # the lattice of monotone_rearrangement
+    theta = np.arange(1, r + 1) * math.pi / r
+    vals, invalid = kappa.eval_masked(x[:, None], theta[None, :])
+    flat = np.ravel(vals)[~np.ravel(invalid)]
+    expected = np.concatenate(([np.sort(flat)[0]], np.sort(flat)))
+    assert R.excluded == r  # the whole lattice row at x = 1/2
+    assert R.node_count == r * r - r + 1
+    assert R.samples.tobytes() == expected.tobytes()
 
 
 def test_rearrangement_requires_real_symbol():
