@@ -11,7 +11,7 @@ import numpy as np
 
 from gltkit import (
     LAPLACE_SYMBOL, FOURTH_DERIVATIVE_SYMBOL, SIN_SYMBOL,
-    as_dense, sym_eigvals, toeplitz, trig_eval,
+    as_dense, sym_eigvals, toeplitz,
 )
 
 n = 8
@@ -28,7 +28,7 @@ print("max difference:   ", np.max(np.abs(ev - samples)))
 # the fourth-derivative stencil (1,-4,6,-4,1) has symbol q = 6 - 8cos + 2cos2;
 # q has a fourth-order zero at theta = 0, matching the operator order
 th = np.array([1e-1, 1e-2, 1e-3])
-print("\nq(theta)/theta^4 ->", trig_eval(FOURTH_DERIVATIVE_SYMBOL, th) / th**4)
+print("\nq(theta)/theta^4 ->", FOURTH_DERIVATIVE_SYMBOL(th) / th**4)
 
 # sin(theta) has Hermitian complex coefficients: T_n(sin) is complex but
 # -i T_n(sin) is the real gradient-coupling matrix (1/2) tridiag(-1, 0, 1)

@@ -54,7 +54,6 @@ from .symbols import (
     monotone_rearrangement,
     multiply,
     symbol_eval,
-    trig_eval,
 )
 from .builders import (
     DiscretizationCase,

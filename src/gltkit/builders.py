@@ -95,8 +95,8 @@ def uniform_grid(n) -> Grid:
 
 
 def fd_interior_grid(n) -> Grid:
-    """The FD interior nodes {j/(n+1)}, j = 1..n."""
-    return Grid(n, np.arange(1, n + 1) / (n + 1))
+    """The FD interior nodes x_j = j h, h = 1/(n+1), j = 1..n."""
+    return Grid(n, np.arange(1, n + 1) * (1.0 / (n + 1)))
 
 
 def half_node_grid(n, shift) -> Grid:
@@ -139,14 +139,20 @@ def mapped_grid(gmap: GridMap, n) -> Grid:
 # elementary constructors
 # ----------------------------------------------------------------------------
 
+def _stencil(f: TrigPoly) -> np.ndarray:
+    """The coefficients of f, as reals when every imaginary part is at most
+    1e-8 in magnitude: the test of np.allclose(imag, 0), without its
+    overhead."""
+    c = f.coeffs
+    return c.real if np.all(np.abs(c.imag) <= 1e-8) else c
+
+
 def toeplitz(f: TrigPoly, n) -> BandedMatrix:
     """T_n(f) with entries f_{i-j}; banded with bandwidth 2 deg(f) + 1."""
     r = f.degree
     if r >= n:
         raise ValueError("trig polynomial degree must be < n")
-    coeffs = f.coeffs
-    if np.allclose(coeffs.imag, 0.0):
-        coeffs = coeffs.real
+    coeffs = _stencil(f)
     diags = {}
     for k in range(-r, r + 1):
         # superdiagonal k holds f_{-k}, subdiagonal |k| holds f_{|k|}
@@ -170,7 +176,7 @@ def _hadamard_with_toeplitz(a_vals: np.ndarray, f: TrigPoly) -> BandedMatrix:
     """Banded S(a) o T_n(f): entry (i,j) = a_min(i,j) * f_{i-j}."""
     n = a_vals.size
     r = f.degree
-    c = f.coeffs.real if np.allclose(f.coeffs.imag, 0) else f.coeffs
+    c = _stencil(f)
     diags = {0: a_vals * c[r]}
     for k in range(1, r + 1):
         head = a_vals[: n - k]  # min(i, j) index along both k-offset diagonals
@@ -188,23 +194,18 @@ class DiscretizationCase:
     """One matrix family with its predicted symbol and normalization.
 
     ``build(n)`` returns the matrix A_n, or the pair ``(K, M)`` for the
-    generalized eigenproblem K x = lambda M x.
+    generalized eigenproblem K x = lambda M x; ``alpha(n)`` defaults to 1.
     """
 
     name: str
     tag: str
     build: callable = field(repr=False)
-    alpha: callable = field(repr=False)
+    alpha: callable = field(default=lambda n: 1.0, repr=False)
     alpha_str: str = "1"
     predicted_symbol: SymbolExpr | None = None
     symbol_str: str = ""
-    coefficients: dict = field(default_factory=dict)
     symbol_unbounded: bool = False
     companions: dict = field(default_factory=dict, repr=False)
-    notes: str = ""
-
-    def matrix(self, n):
-        return self.build(n)
 
     def normalized_dense(self, n):
         A = self.build(n)
@@ -280,7 +281,7 @@ def fd_diffusion_matrix(a: Coefficient, n) -> BandedMatrix:
 def fd_lower_order_matrix(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
     """(h/2) tridiag(-b_j, 0, b_j) + h^2 diag(c_j) on the nodes x_j = j h."""
     h = 1.0 / (n + 1)
-    x = np.arange(1, n + 1) * h
+    x = fd_interior_grid(n).points
     bv = np.asarray(b(x), dtype=float)
     cv = np.asarray(c(x), dtype=float)
     return BandedMatrix.tridiagonal(h * h * cv, -(h / 2) * bv[1:], (h / 2) * bv[:-1])
@@ -288,38 +289,21 @@ def fd_lower_order_matrix(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
 
 def fd_neumann_correction(a: Coefficient, b: Coefficient, n) -> BandedMatrix:
     h = 1.0 / (n + 1)
-    x = np.arange(1, n + 1) * h
-    bv = np.asarray(b(x), dtype=float)
+    bv = np.asarray(b(fd_interior_grid(n).points), dtype=float)
     d = np.zeros(n)
     d[0] = -float(a(0.5 * h)) - (h / 2) * bv[0]
     d[-1] = -float(a((n + 0.5) * h)) + (h / 2) * bv[-1]
     return BandedMatrix.diagonal(d)
 
 
-def _banded_sum(*mats: BandedMatrix) -> BandedMatrix:
-    n = mats[0].n
-    kl = max(m.lower_bw for m in mats)
-    ku = max(m.upper_bw for m in mats)
-    diags = {}
-    for k in range(-kl, ku + 1):
-        total = sum(m.diagonal_values(k) for m in mats)
-        if np.any(total != 0) or k == 0:
-            diags[k] = total
-    return BandedMatrix.from_diagonals(n, diags)
-
-
 def fd_diffusion(a: Coefficient) -> DiscretizationCase:
-    case = DiscretizationCase(
+    return DiscretizationCase(
         name="fd_t1",
         tag="FD diffusion, divergence form, Dirichlet",
         build=lambda n: fd_diffusion_matrix(a, n),
-        alpha=lambda n: 1.0,
-        alpha_str="1",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        coefficients={"a": a},
     )
-    return case
 
 
 def fd_cdr_dirichlet(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
@@ -328,14 +312,10 @@ def fd_cdr_dirichlet(a: Coefficient, b: Coefficient, c: Coefficient) -> Discreti
     return DiscretizationCase(
         name="fd_t2",
         tag="FD convection-diffusion-reaction, Dirichlet",
-        build=lambda n: _banded_sum(fd_diffusion_matrix(a, n), fd_lower_order_matrix(b, c, n)),
-        alpha=lambda n: 1.0,
-        alpha_str="1",
+        build=lambda n: fd_diffusion_matrix(a, n) + fd_lower_order_matrix(b, c, n),
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        coefficients={"a": a, "b": b, "c": c},
         companions={"Z": lambda n: fd_lower_order_matrix(b, c, n)},
-        notes="lower-order terms are a vanishing Frobenius-scale perturbation",
     )
 
 
@@ -345,34 +325,25 @@ def fd_cdr_neumann(a: Coefficient, b: Coefficient, c: Coefficient) -> Discretiza
     return DiscretizationCase(
         name="fd_t3",
         tag="FD convection-diffusion-reaction, Neumann",
-        build=lambda n: _banded_sum(
-            fd_diffusion_matrix(a, n),
-            fd_lower_order_matrix(b, c, n),
-            fd_neumann_correction(a, b, n),
-        ),
-        alpha=lambda n: 1.0,
-        alpha_str="1",
+        build=lambda n: (fd_diffusion_matrix(a, n) + fd_lower_order_matrix(b, c, n)
+                         + fd_neumann_correction(a, b, n)),
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        coefficients={"a": a, "b": b, "c": c},
         companions={
             "Z": lambda n: fd_lower_order_matrix(b, c, n),
             "R": lambda n: fd_neumann_correction(a, b, n),
         },
-        notes="boundary handling is a rank <= 2 correction",
     )
 
 
 def _nondiv_diffusion(a: Coefficient, n) -> BandedMatrix:
     """diag(a_j) T(2-2cos): row j equals a_j (-1, 2, -1)."""
-    h = 1.0 / (n + 1)
-    av = np.asarray(a(np.arange(1, n + 1) * h), dtype=float)
-    return BandedMatrix.tridiagonal(2.0 * av, -av[1:], -av[:-1])
+    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
+    return toeplitz(LAPLACE_SYMBOL, n).row_scaled(av)
 
 
 def _nondiv_hadamard(a: Coefficient, n) -> BandedMatrix:
-    h = 1.0 / (n + 1)
-    av = np.asarray(a(np.arange(1, n + 1) * h), dtype=float)
+    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
     return _hadamard_with_toeplitz(av, LAPLACE_SYMBOL)
 
 
@@ -384,7 +355,7 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
 
     def build(n):
         K = _nondiv_diffusion(a, n)
-        return K if zero_lower else _banded_sum(K, fd_lower_order_matrix(b, c, n))
+        return K if zero_lower else K + fd_lower_order_matrix(b, c, n)
 
     companions = {
         "K": lambda n: _nondiv_diffusion(a, n),
@@ -396,21 +367,16 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
         name="fd_t4",
         tag="FD convection-diffusion-reaction, non-divergence form",
         build=build,
-        alpha=lambda n: 1.0,
-        alpha_str="1",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        coefficients={"a": a, "b": b, "c": c},
         companions=companions,
-        notes="eigenvalue distribution backed by the Hadamard symmetrization split",
     )
 
 
 def _fourth_order_diffusion(a: Coefficient, n) -> BandedMatrix:
     """Interior rows a_j (1,-16,30,-16,1)/12; rows 1 and n use the (-1,2,-1)
     closure a_j (-12, 24, -12)/12 truncated at the boundary."""
-    h = 1.0 / (n + 1)
-    av = np.asarray(a(np.arange(1, n + 1) * h), dtype=float)
+    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
     diag = 30.0 * av
     diag[0], diag[-1] = 24.0 * av[0], 24.0 * av[-1]
     sup1 = -16.0 * av[:-1]
@@ -430,7 +396,7 @@ def _fourth_order_lower(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
     """One-sided convection h bidiag(-b_j, b_j) plus the 3-point reaction
     (h^2/3) tridiag(c_j, c_j, c_j)."""
     h = 1.0 / (n + 1)
-    x = np.arange(1, n + 1) * h
+    x = fd_interior_grid(n).points
     bv = np.asarray(b(x), dtype=float)
     cv = np.asarray(c(x), dtype=float)
     return BandedMatrix.from_diagonals(
@@ -444,26 +410,17 @@ def _fourth_order_lower(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
 
 
 def _fourth_order_hadamard(a: Coefficient, n) -> BandedMatrix:
-    h = 1.0 / (n + 1)
-    av = np.asarray(a(np.arange(1, n + 1) * h), dtype=float)
+    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
     return _hadamard_with_toeplitz(av, FOURTH_ORDER_LAPLACE_SYMBOL)
 
 
 def _fourth_order_boundary_split(a: Coefficient, n):
-    """Banded (R, N) with K - K_tilde = R + N; R holds the two boundary
-    rows (bandwidth 2) and N is pentadiagonal."""
-    h = 1.0 / (n + 1)
-    av = np.asarray(a(np.arange(1, n + 1) * h), dtype=float)
-    first = np.array([-6.0 * av[0], 4.0 * av[0], -av[0]]) / 12            # R[0, 0:3]
-    last = np.array([-av[n - 3], -12.0 * av[-1] + 16.0 * av[-2], -6.0 * av[-1]]) / 12  # R[n-1, n-3:]
-    diags = {k: np.zeros(n - abs(k)) for k in range(-2, 3)}
-    for k in range(3):
-        diags[k][0] = first[k]           # R[0, k] sits at index 0 of diagonal k
-        diags[k - 2][-1] = last[k]       # R[n-1, n-3+k] is the last entry of diagonal k-2
-    R = BandedMatrix.from_diagonals(n, diags)
-    N = _banded_sum(_fourth_order_diffusion(a, n), _fourth_order_hadamard(a, n).scaled(-1.0),
-                    R.scaled(-1.0))
-    return R, N
+    """Banded (R, N) with K - K_tilde = R + N: R holds the first and last
+    rows of the difference (bandwidth 2), N the rows between (pentadiagonal)."""
+    diff = _fourth_order_diffusion(a, n) - _fourth_order_hadamard(a, n)
+    boundary = np.zeros(n, dtype=bool)
+    boundary[[0, -1]] = True
+    return diff.row_scaled(boundary), diff.row_scaled(~boundary)
 
 
 def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
@@ -472,17 +429,14 @@ def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> Di
     def build(n):
         if n < 4:
             raise ValueError("fourth-order scheme needs n >= 4")
-        return _banded_sum(_fourth_order_diffusion(a, n), _fourth_order_lower(b, c, n))
+        return _fourth_order_diffusion(a, n) + _fourth_order_lower(b, c, n)
 
     return DiscretizationCase(
         name="fd_t5",
         tag="FD fourth-order scheme for the second derivative",
         build=build,
-        alpha=lambda n: 1.0,
-        alpha_str="1",
         predicted_symbol=multiply(a, FOURTH_ORDER_LAPLACE_SYMBOL),
         symbol_str="a(x)p(theta), p=(30-32cos+2cos2)/12",
-        coefficients={"a": a, "b": b, "c": c},
         companions={
             "K": lambda n: _fourth_order_diffusion(a, n),
             "K_tilde": lambda n: _fourth_order_hadamard(a, n),
@@ -498,22 +452,16 @@ def fd_fourth_derivative(a: Coefficient) -> DiscretizationCase:
     def build(n):
         if n < 5:
             raise ValueError("fourth-derivative stencil needs n >= 5")
-        h = 1.0 / (n + 3)
-        av = np.asarray(a((np.arange(1, n + 1) + 1) * h), dtype=float)
-        T = toeplitz(FOURTH_DERIVATIVE_SYMBOL, n)
-        diags = {k: T.diagonal_values(k) * (av[: n - k] if k >= 0 else av[-k:])
-                 for k in range(-2, 3)}
-        return BandedMatrix.from_diagonals(n, diags)
+        # a at the inner nodes x_2 .. x_{n+1} of the (n+2)-node FD grid
+        av = np.asarray(a(fd_interior_grid(n + 2).points[1:-1]), dtype=float)
+        return toeplitz(FOURTH_DERIVATIVE_SYMBOL, n).row_scaled(av)
 
     return DiscretizationCase(
         name="fd_t6",
         tag="FD fourth derivative",
         build=build,
-        alpha=lambda n: 1.0,
-        alpha_str="1",
         predicted_symbol=multiply(a, FOURTH_DERIVATIVE_SYMBOL),
         symbol_str="a(x)q(theta), q=6-8cos+2cos2",
-        coefficients={"a": a},
     )
 
 
@@ -544,9 +492,7 @@ def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
         alpha_str="1/(n+1)",
         predicted_symbol=symbol,
         symbol_str="a(G(x))/G'(x) (2-2cos(theta))",
-        coefficients={"a": a},
         symbol_unbounded=bool(gmap.singularities),
-        companions={"grid_map": lambda n=None: gmap},
     )
 
 
@@ -624,15 +570,12 @@ def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient, quad_order=5) -> Disc
     symmetric = b.name == "zero" and c.name == "zero"
 
     def lower_order(n):
-        return _banded_sum(fe_convection(b, n, quad_order), fe_mass(c, n, quad_order))
+        return fe_convection(b, n, quad_order) + fe_mass(c, n, quad_order)
 
     def build(n):
         K = fe_stiffness(a, n, quad_order)
-        return K if symmetric else _banded_sum(K, lower_order(n))
+        return K if symmetric else K + lower_order(n)
 
-    companions = {"K": lambda n: fe_stiffness(a, n, quad_order)}
-    if not symmetric:
-        companions["Z"] = lower_order
     return DiscretizationCase(
         name="fe_t1",
         tag="FE convection-diffusion-reaction (hat functions)",
@@ -641,9 +584,7 @@ def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient, quad_order=5) -> Disc
         alpha_str="1/(n+1)",
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
         symbol_str="a(x)(2-2cos(theta))",
-        coefficients={"a": a, "b": b, "c": c},
-        companions=companions,
-        notes=f"per-element Gauss-Legendre order {quad_order}",
+        companions={} if symmetric else {"Z": lower_order},
     )
 
 
@@ -656,8 +597,6 @@ def fe_mass_case(g: Coefficient, quad_order=5) -> DiscretizationCase:
         alpha_str="n+1",
         predicted_symbol=multiply(g, MASS_SYMBOL),
         symbol_str="g(x)(2+cos(theta))/3",
-        coefficients={"g": g},
-        notes=f"per-element Gauss-Legendre order {quad_order}",
     )
 
 
@@ -687,8 +626,6 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
         alpha_str="n+1",
         predicted_symbol=sigma,
         symbol_str="(rho/3)(2+cos) + sin^2/(a(x)(2-2cos))",
-        coefficients={"a": a},
-        notes="requires a > 0 a.e. so that the stiffness block is SPD",
     )
 
 
@@ -712,8 +649,6 @@ def fe_eigproblem(a: Coefficient, c: Coefficient, quad_order=5) -> Discretizatio
         alpha_str="(n+1)^-2",
         predicted_symbol=symbol,
         symbol_str="(a/c)(6-6cos)/(2+cos)",
-        coefficients={"a": a, "c": c},
-        notes="spectra via Cholesky reduction of the pencil, never M^{-1}K",
     )
 
 

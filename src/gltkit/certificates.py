@@ -46,7 +46,6 @@ import numpy as np
 
 from .builders import (
     BandedMatrix,
-    _banded_sum,
     _hadamard_with_toeplitz,
     fd_cdr_dirichlet,
     fd_cdr_neumann,
@@ -72,23 +71,12 @@ from .symbols import (
 DEFAULT_NS = (50, 100, 200, 500)
 DEFAULT_MS = (2, 4, 8)
 
-#: exact supremum norms of the preset coefficients on [0, 1]
-_COEFF_SUP = {"one": 1.0, "x": 1.0, "xexp": math.exp(-1.0), "1+x": 2.0,
-              "expx": math.e, "zero": 0.0}
-
 #: trig polynomials used by the Hadamard-split family, with exact sup norms
 _HADAMARD_POLYS = (
     ("2-2cos", LAPLACE_SYMBOL, 4.0),
     ("6-8cos+2cos2", FOURTH_DERIVATIVE_SYMBOL, 16.0),
     ("2-2cos3", TrigPoly.from_cosines([2.0, 0.0, 0.0, -2.0]), 4.0),
 )
-
-
-def _coeff_sup(coef: Coefficient) -> float:
-    if coef.name in _COEFF_SUP:
-        return _COEFF_SUP[coef.name]
-    probes = np.linspace(0.0, 1.0, 4097)
-    return float(np.max(np.abs(coef(probes))))
 
 
 @dataclass(frozen=True)
@@ -111,10 +99,6 @@ class CertificateCheck:
                 f"lhs={self.lhs:.6e} <= rhs={self.rhs:.6e}")
 
 
-def _band_difference(A: BandedMatrix, B: BandedMatrix) -> BandedMatrix:
-    return _banded_sum(A, B.scaled(-1.0))
-
-
 # ----------------------------------------------------------------------------
 # family implementations
 # ----------------------------------------------------------------------------
@@ -132,13 +116,8 @@ def _family_hadamard(ns, ms, seed=0):
                     if r >= n:
                         continue
                     a_vals = np.asarray(a(grid.points), dtype=float)
-                    T = toeplitz(f, n)
-                    # D(a) T(f) scales row i of T by a_i
-                    DT = BandedMatrix.from_diagonals(n, {
-                        k: T.diagonal_values(k) * (a_vals[: n - k] if k >= 0 else a_vals[-k:])
-                        for k in range(-r, r + 1)})
-                    lhs = schatten_norm(
-                        _band_difference(_hadamard_with_toeplitz(a_vals, f), DT), 2)
+                    lhs = schatten_norm(_hadamard_with_toeplitz(a_vals, f)
+                                        - toeplitz(f, n).row_scaled(a_vals), 2)
                     omega = modulus_upper_bound(a, r / n + 2 * grid.au_deviation)
                     rhs = math.sqrt(r) * f_sup * math.sqrt(n) * omega
                     checks.append(CertificateCheck(
@@ -153,11 +132,6 @@ def _random_table_coefficient(seed, knots=33, lo=-1.0, hi=2.0):
     return Coefficient.from_table(xs, vals, name=f"table-seed{seed}")
 
 
-def _table_sup(coef: Coefficient) -> float:
-    # piecewise-linear tables attain their sup at the knots
-    return float(np.max(np.abs(coef(np.linspace(0.0, 1.0, 4097)))))
-
-
 def _family_fd_t2(ns, ms, seed=0):
     checks = []
     rnd_b = _random_table_coefficient(seed)
@@ -167,13 +141,11 @@ def _family_fd_t2(ns, ms, seed=0):
              ("random tables", rnd_b, rnd_c))
     a = coefficient_preset("one")
     for label, b, c in pairs:
-        b_sup = _coeff_sup(b) if b.name in _COEFF_SUP else _table_sup(b)
-        c_sup = _coeff_sup(c) if c.name in _COEFF_SUP else _table_sup(c)
         case = fd_cdr_dirichlet(a, b, c)
         for n in ns:
             h = 1.0 / (n + 1)
             lhs = schatten_norm(case.companions["Z"](n), 2)
-            rhs = math.sqrt(2.0 * (n - 1)) * b_sup * h / 2 + math.sqrt(n) * c_sup * h * h
+            rhs = math.sqrt(2.0 * (n - 1)) * b.sup * h / 2 + math.sqrt(n) * c.sup * h * h
             checks.append(CertificateCheck("fd_t2", f"lower-order bound, {label}", n, None, lhs, rhs))
     return checks
 
@@ -186,12 +158,11 @@ def _family_fd_t3(ns, ms, seed=0):
     c = coefficient_preset("one")
     for label, a_name, b in combos:
         a = coefficient_preset(a_name)
-        b_sup = _coeff_sup(b) if b.name in _COEFF_SUP else _table_sup(b)
         case = fd_cdr_neumann(a, b, c)
         for n in ns:
             h = 1.0 / (n + 1)
             lhs = schatten_norm(case.companions["R"](n), 2) ** 2
-            rhs = 2.0 * (_coeff_sup(a) + (h / 2) * b_sup) ** 2
+            rhs = 2.0 * (a.sup + (h / 2) * b.sup) ** 2
             checks.append(CertificateCheck("fd_t3", f"boundary rank-2 bound, {label}", n, None, lhs, rhs))
     return checks
 
@@ -204,7 +175,7 @@ def _family_fd_t4(ns, ms, seed=0):
         case = fd_nondiv(a, one, one)
         for n in ns:
             h = 1.0 / (n + 1)
-            K_diff = _band_difference(case.companions["K"](n), case.companions["K_tilde"](n))
+            K_diff = case.companions["K"](n) - case.companions["K_tilde"](n)
             lhs = schatten_norm(K_diff, 2) ** 2
             rhs = (n - 1) * modulus_upper_bound(a, h) ** 2
             checks.append(CertificateCheck("fd_t4", f"symmetrization bound, a={a_name}", n, None, lhs, rhs))
@@ -222,21 +193,11 @@ def _family_fd_t5(ns, ms, seed=0):
             R, N = case.companions["boundary_split"](n)
             checks.append(CertificateCheck(
                 "fd_t5", f"boundary-row bound, a={a_name}", n, None,
-                schatten_norm(R, 2) ** 2, 7.0 * _coeff_sup(a) ** 2))
+                schatten_norm(R, 2) ** 2, 7.0 * a.sup ** 2))
             checks.append(CertificateCheck(
                 "fd_t5", f"interior-difference bound, a={a_name}", n, None,
                 schatten_norm(N, 2) ** 2, 257.0 * n * modulus_upper_bound(a, 2 * h) ** 2))
     return checks
-
-
-def _zero_rows(A: BandedMatrix, rows) -> BandedMatrix:
-    """``A`` with the rows selected by the boolean mask ``rows`` set to zero."""
-    diags = {}
-    for k in range(-A.lower_bw, A.upper_bw + 1):
-        vals = A.diagonal_values(k)  # entry i sits in row i + max(0, -k)
-        vals[rows[max(0, -k): A.n - max(0, k)]] = 0.0
-        diags[k] = vals
-    return BandedMatrix.from_diagonals(A.n, diags)
 
 
 def _family_fd_t7(ns, ms, seed=0, q=2.0):
@@ -247,13 +208,12 @@ def _family_fd_t7(ns, ms, seed=0, q=2.0):
     g_sup = q                      # max of q x^(q-1) on [0,1]
     for a_name in ("one", "x"):
         a = coefficient_preset(a_name)
-        a_sup = _coeff_sup(a)
         for n in ns:
             h = 1.0 / (n + 1)
-            xhat = np.arange(1, n + 1) * h
+            xhat = fd_interior_grid(n).points
             A = fd_nonuniform_matrix(a, gmap, n).scaled(h)
             ratio = a(np.asarray(gmap.G(xhat))) / np.asarray(gmap.dG(xhat))
-            Z = _band_difference(A, BandedMatrix.tridiagonal(2.0 * ratio, -ratio[1:], -ratio[:-1]))
+            Z = A - toeplitz(LAPLACE_SYMBOL, n).row_scaled(ratio)
             if q == 2.0:
                 omega_dG = 2.0 * h  # G'' = 2 is constant, so omega is exact
             else:
@@ -269,9 +229,9 @@ def _family_fd_t7(ns, ms, seed=0, q=2.0):
                 m_off = float(np.min(np.asarray(gmap.dG(np.linspace(1.0 / m, 1.0, 4097)))))
                 if omega_dG >= m_off:
                     continue  # bound inapplicable at this (n, m); skip, do not fake
-                N = _zero_rows(Z, in_ball)
+                N = Z.row_scaled(~in_ball)
                 entry_bound = (modulus_upper_bound(a, (h / 2) * g_sup) / (m_off - omega_dG)
-                               + a_sup * omega_dG / (m_off * (m_off - omega_dG)))
+                               + a.sup * omega_dG / (m_off * (m_off - omega_dG)))
                 checks.append(CertificateCheck(
                     "fd_t7", f"off-ball residual bound, a={a_name}", n, m,
                     spectral_norm(N), 3.0 * entry_bound))

@@ -57,11 +57,18 @@ def _emit(path, text):
         sys.stdout.write(text)
 
 
-def _parse_int_list(text):
+def _positive_int(text):
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {value}")
+    return value
+
+
+def _parse_int_list(text):
+    values = [_positive_int(v) for v in text.split(",") if v.strip()]
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError("need a nonempty ascending comma list")
     return values
@@ -194,7 +201,8 @@ def _build_parser():
         p.add_argument("--mode", choices=("sigma", "lambda"), default="lambda")
 
     def r_arg(p):
-        p.add_argument("--r", type=int, default=5000, help="rearrangement sampling parameter")
+        p.add_argument("--r", type=_positive_int, default=5000,
+                       help="rearrangement sampling parameter")
 
     def output_args(p):
         p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -208,7 +216,7 @@ def _build_parser():
     p_cmp = sub.add_parser("compare", help="Weyl + rearrangement reports")
     case_args(p_cmp)
     r_arg(p_cmp)
-    p_cmp.add_argument("--quad-res", dest="quad_res", type=int, default=400)
+    p_cmp.add_argument("--quad-res", dest="quad_res", type=_positive_int, default=400)
     output_args(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
 

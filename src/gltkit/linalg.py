@@ -39,6 +39,12 @@ class ComplexSpectrumError(ValueError):
 # matrix containers
 # ----------------------------------------------------------------------------
 
+def _slot(upper_bw, n, k):
+    """Where diagonal ``k`` of an n x n band lives: its entry ``(j - k, j)``
+    is stored at ``bands[upper_bw - k, j]`` for the columns j in the slice."""
+    return upper_bw - k, slice(max(0, k), n + min(0, k))
+
+
 @dataclass(frozen=True)
 class BandedMatrix:
     """Square banded matrix in diagonal-ordered band storage.
@@ -82,10 +88,7 @@ class BandedMatrix:
             vals = np.asarray(vals, dtype=dtype)
             if vals.shape != (n - abs(k),):
                 raise ValueError(f"diagonal {k} has wrong length")
-            if k >= 0:
-                bands[ku - k, k:] = vals
-            else:
-                bands[ku - k, : n + k] = vals
+            bands[_slot(ku, n, k)] = vals
         return cls(n, kl, ku, bands)
 
     @classmethod
@@ -103,26 +106,61 @@ class BandedMatrix:
 
     def diagonal_values(self, k=0):
         """Values on the k-th diagonal (zeros if outside the band)."""
-        m = self.n - abs(k)
         if not (-self.lower_bw <= k <= self.upper_bw):
-            return np.zeros(m, dtype=self.bands.dtype)
-        if k >= 0:
-            return self.bands[self.upper_bw - k, k:].copy()
-        return self.bands[self.upper_bw - k, :m].copy()
+            return np.zeros(self.n - abs(k), dtype=self.bands.dtype)
+        return self.bands[_slot(self.upper_bw, self.n, k)].copy()
 
     def toarray(self):
         A = np.zeros((self.n, self.n), dtype=self.bands.dtype)
         for k in range(-self.lower_bw, self.upper_bw + 1):
-            vals = self.diagonal_values(k)
-            idx = np.arange(self.n - abs(k))
-            if k >= 0:
-                A[idx, idx + k] = vals
-            else:
-                A[idx - k, idx] = vals
+            r, cols = _slot(self.upper_bw, self.n, k)
+            j = np.arange(cols.start, cols.stop)
+            A[j - k, j] = self.bands[r, cols]
         return A
 
     def scaled(self, alpha):
         return BandedMatrix(self.n, self.lower_bw, self.upper_bw, alpha * self.bands)
+
+    def row_scaled(self, v) -> BandedMatrix:
+        """``diag(v) A`` on the stored diagonals, O(n bw): row i times v[i]."""
+        v = np.asarray(v)
+        if v.shape != (self.n,):
+            raise ValueError(f"row scaling needs {self.n} values, got shape {v.shape}")
+        # bands[r, j] sits in row j + r - upper_bw, so it is scaled by
+        # padded[r + j] where padded[upper_bw + i] = v[i]; padding gets 0
+        rows = self.bands.shape[0]
+        padded = np.zeros(self.n + rows - 1, dtype=v.dtype)
+        padded[self.upper_bw: self.upper_bw + self.n] = v
+        scale = padded[np.arange(rows)[:, None] + np.arange(self.n)]
+        return BandedMatrix(self.n, self.lower_bw, self.upper_bw, self.bands * scale)
+
+    def _combine(self, other, op) -> BandedMatrix:
+        """``op(A, B)`` over a band covering both operands; all-zero outer
+        diagonals are dropped, the main diagonal always stays."""
+        if not isinstance(other, BandedMatrix):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+        kl = max(self.lower_bw, other.lower_bw)
+        ku = max(self.upper_bw, other.upper_bw)
+        dtype = np.result_type(self.bands, other.bands, float)
+        total = np.zeros((kl + ku + 1, self.n), dtype=dtype)
+        total[ku - self.upper_bw: ku + self.lower_bw + 1] += self.bands
+        rows = total[ku - other.upper_bw: ku + other.lower_bw + 1]
+        op(rows, other.bands, out=rows)
+
+        def nonzero(k):
+            return np.any(total[_slot(ku, self.n, k)] != 0)
+
+        new_ku = next((k for k in range(ku, 0, -1) if nonzero(k)), 0)
+        new_kl = next((k for k in range(kl, 0, -1) if nonzero(-k)), 0)
+        return BandedMatrix(self.n, new_kl, new_ku, total[ku - new_ku: ku + new_kl + 1])
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
 
 
 def as_dense(A):

@@ -96,11 +96,6 @@ class TrigPoly:
         return f"TrigPoly(degree={self.degree}, real_valued={self.real_valued})"
 
 
-def trig_eval(f: TrigPoly, theta):
-    """Evaluate the finite Fourier sum of ``f`` at ``theta``."""
-    return f(theta)
-
-
 #: symbols of the standard stencils used throughout the builders
 LAPLACE_SYMBOL = TrigPoly.from_cosines([2.0, -2.0])            # 2 - 2 cos
 FOURTH_DERIVATIVE_SYMBOL = TrigPoly.from_cosines([6.0, -8.0, 2.0])   # 6 - 8 cos + 2 cos 2t
@@ -118,14 +113,16 @@ class Coefficient:
     """Real function a(x) on [0,1] with regularity metadata.
 
     ``regularity`` is one of "continuous", "ae_continuous", "L1"; only the
-    last admits unbounded values.  ``exact_modulus`` optionally supplies the
-    true modulus of continuity for certificate checks.
+    last admits unbounded values.  ``exact_modulus`` and ``sup`` optionally
+    supply the true modulus of continuity and max |a| on [0,1] for
+    certificate checks.
     """
 
     name: str
     fn: callable = field(repr=False)
     regularity: str = "continuous"
     exact_modulus: callable | None = field(default=None, repr=False)
+    sup: float | None = None
     singular_points: tuple = ()
 
     def __post_init__(self):
@@ -150,7 +147,9 @@ class Coefficient:
             raise ValueError("x column must be strictly ascending")
         if xs[0] < 0 or xs[-1] > 1:
             raise ValueError("x values must lie in [0, 1]")
-        return cls(name, lambda x: np.interp(x, xs, values), "continuous")
+        # piecewise-linear data attain their sup at the knots
+        return cls(name, lambda x: np.interp(x, xs, values), "continuous",
+                   sup=float(np.max(np.abs(values))))
 
     @classmethod
     def from_csv(cls, path):
@@ -178,12 +177,13 @@ def _omega_expx(delta):
 
 
 COEFFICIENT_PRESETS = {
-    "one": Coefficient("one", lambda x: np.ones_like(x), "continuous", lambda d: 0.0),
-    "x": Coefficient("x", lambda x: x, "continuous", _omega_linear),
-    "xexp": Coefficient("xexp", lambda x: x * np.exp(-x), "continuous", _omega_xexp),
-    "1+x": Coefficient("1+x", lambda x: 1.0 + x, "continuous", _omega_linear),
-    "expx": Coefficient("expx", np.exp, "continuous", _omega_expx),
-    "zero": Coefficient("zero", lambda x: np.zeros_like(x), "continuous", lambda d: 0.0),
+    "one": Coefficient("one", lambda x: np.ones_like(x), "continuous", lambda d: 0.0, 1.0),
+    "x": Coefficient("x", lambda x: x, "continuous", _omega_linear, 1.0),
+    "xexp": Coefficient("xexp", lambda x: x * np.exp(-x), "continuous", _omega_xexp,
+                        math.exp(-1.0)),
+    "1+x": Coefficient("1+x", lambda x: 1.0 + x, "continuous", _omega_linear, 2.0),
+    "expx": Coefficient("expx", np.exp, "continuous", _omega_expx, math.e),
+    "zero": Coefficient("zero", lambda x: np.zeros_like(x), "continuous", lambda d: 0.0, 0.0),
 }
 
 

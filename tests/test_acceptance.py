@@ -163,7 +163,7 @@ def test_criterion_6_nonsymmetric_spectral_reality():
     n = 200
     for name in ("1+x", "expx"):
         case = fd_nondiv(coefficient_preset(name), ONE, ONE)
-        E = as_dense(case.matrix(n))
+        E = as_dense(case.build(n))
         ev = np.linalg.eigvals(E)
         imag_ok = np.max(np.abs(ev.imag)) <= 1e-7 * spectral_norm(E)
         rep = rearrangement_compare(case, n, r=3000)

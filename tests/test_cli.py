@@ -195,6 +195,24 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "--family", "fd_t7", "--m", "0"),
+    ("certify", "--family", "all", "--m", "0"),
+    ("certify", "--family", "fd_t7", "--m", "-2"),
+    ("certify", "--family", "thm2", "--n", "0,50"),
+    ("spectrum", "--case", "fd_t1", "--n", "-4"),
+    ("compare", "--case", "fd_t1", "--quad-res", "0"),
+    ("compare", "--case", "fd_t1", "--r", "0"),
+    ("table2", "--r", "-1"),
+])
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "need a positive integer" in err
+
+
 def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_path):
     # a vanishes at x = 1/2, a lattice abscissa for even r, so the Schur
     # symbol's denominator a(x)(2 - 2cos) trips the division guard on that row

@@ -336,6 +336,77 @@ def test_banded_frobenius_ignores_band_padding():
 
 
 # ---------------------------------------------------------------------------
+# band algebra: sums, differences and row scaling
+# ---------------------------------------------------------------------------
+
+def _diagonal_sum(A, B):
+    """Reference sum diagonal by diagonal: the band covers both operands,
+    all-zero outer diagonals drop, the main diagonal stays."""
+    kl, ku = max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw)
+    diags = {}
+    for k in range(-kl, ku + 1):
+        total = sum(m.diagonal_values(k) for m in (A, B))
+        if np.any(total != 0) or k == 0:
+            diags[k] = total
+    return BandedMatrix.from_diagonals(A.n, diags)
+
+
+@st.composite
+def band_operands(draw):
+    """(A, B, v): two bands of one size with independent bandwidths and
+    junk in the band padding, where B either is independent of A or copies
+    some of A's diagonals (so differences cancel whole diagonals), and a
+    float or bool row scaling v."""
+    n = draw(st.integers(1, 10))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                      st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+    def band(kl, ku):
+        rows = kl + ku + 1
+        bands = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n)))
+        return BandedMatrix(n, kl, ku, bands.reshape(rows, n))
+
+    bw = st.integers(0, min(3, n - 1))
+    A = band(draw(bw), draw(bw))
+    if draw(st.booleans()):
+        B = band(draw(bw), draw(bw))
+    else:
+        B = band(A.lower_bw, A.upper_bw)
+        shared = np.array(draw(st.lists(st.booleans(), min_size=B.bands.shape[0],
+                                        max_size=B.bands.shape[0])))
+        B = BandedMatrix(n, B.lower_bw, B.upper_bw, np.where(shared[:, None], A.bands, B.bands))
+    values = st.booleans() if draw(st.booleans()) else entry
+    v = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return A, B, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_operands())
+def test_band_sum_difference_and_row_scaling_match_dense(operands):
+    A, B, v = operands
+    Ad, Bd = A.toarray(), B.toarray()
+    for got, ref, dense in ((A + B, _diagonal_sum(A, B), Ad + Bd),
+                            (A - B, _diagonal_sum(A, B.scaled(-1.0)), Ad - Bd)):
+        assert (got.lower_bw, got.upper_bw) == (ref.lower_bw, ref.upper_bw)
+        assert got.toarray().tobytes() == ref.toarray().tobytes()
+        assert np.array_equal(got.toarray(), dense)  # == also equates 0.0 and -0.0
+    scaled = A.row_scaled(v)
+    assert (scaled.lower_bw, scaled.upper_bw) == (A.lower_bw, A.upper_bw)
+    assert scaled.bands.dtype == float
+    assert np.array_equal(scaled.toarray(), np.diag(v) @ Ad)
+
+
+def test_band_algebra_rejects_mismatched_operands():
+    T = toeplitz(LAPLACE_SYMBOL, 4)
+    with pytest.raises(ValueError):
+        T + toeplitz(LAPLACE_SYMBOL, 5)
+    with pytest.raises(TypeError):
+        T - np.eye(4)
+    with pytest.raises(ValueError):
+        T.row_scaled(np.ones(3))
+
+
+# ---------------------------------------------------------------------------
 # SPD banded solves
 # ---------------------------------------------------------------------------
 

@@ -27,7 +27,6 @@ from gltkit import (
     monotone_rearrangement,
     multiply,
     symbol_eval,
-    trig_eval,
 )
 
 XEXP = coefficient_preset("xexp")
@@ -39,18 +38,18 @@ RECT = ((0.0, 1.0), (0.0, math.pi))
 # ---------------------------------------------------------------------------
 
 def test_laplace_symbol_at_pi():
-    assert trig_eval(LAPLACE_SYMBOL, math.pi) == pytest.approx(4.0)
+    assert LAPLACE_SYMBOL(math.pi) == pytest.approx(4.0)
 
 
 def test_fourth_order_symbol_vanishes_at_zero():
-    assert trig_eval(FOURTH_ORDER_LAPLACE_SYMBOL, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert FOURTH_ORDER_LAPLACE_SYMBOL(0.0) == pytest.approx(0.0, abs=1e-15)
     # stencil coefficients (1,-16,30,-16,1)/12 written out
     assert np.allclose(FOURTH_ORDER_LAPLACE_SYMBOL.coeffs.real * 12,
                        [1.0, -16.0, 30.0, -16.0, 1.0])
 
 
 def test_fourth_derivative_symbol_at_pi():
-    assert trig_eval(FOURTH_DERIVATIVE_SYMBOL, math.pi) == pytest.approx(16.0)
+    assert FOURTH_DERIVATIVE_SYMBOL(math.pi) == pytest.approx(16.0)
 
 
 def test_sine_symbol_is_real_valued_with_complex_coefficients():
@@ -309,6 +308,22 @@ def test_preset_exact_moduli_match_lattice_estimates():
         for d in (0.05, 0.2):
             lattice = modulus_of_continuity(coef, d, probe_count=8193)
             assert lattice <= coef.exact_modulus(d) + 1e-9
+
+
+@pytest.mark.parametrize("name", ["one", "x", "xexp", "1+x", "expx", "zero"])
+def test_preset_sup_is_the_max_modulus_on_the_unit_interval(name):
+    coef = coefficient_preset(name)
+    probe = np.max(np.abs(coef(np.linspace(0.0, 1.0, 4097))))
+    assert coef.sup == pytest.approx(probe, rel=1e-15, abs=0.0)
+
+
+def test_table_sup_is_the_largest_knot_modulus():
+    # piecewise-linear data peak at a knot; the knots lie on the probe lattice
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-1.0, 2.0, 33)
+    coef = Coefficient.from_table(np.linspace(0.0, 1.0, 33), values)
+    assert coef.sup == np.max(np.abs(values))
+    assert coef.sup == np.max(np.abs(coef(np.linspace(0.0, 1.0, 4097))))
 
 
 def test_table_coefficient_roundtrip(tmp_path):
