@@ -373,32 +373,27 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
     )
 
 
+def _fourth_order_samples(coef: Coefficient, n) -> np.ndarray:
+    """``coef`` at the FD nodes; fd_t5 and its companions check n here."""
+    if n < 4:
+        raise ValueError(f"fourth-order scheme needs n >= 4, got n = {n}")
+    return np.asarray(coef(fd_interior_grid(n).points), dtype=float)
+
+
 def _fourth_order_diffusion(a: Coefficient, n) -> BandedMatrix:
     """Interior rows a_j (1,-16,30,-16,1)/12; rows 1 and n use the (-1,2,-1)
-    closure a_j (-12, 24, -12)/12 truncated at the boundary."""
-    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
-    diag = 30.0 * av
-    diag[0], diag[-1] = 24.0 * av[0], 24.0 * av[-1]
-    sup1 = -16.0 * av[:-1]
-    sup1[0] = -12.0 * av[0]
-    sub1 = -16.0 * av[1:]
-    sub1[-1] = -12.0 * av[-1]
-    sup2 = av[: n - 2].copy()
-    sup2[0] = 0.0
-    sub2 = av[2:].copy()
-    sub2[-1] = 0.0
-    return BandedMatrix.from_diagonals(
-        n, {0: diag / 12, 1: sup1 / 12, -1: sub1 / 12, 2: sup2 / 12, -2: sub2 / 12}
-    )
+    closure a_j (2, -1), truncated at the boundary."""
+    av = _fourth_order_samples(a, n)
+    boundary = np.isin(np.arange(n), (0, n - 1))
+    return (toeplitz(FOURTH_ORDER_LAPLACE_SYMBOL, n).row_scaled(av * ~boundary)
+            + toeplitz(LAPLACE_SYMBOL, n).row_scaled(av * boundary))
 
 
 def _fourth_order_lower(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
     """One-sided convection h bidiag(-b_j, b_j) plus the 3-point reaction
     (h^2/3) tridiag(c_j, c_j, c_j)."""
     h = 1.0 / (n + 1)
-    x = fd_interior_grid(n).points
-    bv = np.asarray(b(x), dtype=float)
-    cv = np.asarray(c(x), dtype=float)
+    bv, cv = _fourth_order_samples(b, n), _fourth_order_samples(c, n)
     return BandedMatrix.from_diagonals(
         n,
         {
@@ -410,31 +405,24 @@ def _fourth_order_lower(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
 
 
 def _fourth_order_hadamard(a: Coefficient, n) -> BandedMatrix:
-    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
-    return _hadamard_with_toeplitz(av, FOURTH_ORDER_LAPLACE_SYMBOL)
+    return _hadamard_with_toeplitz(_fourth_order_samples(a, n), FOURTH_ORDER_LAPLACE_SYMBOL)
 
 
 def _fourth_order_boundary_split(a: Coefficient, n):
     """Banded (R, N) with K - K_tilde = R + N: R holds the first and last
     rows of the difference (bandwidth 2), N the rows between (pentadiagonal)."""
     diff = _fourth_order_diffusion(a, n) - _fourth_order_hadamard(a, n)
-    boundary = np.zeros(n, dtype=bool)
-    boundary[[0, -1]] = True
+    boundary = np.isin(np.arange(n), (0, n - 1))
     return diff.row_scaled(boundary), diff.row_scaled(~boundary)
 
 
 def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
     _require_continuous(a, "diffusion")
 
-    def build(n):
-        if n < 4:
-            raise ValueError("fourth-order scheme needs n >= 4")
-        return _fourth_order_diffusion(a, n) + _fourth_order_lower(b, c, n)
-
     return DiscretizationCase(
         name="fd_t5",
         tag="FD fourth-order scheme for the second derivative",
-        build=build,
+        build=lambda n: _fourth_order_diffusion(a, n) + _fourth_order_lower(b, c, n),
         predicted_symbol=multiply(a, FOURTH_ORDER_LAPLACE_SYMBOL),
         symbol_str="a(x)p(theta), p=(30-32cos+2cos2)/12",
         companions={
@@ -523,8 +511,14 @@ def fe_stiffness(g: Coefficient, n, quad_order=5) -> BandedMatrix:
     +-1/h, so the composite rule is exact for polynomial g of degree up to
     2 quad_order - 1.
     """
-    nodes, weights, h = _element_quadrature(n, quad_order, g.singular_points)
+    nodes, weights, _ = _element_quadrature(n, quad_order, g.singular_points)
     I = np.sum(weights * np.asarray(g(nodes), dtype=float), axis=1)  # integral of g per element
+    return _stiffness_from_element_integrals(I)
+
+
+def _stiffness_from_element_integrals(I) -> BandedMatrix:
+    """The hat-function stiffness tridiagonal from the coefficient's integral over each element."""
+    h = 1.0 / I.size
     diag = (I[:-1] + I[1:]) / h**2
     off = -I[1:-1] / h**2
     return BandedMatrix.tridiagonal(diag, off, off)
@@ -605,12 +599,8 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
         K = fe_stiffness(a, n, quad_order)
         spd_cholesky_banded(K)  # K must be SPD for the Schur complement
         H = fe_gradient_coupling(n)
-        X = solve_spd_banded(K, as_dense(H))
-        # H^T X from the two off-diagonals of H (its diagonal is zero):
-        # row i is H[i-1, i] X[i-1] + H[i+1, i] X[i+1]
-        HtX = np.zeros_like(X)
-        HtX[1:] = H.diagonal_values(1)[:, None] * X[:-1]
-        HtX[:-1] += H.diagonal_values(-1)[:, None] * X[1:]
+        # X = K^{-1} H is dropped before the dense M is formed: fewer n x n arrays alive at once
+        HtX = H.T @ solve_spd_banded(K, as_dense(H))
         M = as_dense(fe_mass(coefficient_preset("one"), n, quad_order))
         return rho * M + HtX
 

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import (
-    BandedMatrix,
     _hadamard_with_toeplitz,
+    _stiffness_from_element_integrals,
     fd_cdr_dirichlet,
     fd_cdr_neumann,
     fd_fourth_order_scheme,
@@ -272,12 +272,8 @@ def _tail_element_integrals(n, m):
 def _family_fe_t1(ns, ms, seed=0):
     checks = []
     for n in ns:
-        h = 1.0 / (n + 1)
         for m in ms:
-            I = _tail_element_integrals(n, m)
-            diag = (I[:-1] + I[1:]) / h**2
-            off = -I[1:-1] / h**2
-            K_diff = BandedMatrix.tridiagonal(diag, off, off)
+            K_diff = _stiffness_from_element_integrals(_tail_element_integrals(n, m))
             lhs = schatten_norm(K_diff, 1)  # trace norm, from the eigenvalues
             rhs = 4.0 * (n + 1) ** 2 * truncated_tail_l1(m)
             checks.append(CertificateCheck(

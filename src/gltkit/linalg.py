@@ -8,7 +8,8 @@ picks the eigensolver from the matrix itself: bands that are diagonally
 similar to a symmetric band are solved as one, and only the rest reach the
 dense nonsymmetric solver.  Everything works on 64-bit floats; iteration
 failures inside LAPACK surface as ``EigenConvergenceError``, never
-silently.
+silently.  :class:`BandedMatrix` alone knows the band layout; its algebra
+(``+``, ``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class BandedMatrix:
         bands = np.asarray(self.bands)
         if bands.shape != (self.lower_bw + self.upper_bw + 1, self.n):
             raise ValueError("band storage has wrong shape")
-        if not np.all(np.isfinite(bands)):
+        if not np.isfinite(bands).all():
             raise ValueError("non-finite entries in band storage")
         object.__setattr__(self, "bands", bands)
 
@@ -78,14 +79,13 @@ class BandedMatrix:
     def from_diagonals(cls, n, diagonals):
         """Build from ``{offset: values}`` where offset ``k`` is the k-th
         diagonal (``k > 0`` above the main diagonal, length ``n - |k|``)."""
-        diagonals = {k: v for k, v in diagonals.items() if n - abs(k) > 0}
+        diagonals = {k: np.asarray(v) for k, v in diagonals.items() if n - abs(k) > 0}
         offsets = sorted(diagonals) or [0]
         ku = max(0, max(offsets))
         kl = max(0, -min(offsets))
-        dtype = complex if any(np.iscomplexobj(np.asarray(v)) for v in diagonals.values()) else float
+        dtype = complex if any(np.iscomplexobj(v) for v in diagonals.values()) else float
         bands = np.zeros((kl + ku + 1, n), dtype=dtype)
         for k, vals in diagonals.items():
-            vals = np.asarray(vals, dtype=dtype)
             if vals.shape != (n - abs(k),):
                 raise ValueError(f"diagonal {k} has wrong length")
             bands[_slot(ku, n, k)] = vals
@@ -110,12 +110,21 @@ class BandedMatrix:
             return np.zeros(self.n - abs(k), dtype=self.bands.dtype)
         return self.bands[_slot(self.upper_bw, self.n, k)].copy()
 
+    def _diagonals(self):
+        """``(k, values)`` for every stored diagonal, lowest offset first."""
+        return [(k, self.bands[_slot(self.upper_bw, self.n, k)])
+                for k in range(-self.lower_bw, self.upper_bw + 1)]
+
+    @property
+    def T(self) -> BandedMatrix:
+        """The transpose: diagonal k of ``A.T`` is diagonal -k of ``A``."""
+        return BandedMatrix.from_diagonals(self.n, {-k: v for k, v in self._diagonals()})
+
     def toarray(self):
         A = np.zeros((self.n, self.n), dtype=self.bands.dtype)
-        for k in range(-self.lower_bw, self.upper_bw + 1):
-            r, cols = _slot(self.upper_bw, self.n, k)
-            j = np.arange(cols.start, cols.stop)
-            A[j - k, j] = self.bands[r, cols]
+        for k, v in self._diagonals():
+            i = np.arange(v.size) + max(0, -k)
+            A[i, i + k] = v
         return A
 
     def scaled(self, alpha):
@@ -148,19 +157,44 @@ class BandedMatrix:
         total[ku - self.upper_bw: ku + self.lower_bw + 1] += self.bands
         rows = total[ku - other.upper_bw: ku + other.lower_bw + 1]
         op(rows, other.bands, out=rows)
-
-        def nonzero(k):
-            return np.any(total[_slot(ku, self.n, k)] != 0)
-
-        new_ku = next((k for k in range(ku, 0, -1) if nonzero(k)), 0)
-        new_kl = next((k for k in range(kl, 0, -1) if nonzero(-k)), 0)
-        return BandedMatrix(self.n, new_kl, new_ku, total[ku - new_ku: ku + new_kl + 1])
+        kept = [k for k in range(-kl, ku + 1) if k == 0 or total[_slot(ku, self.n, k)].any()]
+        return BandedMatrix(self.n, -kept[0], kept[-1], total[ku - kept[-1]: ku - kept[0] + 1])
 
     def __add__(self, other):
         return self._combine(other, np.add)
 
     def __sub__(self, other):
         return self._combine(other, np.subtract)
+
+    def __matmul__(self, other):
+        """Band ``B``: a band of bandwidths ``min(A.bw + B.bw, n - 1)``, in
+        O(n bw_A bw_B).  Dense n x m ``X``: an ndarray, in O(n bw m)."""
+        n = self.n
+        if isinstance(other, BandedMatrix):
+            if other.n != n:
+                raise ValueError(f"size mismatch: {n} vs {other.n}")
+            C = {}  # diagonal k of the product; every k = p + q with |k| < n gets a term
+
+            def rows(k, lo, hi):  # rows lo .. hi - 1 of diagonal k, which starts in row max(0, -k)
+                return slice(lo - max(0, -k), hi - max(0, -k))
+
+            for p, a in self._diagonals():
+                for q, b in other._diagonals():
+                    # C[i, i + k] += A[i, i + p] B[i + p, i + k] over the rows i where all exist
+                    k = p + q
+                    lo, hi = max(0, -p, -k), n - max(0, p, k)
+                    if lo < hi:
+                        c = C.setdefault(k, np.zeros(n - abs(k), np.result_type(a, b, float)))
+                        c[rows(k, lo, hi)] += a[rows(p, lo, hi)] * b[rows(q, lo + p, hi + p)]
+            return BandedMatrix.from_diagonals(n, C)
+        X = np.asarray(other)
+        if X.ndim != 2 or X.shape[0] != n:
+            raise ValueError(f"expected an array with {n} rows, got shape {X.shape}")
+        Y = np.zeros(X.shape, dtype=np.result_type(self.bands, X, float))
+        for p, a in self._diagonals():  # Y[i] += A[i, i + p] X[i + p]
+            lo, hi = max(0, -p), n - max(0, p)
+            Y[lo:hi] += a[:, None] * X[lo + p: hi + p]
+        return Y
 
 
 def as_dense(A):
@@ -173,19 +207,21 @@ def as_dense(A):
     return A
 
 
-def _max_abs(A):
+def _entries(A) -> np.ndarray:
+    """The entries of ``A`` in one vector; a band's stored diagonals only."""
     if isinstance(A, BandedMatrix):
-        return float(np.max(np.abs(A.bands))) if A.bands.size else 0.0
-    return float(np.max(np.abs(A))) if np.asarray(A).size else 0.0
+        return np.concatenate([v for _, v in A._diagonals()])
+    return as_dense(A).ravel()
+
+
+def _max_abs(A):
+    v = _entries(A)
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def _symmetry_defect(A):
-    if isinstance(A, BandedMatrix):
-        ks = range(1, max(A.lower_bw, A.upper_bw) + 1)
-        defects = [np.abs(A.diagonal_values(k) - A.diagonal_values(-k)).max(initial=0.0) for k in ks]
-        return max(defects, default=0.0)
-    A = as_dense(A)
-    return float(np.max(np.abs(A - A.T))) if A.size else 0.0
+    A = A if isinstance(A, BandedMatrix) else as_dense(A)
+    return _max_abs(A - A.T)
 
 
 def is_symmetric(A, tol=1e-12):
@@ -384,34 +420,15 @@ def schatten_norm(A, p) -> float:
 
 
 def _frobenius_norm(A) -> float:
-    if isinstance(A, BandedMatrix):
-        v = np.concatenate([A.diagonal_values(k) for k in range(-A.lower_bw, A.upper_bw + 1)])
-    else:
-        v = as_dense(A).ravel()
-    return float(np.linalg.norm(v))
+    return float(np.linalg.norm(_entries(A)))
 
 
 def _banded_spectral_norm(A: BandedMatrix) -> float:
     """Largest singular value of a real band: sqrt of the top eigenvalue of
-    ``A^T A``, whose band (width ``lower_bw + upper_bw``) is formed
-    directly.  ``(A^T A)[i + k1, i + k2]`` collects ``A[i, i + k1] *
-    A[i, i + k2]`` over the rows ``i``."""
-    n, offsets = A.n, range(-A.lower_bw, A.upper_bw + 1)
-    rows = {}  # rows[k][i] = A[i, i + k], zero where the diagonal has no row i
-    for k in offsets:
-        rows[k] = np.zeros(n)
-        rows[k][max(0, -k): n - max(0, k)] = A.diagonal_values(k)
-    u = A.lower_bw + A.upper_bw
-    ab = np.zeros((u + 1, n))  # upper band storage, as in _upper_band
-    for k1 in offsets:
-        for k2 in offsets:
-            if k2 < k1:
-                continue
-            lo, hi = max(0, -k1), n - max(0, k2)
-            ab[u - (k2 - k1), lo + k2: hi + k2] += rows[k1][lo:hi] * rows[k2][lo:hi]
+    the band ``A.T @ A`` (bandwidth ``lower_bw + upper_bw``)."""
     try:
-        top = sla.eig_banded(ab, lower=False, eigvals_only=True,
-                             select="i", select_range=(n - 1, n - 1))
+        top = sla.eig_banded(_upper_band(A.T @ A), lower=False, eigvals_only=True,
+                             select="i", select_range=(A.n - 1, A.n - 1))
     except sla.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenConvergenceError(str(exc)) from exc
     return float(np.sqrt(max(top[0], 0.0)))
@@ -428,11 +445,7 @@ def spectral_norm(A) -> float:
 def _upper_band(A: BandedMatrix):
     """Upper band storage ``ab[u + i - j, j] = A[i, j]`` for scipy's
     symmetric banded drivers (uses the upper triangle)."""
-    u = A.upper_bw
-    ab = np.zeros((u + 1, A.n), dtype=float)
-    for k in range(u + 1):
-        ab[u - k, k:] = A.diagonal_values(k).real
-    return ab
+    return BandedMatrix.from_diagonals(A.n, {k: v.real for k, v in A._diagonals() if k >= 0}).bands
 
 
 def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:

@@ -245,7 +245,9 @@ def test_fd_nondiv_requires_continuous_tag():
 
 def test_fourth_order_scheme_rows():
     case = fd_fourth_order_scheme(ONE, ZERO, ZERO)
-    K = as_dense(case.companions["K"](6)) * 12
+    K = case.companions["K"](6)
+    assert (K.lower_bw, K.upper_bw) == (2, 2)
+    K = as_dense(K) * 12
     assert np.allclose(K[2, :5], [1, -16, 30, -16, 1])
     assert np.allclose(K[0, :2], [24, -12])
     assert np.allclose(K[-1, -2:], [-12, 24])
@@ -275,8 +277,11 @@ def test_fourth_order_boundary_split_bounds():
 
 
 def test_fourth_order_rejects_small_n():
-    with pytest.raises(ValueError):
-        fd_fourth_order_scheme(ONE, ZERO, ZERO).build(3)
+    case = fd_fourth_order_scheme(ONE, ZERO, ZERO)
+    for make in (case.build, *case.companions.values()):
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match="needs n >= 4"):
+                make(n)
 
 
 def test_fourth_derivative_middle_row_and_scaling():
@@ -431,7 +436,7 @@ def test_schur_symmetric_and_spd_requirement():
     S = case.build(20)
     assert np.max(np.abs(S - S.T)) <= 1e-12 * np.max(np.abs(S))
     assert linalg.is_symmetric(S) and case.spectrum(20).solver == "sym_dense"
-    # the off-diagonal row shifts equal the dense product H^T K^{-1} H bit for bit
+    # the band product H.T @ X equals the dense product H^T K^{-1} H bit for bit
     H = as_dense(fe_gradient_coupling(20))
     X = linalg.solve_spd_banded(fe_stiffness(XEXP, 20), H)
     assert np.array_equal(S, as_dense(fe_mass(ONE, 20)) + H.T @ X)

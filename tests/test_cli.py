@@ -204,8 +204,17 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     ("compare", "--case", "fd_t1", "--quad-res", "0"),
     ("compare", "--case", "fd_t1", "--r", "0"),
     ("table2", "--r", "-1"),
+    # fd_t5's stencil needs n >= 4: below that the parser accepts n, the family refuses it
+    ("certify", "--family", "fd_t5", "--n", "1"),
+    ("certify", "--family", "fd_t5", "--n", "2"),
+    ("certify", "--family", "fd_t5", "--n", "3"),
 ])
 def test_sizes_below_one_are_usage_errors(capsys, argv):
+    if "fd_t5" in argv:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "needs n >= 4" in err
+        return
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

@@ -335,8 +335,20 @@ def test_banded_frobenius_ignores_band_padding():
     assert schatten_norm(A, np.inf) == pytest.approx(np.linalg.norm(A.toarray(), 2), rel=1e-13)
 
 
+def test_band_padding_does_not_make_a_band_symmetric():
+    # bands[0, 0] = 1e20 lies outside the matrix; the stored band has upper
+    # off-diagonal 1 and lower off-diagonal 1e-3, so it is not symmetric
+    A = BandedMatrix(4, 1, 1, np.array([[1e20, 1, 1, 1], [2, 2, 2, 2], [1e-3, 1e-3, 1e-3, 0]]))
+    assert linalg._max_abs(A) == 2.0
+    assert not linalg.is_symmetric(A)
+    got = real_eigvals(A)
+    assert got.solver == "similarity_tridiagonal"
+    dense = np.sort(np.linalg.eigvals(A.toarray()).real)
+    assert np.allclose(got.values, dense, rtol=0, atol=1e-12)  # about [1.949, 1.980, 2.020, 2.051]
+
+
 # ---------------------------------------------------------------------------
-# band algebra: sums, differences and row scaling
+# band algebra: sums, differences, row scaling, products and transposes
 # ---------------------------------------------------------------------------
 
 def _diagonal_sum(A, B):
@@ -353,10 +365,10 @@ def _diagonal_sum(A, B):
 
 @st.composite
 def band_operands(draw):
-    """(A, B, v): two bands of one size with independent bandwidths and
+    """(A, B, v, X): two bands of one size with independent bandwidths and
     junk in the band padding, where B either is independent of A or copies
-    some of A's diagonals (so differences cancel whole diagonals), and a
-    float or bool row scaling v."""
+    some of A's diagonals (so differences cancel whole diagonals), a float
+    or bool row scaling v, and a dense n x m right factor X."""
     n = draw(st.integers(1, 10))
     entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                       st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
@@ -377,14 +389,16 @@ def band_operands(draw):
         B = BandedMatrix(n, B.lower_bw, B.upper_bw, np.where(shared[:, None], A.bands, B.bands))
     values = st.booleans() if draw(st.booleans()) else entry
     v = np.array(draw(st.lists(values, min_size=n, max_size=n)))
-    return A, B, v
+    m = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+    return A, B, v, X
 
 
 @settings(max_examples=300, deadline=None)
 @given(band_operands())
 def test_band_sum_difference_and_row_scaling_match_dense(operands):
-    A, B, v = operands
-    Ad, Bd = A.toarray(), B.toarray()
+    A, B, v, X = operands
+    n, Ad, Bd = A.n, A.toarray(), B.toarray()
     for got, ref, dense in ((A + B, _diagonal_sum(A, B), Ad + Bd),
                             (A - B, _diagonal_sum(A, B.scaled(-1.0)), Ad - Bd)):
         assert (got.lower_bw, got.upper_bw) == (ref.lower_bw, ref.upper_bw)
@@ -394,6 +408,22 @@ def test_band_sum_difference_and_row_scaling_match_dense(operands):
     assert (scaled.lower_bw, scaled.upper_bw) == (A.lower_bw, A.upper_bw)
     assert scaled.bands.dtype == float
     assert np.array_equal(scaled.toarray(), np.diag(v) @ Ad)
+    # A.T moves stored values only, so it is exact; padding stays out of it
+    At = A.T
+    assert (At.lower_bw, At.upper_bw) == (A.upper_bw, A.lower_bw)
+    assert At.toarray().tobytes() == np.ascontiguousarray(Ad.T).tobytes()
+    # each entry of a product sums at most bw + 1 terms, bw = A.lower_bw +
+    # A.upper_bw, so it and the dense product each err by at most
+    # (bw + 1) (eps / 2) (|A||B|), plus the underflow term of the rounding model
+    terms = A.lower_bw + A.upper_bw + 1
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    C = A @ B
+    assert (C.lower_bw, C.upper_bw) == (min(A.lower_bw + B.lower_bw, n - 1),
+                                        min(A.upper_bw + B.upper_bw, n - 1))
+    assert np.all(np.abs(C.toarray() - Ad @ Bd) <= terms * eps * (np.abs(Ad) @ np.abs(Bd)) + tiny)
+    Y = A @ X
+    assert isinstance(Y, np.ndarray) and Y.shape == X.shape
+    assert np.all(np.abs(Y - Ad @ X) <= terms * eps * (np.abs(Ad) @ np.abs(X)) + tiny)
 
 
 def test_band_algebra_rejects_mismatched_operands():
@@ -404,6 +434,10 @@ def test_band_algebra_rejects_mismatched_operands():
         T - np.eye(4)
     with pytest.raises(ValueError):
         T.row_scaled(np.ones(3))
+    with pytest.raises(ValueError):
+        T @ toeplitz(LAPLACE_SYMBOL, 5)
+    with pytest.raises(ValueError):
+        T @ np.ones((5, 2))
 
 
 # ---------------------------------------------------------------------------
