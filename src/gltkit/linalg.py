@@ -3,10 +3,12 @@
 Eigenvalues of symmetric matrices go through LAPACK's tridiagonal/banded
 drivers when the band structure allows it (values-only QL/QR for the
 tridiagonal path), nonsymmetric spectra through Hessenberg + shifted QR,
-and SPD banded systems through banded Cholesky.  :func:`real_eigvals`
-picks the eigensolver from the matrix itself: bands that are diagonally
-similar to a symmetric band are solved as one, and only the rest reach the
-dense nonsymmetric solver.  Everything works on 64-bit floats; iteration
+symmetric-definite band pencils through LAPACK ``dsbgv`` (split Cholesky
+``dpbstf``, Crawford's band-preserving reduction ``dsbgst``, ``dsbtrd``
+and ``dsterf``, O(n^2) for a fixed bandwidth), and SPD banded systems
+through banded Cholesky.  :func:`real_eigvals` picks the eigensolver from
+the matrix itself: bands that are diagonally similar to a symmetric band
+are solved as one, and only the rest reach the dense nonsymmetric solver.  Everything works on 64-bit floats; iteration
 failures inside LAPACK surface as ``EigenConvergenceError``, never
 silently.  :class:`BandedMatrix` alone knows the band layout; its algebra
 (``+``, ``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
@@ -14,6 +16,8 @@ silently.  :class:`BandedMatrix` alone knows the band layout; its algebra
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -242,7 +246,8 @@ class SpectralSet:
     """Sorted spectrum or singular values of one matrix, with the name of
     the solver path that computed them (``sym_tridiagonal``, ``sym_band``,
     ``sym_dense``, ``similarity_tridiagonal``, ``similarity_band``,
-    ``nonsym_dense``, ``pencil_dense`` or ``svd_dense``)."""
+    ``nonsym_dense``, ``pencil_band`` or ``svd_dense``).  ``pencil_band`` is
+    LAPACK ``dsbgv`` on the band storage of a symmetric-definite pencil."""
 
     values: np.ndarray
     kind: str  # "eigenvalues" | "singular_values"
@@ -274,6 +279,12 @@ def sym_eigvals(A, sym_tol=1e-12) -> SpectralSet:
     driver otherwise.
     """
     require_symmetric(A, sym_tol)
+    return _sym_eigvals(A)
+
+
+def _sym_eigvals(A) -> SpectralSet:
+    """:func:`sym_eigvals` without its guard, for callers that have just
+    proven ``A`` symmetric to a tolerance no looser than 1e-12."""
     try:
         if isinstance(A, BandedMatrix):
             if max(A.lower_bw, A.upper_bw) <= 1:
@@ -301,19 +312,85 @@ def sym_eigpairs(A, sym_tol=1e-12):
     return vals, vecs
 
 
-def generalized_sym_eigvals(K, M, sym_tol=1e-12) -> SpectralSet:
-    """Eigenvalues of the SPD pencil (K, M) via Cholesky reduction.
+_C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_C_INT_P = ctypes.POINTER(ctypes.c_int)
+_C_NAMES = {ctypes.c_char_p: "char *", _C_INT_P: "int *", _C_DOUBLE_P: "d *"}
+# DSBGV(JOBZ, UPLO, N, KA, KB, AB, LDAB, BB, LDBB, W, Z, LDZ, WORK, INFO)
+_DSBGV_ARGTYPES = ((ctypes.c_char_p,) * 2 + (_C_INT_P,) * 3
+                   + (_C_DOUBLE_P, _C_INT_P, _C_DOUBLE_P, _C_INT_P, _C_DOUBLE_P,
+                      _C_DOUBLE_P, _C_INT_P, _C_DOUBLE_P, _C_INT_P))
 
-    Never forms ``M^{-1} K``: LAPACK reduces the pencil with the Cholesky
-    factor of M, keeping the problem symmetric throughout.
+
+def generalized_sym_eigvals(K, M, sym_tol=1e-12) -> SpectralSet:
+    """Eigenvalues of the symmetric-definite band pencil (K, M), sorted
+    ascending, in O(n^2) for a fixed bandwidth.
+
+    LAPACK ``dsbgv`` works on the upper band storage of both matrices and
+    never forms ``M^{-1} K``: the split Cholesky factorization
+    ``M = S^T S`` (``dpbstf``), Crawford's band-preserving reduction of the
+    pencil to a standard symmetric band problem (``dsbgst``), its reduction
+    to tridiagonal form (``dsbtrd``) and the values-only QL/QR iteration
+    (``dsterf``).  K's band is padded to ``max(K.upper_bw, M.upper_bw)``,
+    since the driver needs M's band no wider than K's.  A mass matrix that
+    is not positive definite raises ``SpdError``.
     """
+    if not (isinstance(K, BandedMatrix) and isinstance(M, BandedMatrix)):
+        raise TypeError("generalized_sym_eigvals expects two BandedMatrix operands")
+    if K.n != M.n:
+        raise ValueError(f"size mismatch: {K.n} vs {M.n}")
     require_symmetric(K, sym_tol)
     require_symmetric(M, sym_tol)
-    try:
-        vals = sla.eigh(as_dense(K), as_dense(M), eigvals_only=True)
-    except sla.LinAlgError as exc:
-        raise SpdError(f"mass matrix of the pencil is not SPD: {exc}") from exc
-    return SpectralSet(np.sort(vals), "eigenvalues", "pencil_dense")
+    n, kb = K.n, M.upper_bw
+    ka = max(K.upper_bw, kb)
+    ab = np.zeros((ka + 1, n), order="F")  # LAPACK's AB(LDAB, N), column-major
+    ab[ka - K.upper_bw:] = _upper_band(K)
+    bb = np.asfortranarray(_upper_band(M), dtype=float)
+    w, z, work = np.empty(n), np.empty(1), np.empty(3 * n)
+    info = ctypes.c_int()
+
+    def dp(x):
+        return x.ctypes.data_as(_C_DOUBLE_P)
+
+    def ip(v):
+        return ctypes.byref(ctypes.c_int(v))
+
+    _lapack("dsbgv", _DSBGV_ARGTYPES)(  # jobz = "N": eigenvalues only
+        b"N", b"U", ip(n), ip(ka), ip(kb), dp(ab), ip(ka + 1), dp(bb), ip(kb + 1),
+        dp(w), dp(z), ip(1), dp(work), ctypes.byref(info))
+    if info.value > n:
+        raise SpdError(f"mass matrix of the pencil is not SPD: the split Cholesky "
+                       f"factorization (dpbstf) failed, info = {info.value}")
+    if info.value:
+        raise EigenConvergenceError(f"LAPACK dsbgv failed, info = {info.value}")
+    return SpectralSet(w, "eigenvalues", "pencil_band")
+
+
+@functools.cache
+def _lapack(name, argtypes):
+    """The LAPACK routine ``name`` from the C function capsule that scipy
+    exports in ``scipy.linalg.cython_lapack``, as a ctypes function with
+    ``argtypes``; resolved on the first call and cached.
+
+    The capsule is named by its C signature, e.g. ``void (char *, int *,
+    __pyx_t_..._cython_lapack_d *)``; unless it declares a ``void`` return
+    and exactly ``argtypes``, a ``RuntimeError`` is raised rather than a
+    call made through a mismatched prototype.
+    """
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    ret, _, args = signature.decode().partition(" (")
+    declared = [a.rsplit("cython_lapack_", 1)[-1] for a in args.rstrip(")").split(", ")]
+    expected = [_C_NAMES[t] for t in argtypes]
+    if ret != "void" or declared != expected:
+        raise RuntimeError(f"scipy.linalg.cython_lapack.{name} is declared as "
+                           f"{ret} ({', '.join(declared)}); gltkit binds it as "
+                           f"void ({', '.join(expected)})")
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer)
 
 
 def singular_values(A) -> SpectralSet:
@@ -373,12 +450,12 @@ def real_eigvals(A) -> SpectralSet:
     path that ran.
     """
     if is_symmetric(A):
-        return sym_eigvals(A)
+        return _sym_eigvals(A)
     if isinstance(A, BandedMatrix):
         similar = _diagonal_similarity(A)
         if similar is not None:
             S, solver = similar
-            return replace(sym_eigvals(S), solver=solver)
+            return replace(_sym_eigvals(S), solver=solver)
     ev = nonsym_eigvals(A)
     scale = max(np.max(np.abs(ev)), np.finfo(float).tiny)
     imag = np.max(np.abs(ev.imag))
@@ -411,7 +488,7 @@ def schatten_norm(A, p) -> float:
         return _frobenius_norm(A)
     real = not np.iscomplexobj(A.bands if isinstance(A, BandedMatrix) else A)
     if real and is_symmetric(A, tol=0.0):
-        s = np.abs(sym_eigvals(A).values)
+        s = np.abs(_sym_eigvals(A).values)
     elif real and isinstance(A, BandedMatrix) and np.isinf(p):
         return _banded_spectral_norm(A)
     else:

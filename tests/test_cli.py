@@ -110,6 +110,13 @@ def test_compare_solves_each_spectrum_once(capsys, tmp_path, monkeypatch):
     assert [r["solver"] for r in reports] == ["similarity_tridiagonal"] * 2
 
 
+def test_compare_reports_the_band_pencil_solver(capsys):
+    code, out, _ = run_cli(capsys, "compare", "--case", "Ln", "--coeff", "xexp",
+                           "--n", "50", "--format", "json")
+    assert code == 0
+    assert [r["solver"] for r in json.loads(out)["reports"]] == ["pencil_band"]
+
+
 def test_certify_pass_and_unknown_family(capsys):
     code, out, _ = run_cli(capsys, "certify", "--family", "thm2", "--n", "50,100")
     assert code == 0

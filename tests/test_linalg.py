@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import gltkit.linalg as linalg
@@ -13,6 +14,8 @@ from gltkit import (
     SpdError,
     SymmetryError,
     as_dense,
+    generalized_sym_eigvals,
+    get_case,
     hadamard,
     nonsym_eigvals,
     real_eigvals,
@@ -25,6 +28,7 @@ from gltkit import (
     LAPLACE_SYMBOL,
 )
 from gltkit.builders import arrow_sampling, uniform_grid
+from gltkit.certificates import run_all_certificates
 from gltkit.symbols import TrigPoly, coefficient_preset
 
 
@@ -252,6 +256,30 @@ def test_negative_products_fall_back_to_dense_and_raise():
     assert np.allclose(ev.values, np.arange(1.0, n + 1), atol=1e-12)
 
 
+def test_one_symmetry_test_per_solve():
+    """Each dispatcher proves symmetry once and solves without a second
+    test; the public sym_eigvals keeps its own guard."""
+    T = toeplitz(LAPLACE_SYMBOL, 30)
+    _, _, A = _diag_times_symmetric_band(30, 37)
+    expected = [
+        (lambda: real_eigvals(T), 1),
+        (lambda: real_eigvals(A), 2),  # A itself, then its similar band S
+        (lambda: schatten_norm(T, 1), 1),
+        (lambda: get_case("fd_t1", "xexp").singular_spectrum(30), 1),
+        (lambda: sym_eigvals(T), 1),
+    ]
+    for solve, count in expected:
+        with mock.patch.object(linalg, "_symmetry_defect",
+                               wraps=linalg._symmetry_defect) as spy:
+            solve()
+        assert spy.call_count == count
+    # 12 trace norms of fe_t1 (one test each, was two) and 24 spectral norms
+    # of fd_t7's nonsymmetric band (one failing test each, then A^T A)
+    with mock.patch.object(linalg, "_symmetry_defect", wraps=linalg._symmetry_defect) as spy:
+        run_all_certificates(seed=7)
+    assert spy.call_count == 36
+
+
 # ---------------------------------------------------------------------------
 # Schatten norms
 # ---------------------------------------------------------------------------
@@ -438,6 +466,79 @@ def test_band_algebra_rejects_mismatched_operands():
         T @ toeplitz(LAPLACE_SYMBOL, 5)
     with pytest.raises(ValueError):
         T @ np.ones((5, 2))
+
+
+# ---------------------------------------------------------------------------
+# symmetric-definite band pencils
+# ---------------------------------------------------------------------------
+
+@st.composite
+def band_pencils(draw):
+    """A symmetric band K and a strictly diagonally dominant (so SPD) band M
+    of size 1..40 with independent bandwidths 0..3, so M's band may be the
+    wider one."""
+    n = draw(st.integers(1, 40))
+    entry = st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
+
+    def symmetric_band(diagonal):
+        diags = {0: diagonal}
+        for k in range(1, draw(st.integers(0, min(3, n - 1))) + 1):
+            diags[k] = diags[-k] = np.array(draw(st.lists(entry, min_size=n - k,
+                                                           max_size=n - k)))
+        return BandedMatrix.from_diagonals(n, diags)
+
+    K = symmetric_band(np.array(draw(st.lists(entry, min_size=n, max_size=n))))
+    off = symmetric_band(np.zeros(n))
+    margin = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
+    M = off + BandedMatrix.diagonal(np.abs(off.toarray()).sum(axis=1) + margin)
+    return K, M, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_pencils())
+def test_band_pencil_matches_dense_eigh(pencil):
+    K, M, j = pencil
+    ev = generalized_sym_eigvals(K, M)
+    ref = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    assert ev.solver == "pencil_band" and ev.kind == "eigenvalues"
+    assert np.all(np.diff(ev.values) >= 0)
+    scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
+    assert np.max(np.abs(ev.values - ref)) <= 1e-10 * scale
+    # -M is negative definite; zeroing row and column j makes M singular
+    mask = np.ones(K.n)
+    mask[j] = 0.0
+    for bad in (M.scaled(-1.0), M.row_scaled(mask).T.row_scaled(mask)):
+        with pytest.raises(SpdError):
+            generalized_sym_eigvals(K, bad)
+    if K.n > 1:
+        corner = BandedMatrix.from_diagonals(K.n, {1: np.eye(1, K.n - 1)[0]})
+        with pytest.raises(SymmetryError):
+            generalized_sym_eigvals(K + corner, M)
+    for dense in ((K.toarray(), M), (K, M.toarray())):
+        with pytest.raises(TypeError):
+            generalized_sym_eigvals(*dense)
+
+
+def test_band_pencil_with_wider_mass_band():
+    # a diagonal K against a pentadiagonal M: K's band is padded to M's
+    n = 12
+    K = BandedMatrix.diagonal(np.arange(1.0, n + 1))
+    M = BandedMatrix.from_diagonals(n, {0: 4 * np.ones(n), 2: np.ones(n - 2), -2: np.ones(n - 2)})
+    ev = generalized_sym_eigvals(K, M).values
+    ref = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    assert np.max(np.abs(ev - ref)) <= 1e-13 * np.max(np.abs(ref))
+    with pytest.raises(ValueError, match="size mismatch"):
+        generalized_sym_eigvals(K, BandedMatrix.diagonal(np.ones(n + 1)))
+
+
+def test_lapack_binding_checks_the_capsule_signature():
+    dsbgv = linalg._lapack("dsbgv", linalg._DSBGV_ARGTYPES)
+    assert callable(dsbgv) and dsbgv is linalg._lapack("dsbgv", linalg._DSBGV_ARGTYPES)
+    with pytest.raises(RuntimeError, match="dsbgv is declared as"):
+        linalg._lapack("dsbgv", linalg._DSBGV_ARGTYPES[:-1])
+    swapped = (linalg._C_DOUBLE_P,) + linalg._DSBGV_ARGTYPES[1:]
+    with pytest.raises(RuntimeError, match="dsbgv is declared as"):
+        linalg._lapack("dsbgv", swapped)
 
 
 # ---------------------------------------------------------------------------
