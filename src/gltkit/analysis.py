@@ -21,7 +21,7 @@ import numpy as np
 
 from .builders import DiscretizationCase
 from .linalg import SpectralSet, schatten_norm, spectral_norm, as_dense
-from .symbols import Rearrangement, SymbolExpr, monotone_rearrangement
+from .symbols import Rearrangement, SymbolExpr, grid_samples, monotone_rearrangement
 
 
 class UnboundedSymbolError(ValueError):
@@ -105,8 +105,9 @@ def empirical_functional(spectrum, F) -> float:
     return float(np.mean(F(values)))
 
 
-def _quadrature_samples(kappa: SymbolExpr, rect, quad_res, rule):
-    """Symbol samples and the kept-point count on the 2-d quadrature grid.
+def _quadrature_samples(kappa: SymbolExpr, rect, quad_res, rule, absolute=False):
+    """Symbol samples (moduli with ``absolute``) at the kept points of the
+    2-d quadrature grid.
 
     ``gauss`` is a composite Gauss-Legendre rule with ``quad_res`` panels and
     two nodes per panel per axis (equal weights, so plain means are exact
@@ -118,24 +119,13 @@ def _quadrature_samples(kappa: SymbolExpr, rect, quad_res, rule):
         g = 1.0 / (2.0 * math.sqrt(3.0))  # 2-point Gauss offsets on a unit panel
         px = (np.arange(quad_res) + 0.5) / quad_res
         off = np.array([-g, g]) / quad_res
-        xs = (px[:, None] + off[None, :]).ravel()
-        ts = xs
-        x = x0 + (x1 - x0) * xs
-        th = t0 + (t1 - t0) * ts
+        nodes = (px[:, None] + off[None, :]).ravel()
+        x = x0 + (x1 - x0) * nodes
+        th = t0 + (t1 - t0) * nodes
     else:
         x = x0 + (x1 - x0) * (np.arange(quad_res) + 0.5) / quad_res
         th = t0 + (t1 - t0) * (np.arange(quad_res) + 0.5) / quad_res
-    vals, invalid = kappa.eval_masked(x[:, None], th[None, :])
-    vals = np.broadcast_to(vals, (x.size, th.size))
-    if np.iscomplexobj(vals):
-        vals = vals.real
-    flat = np.ravel(vals)
-    if invalid is not None:
-        keep = ~np.ravel(np.broadcast_to(invalid, (x.size, th.size)))
-        if not np.any(keep):
-            raise ZeroDivisionError("symbol is singular on the whole quadrature grid")
-        flat = flat[keep]
-    return flat
+    return grid_samples(kappa, (x, th), absolute)[0]
 
 
 def symbol_functional(kappa: SymbolExpr, rect, F, quad_res=400, rule="auto",
@@ -144,13 +134,12 @@ def symbol_functional(kappa: SymbolExpr, rect, F, quad_res=400, rule="auto",
 
     Singular points of quotient symbols are excluded with measure
     renormalization, matching the almost-everywhere definition of such
-    symbols.
+    symbols.  A complex-valued symbol needs ``absolute``; without it,
+    ComplexSymbolError is raised.
     """
     if rule == "auto":
         rule = "midpoint" if kappa.has_quotient else "gauss"
-    flat = _quadrature_samples(kappa, rect, quad_res, rule)
-    if absolute:
-        flat = np.abs(flat)
+    flat = _quadrature_samples(kappa, rect, quad_res, rule, absolute)
     return float(np.mean(F(flat)))
 
 
@@ -261,13 +250,11 @@ def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400,
         raise ValueError("mode must be 'lambda' or 'sigma'")
     kappa = case.predicted_symbol
     rule = "midpoint" if kappa.has_quotient else "gauss"
-    full = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule)
+    absolute = mode == "sigma"
+    full = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule, absolute)
     coarse = None
     if refine_check:
-        coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule)
-    if mode == "sigma":
-        full = np.abs(full)
-        coarse = None if coarse is None else np.abs(coarse)
+        coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule, absolute)
     return SymbolSamples(mode, rule, int(quad_res), full, coarse)
 
 

@@ -337,15 +337,21 @@ def fd_cdr_neumann(a: Coefficient, b: Coefficient, c: Coefficient) -> Discretiza
     )
 
 
+def _nondiv_samples(a: Coefficient, n) -> np.ndarray:
+    """``a`` at the FD nodes; fd_t4's matrices check n here."""
+    if n < 2:
+        raise ValueError(f"non-divergence scheme (fd_t4) needs n >= 2, got n = {n}")
+    return np.asarray(a(fd_interior_grid(n).points), dtype=float)
+
+
 def _nondiv_diffusion(a: Coefficient, n) -> BandedMatrix:
     """diag(a_j) T(2-2cos): row j equals a_j (-1, 2, -1)."""
-    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
+    av = _nondiv_samples(a, n)  # before toeplitz, whose own n check names no scheme
     return toeplitz(LAPLACE_SYMBOL, n).row_scaled(av)
 
 
 def _nondiv_hadamard(a: Coefficient, n) -> BandedMatrix:
-    av = np.asarray(a(fd_interior_grid(n).points), dtype=float)
-    return _hadamard_with_toeplitz(av, LAPLACE_SYMBOL)
+    return _hadamard_with_toeplitz(_nondiv_samples(a, n), LAPLACE_SYMBOL)
 
 
 def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
@@ -455,6 +461,9 @@ def fd_fourth_derivative(a: Coefficient) -> DiscretizationCase:
 
 
 def fd_nonuniform_matrix(a: Coefficient, gmap: GridMap, n) -> BandedMatrix:
+    """The mapped-grid diffusion matrix; fd_t7's build and certificate check n here."""
+    if n < 2:
+        raise ValueError(f"mapped-grid scheme (fd_t7) needs n >= 2, got n = {n}")
     h = 1.0 / (n + 1)
     xhat = np.arange(0, n + 2) * h
     x = np.asarray(gmap.G(xhat), dtype=float)

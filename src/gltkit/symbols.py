@@ -463,10 +463,11 @@ def symbol_eval(kappa: SymbolExpr, x: float, theta: float):
 class Rearrangement:
     """Piecewise-linear nondecreasing interpolant of sorted symbol samples.
 
-    ``samples`` has one more entry than the number of kept lattice samples:
-    the first node at t = 0 carries a duplicate of the smallest sample so
-    that the nodes are exactly (0, 1/N, ..., 1).  The endpoints approximate
-    the essential infimum and supremum of the symbol on the rectangle.
+    ``samples`` holds the N kept lattice samples, sorted.  The interpolation
+    nodes are (0, 1/N, ..., 1): node i > 0 carries sample i - 1 and node 0
+    repeats the smallest sample, so ``node_count`` is N + 1.  The endpoints
+    approximate the essential infimum and supremum of the symbol on the
+    rectangle.
     """
 
     samples: np.ndarray = field(repr=False)
@@ -476,15 +477,15 @@ class Rearrangement:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        if samples.size < 2:
-            raise ValueError("need at least two interpolation samples")
+        if samples.ndim != 1 or samples.size < 1:
+            raise ValueError("need a nonempty 1-d array of samples")
         if np.any(samples[1:] < samples[:-1]):
             raise ValueError("rearrangement samples must be nondecreasing")
         object.__setattr__(self, "samples", samples)
 
     @property
     def node_count(self):
-        return self.samples.size
+        return self.samples.size + 1
 
     @property
     def ess_inf(self):
@@ -500,23 +501,74 @@ class Rearrangement:
     def __call__(self, t):
         """Interpolated value at ``t`` in [0, 1], O(len(t)): the nodes i/N
         are uniform, so ``t`` lies in node interval ``floor(t N)`` and no
-        node array is built.  The arithmetic is np.interp's, bit for bit:
-        an exact node returns its sample, anything else the linear formula
-        on its interval (the last interval for t = 1)."""
+        node array is built.  Interval j runs from node j, which carries
+        ``s[max(j - 1, 0)]``, to node j + 1, which carries ``s[j]``.  The
+        arithmetic is np.interp's on the N + 1 node values, bit for bit: an
+        exact node returns its sample, anything else the linear formula on
+        its interval (the last interval for t = 1)."""
         t = np.asarray(t, dtype=float)
         if np.any(~((t >= 0.0) & (t <= 1.0))):
             raise ValueError("rearrangement is defined on [0, 1]")
         s = self.samples
-        N = s.size - 1
+        N = s.size
         x = t * N
         k = np.floor(x).astype(np.intp)
         j = np.minimum(k, N - 1)
-        out = (s[j + 1] - s[j]) * (x - j) + s[j]
-        return np.where(x == k, s[k], out)[()]
+        lo = s[np.maximum(j - 1, 0)]
+        out = (s[j] - lo) * (x - j) + lo
+        return np.where(x == k, s[np.maximum(k - 1, 0)], out)[()]
 
 
 def _lattice(rect, r):
     return [lo + np.arange(1, r + 1) * (hi - lo) / r for lo, hi in rect]
+
+
+def grid_samples(kappa, axes, absolute=False):
+    """Values of ``kappa`` on the outer-product grid of the 1-d ``axes``,
+    flattened row-major with the excluded points dropped, and the number of
+    excluded points.
+
+    A SymbolExpr takes two axes (x, theta) and excludes the points where a
+    division guard trips; any other callable (a Coefficient uses its ``fn``)
+    takes one grid array per axis and excludes non-finite values.  Complex
+    values raise ComplexSymbolError unless ``absolute`` asks for moduli.
+
+    The returned buffer is the caller's to overwrite or sort in place.  It
+    is the evaluation's own array whenever that is fresh (C-contiguous,
+    writeable, owning its data and of full size) and a copy otherwise; the
+    axes reach the symbol read-only, so a symbol that returns its input, or
+    a view of it, is always copied.
+    """
+    axes = [np.asarray(a, dtype=float).view() for a in axes]
+    for a in axes:
+        a.flags.writeable = False
+    shape = tuple(a.size for a in axes)
+    if isinstance(kappa, SymbolExpr):
+        if len(axes) != 2:
+            raise ValueError("a SymbolExpr needs a two-interval rectangle")
+        vals, invalid = kappa.eval_masked(axes[0][:, None], axes[1][None, :])
+    else:
+        fn = kappa.fn if isinstance(kappa, Coefficient) else kappa
+        vals = fn(*np.meshgrid(*axes, indexing="ij", copy=False))
+    vals = np.asarray(vals)
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape)
+    if absolute:
+        vals = np.abs(vals)
+    elif np.iscomplexobj(vals):
+        raise ComplexSymbolError("symbol takes complex values; a real-valued one is required")
+    vals = np.require(vals, float, "COW")
+    flat = vals.reshape(-1)
+    if isinstance(kappa, SymbolExpr):
+        keep = None if invalid is None else ~np.broadcast_to(invalid, shape).reshape(-1)
+    else:
+        keep = np.isfinite(flat)
+        keep = None if keep.all() else keep
+    if keep is not None:
+        flat = flat[keep]
+    if flat.size == 0:
+        raise SymbolSingularityError("the symbol is singular at every grid point")
+    return flat, vals.size - flat.size
 
 
 def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
@@ -525,40 +577,17 @@ def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
     ``rect`` is a sequence of (lo, hi) intervals, one per variable; a
     SymbolExpr uses two, ([x_lo, x_hi], [theta_lo, theta_hi]).  Lattice
     points where a division guard trips are excluded and the node count
-    shrinks accordingly (recorded in ``excluded``).
+    shrinks accordingly (recorded in ``excluded``).  The samples are sorted
+    in the buffer that :func:`grid_samples` returns, so the r^d values are
+    held once.
     """
     if r < 1:
         raise ValueError("sampling parameter r must be >= 1")
     rect = tuple((float(lo), float(hi)) for lo, hi in rect)
-    axes = _lattice(rect, r)
-
-    if isinstance(kappa, SymbolExpr):
-        if len(rect) != 2:
-            raise ValueError("a SymbolExpr needs a two-interval rectangle")
-        if not kappa.is_real:
-            raise ComplexSymbolError("monotone rearrangement needs a real-valued symbol")
-        vals, invalid = kappa.eval_masked(axes[0][:, None], axes[1][None, :])
-        vals = np.broadcast_to(vals, (r, r))
-        if np.iscomplexobj(vals):
-            vals = vals.real
-        keep = None if invalid is None else ~np.broadcast_to(invalid, (r, r))
-    else:
-        fn = kappa.fn if isinstance(kappa, Coefficient) else kappa
-        grids = np.meshgrid(*axes, indexing="ij") if len(rect) > 1 else [axes[0]]
-        vals = np.broadcast_to(np.asarray(fn(*grids), dtype=float), tuple([r] * len(rect)))
-        keep = np.isfinite(vals)
-
-    if keep is not None:
-        vals = vals[keep]
-    if vals.size == 0:
-        raise SymbolSingularityError("all lattice points of the rearrangement are singular")
-    # one full-size buffer: the kept values go to samples[1:], are sorted
-    # there in place, and node 0 repeats the smallest of them
-    samples = np.empty(vals.size + 1)
-    np.copyto(samples[1:].reshape(vals.shape), vals)
-    samples[1:].sort()
-    samples[0] = samples[1]
-    excluded = r ** len(rect) - vals.size
+    if isinstance(kappa, SymbolExpr) and not kappa.is_real:
+        raise ComplexSymbolError("monotone rearrangement needs a real-valued symbol")
+    samples, excluded = grid_samples(kappa, _lattice(rect, r))
+    samples.sort()
     return Rearrangement(samples=samples, rect=rect, r=int(r), excluded=int(excluded))
 
 

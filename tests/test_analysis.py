@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from gltkit import (
+    ComplexSymbolError,
+    DiscretizationCase,
     LAPLACE_SYMBOL,
     TrigFactor,
+    TrigPoly,
     UnboundedSymbolError,
     coefficient_preset,
     default_suite,
@@ -74,6 +77,23 @@ def test_symbol_functional_sigma_mode_uses_modulus():
     kappa = multiply(-1.0, minus)
     got = symbol_functional(kappa, RECT, WIDE, absolute=True)
     assert got == pytest.approx(2.0, abs=1e-8)
+
+
+def test_symbol_functional_of_complex_symbol_takes_the_modulus():
+    e_itheta = TrigFactor(TrigPoly([0.0, 0.0, 1.0]))   # |e^{i theta}| = 1, mean |cos| = 2/pi
+    got = symbol_functional(e_itheta, RECT, lambda v: v, absolute=True)
+    assert got == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ComplexSymbolError):
+        symbol_functional(e_itheta, RECT, lambda v: v)
+
+
+def test_sigma_samples_of_complex_symbol_are_moduli():
+    case = DiscretizationCase(name="shift", tag="", build=None,
+                              predicted_symbol=TrigFactor(TrigPoly([0.0, 0.0, 1.0])))
+    samples = symbol_samples(case, "sigma", quad_res=20)
+    assert np.allclose(samples.full, 1.0) and np.allclose(samples.coarse, 1.0)
+    with pytest.raises(ComplexSymbolError):
+        symbol_samples(case, "lambda", quad_res=20)
 
 
 # ---------------------------------------------------------------------------

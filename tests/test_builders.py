@@ -284,6 +284,16 @@ def test_fourth_order_rejects_small_n():
                 make(n)
 
 
+def test_nondiv_and_mapped_grid_reject_n_below_two():
+    nondiv = fd_nondiv(X, ONE, ONE)
+    for make in (nondiv.build, nondiv.companions["K"], nondiv.companions["K_tilde"]):
+        with pytest.raises(ValueError, match=r"non-divergence scheme \(fd_t4\) needs n >= 2"):
+            make(1)
+    with pytest.raises(ValueError, match=r"mapped-grid scheme \(fd_t7\) needs n >= 2"):
+        fd_nonuniform(X, power_map(2.0)).build(1)
+    assert nondiv.build(2).n == 2 and fd_nonuniform(X, power_map(2.0)).build(2).n == 2
+
+
 def test_fourth_derivative_middle_row_and_scaling():
     case = fd_fourth_derivative(ONE)
     A = as_dense(case.build(5))

@@ -229,6 +229,14 @@ def test_sizes_below_one_are_usage_errors(capsys, argv):
     assert err.startswith("usage:") and "need a positive integer" in err
 
 
+@pytest.mark.parametrize("family,scheme", [("fd_t4", "non-divergence scheme (fd_t4)"),
+                                           ("fd_t7", "mapped-grid scheme (fd_t7)")])
+def test_certify_names_the_scheme_and_its_minimum_n(capsys, family, scheme):
+    code, out, err = run_cli(capsys, "certify", "--family", family, "--n", "1")
+    assert code == 2 and not out
+    assert err == f"error: {scheme} needs n >= 2, got n = 1\n"
+
+
 def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_path):
     # a vanishes at x = 1/2, a lattice abscissa for even r, so the Schur
     # symbol's denominator a(x)(2 - 2cos) trips the division guard on that row

@@ -1,6 +1,7 @@
 """Tests for trig polynomials, coefficients, symbol trees, rearrangement,
 and the two moduli of continuity."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from gltkit import (
     add,
     coefficient_preset,
     divide,
+    get_case,
     modulus_of_continuity,
     modulus_of_integral_continuity,
     monotone_rearrangement,
     multiply,
     symbol_eval,
 )
+from gltkit import symbols
 
 XEXP = coefficient_preset("xexp")
 RECT = ((0.0, 1.0), (0.0, math.pi))
@@ -161,9 +164,10 @@ def test_rearrangement_eval_endpoints_and_midpoint():
     R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 13)
     assert R(0.0) == R.samples[0]
     assert R(1.0) == R.samples[-1]
-    N = R.samples.size - 1
+    N = R.node_count - 1
+    assert N == R.samples.size
     mid = (0.5 / N) + (1.0 / N)  # midpoint of the second node interval
-    assert R(mid) == pytest.approx((R.samples[1] + R.samples[2]) / 2)
+    assert R(mid) == pytest.approx((R.samples[0] + R.samples[1]) / 2)
 
 
 def test_rearrangement_eval_rejects_out_of_range():
@@ -179,10 +183,10 @@ def test_rearrangement_eval_rejects_out_of_range():
 @st.composite
 def samples_and_points(draw):
     """Nondecreasing samples with repeats, and t in [0, 1] including 0, 1
-    and exact nodes i/N."""
+    and exact nodes i/N (N samples give the N + 1 nodes 0, 1/N, ..., 1)."""
     pool = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([-1.0, 0.0, 2.5]))
-    samples = np.sort(np.array(draw(st.lists(pool, min_size=2, max_size=60))))
-    N = samples.size - 1
+    samples = np.sort(np.array(draw(st.lists(pool, min_size=1, max_size=60))))
+    N = samples.size
     node = st.integers(0, N).map(lambda i: i / N)
     t = draw(st.lists(st.one_of(st.floats(0.0, 1.0), node, st.sampled_from([0.0, 1.0])),
                       min_size=1, max_size=20))
@@ -194,17 +198,17 @@ def samples_and_points(draw):
 def test_rearrangement_eval_is_np_interp_bit_for_bit(data):
     samples, t = data
     R = Rearrangement(samples=samples, rect=RECT, r=1)
-    N = samples.size - 1
-    expected = np.interp(t * N, np.arange(N + 1), samples)
+    N = samples.size
+    # node 0 repeats the smallest sample
+    expected = np.interp(t * N, np.arange(N + 1), np.concatenate(([samples[0]], samples)))
     assert R(t).tobytes() == expected.tobytes()
     for ti, ei in zip(t, expected):
         assert np.float64(R(ti)).tobytes() == ei.tobytes()
 
 
 def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
-    """One in-place sort into the final buffer gives the samples of the
-    sort-copy-concatenate recipe, bit for bit, on a symbol with excluded
-    lattice points."""
+    """Sorting the kept values in place gives np.sort of them, bit for bit,
+    on a symbol with excluded lattice points; the N + 1 nodes are implicit."""
     r = 40
     dip = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
     kappa = divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(dip), nonzero_ae=True)
@@ -213,10 +217,58 @@ def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
     theta = np.arange(1, r + 1) * math.pi / r
     vals, invalid = kappa.eval_masked(x[:, None], theta[None, :])
     flat = np.ravel(vals)[~np.ravel(invalid)]
-    expected = np.concatenate(([np.sort(flat)[0]], np.sort(flat)))
+    expected = np.sort(flat)
     assert R.excluded == r  # the whole lattice row at x = 1/2
     assert R.node_count == r * r - r + 1
     assert R.samples.tobytes() == expected.tobytes()
+
+
+def test_rearrangement_sorts_in_one_full_size_buffer():
+    """The evaluation's own r^2 buffer is sorted in place: the traced peak
+    stays within 1.25 full-size float arrays (a second sort buffer would
+    need 2)."""
+    kappa = get_case("fd_t1", "xexp").predicted_symbol
+    r = 600
+    tracemalloc.start()
+    try:
+        R = monotone_rearrangement(kappa, RECT, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.node_count == r * r + 1
+    assert peak <= 1.25 * 8 * r * r
+
+
+@pytest.mark.parametrize("kappa,rect,r", [
+    (CoeffFactor(coefficient_preset("x")), RECT, 1),    # x-only, returns its input
+    (CoeffFactor(coefficient_preset("x")), RECT, 7),
+    (TrigFactor(LAPLACE_SYMBOL), RECT, 7),               # theta-only
+    (lambda x, theta: x, RECT, 7),                       # plain callable
+    (coefficient_preset("x"), ((0.0, 1.0),), 7),         # 1-d Coefficient path
+])
+def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
+    lattice, made = symbols._lattice, []
+
+    def recording_lattice(rect, r):
+        axes = lattice(rect, r)
+        made.append([(a, a.copy()) for a in axes])
+        return axes
+
+    monkeypatch.setattr(symbols, "_lattice", recording_lattice)
+    R = monotone_rearrangement(kappa, rect, r)
+    assert np.all(np.diff(R.samples) >= 0)
+    assert R.node_count == r ** len(rect) + 1
+    for axis, before in made[0]:
+        assert not np.shares_memory(R.samples, axis)
+        assert axis.tobytes() == before.tobytes()
+
+
+def test_rearrangement_of_callable_drops_non_finite_values():
+    r = 8
+    R = monotone_rearrangement(lambda x, theta: np.where(x > 0.5, np.nan, x + theta), RECT, r)
+    assert R.excluded == r * r // 2
+    assert np.all(np.isfinite(R.samples)) and np.all(np.diff(R.samples) >= 0)
+    assert R.ess_sup == pytest.approx(0.5 + math.pi)
 
 
 def test_rearrangement_requires_real_symbol():
