@@ -9,8 +9,11 @@ the normalized matrix to :func:`gltkit.linalg.real_eigvals`, which picks the
 eigensolver from the matrix itself (symmetric band, diagonal similarity to
 a symmetric band, or the dense nonsymmetric solver with a reality check);
 a case whose ``build(n)`` returns the pair ``(K, M)`` is a pencil and goes
-to the band pencil solver ``dsbgv``.  The ``solver`` field of the returned
-:class:`SpectralSet` names the path that ran.  Exact constructions:
+to the band pencil solver ``dsbgv`` (``pencil_band``), and one that returns
+a :class:`~gltkit.linalg.SchurComplement` goes to ``schur_eigvals``, a 2n
+band pencil solved by the same driver (``pencil_schur``); both are solved
+unscaled and multiplied by alpha_n afterwards.  The ``solver`` field of the
+returned :class:`SpectralSet` names the path that ran.  Exact constructions:
 
 * FD diffusion in divergence form on the uniform grid x_j = j h, h = 1/(n+1):
   tridiagonal with row j equal to (-a_{j-1/2}, a_{j-1/2} + a_{j+1/2}, -a_{j+1/2}).
@@ -22,8 +25,9 @@ to the band pencil solver ``dsbgv``.  The ``solver`` field of the returned
   diffusion matrix with steps h_j = G(j/(n+1)) - G((j-1)/(n+1)).
 * FE stiffness/mass/convection matrices for hat functions on the uniform
   mesh, assembled with per-element Gauss-Legendre quadrature, the Schur
-  complement rho M + H^T K^{-1} H of the saddle-point system, and the
-  generalized eigenproblem pencil (K(a), M(c)).
+  complement rho M + H^T K^{-1} H of the saddle-point system (held as its
+  three bands K, H and rho M), and the generalized eigenproblem pencil
+  (K(a), M(c)).
 """
 
 from __future__ import annotations
@@ -36,14 +40,15 @@ from .linalg import (
     _sym_eigvals,
     BandedMatrix,
     ComplexSpectrumError,
+    SchurComplement,
     SpectralSet,
     as_dense,
     generalized_sym_eigvals,
     is_symmetric,
     nonsym_eigvals,
     real_eigvals,
+    schur_eigvals,
     singular_values,
-    solve_spd_banded,
     spd_cholesky_banded,
     sym_eigvals,  # noqa: F401 - perfbench's tracer wraps builders.sym_eigvals by name
 )
@@ -190,12 +195,18 @@ def _hadamard_with_toeplitz(a_vals: np.ndarray, f: TrigPoly) -> BandedMatrix:
 # the case container
 # ----------------------------------------------------------------------------
 
+#: what ``build(n)`` returns for a case solved by a band pencil: the pair
+#: ``(K, M)``, or a SchurComplement
+_PENCILS = (tuple, SchurComplement)
+
+
 @dataclass(frozen=True)
 class DiscretizationCase:
     """One matrix family with its predicted symbol and normalization.
 
-    ``build(n)`` returns the matrix A_n, or the pair ``(K, M)`` for the
-    generalized eigenproblem K x = lambda M x; ``alpha(n)`` defaults to 1.
+    ``build(n)`` returns the matrix A_n, the pair ``(K, M)`` for the
+    generalized eigenproblem K x = lambda M x, or a SchurComplement;
+    ``alpha(n)`` defaults to 1.
     """
 
     name: str
@@ -218,8 +229,10 @@ class DiscretizationCase:
         a_n = self.alpha(n)
         return A.scaled(a_n) if isinstance(A, BandedMatrix) else a_n * as_dense(A)
 
-    def _pencil_spectrum(self, KM, n) -> SpectralSet:
-        ev = generalized_sym_eigvals(*KM)
+    def _pencil_spectrum(self, A, n) -> SpectralSet:
+        """The spectrum of a pencil ``(K, M)`` or a SchurComplement, solved
+        unscaled and multiplied by alpha_n afterwards."""
+        ev = generalized_sym_eigvals(*A) if isinstance(A, tuple) else schur_eigvals(A)
         return SpectralSet(np.sort(ev.values * self.alpha(n)), "eigenvalues", ev.solver)
 
     def spectrum(self, n) -> SpectralSet:
@@ -227,7 +240,7 @@ class DiscretizationCase:
         ``real_eigvals`` picks from the matrix; complex spectra raise
         ComplexSpectrumError."""
         A = self.build(n)
-        if isinstance(A, tuple):
+        if isinstance(A, _PENCILS):
             return self._pencil_spectrum(A, n)
         try:
             return real_eigvals(self._scaled(A, n))
@@ -237,17 +250,18 @@ class DiscretizationCase:
     def complex_spectrum(self, n) -> np.ndarray:
         """All eigenvalues of alpha_n A_n from the dense nonsymmetric solver,
         with no structure assumed and no reality check (a pencil returns its
-        real spectrum)."""
+        real spectrum, and so does a Schur complement)."""
         A = self.build(n)
-        if isinstance(A, tuple):
+        if isinstance(A, _PENCILS):
             return self._pencil_spectrum(A, n).values.astype(complex)
         return nonsym_eigvals(self._scaled(A, n))
 
     def singular_spectrum(self, n) -> SpectralSet:
         """Singular values of alpha_n A_n: eigenvalue magnitudes when the
-        matrix is symmetric (and for a pencil), the dense SVD otherwise."""
+        matrix is symmetric (and for a pencil or a Schur complement), the
+        dense SVD otherwise."""
         A = self.build(n)
-        if isinstance(A, tuple):
+        if isinstance(A, _PENCILS):
             ev = self._pencil_spectrum(A, n)
         else:
             A = self._scaled(A, n)
@@ -606,13 +620,9 @@ def fe_mass_case(g: Coefficient, quad_order=5) -> DiscretizationCase:
 
 def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationCase:
     def build(n):
-        K = fe_stiffness(a, n, quad_order)
-        spd_cholesky_banded(K)  # K must be SPD for the Schur complement
-        H = fe_gradient_coupling(n)
-        # X = K^{-1} H is dropped before the dense M is formed: fewer n x n arrays alive at once
-        HtX = H.T @ solve_spd_banded(K, as_dense(H))
-        M = as_dense(fe_mass(coefficient_preset("one"), n, quad_order))
-        return rho * M + HtX
+        # the constructor's banded Cholesky raises SpdError unless K is SPD
+        return SchurComplement(fe_stiffness(a, n, quad_order), fe_gradient_coupling(n),
+                               fe_mass(coefficient_preset("one"), n, quad_order).scaled(rho))
 
     sigma = add(
         TrigFactor(TrigPoly.from_cosines([2 * rho / 3, rho / 3])),

@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .builders import ComplexSpectrumError, get_case, registry_lines
 from .certificates import certificate_families, run_certificates
-from .symbols import monotone_rearrangement
+from .symbols import SymbolSingularityError, monotone_rearrangement
 
 #: published reference column for the diffusion benchmark (a = x e^{-x}):
 #: sup-norm gap between sorted eigenvalues and rearrangement samples
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     except (ComplexSpectrumError, UnboundedSymbolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, SymbolSingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,10 @@ drivers when the band structure allows it (values-only QL/QR for the
 tridiagonal path), nonsymmetric spectra through Hessenberg + shifted QR,
 symmetric-definite band pencils through LAPACK ``dsbgv`` (split Cholesky
 ``dpbstf``, Crawford's band-preserving reduction ``dsbgst``, ``dsbtrd``
-and ``dsterf``, O(n^2) for a fixed bandwidth), and SPD banded systems
-through banded Cholesky.  :func:`real_eigvals` picks the eigensolver from
+and ``dsterf``, O(n^2) for a fixed bandwidth), Schur complements
+``C + B^T A^{-1} B`` of bands as a 2n band pencil (:func:`schur_eigvals`,
+never forming the dense complement), and SPD banded systems through
+banded Cholesky.  :func:`real_eigvals` picks the eigensolver from
 the matrix itself: bands that are diagonally similar to a symmetric band
 are solved as one, and only the rest reach the dense nonsymmetric solver.  Everything works on 64-bit floats; iteration
 failures inside LAPACK surface as ``EigenConvergenceError``, never
@@ -201,9 +203,32 @@ class BandedMatrix:
         return Y
 
 
+@dataclass(frozen=True)
+class SchurComplement:
+    """``S = C + B^T A^{-1} B`` held as its three bands and never formed:
+    ``A`` SPD (checked here by banded Cholesky, ``SpdError``), ``B`` any
+    band, ``C`` symmetric, all n x n.  :func:`schur_eigvals` solves it in
+    band storage; ``toarray`` forms the dense S."""
+
+    A: BandedMatrix
+    B: BandedMatrix
+    C: BandedMatrix
+
+    def __post_init__(self):
+        if not all(isinstance(X, BandedMatrix) for X in (self.A, self.B, self.C)):
+            raise TypeError("SchurComplement expects three BandedMatrix operands")
+        if not self.A.n == self.B.n == self.C.n:
+            raise ValueError(f"size mismatch: {self.A.n}, {self.B.n}, {self.C.n}")
+        spd_cholesky_banded(self.A)
+        require_symmetric(self.C)
+
+    def toarray(self):
+        return as_dense(self.C) + self.B.T @ solve_spd_banded(self.A, as_dense(self.B))
+
+
 def as_dense(A):
-    """Dense ndarray view of a BandedMatrix or array-like."""
-    if isinstance(A, BandedMatrix):
+    """Dense ndarray view of a BandedMatrix, SchurComplement or array-like."""
+    if isinstance(A, (BandedMatrix, SchurComplement)):
         return A.toarray()
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -224,8 +249,13 @@ def _max_abs(A):
 
 
 def _symmetry_defect(A):
-    A = A if isinstance(A, BandedMatrix) else as_dense(A)
-    return _max_abs(A - A.T)
+    """max |A - A^T|; on a band, stored diagonal k against diagonal -k."""
+    if not isinstance(A, BandedMatrix):
+        A = as_dense(A)
+        return _max_abs(A - A.T)
+    d = dict(A._diagonals())
+    return max((float(np.abs(d.get(k, 0.0) - d.get(-k, 0.0)).max())
+                for k in range(1, max(A.lower_bw, A.upper_bw) + 1)), default=0.0)
 
 
 def is_symmetric(A, tol=1e-12):
@@ -246,8 +276,10 @@ class SpectralSet:
     """Sorted spectrum or singular values of one matrix, with the name of
     the solver path that computed them (``sym_tridiagonal``, ``sym_band``,
     ``sym_dense``, ``similarity_tridiagonal``, ``similarity_band``,
-    ``nonsym_dense``, ``pencil_band`` or ``svd_dense``).  ``pencil_band`` is
-    LAPACK ``dsbgv`` on the band storage of a symmetric-definite pencil."""
+    ``nonsym_dense``, ``pencil_band``, ``pencil_schur`` or ``svd_dense``).
+    ``pencil_band`` is LAPACK ``dsbgv`` on the band storage of a
+    symmetric-definite pencil; ``pencil_schur`` is the 2n band pencil that
+    :func:`schur_eigvals` solves for a :class:`SchurComplement`."""
 
     values: np.ndarray
     kind: str  # "eigenvalues" | "singular_values"
@@ -365,6 +397,92 @@ def generalized_sym_eigvals(K, M, sym_tol=1e-12) -> SpectralSet:
     return SpectralSet(w, "eigenvalues", "pencil_band")
 
 
+def schur_eigvals(S: SchurComplement) -> SpectralSet:
+    """Eigenvalues of ``S = C + B^T A^{-1} B``, sorted ascending, from band
+    storage in O(n^2) for fixed bandwidths; S is never formed.
+
+    With the unknowns interleaved (w_1, v_1, w_2, v_2, ...),
+    ``C(tau) = [[A, B], [B^T, tau I - C]]`` is a 2n band (half-width 3 for
+    tridiagonal operands) whose Schur complement of A is ``tau I - S``.  By
+    Haynsworth's inertia additivity, and A being SPD, C(tau) is SPD exactly
+    when ``tau > lambda_max(S)``, which a banded Cholesky tests in O(n).
+    The pencil ``(D, C(tau))`` with ``D = diag(0, 1, 0, 1, ...)`` has n zero
+    eigenvalues, one per w row, and ``mu_i = 1 / (tau - lambda_i) > 0``; it
+    goes to :func:`generalized_sym_eigvals`, and the n largest mu give
+    ``lambda_i = tau - 1 / mu_i``.
+
+    The shift: the Gershgorin lower bound g of C is below the spectrum of S
+    (``B^T A^{-1} B`` is positive semidefinite).  m is the smallest power of
+    two in [2^-960, 2^960] with C(g + m) SPD, found by bisection on the
+    exponent (at most 12 Cholesky tests, for any real spectrum), and
+    ``tau = g + 2m``.  Then ``tau - lambda_max > m`` and
+    ``tau - lambda_i <= 2m``, so the mu lie within a factor 2 of each other
+    and the lambda carry a normwise error of order eps (lambda_max - g), as
+    on ``pencil_band``; a looser tau loses digits in proportion to it.  (The
+    floor m >= 2^-960 adds an absolute error of about eps 2^-959, which
+    shows only when the spectrum of S lies within 1e-289 of g.)
+
+    After the solve, every kept mu must be at least ``(1 - 1e-8) / (tau - g)``
+    and every dropped |mu| at most 1e-8 of the smallest kept mu; otherwise
+    the split is not clean and ``EigenConvergenceError`` is raised.  A zero
+    B leaves ``S = C``, which goes to the symmetric band solver.
+    """
+    if _max_abs(S.B) == 0.0:
+        return _sym_eigvals(S.C)
+    n, g = S.A.n, _gershgorin_lower_bound(S.C)
+    base = _interleaved(S.A, S.B, S.C.scaled(-1.0))
+    D = BandedMatrix.diagonal(np.tile([0.0, 1.0], n))
+
+    def augmented(k):  # C(tau) at tau = g + 2^k
+        return base + D.scaled(g + 2.0 ** k)
+
+    def spd(k):
+        try:
+            spd_cholesky_banded(augmented(k))
+        except SpdError:
+            return False
+        return True
+
+    lo, hi = -960, 960
+    if not spd(hi):
+        raise EigenConvergenceError(f"no shift up to g + 2^{hi} lies above the spectrum "
+                                    f"of the Schur complement (g = {g:.3e})")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if spd(mid) else (mid + 1, hi)
+    tau = g + 2.0 ** (lo + 1)
+    mu = generalized_sym_eigvals(D, augmented(lo + 1)).values
+    dropped, kept = mu[:n], mu[n:]
+    floor = (1 - 1e-8) / (tau - g)
+    if not (kept[0] >= floor and np.abs(dropped).max() <= 1e-8 * kept[0]):
+        raise EigenConvergenceError(
+            f"Schur complement pencil split failed at tau = {tau:.6e}: smallest kept mu "
+            f"{kept[0]:.3e} (floor {floor:.3e}), largest dropped |mu| {np.abs(dropped).max():.3e}")
+    return SpectralSet(tau - 1.0 / kept, "eigenvalues", "pencil_schur")
+
+
+def _interleaved(A, B, D) -> BandedMatrix:
+    """The 2n band ``[[A, B], [B^T, D]]`` with rows and columns interleaved:
+    entry (i, i + k) of block (p, q) moves to (2i + p, 2(i + k) + q), on
+    diagonal 2k + q - p."""
+    n, diags = A.n, {}
+    for (p, q), X in (((0, 0), A), ((0, 1), B), ((1, 0), B.T), ((1, 1), D)):
+        for k, v in X._diagonals():
+            o = 2 * k + q - p
+            # the first entry sits in row 2 max(0, -k) + p; diagonal o starts in row max(0, -o)
+            diags.setdefault(o, np.zeros(2 * n - abs(o)))[2 * max(0, -k) + p - max(0, -o)::2] = v
+    return BandedMatrix.from_diagonals(2 * n, diags)
+
+
+def _gershgorin_lower_bound(A: BandedMatrix) -> float:
+    """``min_i (A[i, i] - sum_{j != i} |A[i, j]|)``, below the spectrum of a symmetric A."""
+    radius = np.zeros(A.n)
+    for k, v in A._diagonals():
+        if k:
+            radius[max(0, -k): max(0, -k) + v.size] += np.abs(v)
+    return float(np.min(A.diagonal_values(0) - radius))
+
+
 @functools.cache
 def _lapack(name, argtypes):
     """The LAPACK routine ``name`` from the C function capsule that scipy
@@ -447,8 +565,10 @@ def real_eigvals(A) -> SpectralSet:
     products proving the spectrum real; anything else goes to the dense
     nonsymmetric solver, where imaginary parts above ``1e-7 * max |lambda|``
     raise ``ComplexSpectrumError``.  ``solver`` on the result names the
-    path that ran.
+    path that ran.  A :class:`SchurComplement` goes to :func:`schur_eigvals`.
     """
+    if isinstance(A, SchurComplement):
+        return schur_eigvals(A)
     if is_symmetric(A):
         return _sym_eigvals(A)
     if isinstance(A, BandedMatrix):

@@ -141,6 +141,7 @@ def test_weyl_nonsymmetric_case_reports_split_backing():
 HERMITIAN = "lambda distribution (Hermitian)"
 SIMILAR = "lambda distribution (similar to Hermitian)"
 SPLIT = "lambda distribution (Hermitian + vanishing-norm split)"
+PENCIL_SOLVERS = {"schur": "pencil_schur", "Ln": "pencil_band"}
 
 
 @pytest.mark.parametrize("spec, backing", [
@@ -150,8 +151,12 @@ SPLIT = "lambda distribution (Hermitian + vanishing-norm split)"
     ("schur", HERMITIAN), ("Ln", HERMITIAN),
 ])
 def test_backing_of_every_registry_case(spec, backing):
-    # the backing names the theory, so it does not move with the solver path
-    assert weyl_compare(get_case(spec, "xexp"), 40, quad_res=40).backing == backing
+    # the backing names the theory, so it does not move with the solver path;
+    # the two band pencils (the Schur complement is solved as one) are Hermitian
+    rep = weyl_compare(get_case(spec, "xexp"), 40, quad_res=40)
+    assert rep.backing == backing
+    if spec in PENCIL_SOLVERS:
+        assert rep.spectrum.solver == PENCIL_SOLVERS[spec]
 
 
 def test_weyl_sigma_mode_on_symmetric_case_matches_lambda():

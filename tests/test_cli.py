@@ -117,6 +117,23 @@ def test_compare_reports_the_band_pencil_solver(capsys):
     assert [r["solver"] for r in json.loads(out)["reports"]] == ["pencil_band"]
 
 
+def test_compare_reports_the_schur_pencil_solver(capsys):
+    # rho = -1 with a = 1: every eigenvalue of the Schur complement is negative
+    code, out, _ = run_cli(capsys, "compare", "--case", "schur:rho=-1", "--coeff", "one",
+                           "--n", "50", "--r", "100", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert (rep["solver"], rep["backing"]) == ("pencil_schur", "lambda distribution (Hermitian)")
+    assert "rearrangement_error" not in rep
+
+
+def test_symbol_singular_at_every_grid_point_is_usage_error(capsys):
+    # c = 0 zeroes the denominator c(x)(2+cos) of the pencil symbol everywhere
+    code, out, err = run_cli(capsys, "compare", "--case", "Ln:c=zero", "--n", "10", "--r", "20")
+    assert code == 2 and not out
+    assert err == "error: the symbol is singular at every grid point\n"
+
+
 def test_certify_pass_and_unknown_family(capsys):
     code, out, _ = run_cli(capsys, "certify", "--family", "thm2", "--n", "50,100")
     assert code == 0

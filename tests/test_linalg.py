@@ -1,5 +1,6 @@
 """Tests for the dense/banded linear algebra layer."""
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,10 @@ import gltkit.linalg as linalg
 from gltkit import (
     BandedMatrix,
     ComplexSpectrumError,
+    EigenConvergenceError,
+    SchurComplement,
     SpdError,
+    SpectralSet,
     SymmetryError,
     as_dense,
     generalized_sym_eigvals,
@@ -27,7 +31,13 @@ from gltkit import (
     toeplitz,
     LAPLACE_SYMBOL,
 )
-from gltkit.builders import arrow_sampling, uniform_grid
+from gltkit.builders import (
+    arrow_sampling,
+    fe_gradient_coupling,
+    fe_mass,
+    fe_stiffness,
+    uniform_grid,
+)
 from gltkit.certificates import run_all_certificates
 from gltkit.symbols import TrigPoly, coefficient_preset
 
@@ -539,6 +549,154 @@ def test_lapack_binding_checks_the_capsule_signature():
     swapped = (linalg._C_DOUBLE_P,) + linalg._DSBGV_ARGTYPES[1:]
     with pytest.raises(RuntimeError, match="dsbgv is declared as"):
         linalg._lapack("dsbgv", swapped)
+
+
+# ---------------------------------------------------------------------------
+# Schur complements C + B^T A^{-1} B as a 2n band pencil
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def table_coefficient(tmp_path_factory):
+    path = tmp_path_factory.mktemp("schur") / "a.csv"
+    path.write_text("x,value\n0,1\n0.3,2.5\n0.7,0.4\n1,1.5\n")
+    return f"csv:{path}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 400])
+@pytest.mark.parametrize("rho", [-1, 0, 1])
+@pytest.mark.parametrize("coeff", ["one", "xexp", "table"])
+def test_schur_eigvals_match_dense_eigvalsh(coeff, rho, n, table_coefficient):
+    S = get_case(f"schur:rho={rho}", table_coefficient if coeff == "table" else coeff).build(n)
+    ref = np.linalg.eigvalsh(as_dense(S))
+    got = linalg.schur_eigvals(S)
+    # at n = 1 the coupling H is zero, so S = rho M goes to the symmetric solver
+    assert got.solver == ("pencil_schur" if n > 1 else "sym_tridiagonal")
+    assert real_eigvals(S).solver == got.solver
+    assert np.max(np.abs(got.values - ref)) <= 1e-11 * np.max(np.abs(ref))
+    if (coeff, rho) == ("one", -1) and n > 1:
+        assert ref[-1] < 0  # the shift search brackets a negative lambda_max
+
+
+@pytest.mark.parametrize("coeff", ["one", "xexp"])
+@pytest.mark.parametrize("rho", [-1.0, 0.0, 0.5, 1.0])
+def test_schur_complement_densifies_to_the_dense_build_bit_for_bit(coeff, rho):
+    a = coefficient_preset(coeff)
+    for n in (1, 2, 7, 60):
+        # the schur build before the band pencil: rho M + H^T (K^{-1} H), all dense
+        K, H = fe_stiffness(a, n), fe_gradient_coupling(n)
+        ref = rho * as_dense(fe_mass(coefficient_preset("one"), n)) \
+            + H.T @ solve_spd_banded(K, as_dense(H))
+        S = get_case(f"schur:rho={rho}", coeff).build(n)
+        assert isinstance(S, SchurComplement)
+        assert np.array_equal(as_dense(S), ref)
+
+
+def test_schur_pencil_split_is_clean_and_checked(monkeypatch):
+    n = 60
+    S = get_case("schur", "xexp").build(n)
+    original = linalg.generalized_sym_eigvals
+    solves = []
+    monkeypatch.setattr(linalg, "generalized_sym_eigvals",
+                        lambda K, M: solves.append(original(K, M)) or solves[-1])
+    cholesky = mock.Mock(side_effect=linalg.spd_cholesky_banded)
+    monkeypatch.setattr(linalg, "spd_cholesky_banded", cholesky)
+    linalg.schur_eigvals(S)
+    assert len(solves) == 1 and cholesky.call_count <= 12
+    mu = solves[0].values
+    dropped, kept = mu[:n], mu[n:]
+    # n zeros, one per w row; the kept mu = 1/(tau - lambda) lie within a factor 2
+    assert np.max(np.abs(dropped)) <= 1e-14 * kept[0]
+    assert 0 < kept[0] and kept[-1] <= 2 * kept[0]
+    # a zero that is not a zero, and kept mu below 1/(tau - g), break the split
+    for broken in (lambda v: v + 1e-6 * v[-1], lambda v: 0.1 * v):
+        monkeypatch.setattr(linalg, "generalized_sym_eigvals",
+                            lambda K, M, f=broken: SpectralSet(f(original(K, M).values),
+                                                               "eigenvalues", "pencil_band"))
+        with pytest.raises(EigenConvergenceError, match="split failed"):
+            linalg.schur_eigvals(S)
+
+
+def test_schur_spectrum_allocates_no_n_by_n_array():
+    case, n = get_case("schur", "one"), 400
+    case.spectrum(8)  # binds the LAPACK routine outside the measurement
+    tracemalloc.start()
+    try:
+        ev = case.spectrum(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.solver == "pencil_schur"
+    assert peak < 8 * n * n / 4, peak
+
+
+def test_schur_complement_checks_its_operands():
+    n = 6
+    K = toeplitz(LAPLACE_SYMBOL, n)
+    H = BandedMatrix.from_diagonals(n, {1: np.ones(n - 1)})
+    with pytest.raises(SpdError):
+        SchurComplement(K.scaled(-1.0), H, K)
+    with pytest.raises(SymmetryError):
+        SchurComplement(K, H, H)
+    with pytest.raises(ValueError, match="size mismatch"):
+        SchurComplement(K, H, toeplitz(LAPLACE_SYMBOL, n + 1))
+    with pytest.raises(TypeError):
+        SchurComplement(K, H.toarray(), K)
+
+
+@st.composite
+def schur_operands(draw):
+    """A strictly diagonally dominant (so SPD) band A, any band B and a
+    symmetric band C of size 2..30 with independent bandwidths 0..3.  The
+    entries are multiples of 0.01: with entries near 1e-250, B^T A^{-1} B
+    underflows, and the shift search's smallest margin 2^-960 leaves an
+    absolute error of about eps 2^-959 against a spectrum of zero."""
+    n = draw(st.integers(2, 30))
+    entry = st.integers(-500, 500).map(lambda k: k / 100)
+
+    def band(lower, upper, diagonal=None):
+        diags = {} if diagonal is None else {0: diagonal}
+        for k in range(-lower, upper + 1):
+            if k not in diags:
+                diags[k] = np.array(draw(st.lists(entry, min_size=n - abs(k), max_size=n - abs(k))))
+        return BandedMatrix.from_diagonals(n, diags)
+
+    bw = st.integers(0, min(3, n - 1))
+    half = band(draw(bw), 0, np.zeros(n))
+    off = half + half.T
+    margin = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
+    A = off + BandedMatrix.diagonal(np.abs(off.toarray()).sum(axis=1) + margin)
+    B = band(draw(bw), draw(bw))
+    half = band(draw(bw), 0)
+    return A, B, BandedMatrix.from_diagonals(n, {k: v for k, v in half._diagonals()}
+                                            | {-k: v for k, v in half._diagonals()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(schur_operands())
+def test_schur_eigvals_of_random_bands_match_dense(operands):
+    S = SchurComplement(*operands)
+    ref = np.linalg.eigvalsh(as_dense(S))
+    got = linalg.schur_eigvals(S).values
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_operands())
+def test_interleaved_band_is_the_permuted_block_matrix(operands):
+    A, B, _, _ = operands
+    n = A.n
+    block = np.block([[A.toarray(), B.toarray()], [B.toarray().T, A.toarray().T]])
+    order = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()  # w1, v1, w2, v2, ...
+    assert np.array_equal(linalg._interleaved(A, B, A.T).toarray(), block[np.ix_(order, order)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_operands())
+def test_symmetry_defect_of_a_band_is_the_dense_defect(operands):
+    A = operands[0]  # unequal bandwidths, junk in the padding, n = 1 included
+    Ad = A.toarray()
+    assert linalg._symmetry_defect(A) == float(np.abs(Ad - Ad.T).max())
+    assert linalg._symmetry_defect(A + A.T) == 0.0
 
 
 # ---------------------------------------------------------------------------
