@@ -8,8 +8,12 @@ mass matrices.  Two derived families get genuinely rational symbols:
 * the generalized eigenproblem pencil (K(a), M(c)), whose normalized
   eigenvalues follow (a/c)(6 - 6cos)/(2 + cos).
 
-Pencil spectra are computed through the Cholesky reduction of M, never by
-forming M^{-1} K.
+The Ln case builds the operand Pencil(K, M), whose M is checked SPD when it
+is made; real_eigvals solves it in band storage with LAPACK dsbgv (split
+Cholesky of M, Crawford's band-preserving reduction), never forming
+M^{-1} K.  The Schur case builds a SchurComplement, which real_eigvals
+solves as a 2n band pencil without forming S.  Both are solved unscaled,
+and the case multiplies the eigenvalues by alpha_n once.
 """
 import numpy as np
 

@@ -105,6 +105,15 @@ def empirical_functional(spectrum, F) -> float:
     return float(np.mean(F(values)))
 
 
+def _quadrature_rule(kappa: SymbolExpr, rule="auto") -> str:
+    """``gauss`` or ``midpoint``; ``auto`` takes midpoint for quotient symbols."""
+    if rule not in ("auto", "gauss", "midpoint"):
+        raise ValueError(f"unknown quadrature rule {rule!r}; expected auto, gauss or midpoint")
+    if rule == "auto":
+        return "midpoint" if kappa.has_quotient else "gauss"
+    return rule
+
+
 def _quadrature_samples(kappa: SymbolExpr, rect, quad_res, rule, absolute=False):
     """Symbol samples (moduli with ``absolute``) at the kept points of the
     2-d quadrature grid.
@@ -115,16 +124,13 @@ def _quadrature_samples(kappa: SymbolExpr, rect, quad_res, rule, absolute=False)
     excluded and the measure renormalized accordingly.
     """
     (x0, x1), (t0, t1) = rect
+    centres = np.arange(quad_res) + 0.5
     if rule == "gauss":
         g = 1.0 / (2.0 * math.sqrt(3.0))  # 2-point Gauss offsets on a unit panel
-        px = (np.arange(quad_res) + 0.5) / quad_res
-        off = np.array([-g, g]) / quad_res
-        nodes = (px[:, None] + off[None, :]).ravel()
-        x = x0 + (x1 - x0) * nodes
-        th = t0 + (t1 - t0) * nodes
+        nodes = (centres[:, None] / quad_res + np.array([-g, g]) / quad_res).ravel()
+        x, th = x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes
     else:
-        x = x0 + (x1 - x0) * (np.arange(quad_res) + 0.5) / quad_res
-        th = t0 + (t1 - t0) * (np.arange(quad_res) + 0.5) / quad_res
+        x, th = x0 + (x1 - x0) * centres / quad_res, t0 + (t1 - t0) * centres / quad_res
     return grid_samples(kappa, (x, th), absolute)[0]
 
 
@@ -135,11 +141,10 @@ def symbol_functional(kappa: SymbolExpr, rect, F, quad_res=400, rule="auto",
     Singular points of quotient symbols are excluded with measure
     renormalization, matching the almost-everywhere definition of such
     symbols.  A complex-valued symbol needs ``absolute``; without it,
-    ComplexSymbolError is raised.
+    ComplexSymbolError is raised.  ``rule`` is ``gauss``, ``midpoint`` or
+    ``auto`` (see ``_quadrature_rule``); any other name raises ValueError.
     """
-    if rule == "auto":
-        rule = "midpoint" if kappa.has_quotient else "gauss"
-    flat = _quadrature_samples(kappa, rect, quad_res, rule, absolute)
+    flat = _quadrature_samples(kappa, rect, quad_res, _quadrature_rule(kappa, rule), absolute)
     return float(np.mean(F(flat)))
 
 
@@ -249,7 +254,7 @@ def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400,
     if mode not in ("lambda", "sigma"):
         raise ValueError("mode must be 'lambda' or 'sigma'")
     kappa = case.predicted_symbol
-    rule = "midpoint" if kappa.has_quotient else "gauss"
+    rule = _quadrature_rule(kappa)
     absolute = mode == "sigma"
     full = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule, absolute)
     coarse = None

@@ -4,16 +4,15 @@ symbols and normalizations.
 Each family is packaged as a :class:`DiscretizationCase` carrying the matrix
 constructor ``build(n)``, the normalization ``alpha(n)`` applied before any
 spectral comparison, and the predicted symbol on [0,1] x [-pi,pi].  No case
-declares how its spectrum is computed: ``DiscretizationCase.spectrum`` hands
-the normalized matrix to :func:`gltkit.linalg.real_eigvals`, which picks the
-eigensolver from the matrix itself (symmetric band, diagonal similarity to
-a symmetric band, or the dense nonsymmetric solver with a reality check);
-a case whose ``build(n)`` returns the pair ``(K, M)`` is a pencil and goes
-to the band pencil solver ``dsbgv`` (``pencil_band``), and one that returns
-a :class:`~gltkit.linalg.SchurComplement` goes to ``schur_eigvals``, a 2n
-band pencil solved by the same driver (``pencil_schur``); both are solved
-unscaled and multiplied by alpha_n afterwards.  The ``solver`` field of the
-returned :class:`SpectralSet` names the path that ran.  Exact constructions:
+declares how its spectrum is computed: ``build(n)`` returns a matrix, a
+:class:`~gltkit.linalg.Pencil` (K, M) or a
+:class:`~gltkit.linalg.SchurComplement`, and ``DiscretizationCase.spectrum``
+solves it unscaled with :func:`gltkit.linalg.real_eigvals`, which picks the
+eigensolver from the operand itself (symmetric band, diagonal similarity to
+a symmetric band, the dense nonsymmetric solver with a reality check, the
+band pencil solver ``dsbgv`` or the 2n Schur pencil), then multiplies the
+eigenvalues by alpha_n once.  The returned :class:`SpectralSet` names the
+path that ran.  Exact constructions:
 
 * FD diffusion in divergence form on the uniform grid x_j = j h, h = 1/(n+1):
   tridiagonal with row j equal to (-a_{j-1/2}, a_{j-1/2} + a_{j+1/2}, -a_{j+1/2}).
@@ -32,7 +31,7 @@ returned :class:`SpectralSet` names the path that ran.  Exact constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,16 +39,14 @@ from .linalg import (
     _sym_eigvals,
     BandedMatrix,
     ComplexSpectrumError,
+    Pencil,
     SchurComplement,
     SpectralSet,
     as_dense,
-    generalized_sym_eigvals,
     is_symmetric,
     nonsym_eigvals,
     real_eigvals,
-    schur_eigvals,
     singular_values,
-    spd_cholesky_banded,
     sym_eigvals,  # noqa: F401 - perfbench's tracer wraps builders.sym_eigvals by name
 )
 from .symbols import (
@@ -195,18 +192,13 @@ def _hadamard_with_toeplitz(a_vals: np.ndarray, f: TrigPoly) -> BandedMatrix:
 # the case container
 # ----------------------------------------------------------------------------
 
-#: what ``build(n)`` returns for a case solved by a band pencil: the pair
-#: ``(K, M)``, or a SchurComplement
-_PENCILS = (tuple, SchurComplement)
-
-
 @dataclass(frozen=True)
 class DiscretizationCase:
     """One matrix family with its predicted symbol and normalization.
 
-    ``build(n)`` returns the matrix A_n, the pair ``(K, M)`` for the
-    generalized eigenproblem K x = lambda M x, or a SchurComplement;
-    ``alpha(n)`` defaults to 1.
+    ``build(n)`` returns the matrix A_n, a Pencil (K, M) or a
+    SchurComplement; each spectrum method solves it unscaled through one
+    linalg routine and multiplies by ``alpha(n)`` (default 1) afterwards.
     """
 
     name: str
@@ -220,55 +212,37 @@ class DiscretizationCase:
     companions: dict = field(default_factory=dict, repr=False)
 
     def normalized_dense(self, n):
-        A = self.build(n)
-        if isinstance(A, tuple):
-            raise ValueError(f"case {self.name} is a matrix pencil; use spectrum()")
-        return self.alpha(n) * as_dense(A)
+        return self.alpha(n) * as_dense(self.build(n))
 
-    def _scaled(self, A, n):
-        a_n = self.alpha(n)
-        return A.scaled(a_n) if isinstance(A, BandedMatrix) else a_n * as_dense(A)
-
-    def _pencil_spectrum(self, A, n) -> SpectralSet:
-        """The spectrum of a pencil ``(K, M)`` or a SchurComplement, solved
-        unscaled and multiplied by alpha_n afterwards."""
-        ev = generalized_sym_eigvals(*A) if isinstance(A, tuple) else schur_eigvals(A)
-        return SpectralSet(np.sort(ev.values * self.alpha(n)), "eigenvalues", ev.solver)
+    def _normalized(self, s: SpectralSet, n) -> SpectralSet:
+        return replace(s, values=np.sort(self.alpha(n) * s.values))
 
     def spectrum(self, n) -> SpectralSet:
         """Real eigenvalues of alpha_n A_n through the solver that
-        ``real_eigvals`` picks from the matrix; complex spectra raise
+        ``real_eigvals`` picks from ``build(n)``; complex spectra raise
         ComplexSpectrumError."""
-        A = self.build(n)
-        if isinstance(A, _PENCILS):
-            return self._pencil_spectrum(A, n)
         try:
-            return real_eigvals(self._scaled(A, n))
+            return self._normalized(real_eigvals(self.build(n)), n)
         except ComplexSpectrumError as exc:
             raise ComplexSpectrumError(f"case {self.name} at n={n}: {exc}") from None
 
     def complex_spectrum(self, n) -> np.ndarray:
         """All eigenvalues of alpha_n A_n from the dense nonsymmetric solver,
-        with no structure assumed and no reality check (a pencil returns its
-        real spectrum, and so does a Schur complement)."""
-        A = self.build(n)
-        if isinstance(A, _PENCILS):
-            return self._pencil_spectrum(A, n).values.astype(complex)
-        return nonsym_eigvals(self._scaled(A, n))
+        with no structure assumed and no reality check (a Pencil has no dense
+        form and raises ValueError)."""
+        return self.alpha(n) * nonsym_eigvals(self.build(n))
 
     def singular_spectrum(self, n) -> SpectralSet:
-        """Singular values of alpha_n A_n: eigenvalue magnitudes when the
-        matrix is symmetric (and for a pencil or a Schur complement), the
-        dense SVD otherwise."""
+        """Singular values of alpha_n A_n: eigenvalue magnitudes for a symmetric
+        matrix, a Pencil or a SchurComplement, the dense SVD otherwise."""
         A = self.build(n)
-        if isinstance(A, _PENCILS):
-            ev = self._pencil_spectrum(A, n)
-        else:
-            A = self._scaled(A, n)
-            if not is_symmetric(A):
-                return singular_values(A)
+        if isinstance(A, (Pencil, SchurComplement)):
+            ev = real_eigvals(A)
+        elif is_symmetric(A):
             ev = _sym_eigvals(A)
-        return SpectralSet(np.sort(np.abs(ev.values)), "singular_values", ev.solver)
+        else:
+            return self._normalized(singular_values(A), n)
+        return SpectralSet(np.sort(np.abs(self.alpha(n) * ev.values)), "singular_values", ev.solver)
 
 
 # ----------------------------------------------------------------------------
@@ -513,7 +487,8 @@ def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
 # ----------------------------------------------------------------------------
 
 def _element_quadrature(n, quad_order, singular_points=()):
-    """Gauss-Legendre nodes/weights per element [x_{e-1}, x_e], e = 1..n+1."""
+    """Gauss-Legendre nodes/weights per element [x_{e-1}, x_e], e = 1..n+1
+    (nudged off singular points), the rising hat (x - x_{e-1})/h there, and h."""
     if quad_order < 1:
         raise ValueError("quadrature order must be >= 1")
     h = 1.0 / (n + 1)
@@ -525,7 +500,7 @@ def _element_quadrature(n, quad_order, singular_points=()):
         hit = np.abs(nodes - s) < 1e-12
         if np.any(hit):
             nodes = np.where(hit, nodes + 1e-9 * h, nodes)
-    return nodes, weights, h
+    return nodes, weights, (nodes - left) / h, h
 
 
 def fe_stiffness(g: Coefficient, n, quad_order=5) -> BandedMatrix:
@@ -535,7 +510,7 @@ def fe_stiffness(g: Coefficient, n, quad_order=5) -> BandedMatrix:
     +-1/h, so the composite rule is exact for polynomial g of degree up to
     2 quad_order - 1.
     """
-    nodes, weights, _ = _element_quadrature(n, quad_order, g.singular_points)
+    nodes, weights, _, _ = _element_quadrature(n, quad_order, g.singular_points)
     I = np.sum(weights * np.asarray(g(nodes), dtype=float), axis=1)  # integral of g per element
     return _stiffness_from_element_integrals(I)
 
@@ -550,11 +525,9 @@ def _stiffness_from_element_integrals(I) -> BandedMatrix:
 
 def fe_mass(g: Coefficient, n, quad_order=5) -> BandedMatrix:
     """M_n(g): tridiagonal hat-function mass matrix for coefficient g."""
-    nodes, weights, h = _element_quadrature(n, quad_order, g.singular_points)
+    nodes, weights, asc, _ = _element_quadrature(n, quad_order, g.singular_points)
     gv = np.asarray(g(nodes), dtype=float)
-    left = np.arange(n + 1)[:, None] * h
-    asc = (nodes - left) / h       # rising hat on the element
-    desc = 1.0 - asc               # falling hat
+    desc = 1.0 - asc
     s_aa = np.sum(weights * gv * asc * asc, axis=1)
     s_dd = np.sum(weights * gv * desc * desc, axis=1)
     s_ad = np.sum(weights * gv * asc * desc, axis=1)
@@ -565,10 +538,8 @@ def fe_mass(g: Coefficient, n, quad_order=5) -> BandedMatrix:
 
 def fe_convection(b: Coefficient, n, quad_order=5) -> BandedMatrix:
     """Matrix of integrals of b phi_j' phi_i (skew part of the FE system)."""
-    nodes, weights, h = _element_quadrature(n, quad_order, b.singular_points)
+    nodes, weights, asc, h = _element_quadrature(n, quad_order, b.singular_points)
     bv = np.asarray(b(nodes), dtype=float)
-    left = np.arange(n + 1)[:, None] * h
-    asc = (nodes - left) / h
     desc = 1.0 - asc
     s_a = np.sum(weights * bv * asc, axis=1) / h    # integral of b * rising / h
     s_d = np.sum(weights * bv * desc, axis=1) / h
@@ -641,10 +612,8 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
 
 def fe_eigproblem(a: Coefficient, c: Coefficient, quad_order=5) -> DiscretizationCase:
     def build(n):
-        K = fe_stiffness(a, n, quad_order)
-        M = fe_mass(c, n, quad_order)
-        spd_cholesky_banded(M)  # c > 0 a.e. makes the mass matrix SPD
-        return K, M
+        # the constructor's banded Cholesky raises SpdError unless M is SPD (c > 0 a.e.)
+        return Pencil(fe_stiffness(a, n, quad_order), fe_mass(c, n, quad_order))
 
     symbol = divide(
         multiply(a, TrigPoly.from_cosines([6.0, -6.0])),

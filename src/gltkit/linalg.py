@@ -8,9 +8,11 @@ symmetric-definite band pencils through LAPACK ``dsbgv`` (split Cholesky
 and ``dsterf``, O(n^2) for a fixed bandwidth), Schur complements
 ``C + B^T A^{-1} B`` of bands as a 2n band pencil (:func:`schur_eigvals`,
 never forming the dense complement), and SPD banded systems through
-banded Cholesky.  :func:`real_eigvals` picks the eigensolver from
-the matrix itself: bands that are diagonally similar to a symmetric band
-are solved as one, and only the rest reach the dense nonsymmetric solver.  Everything works on 64-bit floats; iteration
+banded Cholesky.  :func:`real_eigvals` alone maps an operand to its
+eigensolver: a :class:`Pencil` to ``dsbgv``, a :class:`SchurComplement` to
+:func:`schur_eigvals`, and a matrix by its structure (a band diagonally
+similar to a symmetric band is solved as one; the dense nonsymmetric solver
+is the last resort).  Everything works on 64-bit floats; iteration
 failures inside LAPACK surface as ``EigenConvergenceError``, never
 silently.  :class:`BandedMatrix` alone knows the band layout; its algebra
 (``+``, ``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
@@ -27,7 +29,7 @@ import scipy.linalg as sla
 
 
 class SymmetryError(ValueError):
-    """Input matrix is not symmetric to the requested tolerance."""
+    """Input matrix is not symmetric: max |A - A^T| > 1e-12 * max |A|."""
 
 
 class SpdError(ValueError):
@@ -203,6 +205,14 @@ class BandedMatrix:
         return Y
 
 
+def _require_bands(*operands):
+    """TypeError unless every operand is a BandedMatrix, ValueError unless all have one n."""
+    if not all(isinstance(X, BandedMatrix) for X in operands):
+        raise TypeError("expected BandedMatrix operands")
+    if len({X.n for X in operands}) > 1:
+        raise ValueError(f"size mismatch: {' vs '.join(str(X.n) for X in operands)}")
+
+
 @dataclass(frozen=True)
 class SchurComplement:
     """``S = C + B^T A^{-1} B`` held as its three bands and never formed:
@@ -215,10 +225,7 @@ class SchurComplement:
     C: BandedMatrix
 
     def __post_init__(self):
-        if not all(isinstance(X, BandedMatrix) for X in (self.A, self.B, self.C)):
-            raise TypeError("SchurComplement expects three BandedMatrix operands")
-        if not self.A.n == self.B.n == self.C.n:
-            raise ValueError(f"size mismatch: {self.A.n}, {self.B.n}, {self.C.n}")
+        _require_bands(self.A, self.B, self.C)
         spd_cholesky_banded(self.A)
         require_symmetric(self.C)
 
@@ -226,8 +233,24 @@ class SchurComplement:
         return as_dense(self.C) + self.B.T @ solve_spd_banded(self.A, as_dense(self.B))
 
 
+@dataclass(frozen=True)
+class Pencil:
+    """The band pencil ``K x = lambda M x`` of two n x n bands, ``M`` SPD
+    (checked here by banded Cholesky, ``SpdError``); it has no dense form.
+    :func:`real_eigvals` solves it with :func:`generalized_sym_eigvals`."""
+
+    K: BandedMatrix
+    M: BandedMatrix
+
+    def __post_init__(self):
+        _require_bands(self.K, self.M)
+        spd_cholesky_banded(self.M)
+
+
 def as_dense(A):
     """Dense ndarray view of a BandedMatrix, SchurComplement or array-like."""
+    if isinstance(A, Pencil):
+        raise ValueError("a pencil (K, M) has no dense form; solve it with real_eigvals")
     if isinstance(A, (BandedMatrix, SchurComplement)):
         return A.toarray()
     A = np.asarray(A)
@@ -263,12 +286,10 @@ def is_symmetric(A, tol=1e-12):
     return _symmetry_defect(A) <= tol * max(_max_abs(A), np.finfo(float).tiny)
 
 
-def require_symmetric(A, tol=1e-12):
-    if not is_symmetric(A, tol):
-        raise SymmetryError(
-            f"matrix is not symmetric: max |A - A^T| = {_symmetry_defect(A):.3e} "
-            f"> {tol:g} * {_max_abs(A):.3e}"
-        )
+def require_symmetric(A):
+    if not is_symmetric(A):
+        raise SymmetryError(f"matrix is not symmetric: max |A - A^T| = "
+                            f"{_symmetry_defect(A):.3e} > 1e-12 * {_max_abs(A):.3e}")
 
 
 @dataclass(frozen=True)
@@ -303,14 +324,14 @@ class SpectralSet:
 # spectra
 # ----------------------------------------------------------------------------
 
-def sym_eigvals(A, sym_tol=1e-12) -> SpectralSet:
+def sym_eigvals(A) -> SpectralSet:
     """Eigenvalues of a symmetric matrix, sorted ascending.
 
     Dispatches to the LAPACK tridiagonal QL/QR path for tridiagonal band
     storage, the banded driver for wider bands, and the dense symmetric
     driver otherwise.
     """
-    require_symmetric(A, sym_tol)
+    require_symmetric(A)
     return _sym_eigvals(A)
 
 
@@ -337,9 +358,9 @@ def _sym_eigvals(A) -> SpectralSet:
     return SpectralSet(np.sort(vals), "eigenvalues", solver)
 
 
-def sym_eigpairs(A, sym_tol=1e-12):
+def sym_eigpairs(A):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    require_symmetric(A, sym_tol)
+    require_symmetric(A)
     vals, vecs = np.linalg.eigh(as_dense(A))
     return vals, vecs
 
@@ -353,7 +374,7 @@ _DSBGV_ARGTYPES = ((ctypes.c_char_p,) * 2 + (_C_INT_P,) * 3
                       _C_DOUBLE_P, _C_INT_P, _C_DOUBLE_P, _C_INT_P))
 
 
-def generalized_sym_eigvals(K, M, sym_tol=1e-12) -> SpectralSet:
+def generalized_sym_eigvals(K, M) -> SpectralSet:
     """Eigenvalues of the symmetric-definite band pencil (K, M), sorted
     ascending, in O(n^2) for a fixed bandwidth.
 
@@ -366,12 +387,9 @@ def generalized_sym_eigvals(K, M, sym_tol=1e-12) -> SpectralSet:
     since the driver needs M's band no wider than K's.  A mass matrix that
     is not positive definite raises ``SpdError``.
     """
-    if not (isinstance(K, BandedMatrix) and isinstance(M, BandedMatrix)):
-        raise TypeError("generalized_sym_eigvals expects two BandedMatrix operands")
-    if K.n != M.n:
-        raise ValueError(f"size mismatch: {K.n} vs {M.n}")
-    require_symmetric(K, sym_tol)
-    require_symmetric(M, sym_tol)
+    _require_bands(K, M)
+    require_symmetric(K)
+    require_symmetric(M)
     n, kb = K.n, M.upper_bw
     ka = max(K.upper_bw, kb)
     ab = np.zeros((ka + 1, n), order="F")  # LAPACK's AB(LDAB, N), column-major
@@ -565,8 +583,11 @@ def real_eigvals(A) -> SpectralSet:
     products proving the spectrum real; anything else goes to the dense
     nonsymmetric solver, where imaginary parts above ``1e-7 * max |lambda|``
     raise ``ComplexSpectrumError``.  ``solver`` on the result names the
-    path that ran.  A :class:`SchurComplement` goes to :func:`schur_eigvals`.
+    path that ran.  A :class:`Pencil` goes to :func:`generalized_sym_eigvals`
+    and a :class:`SchurComplement` to :func:`schur_eigvals`.
     """
+    if isinstance(A, Pencil):
+        return generalized_sym_eigvals(A.K, A.M)
     if isinstance(A, SchurComplement):
         return schur_eigvals(A)
     if is_symmetric(A):
@@ -647,8 +668,7 @@ def _upper_band(A: BandedMatrix):
 
 def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:
     """Solve ``A X = B`` for SPD banded ``A`` via banded Cholesky."""
-    if not isinstance(A, BandedMatrix):
-        raise TypeError("solve_spd_banded expects a BandedMatrix")
+    _require_bands(A)
     require_symmetric(A)
     B = np.asarray(B, dtype=float)
     squeeze = B.ndim == 1

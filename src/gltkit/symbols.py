@@ -143,6 +143,10 @@ class Coefficient:
         values = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
             raise ValueError("need matching 1-d x/value columns with >= 2 rows")
+        bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(values)))
+        if bad.size:
+            raise ValueError(f"row {bad[0] + 1} of the x/value table is not finite: "
+                             f"x = {xs[bad[0]]}, value = {values[bad[0]]}")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("x column must be strictly ascending")
         if xs[0] < 0 or xs[-1] > 1:

@@ -67,6 +67,16 @@ def test_symbol_functional_first_and_second_moment():
     assert symbol_functional(kappa, RECT, WIDE2) == pytest.approx(6.0, abs=1e-7)
 
 
+def test_symbol_functional_rules_and_unknown_rule():
+    kappa = multiply(coefficient_preset("x"), LAPLACE_SYMBOL)  # x^2 separates the two rules
+    auto = symbol_functional(kappa, RECT, WIDE2)
+    assert auto == symbol_functional(kappa, RECT, WIDE2, rule="gauss")
+    assert auto != symbol_functional(kappa, RECT, WIDE2, rule="midpoint")
+    for bad in ("gaus", "Gauss", ""):
+        with pytest.raises(ValueError, match="unknown quadrature rule"):
+            symbol_functional(kappa, RECT, WIDE2, rule=bad)
+
+
 def test_symbol_functional_separable_product():
     kappa = multiply(coefficient_preset("x"), LAPLACE_SYMBOL)
     assert symbol_functional(kappa, RECT, WIDE) == pytest.approx(1.0, abs=1e-8)

@@ -598,6 +598,49 @@ def test_negative_products_fall_back_to_dense_and_raise(monkeypatch):
     assert len(dense_calls) == 1
 
 
+#: (solver of spectrum, solver of singular_spectrum) per registry case with a = x e^-x
+_SOLVERS = {
+    "fd_t1": ("sym_tridiagonal", "sym_tridiagonal"),
+    "fd_t2": ("similarity_tridiagonal", "svd_dense"),
+    "fd_t3": ("similarity_tridiagonal", "svd_dense"),
+    "fd_t4": ("similarity_tridiagonal", "svd_dense"),
+    "fd_t5": ("nonsym_dense", "svd_dense"),
+    "fd_t6": ("similarity_band", "svd_dense"),
+    "fd_t7": ("sym_tridiagonal", "sym_tridiagonal"),
+    "fe_t1": ("sym_tridiagonal", "sym_tridiagonal"),
+    "fe_mass": ("sym_tridiagonal", "sym_tridiagonal"),
+    "schur": ("pencil_schur", "pencil_schur"),
+    "Ln": ("pencil_band", "pencil_band"),
+}
+#: where a = 1 changes the path: fd_t6's row scaling is then the identity
+_SOLVERS_ONE = {**_SOLVERS, "fd_t6": ("sym_band", "sym_band")}
+
+
+@pytest.mark.parametrize("coeff, table", [("xexp", _SOLVERS), ("one", _SOLVERS_ONE)])
+@pytest.mark.parametrize("name", case_names())
+def test_every_case_pins_its_solvers(name, coeff, table):
+    case = get_case(name, coeff)
+    assert (case.spectrum(8).solver, case.singular_spectrum(8).solver) == table[name]
+
+
+@pytest.mark.parametrize("spec", ["fd_t7", "fe_t1", "fe_mass"])
+def test_alpha_after_the_solve_matches_the_normalized_matrix(spec):
+    case = get_case(spec, "xexp")
+    n = 60
+    assert case.alpha(n) != 1.0
+    ref = np.linalg.eigvalsh(case.normalized_dense(n))
+    got = case.spectrum(n).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_pencil_case_has_no_dense_form():
+    case = get_case("Ln", "xexp")
+    with pytest.raises(ValueError, match="no dense form"):
+        case.normalized_dense(5)
+    with pytest.raises(ValueError, match="no dense form"):
+        case.complex_spectrum(5)
+
+
 @pytest.mark.parametrize("spec", ["fd_t1", "fd_t2", "fd_t4:b=zero,c=zero", "fd_t6", "schur"])
 def test_singular_spectrum_matches_dense_svd(spec):
     case = get_case(spec, "xexp")

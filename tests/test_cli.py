@@ -254,6 +254,15 @@ def test_certify_names_the_scheme_and_its_minimum_n(capsys, family, scheme):
     assert err == f"error: {scheme} needs n >= 2, got n = 1\n"
 
 
+def test_non_numeric_csv_cell_exits_2_naming_the_row(capsys, tmp_path):
+    table = tmp_path / "bad.csv"
+    table.write_text("x,value\n0,1\n0.5,abc\n1,2\n")
+    code, out, err = run_cli(capsys, "compare", "--case", "fd_t1", "--coeff", f"csv:{table}",
+                             "--n", "10", "--r", "50")
+    assert code == 2 and not out
+    assert err == "error: row 2 of the x/value table is not finite: x = 0.5, value = nan\n"
+
+
 def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_path):
     # a vanishes at x = 1/2, a lattice abscissa for even r, so the Schur
     # symbol's denominator a(x)(2 - 2cos) trips the division guard on that row

@@ -393,6 +393,20 @@ def test_table_coefficient_rejects_bad_header(tmp_path):
         Coefficient.from_csv(path)
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ("0,1\n0.5,abc\n1,2\n", "row 2 of the x/value table is not finite: x = 0.5, value = nan"),
+    ("0,1\nabc,1.5\n1,2\n", "row 2 of the x/value table is not finite: x = nan, value = 1.5"),
+])
+def test_table_coefficient_rejects_non_finite_cells(tmp_path, rows, bad):
+    # genfromtxt reads a non-numeric cell as NaN; the table names the row
+    path = tmp_path / "bad.csv"
+    path.write_text("x,value\n" + rows)
+    with pytest.raises(ValueError, match=bad):
+        Coefficient.from_csv(path)
+    with pytest.raises(ValueError, match="row 3 of the x/value table is not finite"):
+        Coefficient.from_table([0.0, 0.5, np.inf], [1.0, 2.0, 3.0])
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(KeyError):
         coefficient_preset("mystery")
