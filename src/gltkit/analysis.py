@@ -239,13 +239,24 @@ class SymbolSamples:
     """Symbol values on the Weyl quadrature grid (``full``) and on its
     coarse half (``coarse``, None without the refinement check), as
     magnitudes in sigma mode.  They depend on the case, ``mode`` and
-    ``quad_res`` but not on n, so one set serves every n of a case."""
+    ``quad_res`` but not on n, so one set serves every n of a case, and so
+    does its :meth:`symbol_side` of each test function."""
 
     mode: str
     quad_rule: str
     quad_res: int
     full: np.ndarray = field(repr=False)
     coarse: np.ndarray | None = field(default=None, repr=False)
+    _symbol_sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def symbol_side(self, F):
+        """``(mean F(full), |mean F(full) - mean F(coarse)|)``, the second None
+        without ``coarse``; computed on the first call for each F."""
+        if F not in self._symbol_sides:
+            sym = float(np.mean(F(self.full)))
+            d = None if self.coarse is None else abs(sym - float(np.mean(F(self.coarse))))
+            self._symbol_sides[F] = (sym, d)
+        return self._symbol_sides[F]
 
 
 def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400,
@@ -281,20 +292,17 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
             f"symbol samples were taken for mode={samples.mode}, quad_res={samples.quad_res}, "
             f"refine_check={samples.coarse is not None}; this comparison asks for "
             f"mode={mode}, quad_res={quad_res}, refine_check={refine_check}")
-    full, coarse = samples.full, samples.coarse
     if F_suite is None:
-        F_suite = default_suite(inflate(float(full.min()), float(full.max())))
+        F_suite = default_suite(inflate(float(samples.full.min()), float(samples.full.max())))
 
     spectrum = case.singular_spectrum(n) if mode == "sigma" else case.spectrum(n)
 
     gaps = []
     refinement = None
     for F in F_suite:
-        emp = empirical_functional(spectrum, F)
-        sym = float(np.mean(F(full)))
-        gaps.append(FunctionalGap(F.label, emp, sym))
-        if coarse is not None:
-            d = abs(sym - float(np.mean(F(coarse))))
+        sym, d = samples.symbol_side(F)
+        gaps.append(FunctionalGap(F.label, empirical_functional(spectrum, F), sym))
+        if d is not None:
             refinement = d if refinement is None else max(refinement, d)
 
     return DistributionReport(

@@ -16,16 +16,37 @@ is the last resort).  Everything works on 64-bit floats; iteration
 failures inside LAPACK surface as ``EigenConvergenceError``, never
 silently.  :class:`BandedMatrix` alone knows the band layout; its algebra
 (``+``, ``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
-"""
 
+The band and tridiagonal routines are LAPACK's own, called through the C
+function capsules of scipy's ``cython_lapack`` extension: ``dstevd`` and
+``dsbevd`` (symmetric tridiagonal and band spectra, values only),
+``dsbevx`` (the largest eigenvalue of ``A^T A`` for the spectral norm of a
+nonsymmetric band), ``dsbgv`` (band pencils), ``dptsv`` and ``dpbsv`` (SPD
+tridiagonal and band solves) and ``dpbtrf`` (banded Cholesky).  Each takes
+the driver and arguments of the ``scipy.linalg`` wrapper it replaces, so
+the results are the same bytes.  The extension file is loaded by path when
+this module is imported, so ``scipy/linalg/__init__.py`` never runs; a
+module already in ``sys.modules`` is reused, and without the file the
+module comes from ``from scipy.linalg import cython_lapack``.
+:data:`LAPACK_SOURCE` says which: the loaded file, or ``"scipy.linalg
+import"``.  Each routine is bound on its first call, after its capsule's
+declared C signature is checked against the binding.  Every LAPACK
+``info`` goes through one map: a failed Cholesky pivot raises ``SpdError``,
+a failed iteration ``EigenConvergenceError`` and an illegal argument
+``ValueError``.  numpy keeps the dense paths (``eigvalsh``, ``eigh``,
+``eigvals``, ``svd``).
+"""
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 
 class SymmetryError(ValueError):
@@ -42,6 +63,145 @@ class EigenConvergenceError(RuntimeError):
 
 class ComplexSpectrumError(ValueError):
     """Eigenvalues have genuine imaginary parts; use singular-value mode."""
+
+
+# ----------------------------------------------------------------------------
+# LAPACK through the C function capsules of scipy's cython_lapack
+# ----------------------------------------------------------------------------
+
+_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
+
+
+def _cython_lapack_path():
+    """scipy's ``linalg/cython_lapack`` extension file, or None if it is not there."""
+    import scipy
+
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "cython_lapack")
+    return next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)), None)
+
+
+def _load_cython_lapack():
+    """``(module, source)`` for scipy's ``cython_lapack`` extension.
+
+    A module already in ``sys.modules`` is reused.  Otherwise the extension
+    file is loaded by path under its own name, so ``scipy/linalg/__init__.py``
+    (most of the cost of ``import scipy.linalg``) never runs, and a later
+    ``import scipy.linalg`` finds this module object.  Without the file the
+    module comes from ``from scipy.linalg import cython_lapack``, and the
+    source is ``"scipy.linalg import"``.
+    """
+    module = sys.modules.get(_CYTHON_LAPACK)
+    if module is None:
+        path = _cython_lapack_path()
+        if path is None:
+            from scipy.linalg import cython_lapack
+            return cython_lapack, "scipy.linalg import"
+        loader = importlib.machinery.ExtensionFileLoader(_CYTHON_LAPACK, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(_CYTHON_LAPACK, path, loader=loader))
+        sys.modules[_CYTHON_LAPACK] = module
+        try:
+            loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_CYTHON_LAPACK]
+            raise
+    return module, module.__file__
+
+
+_cython_lapack, LAPACK_SOURCE = _load_cython_lapack()
+
+_C_TYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+            "d": ctypes.POINTER(ctypes.c_double)}
+_C_NAMES = {_C_TYPES["c"]: "char *", _C_TYPES["i"]: "int *", _C_TYPES["d"]: "d *"}
+_SCALAR_TYPES = {"i": (ctypes.c_int, np.intc), "d": (ctypes.c_double, np.float64)}
+#: the Fortran argument list of every routine bound here, each argument with
+#: its C type: c is ``char *``, i ``int *`` and d ``double *``
+_SIGNATURES = {name: tuple(tuple(arg.split(":")) for arg in spec.split()) for name, spec in {
+    "dstevd": "jobz:c n:i d:d e:d z:d ldz:i work:d lwork:i iwork:i liwork:i info:i",
+    "dsbevd": "jobz:c uplo:c n:i kd:i ab:d ldab:i w:d z:d ldz:i work:d lwork:i "
+              "iwork:i liwork:i info:i",
+    "dsbevx": "jobz:c range:c uplo:c n:i kd:i ab:d ldab:i q:d ldq:i vl:d vu:d il:i iu:i "
+              "abstol:d m:i w:d z:d ldz:i work:d iwork:i ifail:i info:i",
+    "dsbgv": "jobz:c uplo:c n:i ka:i kb:i ab:d ldab:i bb:d ldbb:i w:d z:d ldz:i work:d info:i",
+    "dptsv": "n:i nrhs:i d:d e:d b:d ldb:i info:i",
+    "dpbsv": "uplo:c n:i kd:i nrhs:i ab:d ldab:i b:d ldb:i info:i",
+    "dpbtrf": "uplo:c n:i kd:i ab:d ldab:i info:i",
+}.items()}
+_ARGTYPES = {name: tuple(_C_TYPES[t] for _, t in sig) for name, sig in _SIGNATURES.items()}
+
+
+@functools.cache
+def _lapack(name, argtypes):
+    """The LAPACK routine ``name`` from its C function capsule in
+    ``scipy.linalg.cython_lapack``, as a ctypes function with ``argtypes``;
+    resolved on the first call and cached.
+
+    The capsule is named by its C signature, e.g. ``void (char *, int *,
+    __pyx_t_..._cython_lapack_d *)``; unless it declares a ``void`` return
+    and exactly ``argtypes``, a ``RuntimeError`` is raised rather than a
+    call made through a mismatched prototype.
+    """
+    capsule = _cython_lapack.__pyx_capi__[name]
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    ret, _, args = signature.decode().partition(" (")
+    declared = [a.rsplit("cython_lapack_", 1)[-1] for a in args.rstrip(")").split(", ")]
+    expected = [_C_NAMES[t] for t in argtypes]
+    if ret != "void" or declared != expected:
+        raise RuntimeError(f"scipy.linalg.cython_lapack.{name} is declared as "
+                           f"{ret} ({', '.join(declared)}); gltkit binds it as "
+                           f"void ({', '.join(expected)})")
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer)
+
+
+def _pointer(value, kind):
+    """A ``char *``, ``int *`` or ``double *`` argument: a str, or a scalar
+    passed by reference, or a writable array of the matching dtype in
+    Fortran order, which LAPACK may write (an empty one is passed as NULL)."""
+    if kind == "c":
+        return value.encode()
+    ctype, dtype = _SCALAR_TYPES[kind]
+    if not isinstance(value, np.ndarray):
+        return ctypes.byref(ctype(value))
+    if value.dtype != dtype or not value.flags.f_contiguous:
+        raise TypeError(f"LAPACK needs a Fortran-ordered {np.dtype(dtype)} array, "
+                        f"got {value.dtype} with flags {value.flags}")
+    # the transpose is C-ordered, as from_buffer needs, and from_buffer
+    # refuses a read-only array
+    return ctypes.byref(ctype.from_buffer(value.T)) if value.size else None
+
+
+def _call(name, **args):
+    """Run LAPACK ``name`` on its arguments, given by their Fortran names
+    (``info`` excepted); arrays are updated in place and ``info`` goes
+    through :func:`_check_info`."""
+    info = ctypes.c_int()
+    _lapack(name, _ARGTYPES[name])(*[ctypes.byref(info) if arg == "info" else
+                                     _pointer(args[arg], kind)
+                                     for arg, kind in _SIGNATURES[name]])
+    _check_info(name, info.value, args["n"])
+
+
+def _check_info(name, info, n):
+    """Map the ``info`` of LAPACK ``name`` on an order-n problem to an exception:
+    a negative info names the illegal argument (ValueError), a positive one is
+    a failed Cholesky pivot (``SpdError``) for the SPD drivers and for
+    ``dsbgv`` beyond n (its split Cholesky ``dpbstf``), and a failed iteration
+    (``EigenConvergenceError``) otherwise."""
+    if info < 0:
+        arg = _SIGNATURES[name][-info - 1][0]
+        raise ValueError(f"LAPACK {name}: argument {-info} ({arg}) has an illegal value")
+    if info > n and name == "dsbgv":
+        raise SpdError(f"mass matrix of the pencil is not SPD: the split Cholesky "
+                       f"factorization (dpbstf) failed, info = {info}")
+    if info > 0 and name in ("dpbtrf", "dptsv", "dpbsv"):
+        raise SpdError(f"matrix is not SPD: the leading minor of order {info} is not "
+                       f"positive definite (LAPACK {name})")
+    if info > 0:
+        raise EigenConvergenceError(f"LAPACK {name} did not converge, info = {info}")
 
 
 # ----------------------------------------------------------------------------
@@ -338,24 +498,26 @@ def sym_eigvals(A) -> SpectralSet:
 def _sym_eigvals(A) -> SpectralSet:
     """:func:`sym_eigvals` without its guard, for callers that have just
     proven ``A`` symmetric to a tolerance no looser than 1e-12."""
-    try:
-        if isinstance(A, BandedMatrix):
-            if max(A.lower_bw, A.upper_bw) <= 1:
-                solver = "sym_tridiagonal"
-                d = A.diagonal_values(0).astype(float)
-                if A.n == 1:
-                    return SpectralSet(d, "eigenvalues", solver)
-                e = A.diagonal_values(-1).astype(float)
-                vals = sla.eigvalsh_tridiagonal(d, e)
-            else:
-                solver = "sym_band"
-                vals = sla.eig_banded(_upper_band(A), lower=False, eigvals_only=True)
-        else:
-            solver = "sym_dense"
+    if not isinstance(A, BandedMatrix):
+        try:
             vals = np.linalg.eigvalsh(as_dense(A))
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:  # pragma: no cover - rare
-        raise EigenConvergenceError(str(exc)) from exc
-    return SpectralSet(np.sort(vals), "eigenvalues", solver)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise EigenConvergenceError(str(exc)) from exc
+        return SpectralSet(np.sort(vals), "eigenvalues", "sym_dense")
+    n = A.n
+    if max(A.lower_bw, A.upper_bw) <= 1:  # values-only tridiagonal driver, on d in place
+        vals = A.diagonal_values(0).astype(float)
+        if n > 1:
+            _call("dstevd", jobz="N", n=n, d=vals, e=A.diagonal_values(-1).astype(float),
+                  z=np.empty(1), ldz=1, work=np.empty(1), lwork=1,
+                  iwork=np.empty(1, np.intc), liwork=1)
+        return SpectralSet(np.sort(vals), "eigenvalues", "sym_tridiagonal")
+    ab = _upper_band(A)
+    vals = np.empty(n)
+    _call("dsbevd", jobz="N", uplo="U", n=n, kd=ab.shape[0] - 1, ab=ab, ldab=ab.shape[0],
+          w=vals, z=np.empty(1), ldz=1, work=np.empty(2 * n), lwork=2 * n,
+          iwork=np.empty(1, np.intc), liwork=1)
+    return SpectralSet(np.sort(vals), "eigenvalues", "sym_band")
 
 
 def sym_eigpairs(A):
@@ -363,15 +525,6 @@ def sym_eigpairs(A):
     require_symmetric(A)
     vals, vecs = np.linalg.eigh(as_dense(A))
     return vals, vecs
-
-
-_C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_C_INT_P = ctypes.POINTER(ctypes.c_int)
-_C_NAMES = {ctypes.c_char_p: "char *", _C_INT_P: "int *", _C_DOUBLE_P: "d *"}
-# DSBGV(JOBZ, UPLO, N, KA, KB, AB, LDAB, BB, LDBB, W, Z, LDZ, WORK, INFO)
-_DSBGV_ARGTYPES = ((ctypes.c_char_p,) * 2 + (_C_INT_P,) * 3
-                   + (_C_DOUBLE_P, _C_INT_P, _C_DOUBLE_P, _C_INT_P, _C_DOUBLE_P,
-                      _C_DOUBLE_P, _C_INT_P, _C_DOUBLE_P, _C_INT_P))
 
 
 def generalized_sym_eigvals(K, M) -> SpectralSet:
@@ -394,24 +547,9 @@ def generalized_sym_eigvals(K, M) -> SpectralSet:
     ka = max(K.upper_bw, kb)
     ab = np.zeros((ka + 1, n), order="F")  # LAPACK's AB(LDAB, N), column-major
     ab[ka - K.upper_bw:] = _upper_band(K)
-    bb = np.asfortranarray(_upper_band(M), dtype=float)
-    w, z, work = np.empty(n), np.empty(1), np.empty(3 * n)
-    info = ctypes.c_int()
-
-    def dp(x):
-        return x.ctypes.data_as(_C_DOUBLE_P)
-
-    def ip(v):
-        return ctypes.byref(ctypes.c_int(v))
-
-    _lapack("dsbgv", _DSBGV_ARGTYPES)(  # jobz = "N": eigenvalues only
-        b"N", b"U", ip(n), ip(ka), ip(kb), dp(ab), ip(ka + 1), dp(bb), ip(kb + 1),
-        dp(w), dp(z), ip(1), dp(work), ctypes.byref(info))
-    if info.value > n:
-        raise SpdError(f"mass matrix of the pencil is not SPD: the split Cholesky "
-                       f"factorization (dpbstf) failed, info = {info.value}")
-    if info.value:
-        raise EigenConvergenceError(f"LAPACK dsbgv failed, info = {info.value}")
+    w = np.empty(n)
+    _call("dsbgv", jobz="N", uplo="U", n=n, ka=ka, kb=kb, ab=ab, ldab=ka + 1,
+          bb=_upper_band(M), ldbb=kb + 1, w=w, z=np.empty(1), ldz=1, work=np.empty(3 * n))
     return SpectralSet(w, "eigenvalues", "pencil_band")
 
 
@@ -499,34 +637,6 @@ def _gershgorin_lower_bound(A: BandedMatrix) -> float:
         if k:
             radius[max(0, -k): max(0, -k) + v.size] += np.abs(v)
     return float(np.min(A.diagonal_values(0) - radius))
-
-
-@functools.cache
-def _lapack(name, argtypes):
-    """The LAPACK routine ``name`` from the C function capsule that scipy
-    exports in ``scipy.linalg.cython_lapack``, as a ctypes function with
-    ``argtypes``; resolved on the first call and cached.
-
-    The capsule is named by its C signature, e.g. ``void (char *, int *,
-    __pyx_t_..._cython_lapack_d *)``; unless it declares a ``void`` return
-    and exactly ``argtypes``, a ``RuntimeError`` is raised rather than a
-    call made through a mismatched prototype.
-    """
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__[name]
-    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-    ret, _, args = signature.decode().partition(" (")
-    declared = [a.rsplit("cython_lapack_", 1)[-1] for a in args.rstrip(")").split(", ")]
-    expected = [_C_NAMES[t] for t in argtypes]
-    if ret != "void" or declared != expected:
-        raise RuntimeError(f"scipy.linalg.cython_lapack.{name} is declared as "
-                           f"{ret} ({', '.join(declared)}); gltkit binds it as "
-                           f"void ({', '.join(expected)})")
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
-    return ctypes.CFUNCTYPE(None, *argtypes)(pointer)
 
 
 def singular_values(A) -> SpectralSet:
@@ -644,11 +754,15 @@ def _frobenius_norm(A) -> float:
 def _banded_spectral_norm(A: BandedMatrix) -> float:
     """Largest singular value of a real band: sqrt of the top eigenvalue of
     the band ``A.T @ A`` (bandwidth ``lower_bw + upper_bw``)."""
-    try:
-        top = sla.eig_banded(_upper_band(A.T @ A), lower=False, eigvals_only=True,
-                             select="i", select_range=(A.n - 1, A.n - 1))
-    except sla.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenConvergenceError(str(exc)) from exc
+    n, ab = A.n, _upper_band(A.T @ A)
+    top = np.empty(n)
+    # the largest eigenvalue alone (range I, il = iu = n) to the absolute
+    # tolerance 2 dlamch('S') that LAPACK recommends for it
+    _call("dsbevx", jobz="N", range="I", uplo="U", n=n, kd=ab.shape[0] - 1, ab=ab,
+          ldab=ab.shape[0], q=np.empty(1), ldq=1, vl=0.0, vu=1.0, il=n, iu=n,
+          abstol=2 * np.finfo(float).tiny, m=np.zeros(1, np.intc), w=top, z=np.empty(1),
+          ldz=1, work=np.empty(7 * n), iwork=np.empty(5 * n, np.intc),
+          ifail=np.empty(n, np.intc))
     return float(np.sqrt(max(top[0], 0.0)))
 
 
@@ -661,9 +775,10 @@ def spectral_norm(A) -> float:
 # ----------------------------------------------------------------------------
 
 def _upper_band(A: BandedMatrix):
-    """Upper band storage ``ab[u + i - j, j] = A[i, j]`` for scipy's
-    symmetric banded drivers (uses the upper triangle)."""
-    return BandedMatrix.from_diagonals(A.n, {k: v.real for k, v in A._diagonals() if k >= 0}).bands
+    """Upper band storage ``ab[u + i - j, j] = A[i, j]`` of the upper
+    triangle, in Fortran order, for LAPACK's symmetric band drivers."""
+    return np.asfortranarray(BandedMatrix.from_diagonals(
+        A.n, {k: v.real for k, v in A._diagonals() if k >= 0}).bands)
 
 
 def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:
@@ -674,12 +789,15 @@ def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:
     squeeze = B.ndim == 1
     if squeeze:
         B = B[:, None]
-    if B.shape[0] != A.n:
+    if B.ndim != 2 or B.shape[0] != A.n:
         raise ValueError("right-hand side size mismatch")
-    try:
-        X = sla.solveh_banded(_upper_band(A), B, lower=False)
-    except sla.LinAlgError as exc:
-        raise SpdError(f"banded Cholesky failed, matrix is not SPD: {exc}") from exc
+    n, ab = A.n, _upper_band(A)
+    X = np.array(B, order="F")  # overwritten with the solution
+    if ab.shape[0] == 2:  # tridiagonal: LDL^T (dpttrf) on d and e
+        _call("dptsv", n=n, nrhs=X.shape[1], d=ab[1].copy(), e=ab[0, 1:].copy(), b=X, ldb=n)
+    else:
+        _call("dpbsv", uplo="U", n=n, kd=ab.shape[0] - 1, nrhs=X.shape[1], ab=ab,
+              ldab=ab.shape[0], b=X, ldb=n)
     return X[:, 0] if squeeze else X
 
 
@@ -689,10 +807,9 @@ def spd_cholesky_banded(A: BandedMatrix):
     Raising ``SpdError`` here is the library's SPD test.
     """
     require_symmetric(A)
-    try:
-        return sla.cholesky_banded(_upper_band(A), lower=False)
-    except sla.LinAlgError as exc:
-        raise SpdError(f"matrix is not SPD: {exc}") from exc
+    ab = _upper_band(A)
+    _call("dpbtrf", uplo="U", n=A.n, kd=ab.shape[0] - 1, ab=ab, ldab=ab.shape[0])
+    return ab
 
 
 def hadamard(A, B) -> np.ndarray:

@@ -304,6 +304,28 @@ def test_weyl_reused_samples_give_identical_gaps(spec, mode):
         assert (reused.quad_rule, reused.quad_res) == (fresh.quad_rule, fresh.quad_res)
 
 
+def test_weyl_symbol_side_is_computed_once_per_test_function():
+    case = get_case("fd_t1", "xexp")
+    samples = symbol_samples(case, "lambda", quad_res=40)
+    F = monomial(2, (0.0, 5.0))
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return F(t)
+
+    counted.label = F.label
+    reports = [weyl_compare(case, n, F_suite=[counted], quad_res=40, samples=samples)
+               for n in (20, 40)]
+    # the spectra at n = 20 and 40, and the full and coarse samples once
+    assert sorted(sizes) == sorted([20, 40, samples.full.size, samples.coarse.size])
+    sym = float(np.mean(F(samples.full)))
+    refinement = abs(sym - float(np.mean(F(samples.coarse))))
+    for rep in reports:
+        assert rep.functionals[0].symbol_value == sym
+        assert rep.quad_refinement == refinement
+
+
 def test_weyl_rejects_samples_taken_for_other_settings():
     case = get_case("fd_t1", "xexp")
     samples = symbol_samples(case, "lambda", quad_res=60)

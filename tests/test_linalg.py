@@ -1,4 +1,10 @@
 """Tests for the dense/banded linear algebra layer."""
+import contextlib
+import importlib.machinery
+import io
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -34,6 +40,7 @@ from gltkit import (
 )
 from gltkit.builders import (
     arrow_sampling,
+    case_names,
     fe_gradient_coupling,
     fe_mass,
     fe_stiffness,
@@ -558,13 +565,230 @@ def test_pencil_operand_is_solved_by_the_band_pencil_driver():
 
 
 def test_lapack_binding_checks_the_capsule_signature():
-    dsbgv = linalg._lapack("dsbgv", linalg._DSBGV_ARGTYPES)
-    assert callable(dsbgv) and dsbgv is linalg._lapack("dsbgv", linalg._DSBGV_ARGTYPES)
-    with pytest.raises(RuntimeError, match="dsbgv is declared as"):
-        linalg._lapack("dsbgv", linalg._DSBGV_ARGTYPES[:-1])
-    swapped = (linalg._C_DOUBLE_P,) + linalg._DSBGV_ARGTYPES[1:]
-    with pytest.raises(RuntimeError, match="dsbgv is declared as"):
-        linalg._lapack("dsbgv", swapped)
+    assert set(linalg._ARGTYPES) == {"dstevd", "dsbevd", "dsbevx", "dsbgv", "dptsv", "dpbsv",
+                                     "dpbtrf"}
+    for name, argtypes in linalg._ARGTYPES.items():
+        routine = linalg._lapack(name, argtypes)
+        assert callable(routine) and routine is linalg._lapack(name, argtypes)
+        with pytest.raises(RuntimeError, match=f"{name} is declared as"):
+            linalg._lapack(name, argtypes[:-1])
+        # the first argument is a char * or an int *; declare it as a double *
+        swapped = (linalg._C_TYPES["d"],) + argtypes[1:]
+        with pytest.raises(RuntimeError, match=f"{name} is declared as"):
+            linalg._lapack(name, swapped)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK bindings against the scipy.linalg wrappers they replace
+# ---------------------------------------------------------------------------
+
+def _scipy_sym_eigvals(A):
+    """``_sym_eigvals`` through scipy.linalg's tridiagonal and band drivers."""
+    if not isinstance(A, BandedMatrix):
+        return SpectralSet(np.sort(np.linalg.eigvalsh(as_dense(A))), "eigenvalues", "sym_dense")
+    if max(A.lower_bw, A.upper_bw) <= 1:
+        d = A.diagonal_values(0).astype(float)
+        if A.n > 1:
+            d = sla.eigvalsh_tridiagonal(d, A.diagonal_values(-1).astype(float))
+        return SpectralSet(np.sort(d), "eigenvalues", "sym_tridiagonal")
+    vals = sla.eig_banded(linalg._upper_band(A), lower=False, eigvals_only=True)
+    return SpectralSet(np.sort(vals), "eigenvalues", "sym_band")
+
+
+def _scipy_banded_spectral_norm(A):
+    top = sla.eig_banded(linalg._upper_band(A.T @ A), lower=False, eigvals_only=True,
+                         select="i", select_range=(A.n - 1, A.n - 1))
+    return float(np.sqrt(max(top[0], 0.0)))
+
+
+def _scipy_cholesky(A):
+    linalg.require_symmetric(A)
+    try:
+        return sla.cholesky_banded(linalg._upper_band(A), lower=False)
+    except sla.LinAlgError as exc:
+        raise SpdError(str(exc)) from exc
+
+
+def _spd_bands(n, upper_bw):
+    """A diagonally dominant SPD band with ``upper_bw`` off-diagonals on each side."""
+    rng = np.random.default_rng(n + upper_bw)
+    diags = {}
+    for k in range(1, min(upper_bw, n - 1) + 1):
+        diags[k] = diags[-k] = rng.standard_normal(n - k)
+    diags[0] = 2.0 * upper_bw + 1.0 + rng.random(n)
+    return BandedMatrix.from_diagonals(n, diags)
+
+
+@pytest.mark.parametrize("coeff", ["xexp", "one"])
+@pytest.mark.parametrize("name", case_names())
+def test_bound_routines_give_the_bytes_of_the_scipy_wrappers(name, coeff, monkeypatch):
+    import gltkit.builders
+
+    case = get_case(name, coeff)
+    sizes = []
+    for n in (1, 2, 7, 400):
+        try:
+            case.build(n)
+            sizes.append(n)
+        except ValueError:  # below the stencil's smallest n
+            pass
+
+    def results():
+        out = []
+        for n in sizes:
+            for s in (case.spectrum(n), case.singular_spectrum(n)):
+                out.append((s.values, s.solver))
+            A = case.build(n)
+            if isinstance(A, BandedMatrix) and not linalg.is_symmetric(A, tol=0.0):
+                out.append((np.array([linalg.spectral_norm(A)]), "spectral_norm"))
+        return out
+
+    got = results()
+    monkeypatch.setattr(linalg, "_sym_eigvals", _scipy_sym_eigvals)
+    monkeypatch.setattr(gltkit.builders, "_sym_eigvals", _scipy_sym_eigvals)
+    monkeypatch.setattr(linalg, "_banded_spectral_norm", _scipy_banded_spectral_norm)
+    monkeypatch.setattr(linalg, "spd_cholesky_banded", _scipy_cholesky)
+    ref = results()
+    assert len(got) == len(ref) >= 2
+    for (v, solver), (w, ref_solver) in zip(got, ref):
+        assert solver == ref_solver
+        assert np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("upper_bw", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
+def test_spd_solve_and_cholesky_give_the_bytes_of_the_scipy_wrappers(n, upper_bw):
+    A = _spd_bands(n, upper_bw)
+    B = np.random.default_rng(n).standard_normal((n, 3))
+    X = solve_spd_banded(A, B)
+    assert np.array_equal(X, sla.solveh_banded(linalg._upper_band(A), B, lower=False))
+    assert np.array_equal(solve_spd_banded(A, B[:, 0]), X[:, 0])
+    assert solve_spd_banded(A, B[:, :0]).shape == (n, 0)
+    assert np.array_equal(linalg.spd_cholesky_banded(A), _scipy_cholesky(A))
+
+
+@pytest.mark.parametrize("upper_bw", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_every_spd_driver_rejects_a_band_that_is_not_spd(n, upper_bw):
+    A = _spd_bands(n, upper_bw).scaled(-1.0)  # negative definite: the first pivot fails
+    with pytest.raises(SpdError, match="leading minor of order 1 "):
+        linalg.spd_cholesky_banded(A)  # dpbtrf
+    with pytest.raises(SpdError, match="leading minor of order 1 "):
+        solve_spd_banded(A, np.ones(n))  # dptsv on a tridiagonal band, dpbsv otherwise
+    with pytest.raises(SpdError, match="dpbstf"):
+        generalized_sym_eigvals(_spd_bands(n, upper_bw), A)  # dsbgv's info > n
+
+
+def test_lapack_info_codes_map_to_exceptions():
+    n = 5
+    with pytest.raises(ValueError, match=r"dsbevx: argument 4 \(n\)"):
+        linalg._check_info("dsbevx", -4, n)
+    with pytest.raises(ValueError, match=r"dptsv: argument 5 \(b\)"):
+        linalg._check_info("dptsv", -5, n)
+    linalg._check_info("dstevd", 0, n)
+    for info in (1, n):
+        for name in ("dpbtrf", "dptsv", "dpbsv"):
+            with pytest.raises(SpdError, match=f"order {info} "):
+                linalg._check_info(name, info, n)
+        for name in ("dstevd", "dsbevd", "dsbevx", "dsbgv"):
+            with pytest.raises(EigenConvergenceError, match=f"info = {info}"):
+                linalg._check_info(name, info, n)
+    with pytest.raises(SpdError, match="dpbstf"):
+        linalg._check_info("dsbgv", n + 1, n)
+    with pytest.raises(EigenConvergenceError):
+        linalg._check_info("dsbevd", n + 1, n)
+    with pytest.raises(SpdError):
+        linalg._check_info("dpbtrf", n + 1, n)
+
+
+def test_lapack_arguments_are_checked_before_the_call():
+    A = _spd_bands(6, 2)
+    ab = linalg._upper_band(A)
+    for bad in (np.ascontiguousarray(ab), ab.astype(np.float32)):
+        with pytest.raises(TypeError, match="Fortran-ordered float64"):
+            linalg._call("dpbtrf", uplo="U", n=6, kd=2, ab=bad, ldab=3)
+    ab.flags.writeable = False
+    with pytest.raises(TypeError, match="not writable"):
+        linalg._call("dpbtrf", uplo="U", n=6, kd=2, ab=ab, ldab=3)
+
+
+def test_spectral_norm_tolerance_is_twice_the_lapack_safe_minimum():
+    from scipy.linalg import lapack
+
+    assert 2 * np.finfo(float).tiny == 2 * lapack.dlamch("S")
+
+
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports this gltkit."""
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_SPECTRA = """
+from gltkit import get_case
+print(repr([(c, get_case(c, "xexp").spectrum(30).values.tobytes().hex())
+            for c in ("fd_t1", "fd_t6", "Ln", "schur")]))
+"""
+
+
+def _spectra_here():
+    """What ``_SPECTRA`` prints, computed in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_SPECTRA, {})
+    return out.getvalue().strip()
+
+
+def test_cli_runs_import_no_scipy_linalg_module_but_the_capsules():
+    out = _fresh_python("""
+import contextlib, io, sys
+import gltkit.cli, gltkit.linalg
+argvs = (["certify", "--family", "all"],
+         ["compare", "--case", "schur", "--coeff", "one", "--n", "20,40", "--r", "100",
+          "--format", "json"],
+         ["spectrum", "--case", "fd_t6", "--n", "30"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [gltkit.cli.main(argv) for argv in argvs]
+loaded = sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.linalg."))
+module = sys.modules["scipy.linalg.cython_lapack"]
+import scipy.linalg
+from scipy.linalg import cython_lapack
+print(codes, loaded, gltkit.linalg.LAPACK_SOURCE == module.__file__,
+      cython_lapack is module is gltkit.linalg._cython_lapack)
+""")
+    assert out.split() == ["[0,", "0,", "0]", "['scipy.linalg.cython_lapack']", "True", "True"]
+    assert os.path.isfile(linalg.LAPACK_SOURCE)
+    assert linalg.LAPACK_SOURCE.endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES))
+
+
+def test_lapack_capsules_loaded_by_scipy_first_are_reused():
+    out = _fresh_python("""
+import sys
+import scipy.linalg
+import gltkit.linalg
+print(gltkit.linalg._cython_lapack is sys.modules["scipy.linalg.cython_lapack"],
+      gltkit.linalg.LAPACK_SOURCE == scipy.linalg.cython_lapack.__file__)
+""" + _SPECTRA)
+    flags, spectra = out.split("\n", 1)
+    assert flags == "True True"
+    assert spectra.strip() == _spectra_here()
+
+
+def test_lapack_falls_back_to_the_scipy_linalg_import_without_the_extension_file():
+    out = _fresh_python("""
+import importlib.machinery, sys
+importlib.machinery.EXTENSION_SUFFIXES = []  # the extension file is not found
+import gltkit.linalg
+print(gltkit.linalg.LAPACK_SOURCE, "scipy.linalg" in sys.modules)
+""" + _SPECTRA)
+    flags, spectra = out.split("\n", 1)
+    assert flags == "scipy.linalg import True"
+    assert spectra.strip() == _spectra_here()
 
 
 # ---------------------------------------------------------------------------
