@@ -11,14 +11,16 @@ mass matrices.  Two derived families get genuinely rational symbols:
 The Ln case builds the operand Pencil(K, M), whose M is checked SPD when it
 is made; real_eigvals solves it in band storage with LAPACK dsbgv (split
 Cholesky of M, Crawford's band-preserving reduction), never forming
-M^{-1} K.  The Schur case builds a SchurComplement, which real_eigvals
-solves as a 2n band pencil without forming S.  Both are solved unscaled,
-and the case multiplies the eigenvalues by alpha_n once.
+M^{-1} K.  The Schur case builds S = T + s u u^T from the element
+integrals of a (a tridiagonal T plus a rank-one term, exactly equal to
+rho M + H^T K^{-1} H), which real_eigvals solves as one n x n band pencil
+without forming S or K^{-1}.  Both are solved unscaled, and the case
+multiplies the eigenvalues by alpha_n once.
 """
 import numpy as np
 
 from gltkit import (
-    as_dense, coefficient_preset, fe_mass, fe_stiffness,
+    as_dense, coefficient_preset, fe_gradient_coupling, fe_mass, fe_stiffness,
     get_case, rearrangement_compare, weyl_compare,
 )
 
@@ -32,6 +34,13 @@ print(np.round(as_dense(fe_mass(one, n)) * 6 / h, 6))
 
 schur = get_case("schur", "one")          # rho defaults to 1
 print(f"\nSchur case, symbol {schur.symbol_str}:")
+# the identity: T + s u u^T against rho M + H^T K^{-1} H formed densely
+n = 60
+K, H = as_dense(fe_stiffness(one, n)), as_dense(fe_gradient_coupling(n))
+dense = as_dense(fe_mass(one, n)) + H.T @ np.linalg.solve(K, H)
+print(f"  n={n}: max |T + s u u^T - (M + H^T K^-1 H)| / max |S| = "
+      f"{np.max(np.abs(as_dense(schur.build(n)) - dense)) / np.max(np.abs(dense)):.1e}, "
+      f"solver {schur.spectrum(n).solver}")
 for n in (100, 400):
     rep = weyl_compare(schur, n, quad_res=300)
     print(f"  n={n}: max functional gap {rep.max_gap():.3e}")

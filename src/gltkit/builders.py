@@ -6,13 +6,13 @@ constructor ``build(n)``, the normalization ``alpha(n)`` applied before any
 spectral comparison, and the predicted symbol on [0,1] x [-pi,pi].  No case
 declares how its spectrum is computed: ``build(n)`` returns a matrix, a
 :class:`~gltkit.linalg.Pencil` (K, M) or a
-:class:`~gltkit.linalg.SchurComplement`, and ``DiscretizationCase.spectrum``
+:class:`~gltkit.linalg.RankOneUpdate`, and ``DiscretizationCase.spectrum``
 solves it unscaled with :func:`gltkit.linalg.real_eigvals`, which picks the
 eigensolver from the operand itself (symmetric band, diagonal similarity to
 a symmetric band, the dense nonsymmetric solver with a reality check, the
-band pencil solver ``dsbgv`` or the 2n Schur pencil), then multiplies the
-eigenvalues by alpha_n once.  The returned :class:`SpectralSet` names the
-path that ran.  Exact constructions:
+band pencil solver ``dsbgv``, or the band pencil of a rank-one update), then
+multiplies the eigenvalues by alpha_n once.  The returned
+:class:`SpectralSet` names the path that ran.  Exact constructions:
 
 * FD diffusion in divergence form on the uniform grid x_j = j h, h = 1/(n+1):
   tridiagonal with row j equal to (-a_{j-1/2}, a_{j-1/2} + a_{j+1/2}, -a_{j+1/2}).
@@ -24,8 +24,9 @@ path that ran.  Exact constructions:
   diffusion matrix with steps h_j = G(j/(n+1)) - G((j-1)/(n+1)).
 * FE stiffness/mass/convection matrices for hat functions on the uniform
   mesh, assembled with per-element Gauss-Legendre quadrature, the Schur
-  complement rho M + H^T K^{-1} H of the saddle-point system (held as its
-  three bands K, H and rho M), and the generalized eigenproblem pencil
+  complement rho M + H^T K^{-1} H of the saddle-point system (held, from
+  the element integrals of a, as a tridiagonal plus a rank-one term; see
+  :func:`fe_system_schur`), and the generalized eigenproblem pencil
   (K(a), M(c)).
 """
 
@@ -40,7 +41,8 @@ from .linalg import (
     BandedMatrix,
     ComplexSpectrumError,
     Pencil,
-    SchurComplement,
+    RankOneUpdate,
+    SpdError,
     SpectralSet,
     as_dense,
     is_symmetric,
@@ -197,7 +199,7 @@ class DiscretizationCase:
     """One matrix family with its predicted symbol and normalization.
 
     ``build(n)`` returns the matrix A_n, a Pencil (K, M) or a
-    SchurComplement; each spectrum method solves it unscaled through one
+    RankOneUpdate; each spectrum method solves it unscaled through one
     linalg routine and multiplies by ``alpha(n)`` (default 1) afterwards.
     """
 
@@ -234,9 +236,9 @@ class DiscretizationCase:
 
     def singular_spectrum(self, n) -> SpectralSet:
         """Singular values of alpha_n A_n: eigenvalue magnitudes for a symmetric
-        matrix, a Pencil or a SchurComplement, the dense SVD otherwise."""
+        matrix, a Pencil or a RankOneUpdate, the dense SVD otherwise."""
         A = self.build(n)
-        if isinstance(A, (Pencil, SchurComplement)):
+        if isinstance(A, (Pencil, RankOneUpdate)):
             ev = real_eigvals(A)
         elif is_symmetric(A):
             ev = _sym_eigvals(A)
@@ -503,16 +505,20 @@ def _element_quadrature(n, quad_order, singular_points=()):
     return nodes, weights, (nodes - left) / h, h
 
 
+def _element_integrals(g: Coefficient, n, quad_order) -> np.ndarray:
+    """The integral of g over each of the n + 1 elements, by the composite
+    Gauss-Legendre rule (exact for polynomial g of degree up to 2 quad_order - 1)."""
+    nodes, weights, _, _ = _element_quadrature(n, quad_order, g.singular_points)
+    return np.sum(weights * np.asarray(g(nodes), dtype=float), axis=1)
+
+
 def fe_stiffness(g: Coefficient, n, quad_order=5) -> BandedMatrix:
     """K_n(g): tridiagonal hat-function stiffness matrix for coefficient g.
 
     Entries are per-element integrals of g scaled by the constant slopes
-    +-1/h, so the composite rule is exact for polynomial g of degree up to
-    2 quad_order - 1.
+    +-1/h.
     """
-    nodes, weights, _, _ = _element_quadrature(n, quad_order, g.singular_points)
-    I = np.sum(weights * np.asarray(g(nodes), dtype=float), axis=1)  # integral of g per element
-    return _stiffness_from_element_integrals(I)
+    return _stiffness_from_element_integrals(_element_integrals(g, n, quad_order))
 
 
 def _stiffness_from_element_integrals(I) -> BandedMatrix:
@@ -590,10 +596,42 @@ def fe_mass_case(g: Coefficient, quad_order=5) -> DiscretizationCase:
 
 
 def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationCase:
+    """The Schur complement ``S = rho M + H^T K^{-1} H`` of the FE
+    saddle-point system (K = K_n(a), M = M_n(1), H = ``fe_gradient_coupling``),
+    built as a :class:`~gltkit.linalg.RankOneUpdate` ``T + s u u^T`` with
+    neither K^{-1} nor S formed.
+
+    Let I_e be the integral of a over element e = 0..n, h = 1/(n+1) and
+    ``W = diag(I_e / h^2)``.  With G the (n+1) x n element-slope matrix
+    (``G[e, j] = h phi_j'`` on element e: +1 at e = j, -1 at e = j + 1) and
+    E the element-node incidence matrix (1 at e = j and e = j + 1),
+    ``K = G^T W G`` and ``H = (1/2) E^T G`` exactly.  Every column of G sums
+    to zero and G has full column rank, so null(G^T) = span(1) and
+    ``G K^{-1} G^T = W^{-1} - W^{-1} 1 1^T W^{-1} / (1^T W^{-1} 1)``.  H is
+    skew: ``E = -(I + 2U) G`` with U the strictly upper triangular matrix
+    of ones, and ``U + U^T = 1 1^T - I`` with ``1^T G = 0`` give
+    ``E^T G = -G^T E``.  Hence ``H^T K^{-1} H = (1/4) E^T G K^{-1} G^T E``,
+    and with ``v = h^2 / I`` (the diagonal of W^{-1})::
+
+        u = v[:-1] + v[1:]                                 (= E^T v)
+        T = rho M + (1/4) tridiag(v[1:-1], u, v[1:-1])     (= rho M + E^T W^{-1} E / 4)
+        s = -1 / (4 sum v)
+
+    Element integrals that are not positive leave K not SPD and raise
+    ``SpdError``.
+    """
+    one = coefficient_preset("one")
+
     def build(n):
-        # the constructor's banded Cholesky raises SpdError unless K is SPD
-        return SchurComplement(fe_stiffness(a, n, quad_order), fe_gradient_coupling(n),
-                               fe_mass(coefficient_preset("one"), n, quad_order).scaled(rho))
+        I = _element_integrals(a, n, quad_order)
+        if not np.all(I > 0):
+            raise SpdError(f"stiffness K_n(a) is not SPD: the integral of {a.name!r} over "
+                           f"an element is not positive at n = {n}")
+        v = (1.0 / (n + 1)) ** 2 / I
+        u = v[:-1] + v[1:]
+        off = v[1:-1] / 4
+        T = fe_mass(one, n, quad_order).scaled(rho) + BandedMatrix.tridiagonal(u / 4, off, off)
+        return RankOneUpdate(T, u, -1.0 / (4 * np.sum(v)))
 
     sigma = add(
         TrigFactor(TrigPoly.from_cosines([2 * rho / 3, rho / 3])),

@@ -5,17 +5,18 @@ drivers when the band structure allows it (values-only QL/QR for the
 tridiagonal path), nonsymmetric spectra through Hessenberg + shifted QR,
 symmetric-definite band pencils through LAPACK ``dsbgv`` (split Cholesky
 ``dpbstf``, Crawford's band-preserving reduction ``dsbgst``, ``dsbtrd``
-and ``dsterf``, O(n^2) for a fixed bandwidth), Schur complements
-``C + B^T A^{-1} B`` of bands as a 2n band pencil (:func:`schur_eigvals`,
-never forming the dense complement), and SPD banded systems through
-banded Cholesky.  :func:`real_eigvals` alone maps an operand to its
-eigensolver: a :class:`Pencil` to ``dsbgv``, a :class:`SchurComplement` to
-:func:`schur_eigvals`, and a matrix by its structure (a band diagonally
-similar to a symmetric band is solved as one; the dense nonsymmetric solver
-is the last resort).  Everything works on 64-bit floats; iteration
-failures inside LAPACK surface as ``EigenConvergenceError``, never
-silently.  :class:`BandedMatrix` alone knows the band layout; its algebra
-(``+``, ``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
+and ``dsterf``, O(n^2) for a fixed bandwidth), a symmetric band plus a
+rank-one term ``T + s u u^T`` as an n x n band pencil (never forming the
+dense sum), and SPD banded systems through banded Cholesky.
+:func:`real_eigvals` alone maps an operand to its eigensolver: a
+:class:`Pencil` to ``dsbgv``, a :class:`RankOneUpdate` to the pencil
+``(L (T + s u u^T) L^T, L L^T)`` with ``L u = e_1``, and a matrix by its
+structure (a band diagonally similar to a symmetric band is solved as one;
+the dense nonsymmetric solver is the last resort).  Everything works on
+64-bit floats; iteration failures inside LAPACK surface as
+``EigenConvergenceError``, never silently.  :class:`BandedMatrix` alone
+knows the band layout; its algebra (``+``, ``-``, ``row_scaled``, ``@``,
+``.T``) reads only the stored diagonals.
 
 The band and tridiagonal routines are LAPACK's own, called through the C
 function capsules of scipy's ``cython_lapack`` extension: ``dstevd`` and
@@ -374,23 +375,29 @@ def _require_bands(*operands):
 
 
 @dataclass(frozen=True)
-class SchurComplement:
-    """``S = C + B^T A^{-1} B`` held as its three bands and never formed:
-    ``A`` SPD (checked here by banded Cholesky, ``SpdError``), ``B`` any
-    band, ``C`` symmetric, all n x n.  :func:`schur_eigvals` solves it in
-    band storage; ``toarray`` forms the dense S."""
+class RankOneUpdate:
+    """``S = T + s u u^T`` held as ``T``, ``u`` and ``s`` and never formed:
+    ``T`` a symmetric band (``SymmetryError``), ``u`` finite with no zero
+    entry and ``s`` finite (``ValueError``).  :func:`real_eigvals` solves it
+    as an n x n band pencil; ``toarray`` forms the dense S."""
 
-    A: BandedMatrix
-    B: BandedMatrix
-    C: BandedMatrix
+    T: BandedMatrix
+    u: np.ndarray
+    s: float
 
     def __post_init__(self):
-        _require_bands(self.A, self.B, self.C)
-        spd_cholesky_banded(self.A)
-        require_symmetric(self.C)
+        _require_bands(self.T)
+        require_symmetric(self.T)
+        u = np.asarray(self.u, dtype=float)
+        if u.shape != (self.T.n,) or not (np.all(np.isfinite(u)) and np.all(u != 0)):
+            raise ValueError(f"u must hold {self.T.n} finite nonzero values")
+        if not np.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", float(self.s))
 
     def toarray(self):
-        return as_dense(self.C) + self.B.T @ solve_spd_banded(self.A, as_dense(self.B))
+        return self.T.toarray() + self.s * np.outer(self.u, self.u)
 
 
 @dataclass(frozen=True)
@@ -408,10 +415,10 @@ class Pencil:
 
 
 def as_dense(A):
-    """Dense ndarray view of a BandedMatrix, SchurComplement or array-like."""
+    """Dense ndarray view of a BandedMatrix, RankOneUpdate or array-like."""
     if isinstance(A, Pencil):
         raise ValueError("a pencil (K, M) has no dense form; solve it with real_eigvals")
-    if isinstance(A, (BandedMatrix, SchurComplement)):
+    if isinstance(A, (BandedMatrix, RankOneUpdate)):
         return A.toarray()
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -457,10 +464,10 @@ class SpectralSet:
     """Sorted spectrum or singular values of one matrix, with the name of
     the solver path that computed them (``sym_tridiagonal``, ``sym_band``,
     ``sym_dense``, ``similarity_tridiagonal``, ``similarity_band``,
-    ``nonsym_dense``, ``pencil_band``, ``pencil_schur`` or ``svd_dense``).
+    ``nonsym_dense``, ``pencil_band``, ``pencil_rank_one`` or ``svd_dense``).
     ``pencil_band`` is LAPACK ``dsbgv`` on the band storage of a
-    symmetric-definite pencil; ``pencil_schur`` is the 2n band pencil that
-    :func:`schur_eigvals` solves for a :class:`SchurComplement`."""
+    symmetric-definite pencil; ``pencil_rank_one`` is the n x n band pencil
+    that :func:`real_eigvals` solves for a :class:`RankOneUpdate`."""
 
     values: np.ndarray
     kind: str  # "eigenvalues" | "singular_values"
@@ -553,90 +560,39 @@ def generalized_sym_eigvals(K, M) -> SpectralSet:
     return SpectralSet(w, "eigenvalues", "pencil_band")
 
 
-def schur_eigvals(S: SchurComplement) -> SpectralSet:
-    """Eigenvalues of ``S = C + B^T A^{-1} B``, sorted ascending, from band
-    storage in O(n^2) for fixed bandwidths; S is never formed.
+def _rank_one_eigvals(A: RankOneUpdate) -> SpectralSet:
+    """Eigenvalues of ``S = T + s u u^T``, sorted ascending, as one n x n
+    band pencil in O(n^2) for a fixed bandwidth of T; nothing n x n is formed.
 
-    With the unknowns interleaved (w_1, v_1, w_2, v_2, ...),
-    ``C(tau) = [[A, B], [B^T, tau I - C]]`` is a 2n band (half-width 3 for
-    tridiagonal operands) whose Schur complement of A is ``tau I - S``.  By
-    Haynsworth's inertia additivity, and A being SPD, C(tau) is SPD exactly
-    when ``tau > lambda_max(S)``, which a banded Cholesky tests in O(n).
-    The pencil ``(D, C(tau))`` with ``D = diag(0, 1, 0, 1, ...)`` has n zero
-    eigenvalues, one per w row, and ``mu_i = 1 / (tau - lambda_i) > 0``; it
-    goes to :func:`generalized_sym_eigvals`, and the n largest mu give
-    ``lambda_i = tau - 1 / mu_i``.
+    The lower bidiagonal L with ``L[i, i] = 1 / u[i]`` and ``L[i + 1, i] =
+    -1 / u[i]`` has ``L u = e_1``, so ``L S L^T = L T L^T + s e_1 e_1^T``:
+    a band one wider than T.  With ``x = L^T y``, ``S x = lambda x`` is
+    ``(L S L^T) y = lambda (L L^T) y``, and ``L L^T`` is a tridiagonal SPD
+    matrix, so the pencil goes to :func:`generalized_sym_eigvals`.  K' is
+    taken from the upper diagonals of ``L T L^T`` (symmetric by
+    construction) with s added to ``K'[0, 0]``.  The computed lambda carry a
+    normwise error of about eps kappa(L)^2.
 
-    The shift: the Gershgorin lower bound g of C is below the spectrum of S
-    (``B^T A^{-1} B`` is positive semidefinite).  m is the smallest power of
-    two in [2^-960, 2^960] with C(g + m) SPD, found by bisection on the
-    exponent (at most 12 Cholesky tests, for any real spectrum), and
-    ``tau = g + 2m``.  Then ``tau - lambda_max > m`` and
-    ``tau - lambda_i <= 2m``, so the mu lie within a factor 2 of each other
-    and the lambda carry a normwise error of order eps (lambda_max - g), as
-    on ``pencil_band``; a looser tau loses digits in proportion to it.  (The
-    floor m >= 2^-960 adds an absolute error of about eps 2^-959, which
-    shows only when the spectrum of S lies within 1e-289 of g.)
-
-    After the solve, every kept mu must be at least ``(1 - 1e-8) / (tau - g)``
-    and every dropped |mu| at most 1e-8 of the smallest kept mu; otherwise
-    the split is not clean and ``EigenConvergenceError`` is raised.  A zero
-    B leaves ``S = C``, which goes to the symmetric band solver.
+    After the solve, the trace identity ``sum lambda = tr T + s |u|^2``
+    must hold to 1e-10 times the larger of ``n max |lambda|`` and ``sum
+    |T[i, i]| + |s| |u|^2`` (the scale of the rounding in the right-hand
+    side, which matters when the terms cancel); otherwise
+    ``EigenConvergenceError`` is raised.
     """
-    if _max_abs(S.B) == 0.0:
-        return _sym_eigvals(S.C)
-    n, g = S.A.n, _gershgorin_lower_bound(S.C)
-    base = _interleaved(S.A, S.B, S.C.scaled(-1.0))
-    D = BandedMatrix.diagonal(np.tile([0.0, 1.0], n))
-
-    def augmented(k):  # C(tau) at tau = g + 2^k
-        return base + D.scaled(g + 2.0 ** k)
-
-    def spd(k):
-        try:
-            spd_cholesky_banded(augmented(k))
-        except SpdError:
-            return False
-        return True
-
-    lo, hi = -960, 960
-    if not spd(hi):
-        raise EigenConvergenceError(f"no shift up to g + 2^{hi} lies above the spectrum "
-                                    f"of the Schur complement (g = {g:.3e})")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if spd(mid) else (mid + 1, hi)
-    tau = g + 2.0 ** (lo + 1)
-    mu = generalized_sym_eigvals(D, augmented(lo + 1)).values
-    dropped, kept = mu[:n], mu[n:]
-    floor = (1 - 1e-8) / (tau - g)
-    if not (kept[0] >= floor and np.abs(dropped).max() <= 1e-8 * kept[0]):
+    n, u = A.T.n, A.u
+    L = BandedMatrix.from_diagonals(n, {0: 1.0 / u, -1: -1.0 / u[:-1]})
+    upper = {k: v.copy() for k, v in (L @ A.T @ L.T)._diagonals() if k >= 0}
+    upper[0][0] += A.s
+    K = BandedMatrix.from_diagonals(n, upper | {-k: v for k, v in upper.items()})
+    lam = generalized_sym_eigvals(K, L @ L.T).values
+    diag, rank_one = A.T.diagonal_values(0), A.s * float(u @ u)
+    residual = abs(float(np.sum(lam)) - (float(np.sum(diag)) + rank_one))
+    scale = max(n * float(np.max(np.abs(lam))), float(np.sum(np.abs(diag))) + abs(rank_one))
+    if residual > 1e-10 * scale:
         raise EigenConvergenceError(
-            f"Schur complement pencil split failed at tau = {tau:.6e}: smallest kept mu "
-            f"{kept[0]:.3e} (floor {floor:.3e}), largest dropped |mu| {np.abs(dropped).max():.3e}")
-    return SpectralSet(tau - 1.0 / kept, "eigenvalues", "pencil_schur")
-
-
-def _interleaved(A, B, D) -> BandedMatrix:
-    """The 2n band ``[[A, B], [B^T, D]]`` with rows and columns interleaved:
-    entry (i, i + k) of block (p, q) moves to (2i + p, 2(i + k) + q), on
-    diagonal 2k + q - p."""
-    n, diags = A.n, {}
-    for (p, q), X in (((0, 0), A), ((0, 1), B), ((1, 0), B.T), ((1, 1), D)):
-        for k, v in X._diagonals():
-            o = 2 * k + q - p
-            # the first entry sits in row 2 max(0, -k) + p; diagonal o starts in row max(0, -o)
-            diags.setdefault(o, np.zeros(2 * n - abs(o)))[2 * max(0, -k) + p - max(0, -o)::2] = v
-    return BandedMatrix.from_diagonals(2 * n, diags)
-
-
-def _gershgorin_lower_bound(A: BandedMatrix) -> float:
-    """``min_i (A[i, i] - sum_{j != i} |A[i, j]|)``, below the spectrum of a symmetric A."""
-    radius = np.zeros(A.n)
-    for k, v in A._diagonals():
-        if k:
-            radius[max(0, -k): max(0, -k) + v.size] += np.abs(v)
-    return float(np.min(A.diagonal_values(0) - radius))
+            f"rank-one update pencil failed its trace check: |sum lambda - (tr T + s |u|^2)| "
+            f"= {residual:.3e} > 1e-10 * {scale:.3e}")
+    return SpectralSet(lam, "eigenvalues", "pencil_rank_one")
 
 
 def singular_values(A) -> SpectralSet:
@@ -694,12 +650,12 @@ def real_eigvals(A) -> SpectralSet:
     nonsymmetric solver, where imaginary parts above ``1e-7 * max |lambda|``
     raise ``ComplexSpectrumError``.  ``solver`` on the result names the
     path that ran.  A :class:`Pencil` goes to :func:`generalized_sym_eigvals`
-    and a :class:`SchurComplement` to :func:`schur_eigvals`.
+    and a :class:`RankOneUpdate` to its band pencil (``pencil_rank_one``).
     """
     if isinstance(A, Pencil):
         return generalized_sym_eigvals(A.K, A.M)
-    if isinstance(A, SchurComplement):
-        return schur_eigvals(A)
+    if isinstance(A, RankOneUpdate):
+        return _rank_one_eigvals(A)
     if is_symmetric(A):
         return _sym_eigvals(A)
     if isinstance(A, BandedMatrix):

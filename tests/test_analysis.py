@@ -151,7 +151,7 @@ def test_weyl_nonsymmetric_case_reports_split_backing():
 HERMITIAN = "lambda distribution (Hermitian)"
 SIMILAR = "lambda distribution (similar to Hermitian)"
 SPLIT = "lambda distribution (Hermitian + vanishing-norm split)"
-PENCIL_SOLVERS = {"schur": "pencil_schur", "Ln": "pencil_band"}
+PENCIL_SOLVERS = {"schur": "pencil_rank_one", "Ln": "pencil_band"}
 
 
 @pytest.mark.parametrize("spec, backing", [
@@ -162,7 +162,7 @@ PENCIL_SOLVERS = {"schur": "pencil_schur", "Ln": "pencil_band"}
 ])
 def test_backing_of_every_registry_case(spec, backing):
     # the backing names the theory, so it does not move with the solver path;
-    # the two band pencils (the Schur complement is solved as one) are Hermitian
+    # the two band pencils (the Schur complement, a rank-one update, is solved as one) are Hermitian
     rep = weyl_compare(get_case(spec, "xexp"), 40, quad_res=40)
     assert rep.backing == backing
     if spec in PENCIL_SOLVERS:

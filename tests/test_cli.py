@@ -123,8 +123,19 @@ def test_compare_reports_the_schur_pencil_solver(capsys):
                            "--n", "50", "--r", "100", "--format", "json")
     assert code == 0
     rep = json.loads(out)["reports"][0]
-    assert (rep["solver"], rep["backing"]) == ("pencil_schur", "lambda distribution (Hermitian)")
+    assert (rep["solver"], rep["backing"]) == ("pencil_rank_one", "lambda distribution (Hermitian)")
     assert "rearrangement_error" not in rep
+
+
+@pytest.mark.parametrize("command", ["compare", "spectrum"])
+def test_schur_with_a_zero_coefficient_is_usage_error(capsys, command):
+    # compare stops at the singular symbol, spectrum at the element integrals
+    # of a, which leave the stiffness K not SPD
+    code, out, err = run_cli(capsys, command, "--case", "schur", "--coeff", "zero", "--n", "10")
+    assert code == 2 and not out
+    assert err.startswith("error:")
+    if command == "spectrum":
+        assert "not SPD" in err
 
 
 def test_symbol_singular_at_every_grid_point_is_usage_error(capsys):

@@ -20,7 +20,7 @@ from gltkit import (
     ComplexSpectrumError,
     EigenConvergenceError,
     Pencil,
-    SchurComplement,
+    RankOneUpdate,
     SpdError,
     SpectralSet,
     SymmetryError,
@@ -47,7 +47,7 @@ from gltkit.builders import (
     uniform_grid,
 )
 from gltkit.certificates import run_all_certificates
-from gltkit.symbols import TrigPoly, coefficient_preset
+from gltkit.symbols import Coefficient, TrigPoly, coefficient_preset
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +792,8 @@ print(gltkit.linalg.LAPACK_SOURCE, "scipy.linalg" in sys.modules)
 
 
 # ---------------------------------------------------------------------------
-# Schur complements C + B^T A^{-1} B as a 2n band pencil
+# a symmetric band plus a rank-one term, T + s u u^T, as an n x n band pencil;
+# the FE Schur complement rho M + H^T K^{-1} H is built as one
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -802,58 +803,94 @@ def table_coefficient(tmp_path_factory):
     return f"csv:{path}"
 
 
+def _schur_dense(a, rho, n):
+    """The dense Schur complement rho M + H^T (K^{-1} H), with K = K_n(a)."""
+    K, H = as_dense(fe_stiffness(a, n)), as_dense(fe_gradient_coupling(n))
+    return rho * as_dense(fe_mass(coefficient_preset("one"), n)) + H.T @ np.linalg.solve(K, H)
+
+
+def _operand_scale(S, ref):
+    """max |lambda|, or the largest entry of T or s u u^T where they cancel
+    to a smaller spectrum (n = 1 with rho = 0 gives lambda = 0 exactly, and
+    the pencil then returns about eps max |T|)."""
+    return max(np.max(np.abs(ref)), linalg._max_abs(S.T), abs(S.s) * np.max(S.u ** 2))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 400])
 @pytest.mark.parametrize("rho", [-1, 0, 1])
 @pytest.mark.parametrize("coeff", ["one", "xexp", "table"])
 def test_schur_eigvals_match_dense_eigvalsh(coeff, rho, n, table_coefficient):
-    S = get_case(f"schur:rho={rho}", table_coefficient if coeff == "table" else coeff).build(n)
-    ref = np.linalg.eigvalsh(as_dense(S))
-    got = linalg.schur_eigvals(S)
-    # at n = 1 the coupling H is zero, so S = rho M goes to the symmetric solver
-    assert got.solver == ("pencil_schur" if n > 1 else "sym_tridiagonal")
-    assert real_eigvals(S).solver == got.solver
+    coeff = table_coefficient if coeff == "table" else coeff
+    ref = np.linalg.eigvalsh(_schur_dense(coefficient_preset(coeff), rho, n))
+    got = real_eigvals(get_case(f"schur:rho={rho}", coeff).build(n))
+    assert got.solver == "pencil_rank_one"
+    # at n = 1 with rho = 0 the coupling H is zero: both spectra are exactly 0
     assert np.max(np.abs(got.values - ref)) <= 1e-11 * np.max(np.abs(ref))
-    if (coeff, rho) == ("one", -1) and n > 1:
-        assert ref[-1] < 0  # the shift search brackets a negative lambda_max
+    if (coeff, rho) == ("one", -1):
+        assert ref[-1] < 0  # an all-negative spectrum
 
 
-@pytest.mark.parametrize("coeff", ["one", "xexp"])
+@pytest.mark.parametrize("coeff, rho", [("one", -1), ("xexp", 1)])
+def test_schur_spectrum_at_n_1600_matches_dense_eigvalsh(coeff, rho):
+    # the error of the pencil grows like eps kappa(L)^2; at n = 1600 it was
+    # 2.5e-11 max |lambda| for (one, -1) and 5e-14 for (xexp, 1)
+    n = 1600
+    ref = np.linalg.eigvalsh(_schur_dense(coefficient_preset(coeff), rho, n))
+    got = get_case(f"schur:rho={rho}", coeff).build(n)
+    assert np.max(np.abs(real_eigvals(got).values - ref)) <= 5e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("coeff", ["one", "xexp", "table"])
 @pytest.mark.parametrize("rho", [-1.0, 0.0, 0.5, 1.0])
-def test_schur_complement_densifies_to_the_dense_build_bit_for_bit(coeff, rho):
+def test_schur_complement_densifies_to_the_dense_build_bit_for_bit(coeff, rho,
+                                                                   table_coefficient):
+    """The schur operand densifies bit for bit to T + s u u^T as the
+    identity of ``fe_system_schur`` gives it from the element integrals,
+    and that is the dense rho M + H^T K^{-1} H to 1e-13, relative to the
+    larger of the two's entries (at n = 1 with rho = 0 the latter is 0)."""
+    from gltkit.builders import _element_integrals
+
+    coeff = table_coefficient if coeff == "table" else coeff
     a = coefficient_preset(coeff)
     for n in (1, 2, 7, 60):
-        # the schur build before the band pencil: rho M + H^T (K^{-1} H), all dense
-        K, H = fe_stiffness(a, n), fe_gradient_coupling(n)
-        ref = rho * as_dense(fe_mass(coefficient_preset("one"), n)) \
-            + H.T @ solve_spd_banded(K, as_dense(H))
         S = get_case(f"schur:rho={rho}", coeff).build(n)
-        assert isinstance(S, SchurComplement)
-        assert np.array_equal(as_dense(S), ref)
+        assert isinstance(S, RankOneUpdate)
+        v = (1.0 / (n + 1)) ** 2 / _element_integrals(a, n, 5)
+        u = v[:-1] + v[1:]
+        T = rho * as_dense(fe_mass(coefficient_preset("one"), n)) + np.diag(u / 4) \
+            + np.diag(v[1:-1] / 4, 1) + np.diag(v[1:-1] / 4, -1)
+        assert np.array_equal(as_dense(S), T + (-1.0 / (4 * np.sum(v))) * np.outer(u, u))
+        ref = _schur_dense(a, rho, n)
+        scale = max(np.max(np.abs(ref)), np.max(np.abs(T)))
+        assert np.max(np.abs(as_dense(S) - ref)) <= 1e-13 * scale
 
 
-def test_schur_pencil_split_is_clean_and_checked(monkeypatch):
+def test_rank_one_trace_identity_is_checked(monkeypatch):
     n = 60
     S = get_case("schur", "xexp").build(n)
     original = linalg.generalized_sym_eigvals
     solves = []
-    monkeypatch.setattr(linalg, "generalized_sym_eigvals",
-                        lambda K, M: solves.append(original(K, M)) or solves[-1])
-    cholesky = mock.Mock(side_effect=linalg.spd_cholesky_banded)
-    monkeypatch.setattr(linalg, "spd_cholesky_banded", cholesky)
-    linalg.schur_eigvals(S)
-    assert len(solves) == 1 and cholesky.call_count <= 12
-    mu = solves[0].values
-    dropped, kept = mu[:n], mu[n:]
-    # n zeros, one per w row; the kept mu = 1/(tau - lambda) lie within a factor 2
-    assert np.max(np.abs(dropped)) <= 1e-14 * kept[0]
-    assert 0 < kept[0] and kept[-1] <= 2 * kept[0]
-    # a zero that is not a zero, and kept mu below 1/(tau - g), break the split
-    for broken in (lambda v: v + 1e-6 * v[-1], lambda v: 0.1 * v):
-        monkeypatch.setattr(linalg, "generalized_sym_eigvals",
-                            lambda K, M, f=broken: SpectralSet(f(original(K, M).values),
-                                                               "eigenvalues", "pencil_band"))
-        with pytest.raises(EigenConvergenceError, match="split failed"):
-            linalg.schur_eigvals(S)
+
+    def spy(K, M):
+        solves.append((K, M))
+        return original(K, M)
+
+    monkeypatch.setattr(linalg, "generalized_sym_eigvals", spy)
+    lam = real_eigvals(S).values
+    # one n x n solve: K' is pentadiagonal (ka = 2), L L^T tridiagonal (kb = 1)
+    [(K, M)] = solves
+    assert (K.n, K.upper_bw, M.upper_bw) == (n, 2, 1)
+    trace = np.sum(S.T.diagonal_values(0)) + S.s * (S.u @ S.u)
+    assert abs(np.sum(lam) - trace) <= 1e-13 * n * np.max(np.abs(lam))
+
+    def perturbed(K, M):  # the largest eigenvalue off by 1e-6 of itself
+        values = original(K, M).values.copy()
+        values[-1] += 1e-6 * np.max(np.abs(values))
+        return SpectralSet(values, "eigenvalues", "pencil_band")
+
+    monkeypatch.setattr(linalg, "generalized_sym_eigvals", perturbed)
+    with pytest.raises(EigenConvergenceError, match="trace check"):
+        real_eigvals(S)
 
 
 def test_schur_spectrum_allocates_no_n_by_n_array():
@@ -865,69 +902,70 @@ def test_schur_spectrum_allocates_no_n_by_n_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ev.solver == "pencil_schur"
+    assert ev.solver == "pencil_rank_one"
     assert peak < 8 * n * n / 4, peak
 
 
 def test_schur_complement_checks_its_operands():
+    # the operand of the Schur complement: a RankOneUpdate T + s u u^T
     n = 6
-    K = toeplitz(LAPLACE_SYMBOL, n)
-    H = BandedMatrix.from_diagonals(n, {1: np.ones(n - 1)})
-    with pytest.raises(SpdError):
-        SchurComplement(K.scaled(-1.0), H, K)
+    T, u = toeplitz(LAPLACE_SYMBOL, n), np.linspace(0.5, 2.0, n)
+    assert np.array_equal(as_dense(RankOneUpdate(T, u, -0.5)), T.toarray() - 0.5 * np.outer(u, u))
+    for bad in (np.where(np.arange(n) == 2, 0.0, u), np.where(np.arange(n) == 2, np.inf, u),
+                np.where(np.arange(n) == 2, np.nan, u), u[:-1]):
+        with pytest.raises(ValueError, match="finite nonzero"):
+            RankOneUpdate(T, bad, 1.0)
+    with pytest.raises(ValueError, match="s must be finite"):
+        RankOneUpdate(T, u, np.nan)
     with pytest.raises(SymmetryError):
-        SchurComplement(K, H, H)
-    with pytest.raises(ValueError, match="size mismatch"):
-        SchurComplement(K, H, toeplitz(LAPLACE_SYMBOL, n + 1))
+        RankOneUpdate(BandedMatrix.from_diagonals(n, {0: np.ones(n), 1: np.ones(n - 1)}), u, 1.0)
     with pytest.raises(TypeError):
-        SchurComplement(K, H.toarray(), K)
-
-
-@st.composite
-def schur_operands(draw):
-    """A strictly diagonally dominant (so SPD) band A, any band B and a
-    symmetric band C of size 2..30 with independent bandwidths 0..3.  The
-    entries are multiples of 0.01: with entries near 1e-250, B^T A^{-1} B
-    underflows, and the shift search's smallest margin 2^-960 leaves an
-    absolute error of about eps 2^-959 against a spectrum of zero."""
-    n = draw(st.integers(2, 30))
-    entry = st.integers(-500, 500).map(lambda k: k / 100)
-
-    def band(lower, upper, diagonal=None):
-        diags = {} if diagonal is None else {0: diagonal}
-        for k in range(-lower, upper + 1):
-            if k not in diags:
-                diags[k] = np.array(draw(st.lists(entry, min_size=n - abs(k), max_size=n - abs(k))))
-        return BandedMatrix.from_diagonals(n, diags)
-
-    bw = st.integers(0, min(3, n - 1))
-    half = band(draw(bw), 0, np.zeros(n))
-    off = half + half.T
-    margin = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
-    A = off + BandedMatrix.diagonal(np.abs(off.toarray()).sum(axis=1) + margin)
-    B = band(draw(bw), draw(bw))
-    half = band(draw(bw), 0)
-    return A, B, BandedMatrix.from_diagonals(n, {k: v for k, v in half._diagonals()}
-                                            | {-k: v for k, v in half._diagonals()})
+        RankOneUpdate(T.toarray(), u, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(schur_operands())
-def test_schur_eigvals_of_random_bands_match_dense(operands):
-    S = SchurComplement(*operands)
-    ref = np.linalg.eigvalsh(as_dense(S))
-    got = linalg.schur_eigvals(S).values
-    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+@given(st.integers(1, 40), st.data())
+def test_schur_eigvals_of_random_bands_match_dense(n, data):
+    """Random piecewise-linear coefficients a > 0 spanning up to three
+    decades, and rho of either sign: the spectrum of the schur build against
+    dense eigvalsh of rho M + H^T K^{-1} H.  The pencil's error grows like
+    eps kappa(L)^2, and kappa(L) grows with n max u / min u, so a rough a
+    costs digits: over 3000 draws the error reached 0.91 eps kappa(L)^2
+    (8.5e-11 with kappa(L) up to 2.6e4)."""
+    knots = data.draw(st.integers(2, 6))
+    values = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=knots, max_size=knots))
+    a = Coefficient.from_table(np.linspace(0, 1, knots), 10.0 ** np.array(values))
+    rho = data.draw(st.floats(-2.0, 2.0))
+    ref = np.linalg.eigvalsh(_schur_dense(a, rho, n))
+    S = get_case(f"schur:rho={rho!r}", a).build(n)
+    L = np.diag(1.0 / S.u) - np.diag(1.0 / S.u[:-1], -1)
+    bound = 10 * np.finfo(float).eps * np.linalg.cond(L) ** 2 * _operand_scale(S, ref)
+    assert np.max(np.abs(real_eigvals(S).values - ref)) <= bound
 
 
-@settings(max_examples=150, deadline=None)
-@given(band_operands())
-def test_interleaved_band_is_the_permuted_block_matrix(operands):
-    A, B, _, _ = operands
-    n = A.n
-    block = np.block([[A.toarray(), B.toarray()], [B.toarray().T, A.toarray().T]])
-    order = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()  # w1, v1, w2, v2, ...
-    assert np.array_equal(linalg._interleaved(A, B, A.T).toarray(), block[np.ix_(order, order)])
+@st.composite
+def rank_one_operands(draw):
+    """A symmetric band T of size 1..40 and bandwidth 0..3, u with entries
+    of either sign and magnitude in [0.5, 2], and s of either sign."""
+    n = draw(st.integers(1, 40))
+    entry = st.floats(-5.0, 5.0, allow_subnormal=False)
+    diags = {}
+    for k in range(draw(st.integers(0, min(3, n - 1))) + 1):
+        diags[k] = diags[-k] = np.array(draw(st.lists(entry, min_size=n - k, max_size=n - k)))
+    magnitude = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    s = draw(st.floats(0.01, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return BandedMatrix.from_diagonals(n, diags), sign * magnitude, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_one_operands())
+def test_rank_one_update_of_random_bands_matches_dense(operands):
+    T, u, s = operands
+    ref = np.linalg.eigvalsh(T.toarray() + s * np.outer(u, u))
+    got = real_eigvals(RankOneUpdate(T, u, s))
+    assert got.solver == "pencil_rank_one"
+    assert np.max(np.abs(got.values - ref)) <= 1e-11 * _operand_scale(RankOneUpdate(T, u, s), ref)
 
 
 @settings(max_examples=300, deadline=None)
