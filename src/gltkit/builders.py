@@ -597,40 +597,39 @@ def fe_mass_case(g: Coefficient, quad_order=5) -> DiscretizationCase:
 
 def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationCase:
     """The Schur complement ``S = rho M + H^T K^{-1} H`` of the FE
-    saddle-point system (K = K_n(a), M = M_n(1), H = ``fe_gradient_coupling``),
-    built as a :class:`~gltkit.linalg.RankOneUpdate` ``T + s u u^T`` with
-    neither K^{-1} nor S formed.
+    saddle-point system (K = K_n(a), M = M_n(1), H = ``fe_gradient_coupling``)
+    as a :class:`~gltkit.linalg.RankOneUpdate` ``T + s u u^T``; neither
+    K^{-1} nor S is formed.
 
-    Let I_e be the integral of a over element e = 0..n, h = 1/(n+1) and
-    ``W = diag(I_e / h^2)``.  With G the (n+1) x n element-slope matrix
-    (``G[e, j] = h phi_j'`` on element e: +1 at e = j, -1 at e = j + 1) and
-    E the element-node incidence matrix (1 at e = j and e = j + 1),
-    ``K = G^T W G`` and ``H = (1/2) E^T G`` exactly.  Every column of G sums
-    to zero and G has full column rank, so null(G^T) = span(1) and
-    ``G K^{-1} G^T = W^{-1} - W^{-1} 1 1^T W^{-1} / (1^T W^{-1} 1)``.  H is
-    skew: ``E = -(I + 2U) G`` with U the strictly upper triangular matrix
-    of ones, and ``U + U^T = 1 1^T - I`` with ``1^T G = 0`` give
-    ``E^T G = -G^T E``.  Hence ``H^T K^{-1} H = (1/4) E^T G K^{-1} G^T E``,
-    and with ``v = h^2 / I`` (the diagonal of W^{-1})::
+    With I_e the integral of a over element e = 0..n, h = 1/(n+1),
+    ``W = diag(I_e / h^2)``, G the (n+1) x n element-slope matrix (``G[e, j]
+    = h phi_j'``: +1 at e = j, -1 at e = j + 1) and E the element-node
+    incidence matrix (1 at e = j and e = j + 1), ``K = G^T W G`` and ``H =
+    (1/2) E^T G`` exactly.  The columns of G sum to zero and G has full
+    column rank, so null(G^T) = span(1) and ``G K^{-1} G^T = W^{-1} - W^{-1}
+    1 1^T W^{-1} / (1^T W^{-1} 1)``.  ``E = -(I + 2U) G`` (U the strictly
+    upper triangular ones), ``U + U^T = 1 1^T - I`` and ``1^T G = 0`` give
+    ``E^T G = -G^T E``, so ``H^T K^{-1} H = (1/4) E^T G K^{-1} G^T E`` and,
+    with ``v = h^2 / I`` (the diagonal of W^{-1})::
 
         u = v[:-1] + v[1:]                                 (= E^T v)
         T = rho M + (1/4) tridiag(v[1:-1], u, v[1:-1])     (= rho M + E^T W^{-1} E / 4)
         s = -1 / (4 sum v)
 
-    Element integrals that are not positive leave K not SPD and raise
-    ``SpdError``.
+    Every I_e must be positive (W SPD); otherwise ``SpdError`` names the
+    element, also where K alone would still be SPD.
     """
-    one = coefficient_preset("one")
-
     def build(n):
         I = _element_integrals(a, n, quad_order)
         if not np.all(I > 0):
-            raise SpdError(f"stiffness K_n(a) is not SPD: the integral of {a.name!r} over "
-                           f"an element is not positive at n = {n}")
+            e = int(np.argmax(I <= 0))
+            raise SpdError(f"schur needs a positive integral of a over every element: that of "
+                           f"{a.name!r} over element {e} of n = {n} is {I[e]:.3e}")
         v = (1.0 / (n + 1)) ** 2 / I
         u = v[:-1] + v[1:]
         off = v[1:-1] / 4
-        T = fe_mass(one, n, quad_order).scaled(rho) + BandedMatrix.tridiagonal(u / 4, off, off)
+        T = fe_mass(coefficient_preset("one"), n, quad_order).scaled(rho) \
+            + BandedMatrix.tridiagonal(u / 4, off, off)
         return RankOneUpdate(T, u, -1.0 / (4 * np.sum(v)))
 
     sigma = add(

@@ -6,17 +6,16 @@ tridiagonal path), nonsymmetric spectra through Hessenberg + shifted QR,
 symmetric-definite band pencils through LAPACK ``dsbgv`` (split Cholesky
 ``dpbstf``, Crawford's band-preserving reduction ``dsbgst``, ``dsbtrd``
 and ``dsterf``, O(n^2) for a fixed bandwidth), a symmetric band plus a
-rank-one term ``T + s u u^T`` as an n x n band pencil (never forming the
-dense sum), and SPD banded systems through banded Cholesky.
-:func:`real_eigvals` alone maps an operand to its eigensolver: a
-:class:`Pencil` to ``dsbgv``, a :class:`RankOneUpdate` to the pencil
-``(L (T + s u u^T) L^T, L L^T)`` with ``L u = e_1``, and a matrix by its
-structure (a band diagonally similar to a symmetric band is solved as one;
-the dense nonsymmetric solver is the last resort).  Everything works on
-64-bit floats; iteration failures inside LAPACK surface as
-``EigenConvergenceError``, never silently.  :class:`BandedMatrix` alone
-knows the band layout; its algebra (``+``, ``-``, ``row_scaled``, ``@``,
-``.T``) reads only the stored diagonals.
+rank-one term ``T + s u u^T`` as an n x n band pencil, and SPD banded
+systems through banded Cholesky.  :func:`real_eigvals` alone maps an
+operand to its eigensolver: a :class:`Pencil` to ``dsbgv``, a
+:class:`RankOneUpdate` to the pencil ``(L (T + s u u^T) L^T, L L^T)`` with
+``L u = e_1`` (the dense S when u is rough), and a matrix by its structure
+(a band diagonally similar to a symmetric band is solved as one; the dense
+nonsymmetric solver is the last resort).  Everything is 64-bit; failures
+inside LAPACK surface as ``EigenConvergenceError``, never silently.
+:class:`BandedMatrix` alone knows the band layout; its algebra (``+``,
+``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
 
 The band and tridiagonal routines are LAPACK's own, called through the C
 function capsules of scipy's ``cython_lapack`` extension: ``dstevd`` and
@@ -379,7 +378,7 @@ class RankOneUpdate:
     """``S = T + s u u^T`` held as ``T``, ``u`` and ``s`` and never formed:
     ``T`` a symmetric band (``SymmetryError``), ``u`` finite with no zero
     entry and ``s`` finite (``ValueError``).  :func:`real_eigvals` solves it
-    as an n x n band pencil; ``toarray`` forms the dense S."""
+    as an n x n band pencil (densely when u is rough); ``toarray`` forms S."""
 
     T: BandedMatrix
     u: np.ndarray
@@ -560,32 +559,46 @@ def generalized_sym_eigvals(K, M) -> SpectralSet:
     return SpectralSet(w, "eigenvalues", "pencil_band")
 
 
+def _growth(u) -> float:
+    """``max |u[k] / u[i]|`` over ``0 < i <= k``: how much |u| rises after an entry."""
+    a = np.abs(u[1:])
+    return float(np.max(np.maximum.accumulate(a[::-1])[::-1] / a)) if a.size else 1.0
+
+
+_RANK_ONE_GROWTH_LIMIT = 10.0  # the largest _growth that _rank_one_eigvals solves as a pencil
+
+
 def _rank_one_eigvals(A: RankOneUpdate) -> SpectralSet:
-    """Eigenvalues of ``S = T + s u u^T``, sorted ascending, as one n x n
-    band pencil in O(n^2) for a fixed bandwidth of T; nothing n x n is formed.
+    """Eigenvalues of ``S = T + s u u^T``, ascending, as one n x n band
+    pencil: O(n^2) for a fixed bandwidth of T, and nothing n x n is formed.
 
-    The lower bidiagonal L with ``L[i, i] = 1 / u[i]`` and ``L[i + 1, i] =
-    -1 / u[i]`` has ``L u = e_1``, so ``L S L^T = L T L^T + s e_1 e_1^T``:
-    a band one wider than T.  With ``x = L^T y``, ``S x = lambda x`` is
-    ``(L S L^T) y = lambda (L L^T) y``, and ``L L^T`` is a tridiagonal SPD
-    matrix, so the pencil goes to :func:`generalized_sym_eigvals`.  K' is
-    taken from the upper diagonals of ``L T L^T`` (symmetric by
-    construction) with s added to ``K'[0, 0]``.  The computed lambda carry a
-    normwise error of about eps kappa(L)^2.
-
-    After the solve, the trace identity ``sum lambda = tr T + s |u|^2``
-    must hold to 1e-10 times the larger of ``n max |lambda|`` and ``sum
-    |T[i, i]| + |s| |u|^2`` (the scale of the rounding in the right-hand
-    side, which matters when the terms cancel); otherwise
-    ``EigenConvergenceError`` is raised.
+    The lower bidiagonal L with ``L[0, 0] = 1 / u[0]`` and rows ``(-u[i],
+    u[i - 1]) / (|u[i - 1]| + |u[i]|)`` in columns i - 1, i has ``L u =
+    e_1``, so ``S x = lambda x`` is ``(L T L^T + s e_1 e_1^T) y = lambda (L
+    L^T) y`` with ``x = L^T y``: a band one wider than T (built from its
+    upper diagonals) against a tridiagonal SPD matrix.  Its error grows
+    with n and with how much |u| rises (:func:`_growth`), as for any banded
+    L with rows orthogonal to u; so S is read backwards (the same spectrum)
+    when |u| rises less that way, and solved densely (``sym_dense``) when
+    the growth still exceeds ``_RANK_ONE_GROWTH_LIMIT``: on a coefficient
+    with a bump the pencil erred by 4e-9 max |lambda| and failed the check
+    below.  That check: ``sum lambda = tr T + s |u|^2`` must hold to 1e-10
+    times the larger of ``n max |lambda|`` and ``sum |T[i, i]| + |s| |u|^2``,
+    or ``EigenConvergenceError`` is raised.
     """
-    n, u = A.T.n, A.u
-    L = BandedMatrix.from_diagonals(n, {0: 1.0 / u, -1: -1.0 / u[:-1]})
-    upper = {k: v.copy() for k, v in (L @ A.T @ L.T)._diagonals() if k >= 0}
+    n, T, u = A.T.n, A.T, A.u
+    forward, backward = _growth(u), _growth(u[::-1])
+    if min(forward, backward) > _RANK_ONE_GROWTH_LIMIT:
+        return _sym_eigvals(A.toarray())
+    if backward < forward:
+        T, u = BandedMatrix.from_diagonals(n, {k: v[::-1] for k, v in T._diagonals()}), u[::-1]
+    w = np.abs(u[:-1]) + np.abs(u[1:])
+    L = BandedMatrix.from_diagonals(n, {0: np.append(1.0 / u[0], u[:-1] / w), -1: -u[1:] / w})
+    upper = {k: v.copy() for k, v in (L @ T @ L.T)._diagonals() if k >= 0}
     upper[0][0] += A.s
     K = BandedMatrix.from_diagonals(n, upper | {-k: v for k, v in upper.items()})
     lam = generalized_sym_eigvals(K, L @ L.T).values
-    diag, rank_one = A.T.diagonal_values(0), A.s * float(u @ u)
+    diag, rank_one = A.T.diagonal_values(0), A.s * float(A.u @ A.u)
     residual = abs(float(np.sum(lam)) - (float(np.sum(diag)) + rank_one))
     scale = max(n * float(np.max(np.abs(lam))), float(np.sum(np.abs(diag))) + abs(rank_one))
     if residual > 1e-10 * scale:
@@ -650,7 +663,8 @@ def real_eigvals(A) -> SpectralSet:
     nonsymmetric solver, where imaginary parts above ``1e-7 * max |lambda|``
     raise ``ComplexSpectrumError``.  ``solver`` on the result names the
     path that ran.  A :class:`Pencil` goes to :func:`generalized_sym_eigvals`
-    and a :class:`RankOneUpdate` to its band pencil (``pencil_rank_one``).
+    and a :class:`RankOneUpdate` to its band pencil (``pencil_rank_one``), or
+    to the dense S (``sym_dense``) when u is rough.
     """
     if isinstance(A, Pencil):
         return generalized_sym_eigvals(A.K, A.M)

@@ -454,6 +454,11 @@ def test_schur_symmetric_and_spd_requirement():
     negative = Coefficient("neg", lambda x: -np.ones_like(x), "continuous")
     with pytest.raises(SpdError):
         fe_system_schur(negative, rho=1.0).build(5)
+    # K = (I_0 + I_1) / h^2 > 0 at n = 1, but I_0 < 0: the build asks for every I_e > 0
+    signed = Coefficient.from_table([0, 0.49, 0.51, 1], [-2, -2, 6, 6])
+    assert linalg.is_symmetric(fe_stiffness(signed, 1)) and fe_stiffness(signed, 1).toarray()[0, 0] > 0
+    with pytest.raises(SpdError, match="over element 0 of n = 1 is -"):
+        fe_system_schur(signed, rho=1.0).build(1)
 
 
 def test_eigproblem_exact_eigenvalues_constant_coefficients():

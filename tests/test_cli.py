@@ -130,12 +130,12 @@ def test_compare_reports_the_schur_pencil_solver(capsys):
 @pytest.mark.parametrize("command", ["compare", "spectrum"])
 def test_schur_with_a_zero_coefficient_is_usage_error(capsys, command):
     # compare stops at the singular symbol, spectrum at the element integrals
-    # of a, which leave the stiffness K not SPD
+    # of a, which the schur build needs positive
     code, out, err = run_cli(capsys, command, "--case", "schur", "--coeff", "zero", "--n", "10")
     assert code == 2 and not out
     assert err.startswith("error:")
     if command == "spectrum":
-        assert "not SPD" in err
+        assert "that of 'zero' over element 0 of n = 10 is 0.000e+00" in err
 
 
 def test_symbol_singular_at_every_grid_point_is_usage_error(capsys):
