@@ -21,7 +21,8 @@ import numpy as np
 
 from .builders import DiscretizationCase
 from .linalg import SpectralSet, schatten_norm, spectral_norm, as_dense
-from .symbols import Rearrangement, SymbolExpr, grid_samples, monotone_rearrangement
+from .symbols import (Rearrangement, SymbolExpr, block_size, grid_samples,
+                      monotone_rearrangement)
 
 
 class UnboundedSymbolError(ValueError):
@@ -134,6 +135,15 @@ def _quadrature_samples(kappa: SymbolExpr, rect, quad_res, rule, absolute=False)
     return grid_samples(kappa, (x, th), absolute)[0]
 
 
+def _blocked_mean(F, values):
+    """Mean of F over ``values``, applied in blocks of
+    :func:`~gltkit.symbols.block_size` values, so F(values) is never held
+    at full size."""
+    step = block_size(values.size)
+    return math.fsum(float(np.sum(F(values[i:i + step])))
+                     for i in range(0, values.size, step)) / values.size
+
+
 def symbol_functional(kappa: SymbolExpr, rect, F, quad_res=400, rule="auto",
                       absolute=False) -> float:
     """Domain average of F(kappa) (or F(|kappa|)) over the rectangle.
@@ -145,7 +155,7 @@ def symbol_functional(kappa: SymbolExpr, rect, F, quad_res=400, rule="auto",
     ``auto`` (see ``_quadrature_rule``); any other name raises ValueError.
     """
     flat = _quadrature_samples(kappa, rect, quad_res, _quadrature_rule(kappa, rule), absolute)
-    return float(np.mean(F(flat)))
+    return _blocked_mean(F, flat)
 
 
 # ----------------------------------------------------------------------------
@@ -253,8 +263,8 @@ class SymbolSamples:
         """``(mean F(full), |mean F(full) - mean F(coarse)|)``, the second None
         without ``coarse``; computed on the first call for each F."""
         if F not in self._symbol_sides:
-            sym = float(np.mean(F(self.full)))
-            d = None if self.coarse is None else abs(sym - float(np.mean(F(self.coarse))))
+            sym = _blocked_mean(F, self.full)
+            d = None if self.coarse is None else abs(sym - _blocked_mean(F, self.coarse))
             self._symbol_sides[F] = (sym, d)
         return self._symbol_sides[F]
 

@@ -125,8 +125,10 @@ def cmd_compare(args) -> int:
             rr_doc = rr.to_json_dict()
             for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers", "rearrangement"):
                 doc[key] = rr_doc[key]
-            t, s, e = rr.overlay
-            overlay_rows += [(n, float(ti), float(si), float(ei)) for ti, si, ei in zip(t, s, e)]
+            if args.out:  # the overlay is only ever written next to --out
+                t, s, e = rr.overlay
+                overlay_rows += [(n, float(ti), float(si), float(ei))
+                                 for ti, si, ei in zip(t, s, e)]
         except (UnboundedSymbolError, ComplexSpectrumError) as exc:
             doc["rearrangement_error"] = str(exc)
         reports.append(doc)
@@ -141,7 +143,7 @@ def cmd_compare(args) -> int:
                              f["empirical"], f["symbol"], f["gap"]))
         _emit(args.out, _csv(rows, ("case", "n", "mode", "F", "empirical", "symbol", "gap")))
 
-    if overlay_rows and args.out:
+    if overlay_rows:
         base, _ = os.path.splitext(args.out)
         _atomic_write(base + "_overlay.csv",
                       _csv(overlay_rows, ("n", "t", "rearrangement", "eigenvalue")))

@@ -216,9 +216,21 @@ class SymbolExpr:
 
     is_real: bool = True
     has_quotient: bool = False
+    #: False for a subtree of theta alone, which a grid evaluates once
+    reads_x: bool = True
 
-    def _eval(self, x, theta, invalid):
+    def _eval(self, x, theta, invalid, ws=()):
+        """Values at (x, theta); division guards append their masks to
+        ``invalid``.  ``ws`` is a workspace of float arrays of the full
+        broadcast shape: a node may write its result into ``ws[0]`` and
+        hands ``ws[1:]`` on to the children whose values it must keep."""
         raise NotImplementedError
+
+    def _parts(self):
+        return ()
+
+    def _with_parts(self, parts):
+        return self
 
     def __call__(self, x, theta):
         """Evaluate without singularity tracking; NaN marks singular points."""
@@ -227,15 +239,19 @@ class SymbolExpr:
             vals = np.where(invalid, np.nan, vals)
         return vals
 
-    def eval_masked(self, x, theta):
+    def eval_masked(self, x, theta, out=None, scratch=()):
         """Evaluate on broadcastable arrays, returning (values, invalid_mask).
 
-        ``invalid_mask`` is None when no division guard was tripped.
+        ``invalid_mask`` is None when no division guard was tripped.  A real
+        result of the full broadcast shape may be written into ``out``, a
+        float array of that shape, and the values returned are then ``out``
+        itself; ``scratch`` holds further such arrays that intermediate
+        values may be written into.
         """
         x = np.asarray(x, dtype=float)
         theta = np.asarray(theta, dtype=float)
         invalid = []
-        vals = self._eval(x, theta, invalid)
+        vals = self._eval(x, theta, invalid, () if out is None else (out, *scratch))
         if not invalid:
             return vals, None
         mask = invalid[0]
@@ -289,7 +305,7 @@ class CoeffFactor(SymbolExpr):
         self.is_real = True
         self.has_quotient = False
 
-    def _eval(self, x, theta, invalid):
+    def _eval(self, x, theta, invalid, ws=()):
         return self.coefficient(x)
 
     def to_json_obj(self):
@@ -304,8 +320,9 @@ class TrigFactor(SymbolExpr):
         self.poly = poly
         self.is_real = poly.real_valued
         self.has_quotient = False
+        self.reads_x = False
 
-    def _eval(self, x, theta, invalid):
+    def _eval(self, x, theta, invalid, ws=()):
         return self.poly(theta)
 
     def to_json_obj(self):
@@ -325,12 +342,16 @@ class Sum(SymbolExpr):
         self.terms = tuple(terms)
         self.is_real = all(t.is_real for t in self.terms)
         self.has_quotient = any(t.has_quotient for t in self.terms)
+        self.reads_x = any(t.reads_x for t in self.terms)
 
-    def _eval(self, x, theta, invalid):
-        out = self.terms[0]._eval(x, theta, invalid)
-        for t in self.terms[1:]:
-            out = out + t._eval(x, theta, invalid)
-        return out
+    def _eval(self, x, theta, invalid, ws=()):
+        return _fold(np.add, self.terms, x, theta, invalid, ws)
+
+    def _parts(self):
+        return self.terms
+
+    def _with_parts(self, parts):
+        return Sum(parts)
 
     def to_json_obj(self):
         return {"kind": "sum", "children": [t.to_json_obj() for t in self.terms]}
@@ -344,12 +365,16 @@ class Prod(SymbolExpr):
         self.factors = tuple(factors)
         self.is_real = all(f.is_real for f in self.factors)
         self.has_quotient = any(f.has_quotient for f in self.factors)
+        self.reads_x = any(f.reads_x for f in self.factors)
 
-    def _eval(self, x, theta, invalid):
-        out = self.factors[0]._eval(x, theta, invalid)
-        for f in self.factors[1:]:
-            out = out * f._eval(x, theta, invalid)
-        return out
+    def _eval(self, x, theta, invalid, ws=()):
+        return _fold(np.multiply, self.factors, x, theta, invalid, ws)
+
+    def _parts(self):
+        return self.factors
+
+    def _with_parts(self, parts):
+        return Prod(parts)
 
     def to_json_obj(self):
         return {"kind": "prod", "children": [f.to_json_obj() for f in self.factors]}
@@ -367,15 +392,23 @@ class Quot(SymbolExpr):
         self.den = den
         self.is_real = num.is_real and den.is_real
         self.has_quotient = True
+        self.reads_x = num.reads_x or den.reads_x
 
-    def _eval(self, x, theta, invalid):
-        nv = self.num._eval(x, theta, invalid)
-        dv = self.den._eval(x, theta, invalid)
-        small = np.abs(dv) < DIV_GUARD
+    def _eval(self, x, theta, invalid, ws=()):
+        nv = self.num._eval(x, theta, invalid, ws)
+        rest = _after(ws, nv)
+        dv = self.den._eval(x, theta, invalid, rest)
+        small = _apply(np.absolute, dv, ws=_after(rest, dv)) < DIV_GUARD
         if np.any(small):
             invalid.append(small)
             dv = np.where(small, 1.0, dv)
-        return nv / dv
+        return _apply(np.divide, nv, dv, ws=ws)
+
+    def _parts(self):
+        return (self.num, self.den)
+
+    def _with_parts(self, parts):
+        return Quot(*parts)
 
     def to_json_obj(self):
         return {"kind": "quot", "children": [self.num.to_json_obj(), self.den.to_json_obj()]}
@@ -389,15 +422,73 @@ class Conj(SymbolExpr):
         self.arg = arg
         self.is_real = arg.is_real
         self.has_quotient = arg.has_quotient
+        self.reads_x = arg.reads_x
 
-    def _eval(self, x, theta, invalid):
-        return np.conj(self.arg._eval(x, theta, invalid))
+    def _eval(self, x, theta, invalid, ws=()):
+        return _apply(np.conjugate, self.arg._eval(x, theta, invalid, ws), ws=ws)
+
+    def _parts(self):
+        return (self.arg,)
+
+    def _with_parts(self, parts):
+        return Conj(*parts)
 
     def to_json_obj(self):
         return {"kind": "conj", "children": [self.arg.to_json_obj()]}
 
     def __str__(self):
         return f"conj({self.arg})"
+
+
+class _Fixed(SymbolExpr):
+    """A subtree of theta alone, evaluated once on a grid's theta axis: its
+    values and the masks its division guards tripped."""
+
+    def __init__(self, node, theta):
+        self.invalid = []
+        self.values = node._eval(None, theta, self.invalid)
+        self.is_real = node.is_real
+        self.has_quotient = node.has_quotient
+        self.reads_x = False
+
+    def _eval(self, x, theta, invalid, ws=()):
+        invalid.extend(self.invalid)
+        return self.values
+
+
+def _bind_theta(node, theta):
+    """``node`` with each largest subtree that does not read x replaced by
+    its values on ``theta``, so a grid evaluated in blocks of x rows
+    computes them once."""
+    if not node.reads_x:
+        return _Fixed(node, theta)
+    parts = node._parts()
+    if not parts:
+        return node
+    return node._with_parts(tuple(_bind_theta(p, theta) for p in parts))
+
+
+def _apply(ufunc, *args, ws):
+    """``ufunc(*args)``, written into ``ws[0]`` when the workspace has one
+    of the operands' broadcast shape and the result is real."""
+    if ws and np.result_type(*args).kind == "f" and np.broadcast(*args).shape == ws[0].shape:
+        return ufunc(*args, out=ws[0])
+    return ufunc(*args)
+
+
+def _after(ws, value):
+    """The workspace still free while ``value`` is kept: all of it unless
+    ``value`` is ``ws[0]``."""
+    return ws[1:] if ws and value is ws[0] else ws
+
+
+def _fold(ufunc, nodes, x, theta, invalid, ws):
+    """Left fold of ``ufunc`` over the nodes' values, accumulated in
+    ``ws[0]``."""
+    acc = nodes[0]._eval(x, theta, invalid, ws)
+    for node in nodes[1:]:
+        acc = _apply(ufunc, acc, node._eval(x, theta, invalid, _after(ws, acc)), ws=ws)
+    return acc
 
 
 def add(*terms):
@@ -463,6 +554,10 @@ def symbol_eval(kappa: SymbolExpr, x: float, theta: float):
 # monotone rearrangement
 # ----------------------------------------------------------------------------
 
+#: sample pairs per chunk of the nondecreasing check of a Rearrangement
+_CHECK_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class Rearrangement:
     """Piecewise-linear nondecreasing interpolant of sorted symbol samples.
@@ -483,8 +578,12 @@ class Rearrangement:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("need a nonempty 1-d array of samples")
-        if np.any(samples[1:] < samples[:-1]):
-            raise ValueError("rearrangement samples must be nondecreasing")
+        # in chunks, so no bool temporary of the samples' size is made
+        last = samples.size - 1
+        for start in range(0, last, _CHECK_CHUNK):
+            stop = min(start + _CHECK_CHUNK, last)
+            if np.any(samples[start + 1:stop + 1] < samples[start:stop]):
+                raise ValueError("rearrangement samples must be nondecreasing")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -527,6 +626,17 @@ def _lattice(rect, r):
     return [lo + np.arange(1, r + 1) * (hi - lo) / r for lo, hi in rect]
 
 
+#: bytes of one float block of a blocked grid evaluation
+BLOCK_BYTES = 1 << 20
+
+
+def block_size(total):
+    """Values per block when ``total`` values are evaluated in blocks: the
+    ``BLOCK_BYTES`` budget, or 1/16 of ``total`` when that is smaller, so a
+    block's temporaries stay a small fraction of the buffer they fill."""
+    return max(1, min(BLOCK_BYTES // 8, total // 16))
+
+
 def grid_samples(kappa, axes, absolute=False):
     """Values of ``kappa`` on the outer-product grid of the 1-d ``axes``,
     flattened row-major with the excluded points dropped, and the number of
@@ -534,45 +644,78 @@ def grid_samples(kappa, axes, absolute=False):
 
     A SymbolExpr takes two axes (x, theta) and excludes the points where a
     division guard trips; any other callable (a Coefficient uses its ``fn``)
-    takes one grid array per axis and excludes non-finite values.  Complex
-    values raise ComplexSymbolError unless ``absolute`` asks for moduli.
+    takes one grid array per axis, must act elementwise, and excludes
+    non-finite values.  Complex values raise ComplexSymbolError unless
+    ``absolute`` asks for moduli.
 
-    The returned buffer is the caller's to overwrite or sort in place.  It
-    is the evaluation's own array whenever that is fresh (C-contiguous,
-    writeable, owning its data and of full size) and a copy otherwise; the
-    axes reach the symbol read-only, so a symbol that returns its input, or
-    a view of it, is always copied.
+    The returned buffer is freshly allocated, the caller's to overwrite or
+    sort in place.  It is filled in blocks of rows of the first axis (see
+    :func:`block_size`), each block's kept values after the previous ones,
+    so no temporary of the grid's full size is made; the theta-only
+    subtrees of a SymbolExpr are evaluated once, and its root writes each
+    block straight into the buffer.  The axes reach the symbol read-only,
+    so a symbol that returns its input is copied, never sorted in place.
     """
     axes = [np.asarray(a, dtype=float).view() for a in axes]
     for a in axes:
         a.flags.writeable = False
-    shape = tuple(a.size for a in axes)
-    if isinstance(kappa, SymbolExpr):
+    row_shape = tuple(a.size for a in axes[1:])
+    row_len = math.prod(row_shape)
+    total = axes[0].size * row_len
+    step = max(1, block_size(total) // max(row_len, 1))
+    guarded = isinstance(kappa, SymbolExpr)
+    if guarded:
         if len(axes) != 2:
             raise ValueError("a SymbolExpr needs a two-interval rectangle")
-        vals, invalid = kappa.eval_masked(axes[0][:, None], axes[1][None, :])
+        theta = axes[1][None, :]
+        bound = _bind_theta(kappa, theta)
+
+        # intermediate values go to buffers kept from block to block: fresh
+        # block-sized temporaries would make malloc map and fault in their
+        # pages again for every block (two cover every registered symbol;
+        # a deeper tree makes temporaries for the rest)
+        scratch = [np.empty((step,) + row_shape) for _ in range(2)]
+
+        def evaluate(rows, out):
+            spare = [a[:len(out)] for a in scratch]
+            return bound.eval_masked(axes[0][rows, None], theta, out, spare)
     else:
         fn = kappa.fn if isinstance(kappa, Coefficient) else kappa
-        vals = fn(*np.meshgrid(*axes, indexing="ij", copy=False))
-    vals = np.asarray(vals)
-    if vals.shape != shape:
-        vals = np.broadcast_to(vals, shape)
-    if absolute:
-        vals = np.abs(vals)
-    elif np.iscomplexobj(vals):
-        raise ComplexSymbolError("symbol takes complex values; a real-valued one is required")
-    vals = np.require(vals, float, "COW")
-    flat = vals.reshape(-1)
-    if isinstance(kappa, SymbolExpr):
-        keep = None if invalid is None else ~np.broadcast_to(invalid, shape).reshape(-1)
-    else:
-        keep = np.isfinite(flat)
-        keep = None if keep.all() else keep
-    if keep is not None:
-        flat = flat[keep]
-    if flat.size == 0:
+
+        def evaluate(rows, out):
+            return fn(*np.meshgrid(axes[0][rows], *axes[1:], indexing="ij", copy=False)), None
+
+    buf = np.empty(total)
+    kept = 0
+
+    for start in range(0, axes[0].size, step):
+        rows = slice(start, start + step)
+        count = (min(start + step, axes[0].size) - start) * row_len
+        block = buf[kept:kept + count]
+        out = block.reshape((-1,) + row_shape)
+        vals, invalid = evaluate(rows, out)
+        if vals is not out:
+            if np.iscomplexobj(vals) and not absolute:
+                raise ComplexSymbolError(
+                    "symbol takes complex values; a real-valued one is required")
+            if absolute:
+                np.absolute(vals, out=out)
+            else:
+                np.copyto(out, vals)
+        elif absolute:
+            np.absolute(out, out=out)
+        if not guarded:
+            finite = np.isfinite(out)
+            invalid = None if finite.all() else ~finite
+        if invalid is None:
+            kept += count
+        else:
+            values = out[~np.broadcast_to(invalid, out.shape)]
+            block[:values.size] = values
+            kept += values.size
+    if kept == 0:
         raise SymbolSingularityError("the symbol is singular at every grid point")
-    return flat, vals.size - flat.size
+    return (buf if kept == total else buf[:kept]), total - kept
 
 
 def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
@@ -582,8 +725,8 @@ def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
     SymbolExpr uses two, ([x_lo, x_hi], [theta_lo, theta_hi]).  Lattice
     points where a division guard trips are excluded and the node count
     shrinks accordingly (recorded in ``excluded``).  The samples are sorted
-    in the buffer that :func:`grid_samples` returns, so the r^d values are
-    held once.
+    in the buffer that :func:`grid_samples` fills block by block, so the
+    r^d values are held once and no other array of that size is made.
     """
     if r < 1:
         raise ValueError("sampling parameter r must be >= 1")

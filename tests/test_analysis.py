@@ -32,6 +32,7 @@ from gltkit import (
     zero_distribution_check,
 )
 from gltkit.builders import as_dense
+from gltkit.symbols import block_size
 
 ONE = coefficient_preset("one")
 XEXP = coefficient_preset("xexp")
@@ -317,13 +318,18 @@ def test_weyl_symbol_side_is_computed_once_per_test_function():
     counted.label = F.label
     reports = [weyl_compare(case, n, F_suite=[counted], quad_res=40, samples=samples)
                for n in (20, 40)]
-    # the spectra at n = 20 and 40, and the full and coarse samples once
-    assert sorted(sizes) == sorted([20, 40, samples.full.size, samples.coarse.size])
+    # the full and coarse samples once, in blocks of block_size values so
+    # that F never sees them at full size, then the spectra at n = 20 and 40
+    assert sizes[-2:] == [20, 40]
+    blocks = sizes[:-2]
+    assert sum(blocks) == samples.full.size + samples.coarse.size
+    assert max(blocks) == block_size(samples.full.size) < samples.coarse.size
     sym = float(np.mean(F(samples.full)))
     refinement = abs(sym - float(np.mean(F(samples.coarse))))
     for rep in reports:
-        assert rep.functionals[0].symbol_value == sym
-        assert rep.quad_refinement == refinement
+        assert rep.functionals[0].symbol_value == pytest.approx(sym, rel=1e-14)
+        assert rep.quad_refinement == pytest.approx(refinement, rel=1e-12, abs=1e-15)
+    assert reports[0].functionals[0].symbol_value == reports[1].functionals[0].symbol_value
 
 
 def test_weyl_rejects_samples_taken_for_other_settings():

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from gltkit import get_case, monotone_rearrangement, rearrangement_compare
+from gltkit.analysis import SYMBOL_RECT
 from gltkit.builders import DiscretizationCase
 from gltkit.cli import main, TABLE2_REFERENCE
 
@@ -64,6 +66,23 @@ def test_compare_writes_report_and_overlay(capsys, tmp_path):
     overlay = (tmp_path / "cmp_overlay.csv").read_text().strip().splitlines()
     assert overlay[0] == "n,t,rearrangement,eigenvalue"
     assert len(overlay) == 51
+
+
+def test_compare_overlay_csv_lists_every_rearrangement_point(capsys, tmp_path):
+    """The overlay file next to --out holds, for each n, the (t, rearranged
+    symbol, eigenvalue) triples of the rearrangement comparison, each float
+    written with 17 significant digits (the format of the csv reports)."""
+    path = tmp_path / "ln.csv"
+    code, _, _ = run_cli(capsys, "compare", "--case", "Ln", "--coeff", "xexp",
+                         "--n", "20,50", "--r", "300", "--quad-res", "60", "--out", str(path))
+    assert code == 0
+    case = get_case("Ln", "xexp")
+    rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, 300)
+    lines = ["n,t,rearrangement,eigenvalue"]
+    for n in (20, 50):
+        t, s, e = rearrangement_compare(case, n, r=300, rearr=rearr).overlay
+        lines += [f"{n},{ti:.17g},{si:.17g},{ei:.17g}" for ti, si, ei in zip(t, s, e)]
+    assert (tmp_path / "ln_overlay.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_compare_schur_runs(capsys, tmp_path):

@@ -21,7 +21,9 @@ from gltkit import (
     TrigFactor,
     TrigPoly,
     add,
+    case_names,
     coefficient_preset,
+    conjugate,
     divide,
     get_case,
     modulus_of_continuity,
@@ -237,6 +239,123 @@ def test_rearrangement_sorts_in_one_full_size_buffer():
         tracemalloc.stop()
     assert R.node_count == r * r + 1
     assert peak <= 1.25 * 8 * r * r
+
+
+def _whole_grid_samples(kappa, axes, absolute):
+    """The reference for grid_samples: one evaluation on the whole grid,
+    then the excluded points dropped by one boolean mask."""
+    shape = tuple(a.size for a in axes)
+    if isinstance(kappa, SymbolExpr):
+        vals, invalid = kappa.eval_masked(axes[0][:, None], axes[1][None, :])
+    else:
+        vals, invalid = kappa(*np.meshgrid(*axes, indexing="ij")), None
+    vals = np.broadcast_to(np.abs(vals) if absolute else np.asarray(vals), shape)
+    flat = np.array(vals, dtype=float).reshape(-1)
+    if isinstance(kappa, SymbolExpr):
+        keep = np.ones(flat.size, bool) if invalid is None else \
+            ~np.broadcast_to(invalid, shape).reshape(-1)
+    else:
+        keep = np.isfinite(flat)
+    return flat[keep], flat.size - int(np.count_nonzero(keep))
+
+
+def _assert_grid_samples_match_whole_grid(kappa, rect, r, absolute):
+    axes = symbols._lattice(rect, r)
+    expected, excluded = _whole_grid_samples(kappa, axes, absolute)
+    if expected.size == 0:
+        with pytest.raises(SymbolSingularityError):
+            symbols.grid_samples(kappa, axes, absolute)
+        return
+    samples, got_excluded = symbols.grid_samples(kappa, axes, absolute)
+    assert samples.tobytes() == expected.tobytes()
+    assert got_excluded == excluded
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_blocked_grid_samples_match_the_whole_grid(tmp_path, name):
+    """Every registry symbol, with a coefficient that vanishes at x = 1/2
+    among them (schur then excludes a lattice row), at sizes of one block
+    (r = 1, 2) and of several (r = 17, 600): the blocked samples and the
+    excluded count are the whole-grid ones, byte for byte."""
+    table = tmp_path / "zero.csv"
+    table.write_text("x,value\n0,1\n0.5,0\n1,2\n")
+    for coeff in ("xexp", "one", f"csv:{table}"):
+        kappa = get_case(name, coeff).predicted_symbol
+        for r in (1, 2, 17, 600):
+            for absolute in (False, True):
+                _assert_grid_samples_match_whole_grid(kappa, RECT, r, absolute)
+
+
+_DIP = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
+
+
+@pytest.mark.parametrize("kappa,rect,absolute", [
+    # a theta-only quotient excludes the column theta = pi once per grid, an
+    # x-only one the row x = 1/2 in its block
+    (divide(multiply(XEXP, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL), nonzero_ae=True), RECT, False),
+    (divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP), nonzero_ae=True), RECT, True),
+    (add(divide(TrigFactor(LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL), nonzero_ae=True),
+         multiply(XEXP, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)), RECT, False),
+    (TrigFactor(LAPLACE_SYMBOL), RECT, False),                   # theta-only root
+    (CoeffFactor(coefficient_preset("x")), RECT, True),           # x-only root
+    (multiply(XEXP, TrigPoly([0.0, 0.0, 1.0])), RECT, True),      # complex, as moduli
+    (conjugate(multiply(XEXP, SIN_SYMBOL)), RECT, False),
+    (lambda x, theta: np.where(x > 0.5, np.nan, x + theta), RECT, False),
+    (lambda x, theta: np.exp(1j * theta) * x, RECT, True),
+    (coefficient_preset("xexp"), ((0.0, 1.0),), False),          # 1-d Coefficient
+])
+@pytest.mark.parametrize("r", [1, 2, 17, 600])
+def test_blocked_grid_samples_match_the_whole_grid_on_every_tree_shape(kappa, rect, absolute, r):
+    _assert_grid_samples_match_whole_grid(kappa, rect, r, absolute)
+
+
+def test_grid_samples_refuse_complex_values_unless_asked_for_moduli():
+    axes = symbols._lattice(RECT, 17)
+    for kappa in (multiply(XEXP, TrigPoly([0.0, 0.0, 1.0])),
+                  lambda x, theta: np.exp(1j * theta) * x):
+        with pytest.raises(ComplexSymbolError):
+            symbols.grid_samples(kappa, axes)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_rearrangement_needs_no_second_full_size_array(name):
+    """The grid is evaluated in blocks straight into the buffer that gets
+    sorted, so the traced peak stays within 1.1 full-size float arrays for
+    every registry symbol, quotients and sums included."""
+    kappa = get_case(name, "xexp").predicted_symbol
+    r = 2000
+    tracemalloc.start()
+    try:
+        R = monotone_rearrangement(kappa, RECT, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.node_count == r * r + 1
+    assert peak <= 1.1 * 8 * r * r
+
+
+@pytest.mark.parametrize("chunk", [4, symbols._CHECK_CHUNK])
+def test_rearrangement_check_finds_an_inversion_on_a_chunk_boundary(monkeypatch, chunk):
+    monkeypatch.setattr(symbols, "_CHECK_CHUNK", chunk)
+    N = 2 * chunk + 1  # 2 chunks of pairs (s[k], s[k + 1])
+    Rearrangement(samples=np.arange(N, dtype=float), rect=RECT, r=1)
+    # the last pair of the first chunk, the first of the second, the last one
+    for k in (chunk - 1, chunk, N - 2):
+        samples = np.arange(N, dtype=float)
+        samples[k + 1] = samples[k] - 0.5
+        with pytest.raises(ValueError, match="nondecreasing"):
+            Rearrangement(samples=samples, rect=RECT, r=1)
+
+
+def test_rearrangement_check_makes_no_temporary_of_the_samples_size():
+    samples = np.arange(1 << 20, dtype=float)
+    tracemalloc.start()
+    try:
+        Rearrangement(samples=samples, rect=RECT, r=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples.size / 8
 
 
 @pytest.mark.parametrize("kappa,rect,r", [
