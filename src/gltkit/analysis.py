@@ -56,7 +56,17 @@ class TestFunction:
         if self.kind == "monomial":
             lo, hi = self.window
             inside = (t >= lo) & (t <= hi)
-            return np.where(inside, (t / self.scale) ** self.degree, 0.0)
+            if self.degree == 0:
+                return inside.astype(float)
+            # powered and masked in place: a second array of the block's
+            # size costs more than libm pow itself
+            y = np.divide(t, self.scale, out=np.empty_like(t))
+            if self.degree == 2:
+                y *= y  # what ``** 2`` computes
+            elif self.degree > 2:
+                np.power(y, self.degree, out=y)
+            y[~inside] = 0.0
+            return y
         if self.kind == "hat":
             return np.maximum(0.0, 1.0 - np.abs(t - self.center) / (self.width / 2.0))
         raise ValueError(f"unknown test function kind {self.kind!r}")
@@ -259,6 +269,11 @@ class SymbolSamples:
     coarse: np.ndarray | None = field(default=None, repr=False)
     _symbol_sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def default_suite(self):
+        """:func:`default_suite` on the inflated range of ``full``: the test
+        functions of :func:`weyl_compare` when it is given none."""
+        return default_suite(inflate(float(self.full.min()), float(self.full.max())))
+
     def symbol_side(self, F):
         """``(mean F(full), |mean F(full) - mean F(coarse)|)``, the second None
         without ``coarse``; computed on the first call for each F."""
@@ -285,14 +300,17 @@ def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400,
 
 
 def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
-                 quad_res=400, refine_check=True, samples=None) -> DistributionReport:
+                 quad_res=400, refine_check=True, samples=None,
+                 spectrum=None) -> DistributionReport:
     """Test-functional comparison of the spectrum of alpha_n A_n with the
     predicted symbol.
 
     ``mode`` selects eigenvalues ("lambda") or singular values ("sigma");
     sigma mode compares against F(|kappa|) as the distribution definition
     prescribes.  Pass ``samples`` from :func:`symbol_samples` (same case,
-    mode, ``quad_res`` and ``refine_check``) to reuse them across n.
+    mode, ``quad_res`` and ``refine_check``) to reuse them across n, and
+    the ``spectrum`` of alpha_n A_n (its n eigenvalues, or singular values
+    in sigma mode) when it is already at hand.
     """
     if samples is None:
         samples = symbol_samples(case, mode, quad_res, refine_check)
@@ -303,9 +321,12 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
             f"refine_check={samples.coarse is not None}; this comparison asks for "
             f"mode={mode}, quad_res={quad_res}, refine_check={refine_check}")
     if F_suite is None:
-        F_suite = default_suite(inflate(float(samples.full.min()), float(samples.full.max())))
-
-    spectrum = case.singular_spectrum(n) if mode == "sigma" else case.spectrum(n)
+        F_suite = samples.default_suite()
+    sigma = mode == "sigma"
+    if spectrum is None:
+        spectrum = case.singular_spectrum(n) if sigma else case.spectrum(n)
+    else:
+        _require_spectrum(case, n, spectrum, "singular_values" if sigma else "eigenvalues")
 
     gaps = []
     refinement = None
@@ -321,6 +342,13 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
         quad_rule=samples.quad_rule, quad_res=samples.quad_res, quad_refinement=refinement,
         backing=_backing(case, spectrum.solver, mode),
     )
+
+
+def _require_spectrum(case, n, spectrum, kind):
+    """ValueError unless ``spectrum`` holds the n values of ``kind``."""
+    if spectrum.kind != kind or len(spectrum) != n:
+        raise ValueError(f"expected the {n} {kind.replace('_', ' ')} of case {case.name}, "
+                         f"got {len(spectrum)} {spectrum.kind}")
 
 
 def outlier_count(spectrum, lo, hi, eps):
@@ -351,9 +379,8 @@ def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
         rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, r)
     if spectrum is None:
         spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
-    elif spectrum.kind != "eigenvalues" or len(spectrum) != n:
-        raise ValueError(f"expected the {n} eigenvalues of case {case.name}, "
-                         f"got {len(spectrum)} {spectrum.kind}")
+    else:
+        _require_spectrum(case, n, spectrum, "eigenvalues")
     t = np.arange(1, n + 1) / n
     s = rearr(t)
     e = spectrum.values

@@ -9,6 +9,11 @@ table2    sup-norm rearrangement gaps for the diffusion benchmark, checked
           against the published reference column
 certify   finite-n proof-inequality certificates, PASS/FAIL per (n, m)
 
+``compare`` solves the spectra on one worker thread while the main thread
+builds the rearrangement and samples the symbol (LAPACK releases the GIL);
+the output is the same as when the two run one after the other, errors exit
+as they did, and no thread outlives the command.
+
 Exit codes: 0 success / all PASS, 1 numeric failure (tolerance or certificate
 breach), 2 usage error.  All output files are written atomically and CSV
 numbers carry 17 significant digits.
@@ -17,9 +22,11 @@ numbers carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import threading
 
 from .analysis import (
     SYMBOL_RECT,
@@ -107,19 +114,62 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _solving(solve, ns):
+    """Run ``solve(n)`` for each n of ``ns``, in order, on one worker thread
+    while the ``with`` body runs on this one.
+
+    Yields a function that waits for the worker and returns its results,
+    one per n; the worker stops at the first n that fails, and the function
+    re-raises that exception here.  When the body raises, the worker stops
+    before its next n.  Either way it is joined before the ``with`` exits.
+    """
+    results, stop = [], threading.Event()
+
+    def work():
+        try:
+            for n in ns:
+                if stop.is_set():
+                    return
+                results.append(solve(n))
+        except BaseException as exc:  # re-raised on the calling thread
+            results.append(exc)
+
+    worker = threading.Thread(target=work, name="gltkit-solve", daemon=True)
+    worker.start()
+
+    def collect():
+        worker.join()
+        if results and isinstance(results[-1], BaseException):
+            raise results[-1]
+        return results
+
+    try:
+        yield collect
+    finally:
+        stop.set()
+        worker.join()
+
+
 def cmd_compare(args) -> int:
     case = get_case(args.case, args.coeff)
-    reports = []
-    rearr = None
-    if not case.symbol_unbounded:
-        rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
-    samples = symbol_samples(case, args.mode, args.quad_res)
-    overlay_rows = []
-    for n in args.n:
-        report = weyl_compare(case, n, mode=args.mode, quad_res=args.quad_res, samples=samples)
+    solve = case.singular_spectrum if args.mode == "sigma" else case.spectrum
+    with _solving(solve, args.n) as collect:
+        rearr = None
+        if not case.symbol_unbounded:
+            rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
+        samples = symbol_samples(case, args.mode, args.quad_res)
+        suite = samples.default_suite()
+        for F in suite:
+            samples.symbol_side(F)
+        spectra = collect()
+    reports, overlay_rows = [], []
+    for n, spectrum in zip(args.n, spectra):
+        report = weyl_compare(case, n, F_suite=suite, mode=args.mode, quad_res=args.quad_res,
+                              samples=samples, spectrum=spectrum)
         doc = report.to_json_dict()
         # lambda mode already solved for the eigenvalues; sigma mode holds singular values
-        eigenvalues = report.spectrum if args.mode == "lambda" else None
+        eigenvalues = spectrum if args.mode == "lambda" else None
         try:
             rr = rearrangement_compare(case, n, r=args.r, rearr=rearr, spectrum=eigenvalues)
             rr_doc = rr.to_json_dict()

@@ -401,15 +401,17 @@ class RankOneUpdate:
 
 @dataclass(frozen=True)
 class Pencil:
-    """The band pencil ``K x = lambda M x`` of two n x n bands, ``M`` SPD
-    (checked here by banded Cholesky, ``SpdError``); it has no dense form.
-    :func:`real_eigvals` solves it with :func:`generalized_sym_eigvals`."""
+    """The band pencil ``K x = lambda M x`` of two n x n bands, ``K``
+    symmetric (``SymmetryError``) and ``M`` SPD (checked here by banded
+    Cholesky, ``SpdError``); it has no dense form.  :func:`real_eigvals`
+    solves it as :func:`generalized_sym_eigvals` does, trusting these checks."""
 
     K: BandedMatrix
     M: BandedMatrix
 
     def __post_init__(self):
         _require_bands(self.K, self.M)
+        require_symmetric(self.K)
         spd_cholesky_banded(self.M)
 
 
@@ -549,6 +551,12 @@ def generalized_sym_eigvals(K, M) -> SpectralSet:
     _require_bands(K, M)
     require_symmetric(K)
     require_symmetric(M)
+    return _pencil_eigvals(K, M)
+
+
+def _pencil_eigvals(K, M) -> SpectralSet:
+    """:func:`generalized_sym_eigvals` without its guards, for a
+    :class:`Pencil`, whose operands were checked when it was made."""
     n, kb = K.n, M.upper_bw
     ka = max(K.upper_bw, kb)
     ab = np.zeros((ka + 1, n), order="F")  # LAPACK's AB(LDAB, N), column-major
@@ -662,12 +670,13 @@ def real_eigvals(A) -> SpectralSet:
     products proving the spectrum real; anything else goes to the dense
     nonsymmetric solver, where imaginary parts above ``1e-7 * max |lambda|``
     raise ``ComplexSpectrumError``.  ``solver`` on the result names the
-    path that ran.  A :class:`Pencil` goes to :func:`generalized_sym_eigvals`
-    and a :class:`RankOneUpdate` to its band pencil (``pencil_rank_one``), or
-    to the dense S (``sym_dense``) when u is rough.
+    path that ran.  A :class:`Pencil` goes to ``dsbgv`` as in
+    :func:`generalized_sym_eigvals`, without its guards, and a
+    :class:`RankOneUpdate` to its band pencil (``pencil_rank_one``), or to
+    the dense S (``sym_dense``) when u is rough.
     """
     if isinstance(A, Pencil):
-        return generalized_sym_eigvals(A.K, A.M)
+        return _pencil_eigvals(A.K, A.M)
     if isinstance(A, RankOneUpdate):
         return _rank_one_eigvals(A)
     if is_symmetric(A):

@@ -19,6 +19,7 @@ from gltkit import (
     fd_diffusion,
     get_case,
     hat,
+    inflate,
     monomial,
     monotone_rearrangement,
     multiply,
@@ -44,6 +45,18 @@ WIDE2 = monomial(2, (-1e9, 1e9))
 # ---------------------------------------------------------------------------
 # functionals
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("degree", range(6))
+def test_monomial_is_the_clipped_power_bit_for_bit(degree):
+    rng = np.random.default_rng(degree)
+    t = np.concatenate([rng.uniform(-3.0, 3.0, 5000), [-2.5, 0.0, 2.5, -4.0, 4.0, np.inf]])
+    F = monomial(degree, (-2.5, 2.5), scale=2.5)
+    inside = (t >= -2.5) & (t <= 2.5)
+    got = F(t)
+    assert got.dtype == float and got.shape == t.shape
+    assert np.array_equal(got, np.where(inside, (t / 2.5) ** degree, 0.0))
+    assert F(0.5) == 0.2 ** degree and F(-3.0) == 0.0  # 0-d arguments
+
 
 def test_empirical_mean_is_normalized_trace():
     n = 40
@@ -222,6 +235,26 @@ def test_rearrangement_compare_reuses_a_given_spectrum():
         rearrangement_compare(case, 41, rearr=R, spectrum=own.spectrum)
     with pytest.raises(ValueError):
         rearrangement_compare(case, 40, rearr=R, spectrum=case.singular_spectrum(40))
+
+
+def test_weyl_compare_reuses_a_given_spectrum():
+    case = get_case("fd_t2", "xexp")
+    samples = symbol_samples(case, quad_res=40)
+    assert samples.default_suite() == default_suite(
+        inflate(float(samples.full.min()), float(samples.full.max())))
+    own = weyl_compare(case, 30, quad_res=40, samples=samples)
+    given = weyl_compare(case, 30, quad_res=40, samples=samples, spectrum=own.spectrum)
+    assert given.to_json_dict() == own.to_json_dict()
+    sigma = symbol_samples(case, "sigma", quad_res=40)
+    singular = case.singular_spectrum(30)
+    assert weyl_compare(case, 30, mode="sigma", quad_res=40, samples=sigma,
+                        spectrum=singular).spectrum is singular
+    with pytest.raises(ValueError, match="expected the 31 eigenvalues"):
+        weyl_compare(case, 31, quad_res=40, samples=samples, spectrum=own.spectrum)
+    with pytest.raises(ValueError, match="expected the 30 eigenvalues"):
+        weyl_compare(case, 30, quad_res=40, samples=samples, spectrum=singular)
+    with pytest.raises(ValueError, match="expected the 30 singular values"):
+        weyl_compare(case, 30, mode="sigma", quad_res=40, samples=sigma, spectrum=own.spectrum)
 
 
 def test_rearrangement_overlay_shape():

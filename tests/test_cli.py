@@ -1,17 +1,37 @@
 """End-to-end tests of the command-line interface."""
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from gltkit import get_case, monotone_rearrangement, rearrangement_compare
+import gltkit.cli as cli
+from gltkit import (
+    Coefficient,
+    ComplexSpectrumError,
+    SymbolSingularityError,
+    UnboundedSymbolError,
+    coefficient_preset,
+    fd_cdr_dirichlet,
+    get_case,
+    monotone_rearrangement,
+    rearrangement_compare,
+    weyl_compare,
+)
 from gltkit.analysis import SYMBOL_RECT
-from gltkit.builders import DiscretizationCase
+from gltkit.builders import DiscretizationCase, case_names
 from gltkit.cli import main, TABLE2_REFERENCE
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
+    threads = threading.active_count()
     code = main(list(argv))
+    assert threading.active_count() == threads  # no solver thread outlives main
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -306,3 +326,113 @@ def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_p
     assert code == 0
     rep = json.loads(path.read_text())["reports"][0]
     assert rep["rearrangement"] == {"r": r, "node_count": r * r - r + 1, "excluded": r}
+
+
+# ----------------------------------------------------------------------------
+# compare solves on one worker thread while the main thread samples the symbol
+# ----------------------------------------------------------------------------
+
+def _serial_compare(spec, mode, ns, r, quad_res, fmt):
+    """Exit code and output of ``compare`` from the analysis functions called
+    one after the other, each solving its own spectrum."""
+    try:
+        case = get_case(spec, "xexp")
+        reports = []
+        for n in ns:
+            doc = weyl_compare(case, n, mode=mode, quad_res=quad_res).to_json_dict()
+            try:
+                rr_doc = rearrangement_compare(case, n, r=r).to_json_dict()
+                for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers",
+                            "rearrangement"):
+                    doc[key] = rr_doc[key]
+            except (UnboundedSymbolError, ComplexSpectrumError) as exc:
+                doc["rearrangement_error"] = str(exc)
+            reports.append(doc)
+    except (ComplexSpectrumError, UnboundedSymbolError) as exc:
+        return 1, "", f"error: {exc}\n"
+    except (KeyError, ValueError, SymbolSingularityError) as exc:
+        return 2, "", f"error: {exc}\n"
+    if fmt == "json":
+        return 0, json.dumps({"reports": reports}, indent=2) + "\n", ""
+    rows = [(d["case"], d["n"], d["mode"], f["label"], f["empirical"], f["symbol"], f["gap"])
+            for d in reports for f in d["functionals"]]
+    return 0, cli._csv(rows, ("case", "n", "mode", "F", "empirical", "symbol", "gap")), ""
+
+
+@pytest.mark.parametrize("mode", ["lambda", "sigma"])
+@pytest.mark.parametrize("spec", case_names())
+def test_compare_output_matches_the_serial_analysis_calls(capsys, spec, mode):
+    ns, r, quad_res = (6, 17), 60, 30
+    for fmt in ("json", "csv"):
+        got = run_cli(capsys, "compare", "--case", spec, "--coeff", "xexp", "--mode", mode,
+                      "--n", ",".join(map(str, ns)), "--r", str(r),
+                      "--quad-res", str(quad_res), "--format", fmt)
+        assert got == _serial_compare(spec, mode, ns, r, quad_res, fmt)
+
+
+def test_compare_solves_off_the_main_thread(capsys, monkeypatch):
+    threads = []
+    original = DiscretizationCase.spectrum
+    monkeypatch.setattr(DiscretizationCase, "spectrum",
+                        lambda self, n: threads.append(threading.current_thread())
+                        or original(self, n))
+    code, _, _ = run_cli(capsys, "compare", "--case", "fd_t2", "--n", "10,20", "--r", "50",
+                         "--quad-res", "20", "--format", "json")
+    assert code == 0
+    assert len(threads) == 2 and len(set(threads)) == 1
+    assert threads[0] is not threading.main_thread()
+
+
+def test_compare_stops_at_the_first_complex_spectrum(capsys, monkeypatch):
+    # convection h/2 outweighs diffusion 1e-6: n = 1 is real, n = 50 is not
+    tiny = Coefficient("tiny", lambda x: np.full_like(np.asarray(x, dtype=float), 1e-6),
+                       "continuous")
+    one = coefficient_preset("one")
+    case = fd_cdr_dirichlet(tiny, one, one)
+    with pytest.raises(ComplexSpectrumError) as raised:
+        case.spectrum(50)
+    monkeypatch.setattr(cli, "get_case", lambda spec, coeff: case)
+    solved = []
+    original = DiscretizationCase.spectrum
+    monkeypatch.setattr(DiscretizationCase, "spectrum",
+                        lambda self, n: solved.append(n) or original(self, n))
+    code, out, err = run_cli(capsys, "compare", "--case", "fd_t2", "--n", "1,50,100",
+                             "--r", "50", "--quad-res", "20", "--format", "json")
+    assert (code, out, err) == (1, "", f"error: {raised.value}\n")
+    assert solved == [1, 50]
+
+
+def test_compare_stops_solving_when_the_main_thread_fails(capsys, monkeypatch):
+    # the worker's first solve waits until the main thread has failed and
+    # raised the stop flag, so no later n may be solved
+    events = []
+
+    class Recorded(threading.Event):
+        def __init__(self):
+            super().__init__()
+            events.append(self)
+
+    monkeypatch.setattr(cli.threading, "Event", Recorded)
+    solved = []
+    original = DiscretizationCase.spectrum
+
+    def spectrum(self, n):
+        solved.append(n)
+        assert events[0].wait(timeout=60)
+        return original(self, n)
+
+    def symbol_samples(*args, **kwargs):
+        raise ValueError("no samples")
+
+    monkeypatch.setattr(DiscretizationCase, "spectrum", spectrum)
+    monkeypatch.setattr(cli, "symbol_samples", symbol_samples)
+    code, out, err = run_cli(capsys, "compare", "--case", "fd_t1", "--n", "10,20,30",
+                             "--r", "20")
+    assert (code, out, err) == (2, "", "error: no samples\n")
+    assert solved == [10]
+
+
+def test_cli_imports_no_concurrent_futures():
+    code = "import sys, gltkit.cli; assert 'concurrent.futures' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -564,6 +564,28 @@ def test_pencil_operand_is_solved_by_the_band_pencil_driver():
         as_dense(Pencil(K, M))
 
 
+def test_pencil_is_checked_once_and_solved_without_guards():
+    n = 40
+    K = fe_stiffness(coefficient_preset("xexp"), n)
+    M = fe_mass(coefficient_preset("xexp"), n)
+    with pytest.raises(SymmetryError):
+        Pencil(K + BandedMatrix.from_diagonals(n, {1: np.eye(1, n - 1)[0]}), M)
+    case, calls = get_case("Ln", "xexp"), []
+    original_call = linalg._call
+    with mock.patch.object(linalg, "_symmetry_defect", wraps=linalg._symmetry_defect) as defect, \
+            mock.patch.object(linalg, "_call",
+                              side_effect=lambda name, **a: calls.append(name)
+                              or original_call(name, **a)):
+        got = case.spectrum(n)
+    # K and M tested once each when the Pencil is made; one banded Cholesky of M
+    assert defect.call_count == 2
+    assert calls == ["dpbtrf", "dsbgv"]
+    P = case.build(n)
+    ref = generalized_sym_eigvals(P.K, P.M)
+    assert got.solver == ref.solver == "pencil_band"
+    assert np.array_equal(got.values, np.sort(case.alpha(n) * ref.values))
+
+
 def test_lapack_binding_checks_the_capsule_signature():
     assert set(linalg._ARGTYPES) == {"dstevd", "dsbevd", "dsbevx", "dsbgv", "dptsv", "dpbsv",
                                      "dpbtrf"}
