@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builders import DiscretizationCase
-from .linalg import SpectralSet, schatten_norm, spectral_norm, as_dense
+from .linalg import SpectralSet, schatten_norm, singular_spectrum, spectral_norm
 from .symbols import (Rearrangement, SymbolExpr, block_size, grid_samples,
                       monotone_rearrangement)
 
@@ -89,8 +89,8 @@ def hat(center, width) -> TestFunction:
                         label=f"hat({center:g},{width:g})")
 
 
-def default_suite(window, degrees=(0, 1, 2, 3)) -> list:
-    """Normalized clipped monomials on ``window`` (inflate it beforehand).
+def default_suite(window) -> list:
+    """Normalized clipped monomials of degrees 0-3 on ``window`` (inflate it).
 
     The normalization divides out max(|lo|, |hi|) so the functionals are
     dimensionless; with raw t^d the gaps of wide-range symbols would be
@@ -98,11 +98,11 @@ def default_suite(window, degrees=(0, 1, 2, 3)) -> list:
     """
     lo, hi = window
     scale = max(abs(lo), abs(hi), np.finfo(float).tiny)
-    return [monomial(d, window, scale) for d in degrees]
+    return [monomial(d, window, scale) for d in range(4)]
 
 
-def inflate(lo, hi, fraction=0.05):
-    m = fraction * max(hi - lo, np.finfo(float).tiny)
+def inflate(lo, hi):
+    m = 0.05 * max(hi - lo, np.finfo(float).tiny)
     return lo - m, hi + m
 
 
@@ -360,13 +360,13 @@ def outlier_count(spectrum, lo, hi, eps):
 
 
 def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
-                          outlier_eps=1e-8, spectrum=None) -> DistributionReport:
+                          spectrum=None) -> DistributionReport:
     """Sorted-spectrum vs rearranged-symbol comparison.
 
     e_n: eigenvalues of alpha_n A_n ascending; s_n: rearrangement samples at
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
     magnitude of the essential range), and outliers beyond the essential
-    range by more than ``outlier_eps``.  Pass a precomputed ``rearr`` to
+    range by more than 1e-8.  Pass a precomputed ``rearr`` to
     amortize the sampling across several n, and the eigenvalue ``spectrum``
     of alpha_n A_n when it is already at hand (e.g. from ``weyl_compare``).
     """
@@ -386,7 +386,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
     e = spectrum.values
     gap = float(np.max(np.abs(s - e)))
     scale = max(abs(rearr.ess_inf), abs(rearr.ess_sup), np.finfo(float).tiny)
-    count, values = outlier_count(spectrum, rearr.ess_inf, rearr.ess_sup, outlier_eps)
+    count, values = outlier_count(spectrum, rearr.ess_inf, rearr.ess_sup, 1e-8)
     return DistributionReport(
         case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode="lambda",
         rearrangement_gap=gap, rearrangement_gap_rel=gap / scale,
@@ -431,18 +431,18 @@ class TrendReport:
 
 
 def _numerical_rank(A):
-    Ad = as_dense(A)
-    s = np.linalg.svd(Ad, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * max(Ad.shape) * np.finfo(float).eps))
+    s = singular_spectrum(A).values  # ascending; all zero gives rank 0
+    return int(np.sum(s > s[-1] * s.size * np.finfo(float).eps))
 
 
-def zero_distribution_check(build, ns, p=2.0, split=None, decay_threshold=2.0) -> TrendReport:
+DECAY_THRESHOLD = 2.0
+
+
+def zero_distribution_check(build, ns, p=2.0, split=None) -> TrendReport:
     """Check that ||Z_n||_p = o(n^(1/p)) holds in trend over ``ns``.
 
     PASS requires the ratios ||Z_n||_p / n^(1/p) to decrease monotonically
-    with the last below the first divided by ``decay_threshold``.  When a
+    with the last below the first divided by ``DECAY_THRESHOLD``.  When a
     ``split`` callable returning (R_n, N_n) is supplied, the small-rank plus
     small-norm route is evaluated as well and either route passing suffices.
     """
@@ -454,7 +454,7 @@ def zero_distribution_check(build, ns, p=2.0, split=None, decay_threshold=2.0) -
         ratios.append(z / n ** (1.0 / p) if not np.isinf(p) else z)
     ratios = tuple(ratios)
     monotone = all(b <= a * (1 + 1e-12) for a, b in zip(ratios, ratios[1:]))
-    decayed = ratios[-1] < ratios[0] / decay_threshold if ratios[0] > 0 else True
+    decayed = ratios[-1] < ratios[0] / DECAY_THRESHOLD if ratios[0] > 0 else True
     passed = monotone and decayed
 
     rank_ratios, n_norms, split_passed = (), (), None
@@ -465,12 +465,12 @@ def zero_distribution_check(build, ns, p=2.0, split=None, decay_threshold=2.0) -
             rr.append(_numerical_rank(R) / n)
             nn.append(spectral_norm(N))
         rank_ratios, n_norms = tuple(rr), tuple(nn)
-        rank_ok = rr[-1] < max(rr[0] / decay_threshold, 1e-15) or all(v == 0 for v in rr)
-        norm_ok = nn[-1] < max(nn[0] / decay_threshold, 1e-15) or all(v <= 1e-14 for v in nn)
+        rank_ok = rr[-1] < max(rr[0] / DECAY_THRESHOLD, 1e-15) or all(v == 0 for v in rr)
+        norm_ok = nn[-1] < max(nn[0] / DECAY_THRESHOLD, 1e-15) or all(v <= 1e-14 for v in nn)
         split_passed = rank_ok and norm_ok
 
     return TrendReport(
         p=float(p), ns=ns, norms=tuple(norms), ratios=ratios,
-        decay_threshold=float(decay_threshold), monotone=monotone, passed=passed,
+        decay_threshold=DECAY_THRESHOLD, monotone=monotone, passed=passed,
         split_rank_ratios=rank_ratios, split_norms=n_norms, split_passed=split_passed,
     )

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import (
-    _sym_eigvals,
     BandedMatrix,
     ComplexSpectrumError,
     Pencil,
@@ -45,10 +44,9 @@ from .linalg import (
     SpdError,
     SpectralSet,
     as_dense,
-    is_symmetric,
     nonsym_eigvals,
     real_eigvals,
-    singular_values,
+    singular_spectrum,
     sym_eigvals,  # noqa: F401 - perfbench's tracer wraps builders.sym_eigvals by name
 )
 from .symbols import (
@@ -235,16 +233,8 @@ class DiscretizationCase:
         return self.alpha(n) * nonsym_eigvals(self.build(n))
 
     def singular_spectrum(self, n) -> SpectralSet:
-        """Singular values of alpha_n A_n: eigenvalue magnitudes for a symmetric
-        matrix, a Pencil or a RankOneUpdate, the dense SVD otherwise."""
-        A = self.build(n)
-        if isinstance(A, (Pencil, RankOneUpdate)):
-            ev = real_eigvals(A)
-        elif is_symmetric(A):
-            ev = _sym_eigvals(A)
-        else:
-            return self._normalized(singular_values(A), n)
-        return SpectralSet(np.sort(np.abs(self.alpha(n) * ev.values)), "singular_values", ev.solver)
+        """Singular values of alpha_n A_n by :func:`gltkit.linalg.singular_spectrum`."""
+        return self._normalized(singular_spectrum(self.build(n)), n)
 
 
 # ----------------------------------------------------------------------------

@@ -125,11 +125,10 @@ def _family_hadamard(ns, ms, seed=0):
     return checks
 
 
-def _random_table_coefficient(seed, knots=33, lo=-1.0, hi=2.0):
-    rng = np.random.default_rng(seed)
-    xs = np.linspace(0.0, 1.0, knots)
-    vals = rng.uniform(lo, hi, size=knots)
-    return Coefficient.from_table(xs, vals, name=f"table-seed{seed}")
+def _random_table_coefficient(seed):
+    """A piecewise-linear table of 33 uniform knots with values drawn from U(-1, 2)."""
+    vals = np.random.default_rng(seed).uniform(-1.0, 2.0, size=33)
+    return Coefficient.from_table(np.linspace(0.0, 1.0, 33), vals, name=f"table-seed{seed}")
 
 
 def _family_fd_t2(ns, ms, seed=0):
@@ -200,12 +199,12 @@ def _family_fd_t5(ns, ms, seed=0):
     return checks
 
 
-def _family_fd_t7(ns, ms, seed=0, q=2.0):
-    """Small-rank/small-norm split for G(x) = x^q (singularity at 0)."""
+def _family_fd_t7(ns, ms, seed=0):
+    """Small-rank/small-norm split for G(x) = x^2 (singularity at 0)."""
     checks = []
-    gmap = power_map(q)
+    gmap = power_map(2.0)
     s = len(gmap.singularities)
-    g_sup = q                      # max of q x^(q-1) on [0,1]
+    g_sup = 2.0                    # max of G'(x) = 2x on [0,1]
     for a_name in ("one", "x"):
         a = coefficient_preset(a_name)
         for n in ns:
@@ -214,10 +213,7 @@ def _family_fd_t7(ns, ms, seed=0, q=2.0):
             A = fd_nonuniform_matrix(a, gmap, n).scaled(h)
             ratio = a(np.asarray(gmap.G(xhat))) / np.asarray(gmap.dG(xhat))
             Z = A - toeplitz(LAPLACE_SYMBOL, n).row_scaled(ratio)
-            if q == 2.0:
-                omega_dG = 2.0 * h  # G'' = 2 is constant, so omega is exact
-            else:
-                omega_dG = modulus_upper_bound(Coefficient("dG", gmap.dG, "continuous"), h)
+            omega_dG = 2.0 * h  # G'' = 2 is constant, so omega is exact
             for m in ms:
                 in_ball = np.zeros(n, dtype=bool)
                 for sing in gmap.singularities:

@@ -12,8 +12,10 @@ operand to its eigensolver: a :class:`Pencil` to ``dsbgv``, a
 :class:`RankOneUpdate` to the pencil ``(L (T + s u u^T) L^T, L L^T)`` with
 ``L u = e_1`` (the dense S when u is rough), and a matrix by its structure
 (a band diagonally similar to a symmetric band is solved as one; the dense
-nonsymmetric solver is the last resort).  Everything is 64-bit; failures
-inside LAPACK surface as ``EigenConvergenceError``, never silently.
+nonsymmetric solver is the last resort); :func:`singular_spectrum` alone
+maps one to its singular values, which :func:`schatten_norm` takes.
+Everything is 64-bit; failures inside LAPACK surface as
+``EigenConvergenceError``, never silently.
 :class:`BandedMatrix` alone knows the band layout; its algebra (``+``,
 ``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
 
@@ -25,9 +27,10 @@ nonsymmetric band), ``dsbgv`` (band pencils), ``dptsv`` and ``dpbsv`` (SPD
 tridiagonal and band solves) and ``dpbtrf`` (banded Cholesky).  Each takes
 the driver and arguments of the ``scipy.linalg`` wrapper it replaces, so
 the results are the same bytes.  The extension file is loaded by path when
-this module is imported, so ``scipy/linalg/__init__.py`` never runs; a
-module already in ``sys.modules`` is reused, and without the file the
-module comes from ``from scipy.linalg import cython_lapack``.
+this module is imported, so ``scipy/linalg/__init__.py`` never runs, and
+leaves no ``sys.modules`` entry behind; a module already in
+``sys.modules`` is reused, and without the file the module comes from
+``from scipy.linalg import cython_lapack``.
 :data:`LAPACK_SOURCE` says which: the loaded file, or ``"scipy.linalg
 import"``.  Each routine is bound on its first call, after its capsule's
 declared C signature is checked against the binding.  Every LAPACK
@@ -86,10 +89,11 @@ def _load_cython_lapack():
 
     A module already in ``sys.modules`` is reused.  Otherwise the extension
     file is loaded by path under its own name, so ``scipy/linalg/__init__.py``
-    (most of the cost of ``import scipy.linalg``) never runs, and a later
-    ``import scipy.linalg`` finds this module object.  Without the file the
-    module comes from ``from scipy.linalg import cython_lapack``, and the
-    source is ``"scipy.linalg import"``.
+    (most of the cost of ``import scipy.linalg``) never runs, and its
+    ``sys.modules`` entry is dropped: a later ``import scipy.linalg`` then
+    imports the submodule, gets this module object back from Cython and
+    sets the attribute.  Without the file the module comes from ``from
+    scipy.linalg import cython_lapack``, with source ``"scipy.linalg import"``.
     """
     module = sys.modules.get(_CYTHON_LAPACK)
     if module is None:
@@ -103,9 +107,8 @@ def _load_cython_lapack():
         sys.modules[_CYTHON_LAPACK] = module
         try:
             loader.exec_module(module)
-        except BaseException:
+        finally:
             del sys.modules[_CYTHON_LAPACK]
-            raise
     return module, module.__file__
 
 
@@ -621,6 +624,20 @@ def singular_values(A) -> SpectralSet:
     return SpectralSet(np.sort(vals), "singular_values", "svd_dense")
 
 
+def singular_spectrum(A) -> SpectralSet:
+    """Singular values, sorted ascending: the eigenvalue magnitudes of a
+    Pencil, a RankOneUpdate (both by :func:`real_eigvals`) or an exactly
+    symmetric real matrix, with ``solver`` naming the eigensolver, and the
+    dense SVD of :func:`singular_values` for anything else."""
+    if isinstance(A, (Pencil, RankOneUpdate)):
+        ev = real_eigvals(A)
+    elif np.isrealobj(A.bands if isinstance(A, BandedMatrix) else A) and is_symmetric(A, 0.0):
+        ev = _sym_eigvals(A)
+    else:
+        return singular_values(A)
+    return SpectralSet(np.sort(np.abs(ev.values)), "singular_values", ev.solver)
+
+
 def nonsym_eigvals(A) -> np.ndarray:
     """All eigenvalues of a real square matrix as a complex array.
 
@@ -698,36 +715,24 @@ def real_eigvals(A) -> SpectralSet:
 
 
 def schatten_norm(A, p) -> float:
-    """Schatten p-norm: the vector p-norm of the singular values.
+    """Schatten p-norm: the vector p-norm of :func:`singular_spectrum`.
 
     ``p = 1`` is the trace norm, ``p = 2`` the Frobenius norm, ``p = inf``
-    the spectral norm.  The route follows from the matrix, and a full
-    singular spectrum is computed only when nothing cheaper is exact:
-
-    * ``p = 2``: the Frobenius norm of the entries (of the stored
-      diagonals for a BandedMatrix), an identity for every matrix;
-    * an exactly symmetric real matrix: the magnitudes of its eigenvalues
-      from :func:`sym_eigvals` (tridiagonal, banded or dense driver);
-    * a nonsymmetric real BandedMatrix with ``p = inf``: the square root of
-      the largest eigenvalue of ``A^T A``, formed in band storage;
-    * anything else: the dense SVD.
+    the spectral norm.  Two shortcuts skip the singular spectrum: ``p = 2``
+    is the norm of the entries (a band's stored diagonals), and ``p = inf``
+    on a nonsymmetric real band the square root of the top eigenvalue of
+    the band ``A^T A``.  A :class:`Pencil` has no Schatten norm.
     """
     if p < 1:
         raise ValueError("Schatten norms need p >= 1")
+    if isinstance(A, Pencil):
+        raise ValueError("a pencil (K, M) is not one matrix and has no Schatten norm")
     if p == 2:
-        return _frobenius_norm(A)
-    real = not np.iscomplexobj(A.bands if isinstance(A, BandedMatrix) else A)
-    if real and is_symmetric(A, tol=0.0):
-        s = np.abs(_sym_eigvals(A).values)
-    elif real and isinstance(A, BandedMatrix) and np.isinf(p):
+        return float(np.linalg.norm(_entries(A)))
+    if (np.isinf(p) and isinstance(A, BandedMatrix) and np.isrealobj(A.bands)
+            and not is_symmetric(A, 0.0)):
         return _banded_spectral_norm(A)
-    else:
-        s = singular_values(A).values
-    return float(np.linalg.norm(s, np.inf if np.isinf(p) else p))
-
-
-def _frobenius_norm(A) -> float:
-    return float(np.linalg.norm(_entries(A)))
+    return float(np.linalg.norm(singular_spectrum(A).values, p))
 
 
 def _banded_spectral_norm(A: BandedMatrix) -> float:

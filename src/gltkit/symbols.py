@@ -728,8 +728,8 @@ def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
     in the buffer that :func:`grid_samples` fills block by block, so the
     r^d values are held once and no other array of that size is made.
     """
-    if r < 1:
-        raise ValueError("sampling parameter r must be >= 1")
+    if not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"sampling parameter r must be an integer >= 1, got {r!r}")
     rect = tuple((float(lo), float(hi)) for lo, hi in rect)
     if isinstance(kappa, SymbolExpr) and not kappa.is_real:
         raise ComplexSymbolError("monotone rearrangement needs a real-valued symbol")
@@ -783,15 +783,15 @@ def modulus_of_continuity(a: Coefficient, delta, probe_count=4097):
     return _sliding_window_spread(vals, width)
 
 
-def modulus_upper_bound(a: Coefficient, delta, probe_count=4097, safety=1.05):
+def modulus_upper_bound(a: Coefficient, delta):
     """Upper bound on omega_a(delta) for certificate right-hand sides.
 
     Uses the coefficient's exact modulus when it is known; otherwise the
-    lattice estimate inflated by ``safety``.
+    lattice estimate of :func:`modulus_of_continuity` inflated by 5 %.
     """
     if a.exact_modulus is not None:
         return float(a.exact_modulus(delta))
-    return safety * modulus_of_continuity(a, delta, probe_count)
+    return 1.05 * modulus_of_continuity(a, delta)
 
 
 def modulus_of_integral_continuity(f: Coefficient, delta, sample_count=100001):

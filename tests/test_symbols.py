@@ -156,6 +156,15 @@ def test_rearrangement_of_identity_coefficient():
     assert np.max(np.abs(R(t) - t)) <= 1.0 / 500 + 1e-12
 
 
+def test_rearrangement_lattice_needs_an_integral_r():
+    # r = 2.5 would put the lattice at 0.4, 0.8, 1.2, past the rectangle
+    for bad in (2.5, 2.0, 0, -3, "4"):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            monotone_rearrangement(lambda x: x, ((0.0, 1.0),), bad)
+    R = monotone_rearrangement(lambda x: x, ((0.0, 1.0),), np.int64(2))
+    assert R.samples.tolist() == [0.5, 1.0] and R.r == 2
+
+
 def test_rearrangement_endpoint_reaches_essential_sup():
     R = monotone_rearrangement(multiply(XEXP, LAPLACE_SYMBOL), RECT, 5000)
     assert R(1.0) == pytest.approx(4.0 / math.e, abs=1e-3)
