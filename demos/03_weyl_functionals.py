@@ -18,7 +18,7 @@ CASES = [
 
 for name, coeff in CASES:
     case = get_case(name, coeff)
-    print(f"\n{name} (coeff {coeff}), symbol {case.symbol_str}, alpha = {case.alpha_str}")
+    print(f"\n{name} (coeff {coeff}), symbol {case.predicted_symbol}, alpha = {case.alpha_text}")
     print(f"  {'F':>14} {'gap n=100':>12} {'gap n=400':>12}")
     r100 = weyl_compare(case, 100, quad_res=300)
     r400 = weyl_compare(case, 400, quad_res=300)

@@ -33,7 +33,7 @@ print("mass M_5(1) * 6/h:")
 print(np.round(as_dense(fe_mass(one, n)) * 6 / h, 6))
 
 schur = get_case("schur", "one")          # rho defaults to 1
-print(f"\nSchur case, symbol {schur.symbol_str}:")
+print(f"\nSchur case, symbol {schur.predicted_symbol}:")
 # the identity: T + s u u^T against rho M + H^T K^{-1} H formed densely
 n = 60
 K, H = as_dense(fe_stiffness(one, n)), as_dense(fe_gradient_coupling(n))
@@ -46,7 +46,7 @@ for n in (100, 400):
     print(f"  n={n}: max functional gap {rep.max_gap():.3e}")
 
 pencil = get_case("Ln", "xexp")           # c defaults to one
-print(f"\npencil case, symbol {pencil.symbol_str}:")
+print(f"\npencil case, symbol {pencil.predicted_symbol}:")
 for n in (100, 400):
     rep = rearrangement_compare(pencil, n, r=2000)
     print(f"  n={n}: rearrangement gap {rep.rearrangement_gap:.4f}, "

@@ -237,20 +237,18 @@ SYMBOL_RECT = ((0.0, 1.0), (0.0, math.pi))
 
 
 def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
-    """The theory behind the predicted distribution: registered lower-order
-    terms mean a Hermitian part plus a vanishing-norm split; otherwise the
-    solver path says whether the matrix is symmetric or diagonally similar
-    to a symmetric one."""
+    """The theory behind the predicted distribution: a case that declares
+    corrections (``companions``) is a Hermitian part plus a vanishing-norm
+    split; otherwise the solver path says whether the matrix is symmetric
+    or diagonally similar to a symmetric one."""
     if mode == "sigma":
         return "sigma distribution (symbol algebra)"
-    if "Z" in case.companions:
+    if case.companions:
         return "lambda distribution (Hermitian + vanishing-norm split)"
     if solver.startswith(("sym_", "pencil_")):
         return "lambda distribution (Hermitian)"
     if solver.startswith("similarity_"):
         return "lambda distribution (similar to Hermitian)"
-    if "K_tilde" in case.companions:
-        return "lambda distribution (Hermitian + vanishing-norm split)"
     return "exploratory (no Hermitian split registered)"
 
 

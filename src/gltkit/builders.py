@@ -33,6 +33,7 @@ multiplies the eigenvalues by alpha_n once.  The returned
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -198,18 +199,28 @@ class DiscretizationCase:
 
     ``build(n)`` returns the matrix A_n, a Pencil (K, M) or a
     RankOneUpdate; each spectrum method solves it unscaled through one
-    linalg routine and multiplies by ``alpha(n)`` (default 1) afterwards.
+    linalg routine and multiplies by ``alpha(n) = (n+1)^alpha_power``.
+
+    ``companions`` declares the Hermitian split: each entry builds one
+    correction Y_n and ``build(n)`` minus their sum is symmetric.  ``Z`` and
+    ``N`` have ||alpha_n Y_n||_F = o(n^(1/2)), ``R`` rank at most 2.
     """
 
     name: str
     tag: str
     build: callable = field(repr=False)
-    alpha: callable = field(default=lambda n: 1.0, repr=False)
-    alpha_str: str = "1"
+    alpha_power: int = 0
     predicted_symbol: SymbolExpr | None = None
-    symbol_str: str = ""
     symbol_unbounded: bool = False
     companions: dict = field(default_factory=dict, repr=False)
+
+    def alpha(self, n) -> float:
+        k = self.alpha_power
+        return float((n + 1) ** k) if k >= 0 else 1.0 / (n + 1) ** -k
+
+    @property
+    def alpha_text(self) -> str:
+        return {0: "1", 1: "n+1", -1: "1/(n+1)"}.get(self.alpha_power, f"(n+1)^{self.alpha_power}")
 
     def normalized_dense(self, n):
         return self.alpha(n) * as_dense(self.build(n))
@@ -283,37 +294,32 @@ def fd_diffusion(a: Coefficient) -> DiscretizationCase:
         tag="FD diffusion, divergence form, Dirichlet",
         build=lambda n: fd_diffusion_matrix(a, n),
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
-        symbol_str="a(x)(2-2cos(theta))",
     )
 
 
 def fd_cdr_dirichlet(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
     _require_bounded(b, "convection")
     _require_bounded(c, "reaction")
+    Z = partial(fd_lower_order_matrix, b, c)
     return DiscretizationCase(
         name="fd_t2",
         tag="FD convection-diffusion-reaction, Dirichlet",
-        build=lambda n: fd_diffusion_matrix(a, n) + fd_lower_order_matrix(b, c, n),
+        build=lambda n: fd_diffusion_matrix(a, n) + Z(n),
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
-        symbol_str="a(x)(2-2cos(theta))",
-        companions={"Z": lambda n: fd_lower_order_matrix(b, c, n)},
+        companions={"Z": Z},
     )
 
 
 def fd_cdr_neumann(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
     _require_bounded(b, "convection")
     _require_bounded(c, "reaction")
+    Z, R = partial(fd_lower_order_matrix, b, c), partial(fd_neumann_correction, a, b)
     return DiscretizationCase(
         name="fd_t3",
         tag="FD convection-diffusion-reaction, Neumann",
-        build=lambda n: (fd_diffusion_matrix(a, n) + fd_lower_order_matrix(b, c, n)
-                         + fd_neumann_correction(a, b, n)),
+        build=lambda n: fd_diffusion_matrix(a, n) + Z(n) + R(n),
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
-        symbol_str="a(x)(2-2cos(theta))",
-        companions={
-            "Z": lambda n: fd_lower_order_matrix(b, c, n),
-            "R": lambda n: fd_neumann_correction(a, b, n),
-        },
+        companions={"Z": Z, "R": R},
     )
 
 
@@ -330,8 +336,10 @@ def _nondiv_diffusion(a: Coefficient, n) -> BandedMatrix:
     return toeplitz(LAPLACE_SYMBOL, n).row_scaled(av)
 
 
-def _nondiv_hadamard(a: Coefficient, n) -> BandedMatrix:
-    return _hadamard_with_toeplitz(_nondiv_samples(a, n), LAPLACE_SYMBOL)
+def _nondiv_correction(a: Coefficient, n) -> BandedMatrix:
+    """N = K - K~ for K = diag(a_j) T(2-2cos) and its arrow-shaped
+    symmetrization K~ = S(a) o T(2-2cos)."""
+    return _nondiv_diffusion(a, n) - _hadamard_with_toeplitz(_nondiv_samples(a, n), LAPLACE_SYMBOL)
 
 
 def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
@@ -339,23 +347,20 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
     _require_bounded(b, "convection")
     _require_bounded(c, "reaction")
     zero_lower = b.name == "zero" and c.name == "zero"
+    Z = partial(fd_lower_order_matrix, b, c)
 
     def build(n):
         K = _nondiv_diffusion(a, n)
-        return K if zero_lower else K + fd_lower_order_matrix(b, c, n)
+        return K if zero_lower else K + Z(n)
 
-    companions = {
-        "K": lambda n: _nondiv_diffusion(a, n),
-        "K_tilde": lambda n: _nondiv_hadamard(a, n),
-    }
-    if not zero_lower:  # diag(a) T alone is similar to Hermitian; Z marks the split backing
-        companions["Z"] = lambda n: fd_lower_order_matrix(b, c, n)
+    companions = {"N": partial(_nondiv_correction, a)}
+    if not zero_lower:
+        companions["Z"] = Z
     return DiscretizationCase(
         name="fd_t4",
         tag="FD convection-diffusion-reaction, non-divergence form",
         build=build,
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
-        symbol_str="a(x)(2-2cos(theta))",
         companions=companions,
     )
 
@@ -391,33 +396,23 @@ def _fourth_order_lower(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
     )
 
 
-def _fourth_order_hadamard(a: Coefficient, n) -> BandedMatrix:
-    return _hadamard_with_toeplitz(_fourth_order_samples(a, n), FOURTH_ORDER_LAPLACE_SYMBOL)
-
-
-def _fourth_order_boundary_split(a: Coefficient, n):
-    """Banded (R, N) with K - K_tilde = R + N: R holds the first and last
-    rows of the difference (bandwidth 2), N the rows between (pentadiagonal)."""
-    diff = _fourth_order_diffusion(a, n) - _fourth_order_hadamard(a, n)
-    boundary = np.isin(np.arange(n), (0, n - 1))
-    return diff.row_scaled(boundary), diff.row_scaled(~boundary)
+def _fourth_order_correction(a: Coefficient, n) -> BandedMatrix:
+    """N = K - K~ for the scheme's diffusion matrix K and the symmetrization
+    K~ = S(a) o T((30-32cos+2cos2)/12): its first and last rows are O(1)
+    (the closures), the rows between O(omega_a(2h))."""
+    return (_fourth_order_diffusion(a, n)
+            - _hadamard_with_toeplitz(_fourth_order_samples(a, n), FOURTH_ORDER_LAPLACE_SYMBOL))
 
 
 def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
     _require_continuous(a, "diffusion")
-
+    Z = partial(_fourth_order_lower, b, c)
     return DiscretizationCase(
         name="fd_t5",
         tag="FD fourth-order scheme for the second derivative",
-        build=lambda n: _fourth_order_diffusion(a, n) + _fourth_order_lower(b, c, n),
+        build=lambda n: _fourth_order_diffusion(a, n) + Z(n),
         predicted_symbol=multiply(a, FOURTH_ORDER_LAPLACE_SYMBOL),
-        symbol_str="a(x)p(theta), p=(30-32cos+2cos2)/12",
-        companions={
-            "K": lambda n: _fourth_order_diffusion(a, n),
-            "K_tilde": lambda n: _fourth_order_hadamard(a, n),
-            "Z": lambda n: _fourth_order_lower(b, c, n),
-            "boundary_split": lambda n: _fourth_order_boundary_split(a, n),
-        },
+        companions={"Z": Z, "N": partial(_fourth_order_correction, a)},
     )
 
 
@@ -436,7 +431,6 @@ def fd_fourth_derivative(a: Coefficient) -> DiscretizationCase:
         tag="FD fourth derivative",
         build=build,
         predicted_symbol=multiply(a, FOURTH_DERIVATIVE_SYMBOL),
-        symbol_str="a(x)q(theta), q=6-8cos+2cos2",
     )
 
 
@@ -466,10 +460,8 @@ def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
         name="fd_t7",
         tag=f"FD diffusion on the mapped grid G = {gmap.name}",
         build=lambda n: fd_nonuniform_matrix(a, gmap, n),
-        alpha=lambda n: 1.0 / (n + 1),
-        alpha_str="1/(n+1)",
+        alpha_power=-1,
         predicted_symbol=symbol,
-        symbol_str="a(G(x))/G'(x) (2-2cos(theta))",
         symbol_unbounded=bool(gmap.singularities),
     )
 
@@ -565,10 +557,8 @@ def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient, quad_order=5) -> Disc
         name="fe_t1",
         tag="FE convection-diffusion-reaction (hat functions)",
         build=build,
-        alpha=lambda n: 1.0 / (n + 1),
-        alpha_str="1/(n+1)",
+        alpha_power=-1,
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
-        symbol_str="a(x)(2-2cos(theta))",
         companions={} if symmetric else {"Z": lower_order},
     )
 
@@ -578,10 +568,8 @@ def fe_mass_case(g: Coefficient, quad_order=5) -> DiscretizationCase:
         name="fe_mass",
         tag="FE mass matrix (hat functions)",
         build=lambda n: fe_mass(g, n, quad_order),
-        alpha=lambda n: float(n + 1),
-        alpha_str="n+1",
+        alpha_power=1,
         predicted_symbol=multiply(g, MASS_SYMBOL),
-        symbol_str="g(x)(2+cos(theta))/3",
     )
 
 
@@ -630,10 +618,8 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
         name="schur",
         tag=f"FE saddle-point Schur complement, rho={rho:g}",
         build=build,
-        alpha=lambda n: float(n + 1),
-        alpha_str="n+1",
+        alpha_power=1,
         predicted_symbol=sigma,
-        symbol_str="(rho/3)(2+cos) + sin^2/(a(x)(2-2cos))",
     )
 
 
@@ -651,10 +637,8 @@ def fe_eigproblem(a: Coefficient, c: Coefficient, quad_order=5) -> Discretizatio
         name="Ln",
         tag="FE generalized eigenproblem pencil (stiffness, mass)",
         build=build,
-        alpha=lambda n: 1.0 / (n + 1) ** 2,
-        alpha_str="(n+1)^-2",
+        alpha_power=-2,
         predicted_symbol=symbol,
-        symbol_str="(a/c)(6-6cos)/(2+cos)",
     )
 
 
@@ -734,5 +718,5 @@ def registry_lines():
     lines = []
     for name in case_names():
         case = get_case(name)
-        lines.append(f"{name} | {case.symbol_str} | alpha={case.alpha_str} | {case.tag}")
+        lines.append(f"{name} | {case.predicted_symbol} | alpha={case.alpha_text} | {case.tag}")
     return lines

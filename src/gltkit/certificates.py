@@ -6,6 +6,10 @@ These are exact statements, not asymptotic trends, so a single numerical
 violation indicates a defect in the matrix builders (or in the bound's
 ingredients such as a supplied modulus of continuity) and fails the build.
 
+The fd_t2 to fd_t5 families bound the corrections that the cases declare
+as ``companions`` (see :class:`gltkit.builders.DiscretizationCase`), read by
+their names ``Z``, ``R`` and ``N``.
+
 Registered families
 -------------------
 thm2 (its checks are labelled "hadamard")
@@ -19,11 +23,13 @@ fd_t3
     ||R_n||_2^2 <= 2 (||a||_inf + (h/2) ||b||_inf)^2 for the Neumann
     boundary correction.
 fd_t4
-    ||K_n - K~_n||_2^2 <= (n-1) omega_a(h)^2 for the arrow-shaped
-    symmetrization of the non-divergence diffusion matrix.
+    ||N_n||_2^2 <= (n-1) omega_a(h)^2 for the case's correction N_n =
+    K_n - K~_n, the non-divergence diffusion matrix minus its arrow-shaped
+    symmetrization.
 fd_t5
-    ||R_n||_2^2 <= 7 ||a||_inf^2 and ||N_n||_2^2 <= 257 n omega_a(2h)^2 for
-    the fourth-order scheme's boundary/interior split.
+    The rows of the case's correction N_n = K_n - K~_n split into its first
+    and last rows R_n and the rows between I_n: ||R_n||_2^2 <= 7 ||a||_inf^2
+    and ||I_n||_2^2 <= 257 n omega_a(2h)^2.
 fd_t7
     For the mapped grid with s singularities of G': the rows meeting the
     1/m-balls around the singularities number at most 2 s (n+1)/m + s, and
@@ -103,7 +109,7 @@ class CertificateCheck:
 # family implementations
 # ----------------------------------------------------------------------------
 
-def _family_hadamard(ns, ms, seed=0):
+def _family_thm2(ns, ms, seed=0):
     checks = []
     for a_name in ("x", "xexp"):
         a = coefficient_preset(a_name)
@@ -174,8 +180,7 @@ def _family_fd_t4(ns, ms, seed=0):
         case = fd_nondiv(a, one, one)
         for n in ns:
             h = 1.0 / (n + 1)
-            K_diff = case.companions["K"](n) - case.companions["K_tilde"](n)
-            lhs = schatten_norm(K_diff, 2) ** 2
+            lhs = schatten_norm(case.companions["N"](n), 2) ** 2
             rhs = (n - 1) * modulus_upper_bound(a, h) ** 2
             checks.append(CertificateCheck("fd_t4", f"symmetrization bound, a={a_name}", n, None, lhs, rhs))
     return checks
@@ -189,13 +194,15 @@ def _family_fd_t5(ns, ms, seed=0):
         case = fd_fourth_order_scheme(a, one, one)
         for n in ns:
             h = 1.0 / (n + 1)
-            R, N = case.companions["boundary_split"](n)
+            N = case.companions["N"](n)  # K - K~, split into its boundary and interior rows
+            boundary = np.isin(np.arange(n), (0, n - 1))
             checks.append(CertificateCheck(
                 "fd_t5", f"boundary-row bound, a={a_name}", n, None,
-                schatten_norm(R, 2) ** 2, 7.0 * a.sup ** 2))
+                schatten_norm(N.row_scaled(boundary), 2) ** 2, 7.0 * a.sup ** 2))
             checks.append(CertificateCheck(
                 "fd_t5", f"interior-difference bound, a={a_name}", n, None,
-                schatten_norm(N, 2) ** 2, 257.0 * n * modulus_upper_bound(a, 2 * h) ** 2))
+                schatten_norm(N.row_scaled(~boundary), 2) ** 2,
+                257.0 * n * modulus_upper_bound(a, 2 * h) ** 2))
     return checks
 
 
@@ -278,7 +285,7 @@ def _family_fe_t1(ns, ms, seed=0):
 
 
 _FAMILIES = {
-    "thm2": _family_hadamard,
+    "thm2": _family_thm2,
     "fd_t2": _family_fd_t2,
     "fd_t3": _family_fd_t3,
     "fd_t4": _family_fd_t4,

@@ -203,8 +203,11 @@ def cmd_compare(args) -> int:
 def cmd_table2(args) -> int:
     case = get_case("fd_t1", "xexp")
     rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
+    # stdout carries the aligned table, unless --format without --out puts the document there
+    aligned = args.out or args.format is None
     rows, all_ok = [], True
-    print(f"{'n':>6}  {'computed':>10}  {'reference':>10}  {'within tol':>10}")
+    if aligned:
+        print(f"{'n':>6}  {'computed':>10}  {'reference':>10}  {'within tol':>10}")
     for n in TABLE2_NS:
         report = rearrangement_compare(case, n, rearr=rearr)
         gap = report.rearrangement_gap
@@ -212,14 +215,14 @@ def cmd_table2(args) -> int:
         ok = abs(gap - ref) <= max(5e-4, 0.05 * ref)
         all_ok &= ok
         rows.append((n, float(gap), ref, "yes" if ok else "NO"))
-        print(f"{n:>6}  {gap:>10.4f}  {ref:>10.4f}  {'yes' if ok else 'NO':>10}")
-    if args.out:
-        if args.format == "json":
-            doc = [{"n": n, "computed": g, "reference": ref, "within_tolerance": ok == "yes"}
-                   for n, g, ref, ok in rows]
-            _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
-        else:
-            _atomic_write(args.out, _csv(rows, ("n", "computed", "reference", "within_tolerance")))
+        if aligned:
+            print(f"{n:>6}  {gap:>10.4f}  {ref:>10.4f}  {'yes' if ok else 'NO':>10}")
+    if args.format == "json":
+        doc = [{"n": n, "computed": g, "reference": ref, "within_tolerance": ok == "yes"}
+               for n, g, ref, ok in rows]
+        _emit(args.out, json.dumps(doc, indent=2) + "\n")
+    elif args.out or args.format == "csv":
+        _emit(args.out, _csv(rows, ("n", "computed", "reference", "within_tolerance")))
     return 0 if all_ok else 1
 
 
@@ -275,7 +278,8 @@ def _build_parser():
     p_t2 = sub.add_parser("table2", help="rearrangement-gap benchmark vs the reference column")
     r_arg(p_t2)
     output_args(p_t2)
-    p_t2.set_defaults(fn=cmd_table2)
+    # no --format: the aligned table alone, or CSV into --out
+    p_t2.set_defaults(fn=cmd_table2, format=None)
 
     p_cert = sub.add_parser("certify", help="finite-n proof-inequality certificates")
     p_cert.add_argument("--family", required=True,

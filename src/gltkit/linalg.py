@@ -721,7 +721,8 @@ def schatten_norm(A, p) -> float:
     the spectral norm.  Two shortcuts skip the singular spectrum: ``p = 2``
     is the norm of the entries (a band's stored diagonals), and ``p = inf``
     on a nonsymmetric real band the square root of the top eigenvalue of
-    the band ``A^T A``.  A :class:`Pencil` has no Schatten norm.
+    the band ``A^T A`` (a symmetric one takes max |lambda| after the same
+    one symmetry test).  A :class:`Pencil` has no Schatten norm.
     """
     if p < 1:
         raise ValueError("Schatten norms need p >= 1")
@@ -729,8 +730,9 @@ def schatten_norm(A, p) -> float:
         raise ValueError("a pencil (K, M) is not one matrix and has no Schatten norm")
     if p == 2:
         return float(np.linalg.norm(_entries(A)))
-    if (np.isinf(p) and isinstance(A, BandedMatrix) and np.isrealobj(A.bands)
-            and not is_symmetric(A, 0.0)):
+    if np.isinf(p) and isinstance(A, BandedMatrix) and np.isrealobj(A.bands):
+        if is_symmetric(A, 0.0):
+            return float(np.linalg.norm(_sym_eigvals(A).values, p))
         return _banded_spectral_norm(A)
     return float(np.linalg.norm(singular_spectrum(A).values, p))
 
@@ -755,7 +757,7 @@ def spectral_norm(A) -> float:
 
 
 # ----------------------------------------------------------------------------
-# solves and elementwise products
+# solves
 # ----------------------------------------------------------------------------
 
 def _upper_band(A: BandedMatrix):
@@ -794,11 +796,3 @@ def spd_cholesky_banded(A: BandedMatrix):
     ab = _upper_band(A)
     _call("dpbtrf", uplo="U", n=A.n, kd=ab.shape[0] - 1, ab=ab, ldab=ab.shape[0])
     return ab
-
-
-def hadamard(A, B) -> np.ndarray:
-    """Componentwise (Hadamard) product of two equally sized matrices."""
-    Ad, Bd = as_dense(A), as_dense(B)
-    if Ad.shape != Bd.shape:
-        raise ValueError(f"size mismatch: {Ad.shape} vs {Bd.shape}")
-    return Ad * Bd

@@ -334,7 +334,18 @@ class TrigFactor(SymbolExpr):
         return "trig:" + json.dumps(payload)
 
     def __str__(self):
-        return f"trig[deg {self.poly.degree}](theta)"
+        """The cosine/sine form, e.g. ``2-2cos(theta)``, from c_k e^{ik theta}
+        + c_{-k} e^{-ik theta} = (c_k + c_{-k}) cos + i (c_k - c_{-k}) sin."""
+        c, r, text = self.poly.coeffs, self.poly.degree, ""
+        terms = [(c[r], "")]
+        for k in range(1, r + 1):
+            arg = "theta" if k == 1 else f"{k}theta"
+            terms += [(c[r + k] + c[r - k], f"cos({arg})"), (1j * (c[r + k] - c[r - k]), f"sin({arg})")]
+        for v, f in (t for t in terms if t[0] != 0):
+            num = f"{v.real:g}" if v.imag == 0 else f"({v:g})"
+            num = num[:-1] if f and num in ("1", "-1") else num
+            text += ("+" if text and not num.startswith("-") else "") + num + f
+        return text or "0"
 
 
 class Sum(SymbolExpr):

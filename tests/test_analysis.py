@@ -170,12 +170,13 @@ PENCIL_SOLVERS = {"schur": "pencil_rank_one", "Ln": "pencil_band"}
 
 @pytest.mark.parametrize("spec, backing", [
     ("fd_t1", HERMITIAN), ("fd_t2", SPLIT), ("fd_t3", SPLIT), ("fd_t4", SPLIT),
-    ("fd_t4:b=zero,c=zero", SIMILAR), ("fd_t5", SPLIT), ("fd_t6", SIMILAR),
+    ("fd_t4:b=zero,c=zero", SPLIT), ("fd_t5", SPLIT), ("fd_t6", SIMILAR),
     ("fd_t7", HERMITIAN), ("fe_t1", HERMITIAN), ("fe_mass", HERMITIAN),
     ("schur", HERMITIAN), ("Ln", HERMITIAN),
 ])
 def test_backing_of_every_registry_case(spec, backing):
-    # the backing names the theory, so it does not move with the solver path;
+    # the backing names the theory, so it does not move with the solver path: a
+    # case that declares corrections is a split, also where a similarity solves it;
     # the two band pencils (the Schur complement, a rank-one update, is solved as one) are Hermitian
     rep = weyl_compare(get_case(spec, "xexp"), 40, quad_res=40)
     assert rep.backing == backing

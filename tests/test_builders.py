@@ -213,17 +213,16 @@ def test_fd_neumann_boundary_norm_bound():
 
 def test_fd_nondiv_constant_coefficient_collapses():
     case = fd_nondiv(ONE, ZERO, ZERO)
-    K = as_dense(case.companions["K"](4))
-    Kt = as_dense(case.companions["K_tilde"](4))
     T = as_dense(toeplitz(LAPLACE_SYMBOL, 4))
-    assert np.array_equal(K, T) and np.array_equal(Kt, T)
+    assert np.array_equal(as_dense(case.build(4)), T)
+    assert not as_dense(case.companions["N"](4)).any()  # K~ = K = T
 
 
 def test_fd_nondiv_subdiagonal_shift():
     case = fd_nondiv(X, ZERO, ZERO)
     n = 3  # h = 1/4, a_j = j/4
-    K = case.companions["K"](n)
-    Kt = case.companions["K_tilde"](n)
+    K = case.build(n)
+    Kt = K - case.companions["N"](n)
     assert np.allclose(K.diagonal_values(-1), [-2 / 4, -3 / 4])
     assert np.allclose(Kt.diagonal_values(-1), [-1 / 4, -2 / 4])
 
@@ -232,9 +231,8 @@ def test_fd_nondiv_symmetrization_bound_exact_modulus():
     case = fd_nondiv(X, ZERO, ZERO)
     n = 100
     h = 1.0 / (n + 1)
-    K = as_dense(case.companions["K"](n))
-    Kt = as_dense(case.companions["K_tilde"](n))
-    assert np.linalg.norm(K - Kt, "fro") ** 2 <= (n - 1) * h * h * (1 + 1e-12)
+    N = as_dense(case.companions["N"](n))
+    assert np.linalg.norm(N, "fro") ** 2 <= (n - 1) * h * h * (1 + 1e-12)
 
 
 def test_fd_nondiv_requires_continuous_tag():
@@ -245,7 +243,7 @@ def test_fd_nondiv_requires_continuous_tag():
 
 def test_fourth_order_scheme_rows():
     case = fd_fourth_order_scheme(ONE, ZERO, ZERO)
-    K = case.companions["K"](6)
+    K = case.build(6)
     assert (K.lower_bw, K.upper_bw) == (2, 2)
     K = as_dense(K) * 12
     assert np.allclose(K[2, :5], [1, -16, 30, -16, 1])
@@ -263,12 +261,16 @@ def test_fourth_order_symbol_second_order_zero():
 def test_fourth_order_boundary_split_bounds():
     case = fd_fourth_order_scheme(XEXP, ONE, ONE)
     n = 50
-    R, N = case.companions["boundary_split"](n)
-    assert max(R.lower_bw, R.upper_bw, N.lower_bw, N.upper_bw) <= 2
-    Rd, Nd = as_dense(R), as_dense(N)
-    assert not Rd[1:-1].any()  # only the two boundary rows
-    K_diff = as_dense(case.companions["K"](n)) - as_dense(case.companions["K_tilde"](n))
-    assert np.array_equal(Rd + Nd, K_diff)
+    N = case.companions["N"](n)
+    assert max(N.lower_bw, N.upper_bw) <= 2
+    K = as_dense(case.build(n)) - as_dense(case.companions["Z"](n))
+    K_tilde = (arrow_sampling(XEXP, fd_interior_grid(n))
+               * as_dense(toeplitz(FOURTH_ORDER_LAPLACE_SYMBOL, n)))
+    assert np.allclose(as_dense(N), K - K_tilde, rtol=0, atol=1e-14)
+    # the certificate's split: the two boundary rows and the rows between
+    boundary = np.isin(np.arange(n), (0, n - 1))
+    Rd, Nd = as_dense(N.row_scaled(boundary)), as_dense(N.row_scaled(~boundary))
+    assert not Rd[1:-1].any() and np.array_equal(Rd + Nd, as_dense(N))
     a_sup = math.exp(-1)
     assert np.linalg.norm(Rd, "fro") ** 2 <= 7 * a_sup**2
     h = 1.0 / (n + 1)
@@ -286,7 +288,7 @@ def test_fourth_order_rejects_small_n():
 
 def test_nondiv_and_mapped_grid_reject_n_below_two():
     nondiv = fd_nondiv(X, ONE, ONE)
-    for make in (nondiv.build, nondiv.companions["K"], nondiv.companions["K_tilde"]):
+    for make in (nondiv.build, nondiv.companions["N"]):
         with pytest.raises(ValueError, match=r"non-divergence scheme \(fd_t4\) needs n >= 2"):
             make(1)
     with pytest.raises(ValueError, match=r"mapped-grid scheme \(fd_t7\) needs n >= 2"):
@@ -488,9 +490,46 @@ def test_eigproblem_mass_spd_requirement():
 
 def test_registry_lines_contain_required_entries():
     text = "\n".join(registry_lines())
-    assert "fd_t1 | a(x)(2-2cos(theta)) | alpha=1" in text
-    assert "Ln | (a/c)(6-6cos)/(2+cos) | alpha=(n+1)^-2" in text
-    assert text.strip()
+    assert "fd_t1 | (xexp(x)) * (2-2cos(theta)) | alpha=1 | FD diffusion" in text
+    assert ("Ln | ((xexp(x)) * (6-6cos(theta))) / ((one(x)) * (2+cos(theta))) "
+            "| alpha=(n+1)^-2 | FE generalized") in text
+
+
+#: the corrections each case declares; every other registry case declares none
+DECLARED_CORRECTIONS = {
+    "fd_t2": {"Z"}, "fd_t3": {"Z", "R"}, "fd_t4": {"N", "Z"}, "fd_t4:b=zero,c=zero": {"N"},
+    "fd_t5": {"Z", "N"}, "fe_t1": set(), "fe_t1:b=x,c=one": {"Z"},
+}
+
+
+@pytest.mark.parametrize("coeff", ("xexp", "one", "x"))
+@pytest.mark.parametrize("spec", case_names() + ["fd_t4:b=zero,c=zero", "fe_t1:b=x,c=one"])
+def test_build_minus_its_corrections_is_symmetric(spec, coeff):
+    """The split a case declares: build(n) minus the sum of its companions
+    is symmetric, Z and N vanish in the normalized Frobenius norm divided
+    by n^(1/2), and R has rank at most 2."""
+    case = get_case(spec, coeff)
+    assert set(case.companions) == DECLARED_CORRECTIONS.get(spec, set())
+    for n in (4, 7, 50, 400):
+        if not case.companions:
+            break
+        A = case.build(n)
+        for name, make in case.companions.items():
+            Y = make(n)
+            A = A - Y
+            if name == "R":
+                assert np.linalg.matrix_rank(as_dense(Y)) <= 2
+        assert linalg.is_symmetric(A), (spec, coeff, n)
+    for name in set(case.companions) - {"R"}:
+        decay = [linalg.schatten_norm(case.companions[name](n), 2) * case.alpha(n) / math.sqrt(n)
+                 for n in (100, 800)]
+        assert decay[1] <= 0.5 * decay[0], (spec, coeff, name, decay)
+
+
+def test_alpha_is_a_power_of_n_plus_one():
+    got = {name: (get_case(name).alpha(7), get_case(name).alpha_text) for name in case_names()}
+    assert got["fd_t1"] == (1.0, "1") and got["fe_mass"] == (8.0, "n+1")
+    assert got["fd_t7"] == (1.0 / 8, "1/(n+1)") and got["Ln"] == (1.0 / 64, "(n+1)^-2")
 
 
 def test_registry_parameter_parsing():

@@ -39,9 +39,12 @@ def run_cli(capsys, *argv):
 def test_list_contains_registry_entries(capsys):
     code, out, _ = run_cli(capsys, "list")
     assert code == 0
-    assert "fd_t1 | a(x)(2-2cos(theta)) | alpha=1" in out
-    assert "Ln | (a/c)(6-6cos)/(2+cos) | alpha=(n+1)^-2" in out
-    assert out.strip()
+    rows = [line.split(" | ") for line in out.splitlines()]
+    assert [row[0] for row in rows] == case_names() and {len(row) for row in rows} == {4}
+    for name, symbol, alpha, _ in rows:  # the symbol and alpha columns come from the case
+        case = get_case(name)
+        assert symbol == str(case.predicted_symbol) and alpha == f"alpha={case.alpha_text}"
+    assert "fd_t1 | (xexp(x)) * (2-2cos(theta)) | alpha=1" in out
 
 
 def test_spectrum_small_laplacian(capsys, tmp_path):
@@ -210,6 +213,18 @@ def test_table2_benchmark(capsys, tmp_path):
         n, computed, reference, ok = line.split(",")
         assert ok == "yes"
         assert abs(float(computed) - float(reference)) <= max(5e-4, 0.05 * float(reference))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table2_format_without_out_prints_the_document(capsys, tmp_path, fmt):
+    path = tmp_path / f"t2.{fmt}"
+    code, table, _ = run_cli(capsys, "table2", "--r", "500", "--format", fmt, "--out", str(path))
+    assert run_cli(capsys, "table2", "--r", "500", "--format", fmt) == (code, path.read_text(), "")
+    # bare table2 prints the aligned table alone, as it does next to --out
+    assert run_cli(capsys, "table2", "--r", "500") == (code, table, "")
+    assert table.splitlines()[0].split() == ["n", "computed", "reference", "within", "tol"]
+    if fmt == "json":
+        assert [row["n"] for row in json.loads(path.read_text())] == sorted(TABLE2_REFERENCE)
 
 
 def test_zero_coefficient_preset(capsys):

@@ -27,18 +27,19 @@ from gltkit import (
     as_dense,
     generalized_sym_eigvals,
     get_case,
-    hadamard,
     nonsym_eigvals,
     real_eigvals,
     schatten_norm,
     singular_values,
     solve_spd_banded,
+    spectral_norm,
     sym_eigpairs,
     sym_eigvals,
     toeplitz,
     LAPLACE_SYMBOL,
 )
 from gltkit.builders import (
+    _hadamard_with_toeplitz,
     arrow_sampling,
     case_names,
     fe_gradient_coupling,
@@ -281,6 +282,7 @@ def test_one_symmetry_test_per_solve():
         (lambda: real_eigvals(T), 1),
         (lambda: real_eigvals(A), 2),  # A itself, then its similar band S
         (lambda: schatten_norm(T, 1), 1),
+        (lambda: spectral_norm(T), 1),
         (lambda: get_case("fd_t1", "xexp").singular_spectrum(30), 1),
         (lambda: sym_eigvals(T), 1),
     ]
@@ -1106,28 +1108,16 @@ def test_solve_roundtrip_large_random_spd():
 # Hadamard products
 # ---------------------------------------------------------------------------
 
-def test_hadamard_ones_and_zero():
-    rng = np.random.default_rng(31)
-    A = rng.standard_normal((6, 6))
-    assert np.array_equal(hadamard(A, np.ones((6, 6))), A)
-    assert np.array_equal(hadamard(A, np.zeros((6, 6))), np.zeros((6, 6)))
-
-
 def test_hadamard_arrow_with_laplacian_matches_hand_pattern():
-    S = arrow_sampling(coefficient_preset("x"), uniform_grid(3))
-    T = toeplitz(LAPLACE_SYMBOL, 3)
-    got = hadamard(S, T)
+    x, grid = coefficient_preset("x"), uniform_grid(3)
+    got = as_dense(_hadamard_with_toeplitz(x(grid.points), LAPLACE_SYMBOL))
     ref = np.array([
         [2 / 3, -1 / 3, 0.0],
         [-1 / 3, 4 / 3, -2 / 3],
         [0.0, -2 / 3, 2.0],
     ])
     assert np.allclose(got, ref, atol=1e-15)
-
-
-def test_hadamard_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        hadamard(np.eye(2), np.eye(3))
+    assert np.array_equal(got, arrow_sampling(x, grid) * as_dense(toeplitz(LAPLACE_SYMBOL, 3)))
 
 
 # ---------------------------------------------------------------------------
