@@ -255,16 +255,16 @@ def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
 @dataclass(frozen=True)
 class SymbolSamples:
     """Symbol values on the Weyl quadrature grid (``full``) and on its
-    coarse half (``coarse``, None without the refinement check), as
-    magnitudes in sigma mode.  They depend on the case, ``mode`` and
-    ``quad_res`` but not on n, so one set serves every n of a case, and so
-    does its :meth:`symbol_side` of each test function."""
+    coarse half (``coarse``), as magnitudes in sigma mode.  They depend on
+    the case, ``mode`` and ``quad_res`` but not on n, so one set serves
+    every n of a case, and so does its :meth:`symbol_side` of each test
+    function."""
 
     mode: str
     quad_rule: str
     quad_res: int
     full: np.ndarray = field(repr=False)
-    coarse: np.ndarray | None = field(default=None, repr=False)
+    coarse: np.ndarray = field(repr=False)
     _symbol_sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def default_suite(self):
@@ -273,17 +273,15 @@ class SymbolSamples:
         return default_suite(inflate(float(self.full.min()), float(self.full.max())))
 
     def symbol_side(self, F):
-        """``(mean F(full), |mean F(full) - mean F(coarse)|)``, the second None
-        without ``coarse``; computed on the first call for each F."""
+        """``(mean F(full), |mean F(full) - mean F(coarse)|)``, computed on
+        the first call for each F."""
         if F not in self._symbol_sides:
             sym = _blocked_mean(F, self.full)
-            d = None if self.coarse is None else abs(sym - _blocked_mean(F, self.coarse))
-            self._symbol_sides[F] = (sym, d)
+            self._symbol_sides[F] = (sym, abs(sym - _blocked_mean(F, self.coarse)))
         return self._symbol_sides[F]
 
 
-def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400,
-                   refine_check=True) -> SymbolSamples:
+def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400) -> SymbolSamples:
     """Sample the predicted symbol of ``case`` for :func:`weyl_compare`."""
     if mode not in ("lambda", "sigma"):
         raise ValueError("mode must be 'lambda' or 'sigma'")
@@ -291,33 +289,28 @@ def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400,
     rule = _quadrature_rule(kappa)
     absolute = mode == "sigma"
     full = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule, absolute)
-    coarse = None
-    if refine_check:
-        coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule, absolute)
+    coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule, absolute)
     return SymbolSamples(mode, rule, int(quad_res), full, coarse)
 
 
 def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
-                 quad_res=400, refine_check=True, samples=None,
-                 spectrum=None) -> DistributionReport:
+                 quad_res=400, samples=None, spectrum=None) -> DistributionReport:
     """Test-functional comparison of the spectrum of alpha_n A_n with the
     predicted symbol.
 
     ``mode`` selects eigenvalues ("lambda") or singular values ("sigma");
     sigma mode compares against F(|kappa|) as the distribution definition
     prescribes.  Pass ``samples`` from :func:`symbol_samples` (same case,
-    mode, ``quad_res`` and ``refine_check``) to reuse them across n, and
-    the ``spectrum`` of alpha_n A_n (its n eigenvalues, or singular values
-    in sigma mode) when it is already at hand.
+    mode and ``quad_res``) to reuse them across n, and the ``spectrum`` of
+    alpha_n A_n (its n eigenvalues, or singular values in sigma mode) when
+    it is already at hand.
     """
     if samples is None:
-        samples = symbol_samples(case, mode, quad_res, refine_check)
-    elif (samples.mode, samples.quad_res, samples.coarse is not None) != (
-            mode, quad_res, refine_check):
+        samples = symbol_samples(case, mode, quad_res)
+    elif (samples.mode, samples.quad_res) != (mode, quad_res):
         raise ValueError(
-            f"symbol samples were taken for mode={samples.mode}, quad_res={samples.quad_res}, "
-            f"refine_check={samples.coarse is not None}; this comparison asks for "
-            f"mode={mode}, quad_res={quad_res}, refine_check={refine_check}")
+            f"symbol samples were taken for mode={samples.mode}, quad_res={samples.quad_res}; "
+            f"this comparison asks for mode={mode}, quad_res={quad_res}")
     if F_suite is None:
         F_suite = samples.default_suite()
     sigma = mode == "sigma"
@@ -326,18 +319,17 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
     else:
         _require_spectrum(case, n, spectrum, "singular_values" if sigma else "eigenvalues")
 
-    gaps = []
-    refinement = None
+    gaps, refinements = [], []
     for F in F_suite:
         sym, d = samples.symbol_side(F)
         gaps.append(FunctionalGap(F.label, empirical_functional(spectrum, F), sym))
-        if d is not None:
-            refinement = d if refinement is None else max(refinement, d)
+        refinements.append(d)
 
     return DistributionReport(
         case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode=mode,
         functionals=tuple(gaps), spectrum=spectrum,
-        quad_rule=samples.quad_rule, quad_res=samples.quad_res, quad_refinement=refinement,
+        quad_rule=samples.quad_rule, quad_res=samples.quad_res,
+        quad_refinement=max(refinements, default=0.0),
         backing=_backing(case, spectrum.solver, mode),
     )
 

@@ -506,9 +506,20 @@ def sym_eigvals(A) -> SpectralSet:
     return _sym_eigvals(A)
 
 
+def _require_real(A):
+    """ValueError for a complex matrix, whose imaginary parts the real
+    drivers below would drop: ``eigvalsh`` would even read a complex
+    symmetric matrix as Hermitian."""
+    if np.iscomplexobj(A.bands if isinstance(A, BandedMatrix) else as_dense(A)):
+        raise ValueError("a complex matrix reached a real symmetric driver, "
+                         "which would drop its imaginary parts")
+
+
 def _sym_eigvals(A) -> SpectralSet:
     """:func:`sym_eigvals` without its guard, for callers that have just
-    proven ``A`` symmetric to a tolerance no looser than 1e-12."""
+    proven ``A`` symmetric to a tolerance no looser than 1e-12; a complex
+    ``A`` raises ValueError."""
+    _require_real(A)
     if not isinstance(A, BandedMatrix):
         try:
             vals = np.linalg.eigvalsh(as_dense(A))
@@ -762,9 +773,11 @@ def spectral_norm(A) -> float:
 
 def _upper_band(A: BandedMatrix):
     """Upper band storage ``ab[u + i - j, j] = A[i, j]`` of the upper
-    triangle, in Fortran order, for LAPACK's symmetric band drivers."""
+    triangle, in Fortran order, for LAPACK's symmetric band drivers; a
+    complex ``A`` raises ValueError."""
+    _require_real(A)
     return np.asfortranarray(BandedMatrix.from_diagonals(
-        A.n, {k: v.real for k, v in A._diagonals() if k >= 0}).bands)
+        A.n, {k: v for k, v in A._diagonals() if k >= 0}).bands)
 
 
 def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:

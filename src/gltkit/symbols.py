@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: divisions with |denominator| below this guard count as singular points
 DIV_GUARD = 1e-13
@@ -226,12 +226,6 @@ class SymbolExpr:
         hands ``ws[1:]`` on to the children whose values it must keep."""
         raise NotImplementedError
 
-    def _parts(self):
-        return ()
-
-    def _with_parts(self, parts):
-        return self
-
     def __call__(self, x, theta):
         """Evaluate without singularity tracking; NaN marks singular points."""
         vals, invalid = self.eval_masked(x, theta)
@@ -261,12 +255,12 @@ class SymbolExpr:
         return vals, mask
 
     def __add__(self, other):
-        return Sum((self, _as_symbol(other)))
+        return Sum(self, _as_symbol(other))
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        return Prod((self, _as_symbol(other)))
+        return Prod(self, _as_symbol(other))
 
     __rmul__ = __mul__
 
@@ -302,8 +296,6 @@ def _as_symbol(value):
 class CoeffFactor(SymbolExpr):
     def __init__(self, coefficient: Coefficient):
         self.coefficient = coefficient
-        self.is_real = True
-        self.has_quotient = False
 
     def _eval(self, x, theta, invalid, ws=()):
         return self.coefficient(x)
@@ -319,7 +311,6 @@ class TrigFactor(SymbolExpr):
     def __init__(self, poly: TrigPoly):
         self.poly = poly
         self.is_real = poly.real_valued
-        self.has_quotient = False
         self.reads_x = False
 
     def _eval(self, x, theta, invalid, ws=()):
@@ -348,107 +339,79 @@ class TrigFactor(SymbolExpr):
         return text or "0"
 
 
-class Sum(SymbolExpr):
-    def __init__(self, terms):
-        self.terms = tuple(terms)
-        self.is_real = all(t.is_real for t in self.terms)
-        self.has_quotient = any(t.has_quotient for t in self.terms)
-        self.reads_x = any(t.reads_x for t in self.terms)
+class _Node(SymbolExpr):
+    """A node of the symbol algebra over its ``children``: real when they
+    all are, reading x when one of them does, and with a quotient when one
+    of them has one or the node is a :class:`Quot`.  ``kind`` names it in
+    JSON, ``{"kind": kind, "children": [...]}``, and ``arity`` fixes its
+    number of children (None: any)."""
 
-    def _eval(self, x, theta, invalid, ws=()):
-        return _fold(np.add, self.terms, x, theta, invalid, ws)
+    kind: str
+    arity: int | None = None
 
-    def _parts(self):
-        return self.terms
-
-    def _with_parts(self, parts):
-        return Sum(parts)
-
-    def to_json_obj(self):
-        return {"kind": "sum", "children": [t.to_json_obj() for t in self.terms]}
-
-    def __str__(self):
-        return " + ".join(str(t) for t in self.terms)
-
-
-class Prod(SymbolExpr):
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        self.is_real = all(f.is_real for f in self.factors)
-        self.has_quotient = any(f.has_quotient for f in self.factors)
-        self.reads_x = any(f.reads_x for f in self.factors)
-
-    def _eval(self, x, theta, invalid, ws=()):
-        return _fold(np.multiply, self.factors, x, theta, invalid, ws)
-
-    def _parts(self):
-        return self.factors
-
-    def _with_parts(self, parts):
-        return Prod(parts)
+    def __init__(self, *children):
+        if self.arity is not None and len(children) != self.arity:
+            raise ValueError(f"a {self.kind} node takes {self.arity} child node(s), "
+                             f"got {len(children)}")
+        self.children = children
+        self.is_real = all(c.is_real for c in children)
+        self.has_quotient = self.kind == "quot" or any(c.has_quotient for c in children)
+        self.reads_x = any(c.reads_x for c in children)
 
     def to_json_obj(self):
-        return {"kind": "prod", "children": [f.to_json_obj() for f in self.factors]}
-
-    def __str__(self):
-        return " * ".join(f"({f})" for f in self.factors)
+        return {"kind": self.kind, "children": [c.to_json_obj() for c in self.children]}
 
 
-class Quot(SymbolExpr):
-    """Quotient node; construct through :func:`divide` so that the a.e.
-    nonzero declaration on the denominator is explicit."""
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-        self.is_real = num.is_real and den.is_real
-        self.has_quotient = True
-        self.reads_x = num.reads_x or den.reads_x
+class Sum(_Node):
+    kind = "sum"
 
     def _eval(self, x, theta, invalid, ws=()):
-        nv = self.num._eval(x, theta, invalid, ws)
+        return _fold(np.add, self.children, x, theta, invalid, ws)
+
+    def __str__(self):
+        return " + ".join(str(t) for t in self.children)
+
+
+class Prod(_Node):
+    kind = "prod"
+
+    def _eval(self, x, theta, invalid, ws=()):
+        return _fold(np.multiply, self.children, x, theta, invalid, ws)
+
+    def __str__(self):
+        return " * ".join(f"({f})" for f in self.children)
+
+
+class Quot(_Node):
+    """Quotient node (numerator, denominator); construct through
+    :func:`divide` so that the a.e. nonzero declaration on the denominator
+    is explicit."""
+
+    kind, arity = "quot", 2
+
+    def _eval(self, x, theta, invalid, ws=()):
+        num, den = self.children
+        nv = num._eval(x, theta, invalid, ws)
         rest = _after(ws, nv)
-        dv = self.den._eval(x, theta, invalid, rest)
+        dv = den._eval(x, theta, invalid, rest)
         small = _apply(np.absolute, dv, ws=_after(rest, dv)) < DIV_GUARD
         if np.any(small):
             invalid.append(small)
             dv = np.where(small, 1.0, dv)
         return _apply(np.divide, nv, dv, ws=ws)
 
-    def _parts(self):
-        return (self.num, self.den)
-
-    def _with_parts(self, parts):
-        return Quot(*parts)
-
-    def to_json_obj(self):
-        return {"kind": "quot", "children": [self.num.to_json_obj(), self.den.to_json_obj()]}
-
     def __str__(self):
-        return f"({self.num}) / ({self.den})"
+        return "({}) / ({})".format(*self.children)
 
 
-class Conj(SymbolExpr):
-    def __init__(self, arg):
-        self.arg = arg
-        self.is_real = arg.is_real
-        self.has_quotient = arg.has_quotient
-        self.reads_x = arg.reads_x
+class Conj(_Node):
+    kind, arity = "conj", 1
 
     def _eval(self, x, theta, invalid, ws=()):
-        return _apply(np.conjugate, self.arg._eval(x, theta, invalid, ws), ws=ws)
-
-    def _parts(self):
-        return (self.arg,)
-
-    def _with_parts(self, parts):
-        return Conj(*parts)
-
-    def to_json_obj(self):
-        return {"kind": "conj", "children": [self.arg.to_json_obj()]}
+        return _apply(np.conjugate, self.children[0]._eval(x, theta, invalid, ws), ws=ws)
 
     def __str__(self):
-        return f"conj({self.arg})"
+        return f"conj({self.children[0]})"
 
 
 class _Fixed(SymbolExpr):
@@ -473,10 +436,9 @@ def _bind_theta(node, theta):
     computes them once."""
     if not node.reads_x:
         return _Fixed(node, theta)
-    parts = node._parts()
-    if not parts:
+    if not isinstance(node, _Node):
         return node
-    return node._with_parts(tuple(_bind_theta(p, theta) for p in parts))
+    return type(node)(*(_bind_theta(c, theta) for c in node.children))
 
 
 def _apply(ufunc, *args, ws):
@@ -503,11 +465,11 @@ def _fold(ufunc, nodes, x, theta, invalid, ws):
 
 
 def add(*terms):
-    return Sum(tuple(_as_symbol(t) for t in terms))
+    return Sum(*map(_as_symbol, terms))
 
 
 def multiply(*factors):
-    return Prod(tuple(_as_symbol(f) for f in factors))
+    return Prod(*map(_as_symbol, factors))
 
 
 def divide(num, den, nonzero_ae=False):
@@ -523,6 +485,9 @@ def conjugate(arg):
     return Conj(_as_symbol(arg))
 
 
+_NODE_KINDS = {cls.kind: cls for cls in (Sum, Prod, Quot, Conj)}
+
+
 def _symbol_from_json(obj, coefficients):
     if isinstance(obj, str):
         if obj.startswith("coeff:"):
@@ -536,20 +501,9 @@ def _symbol_from_json(obj, coefficients):
             return TrigFactor(TrigPoly(coeffs))
         raise ValueError(f"unknown symbol leaf {obj!r}")
     kind = obj["kind"]
-    children = [_symbol_from_json(c, coefficients) for c in obj["children"]]
-    if kind == "sum":
-        return Sum(children)
-    if kind == "prod":
-        return Prod(children)
-    if kind == "quot":
-        if len(children) != 2:
-            raise ValueError("quot node needs exactly two children")
-        return Quot(children[0], children[1])  # declaration was made when built
-    if kind == "conj":
-        if len(children) != 1:
-            raise ValueError("conj node needs exactly one child")
-        return Conj(children[0])
-    raise ValueError(f"unknown symbol node kind {kind!r}")
+    if kind not in _NODE_KINDS:
+        raise ValueError(f"unknown symbol node kind {kind!r}")
+    return _NODE_KINDS[kind](*(_symbol_from_json(c, coefficients) for c in obj["children"]))
 
 
 def symbol_eval(kappa: SymbolExpr, x: float, theta: float):
@@ -753,56 +707,36 @@ def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
 # moduli of continuity
 # ----------------------------------------------------------------------------
 
-def _sliding_window_spread(values, width):
-    """max over windows of ``width`` consecutive entries of (max - min)."""
-    n = values.size
-    width = min(width, n)
-    if width <= 1:
-        return 0.0
-    maxd, mind = deque(), deque()
-    best = 0.0
-    for i in range(n):
-        while maxd and values[maxd[-1]] <= values[i]:
-            maxd.pop()
-        maxd.append(i)
-        while mind and values[mind[-1]] >= values[i]:
-            mind.pop()
-        mind.append(i)
-        lo = i - width + 1
-        if maxd[0] < lo:
-            maxd.popleft()
-        if mind[0] < lo:
-            mind.popleft()
-        if i >= width - 1:
-            best = max(best, values[maxd[0]] - values[mind[0]])
-    return float(best)
-
-
 def modulus_of_continuity(a: Coefficient, delta, probe_count=4097):
     """Lattice lower estimate of omega_a(delta) = sup_{|x-y|<=delta} |a(x)-a(y)|.
 
-    Probes a uniform lattice of [0,1]; exact for piecewise-linear data when
-    delta is a multiple of the lattice step.  Nondecreasing in delta for a
-    fixed lattice.
+    Probes a uniform lattice of [0,1] and takes the largest max - min over
+    its windows of the probes within delta of each other; exact for
+    piecewise-linear data when delta is a multiple of the lattice step.
+    Nondecreasing in delta for a fixed lattice.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     x = np.linspace(0.0, 1.0, probe_count)
     vals = np.asarray(a(x), dtype=float)
     step = 1.0 / (probe_count - 1)
-    width = int(np.floor(delta / step + 1e-12)) + 1
-    return _sliding_window_spread(vals, width)
+    width = min(int(np.floor(delta / step + 1e-12)) + 1, vals.size)
+    if width <= 1:
+        return 0.0
+    windows = sliding_window_view(vals, width)
+    return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
 
 
 def modulus_upper_bound(a: Coefficient, delta):
-    """Upper bound on omega_a(delta) for certificate right-hand sides.
-
-    Uses the coefficient's exact modulus when it is known; otherwise the
-    lattice estimate of :func:`modulus_of_continuity` inflated by 5 %.
+    """omega_a(delta) for certificate right-hand sides, from the
+    coefficient's exact modulus.  A coefficient without one raises
+    ValueError: the lattice estimate of :func:`modulus_of_continuity` is a
+    lower bound, so no right-hand side may rest on it.
     """
-    if a.exact_modulus is not None:
-        return float(a.exact_modulus(delta))
-    return 1.05 * modulus_of_continuity(a, delta)
+    if a.exact_modulus is None:
+        raise ValueError(f"coefficient {a.name!r} has no exact modulus of continuity, "
+                         "which a certificate's right-hand side needs")
+    return float(a.exact_modulus(delta))
 
 
 def modulus_of_integral_continuity(f: Coefficient, delta, sample_count=100001):

@@ -369,7 +369,6 @@ def test_weyl_symbol_side_is_computed_once_per_test_function():
 def test_weyl_rejects_samples_taken_for_other_settings():
     case = get_case("fd_t1", "xexp")
     samples = symbol_samples(case, "lambda", quad_res=60)
-    for kwargs in ({"mode": "sigma", "quad_res": 60}, {"quad_res": 80},
-                   {"quad_res": 60, "refine_check": False}):
+    for kwargs in ({"mode": "sigma", "quad_res": 60}, {"quad_res": 80}):
         with pytest.raises(ValueError, match="symbol samples"):
             weyl_compare(case, 20, samples=samples, **kwargs)

@@ -37,6 +37,8 @@ from gltkit import (
     sym_eigvals,
     toeplitz,
     LAPLACE_SYMBOL,
+    MASS_SYMBOL,
+    TrigPoly,
 )
 from gltkit.builders import (
     _hadamard_with_toeplitz,
@@ -296,6 +298,30 @@ def test_one_symmetry_test_per_solve():
     with mock.patch.object(linalg, "_symmetry_defect", wraps=linalg._symmetry_defect) as spy:
         run_all_certificates(seed=7)
     assert spy.call_count == 36
+
+
+def test_real_drivers_refuse_complex_operands():
+    """A complex symmetric operand has a complex spectrum (here 2 +- 1.80i,
+    2 +- 1.25i, 2 +- 0.45i): the tridiagonal, band and dense symmetric
+    branches, the band pencil and the banded solves raise instead of
+    dropping its imaginary parts.  The singular values keep the SVD."""
+    tri = toeplitz(TrigPoly([1j, 2, 1j]), 6)
+    penta = toeplitz(TrigPoly([0.5j, 1j, 2, 1j, 0.5j]), 6)
+    mass = toeplitz(MASS_SYMBOL, 6)
+    assert np.allclose(np.sort(np.abs(nonsym_eigvals(tri).imag)),
+                       np.repeat(2 * np.cos(np.pi * np.arange(3, 0, -1) / 7), 2))
+    for solve in (lambda: sym_eigvals(tri), lambda: real_eigvals(tri),
+                  lambda: sym_eigvals(penta), lambda: real_eigvals(penta),
+                  lambda: sym_eigvals(tri.toarray()), lambda: real_eigvals(tri.toarray()),
+                  lambda: generalized_sym_eigvals(tri, mass),
+                  lambda: real_eigvals(Pencil(tri, mass)),
+                  lambda: solve_spd_banded(tri, np.ones(6)),
+                  lambda: linalg.spd_cholesky_banded(tri)):
+        with pytest.raises(ValueError, match="complex matrix"):
+            solve()
+    sigma = linalg.singular_spectrum(tri)
+    assert sigma.solver == "svd_dense"
+    assert np.allclose(sigma.values, np.linalg.svd(tri.toarray(), compute_uv=False)[::-1])
 
 
 # ---------------------------------------------------------------------------

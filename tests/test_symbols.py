@@ -1,5 +1,6 @@
 """Tests for trig polynomials, coefficients, symbol trees, rearrangement,
 and the two moduli of continuity."""
+import json
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from gltkit import (
     FOURTH_DERIVATIVE_SYMBOL,
     FOURTH_ORDER_LAPLACE_SYMBOL,
     LAPLACE_SYMBOL,
+    MASS_SYMBOL,
     Rearrangement,
     SIN_SYMBOL,
     SymbolExpr,
@@ -28,6 +30,7 @@ from gltkit import (
     get_case,
     modulus_of_continuity,
     modulus_of_integral_continuity,
+    modulus_upper_bound,
     monotone_rearrangement,
     multiply,
     symbol_eval,
@@ -123,6 +126,46 @@ def test_json_roundtrip():
     for _ in range(5):
         x, th = rng.uniform(0.05, 1.0), rng.uniform(0.1, math.pi)
         assert symbol_eval(back, x, th) == pytest.approx(symbol_eval(kappa, x, th), rel=1e-12)
+
+
+def _coefficients(kappa):
+    """The coefficients of the CoeffFactor leaves of ``kappa``, by name."""
+    if isinstance(kappa, CoeffFactor):
+        return {kappa.coefficient.name: kappa.coefficient}
+    found = {}
+    for child in getattr(kappa, "children", ()):
+        found |= _coefficients(child)
+    return found
+
+
+@pytest.mark.parametrize("coeff", ["xexp", "one", "x"])
+@pytest.mark.parametrize("name", case_names())
+def test_json_roundtrip_of_every_registry_symbol(name, coeff):
+    kappa = get_case(name, coeff).predicted_symbol
+    back = SymbolExpr.from_json(kappa.to_json(), _coefficients(kappa))
+    assert back.to_json() == kappa.to_json()
+    assert str(back) == str(kappa)
+    flags = ("is_real", "has_quotient", "reads_x")
+    assert [getattr(back, f) for f in flags] == [getattr(kappa, f) for f in flags]
+
+
+@pytest.mark.parametrize("obj,match", [
+    ({"kind": "quot", "children": ["trig:[1.0]"]}, "quot node takes 2"),
+    ({"kind": "conj", "children": ["trig:[1.0]", "trig:[2.0]"]}, "conj node takes 1"),
+    ({"kind": "pow", "children": ["trig:[1.0]"]}, "unknown symbol node kind 'pow'"),
+])
+def test_json_malformed_node_rejected(obj, match):
+    with pytest.raises(ValueError, match=match):
+        SymbolExpr.from_json(json.dumps(obj))
+
+
+def test_node_flags_follow_children():
+    theta_only = divide(LAPLACE_SYMBOL, MASS_SYMBOL, nonzero_ae=True)
+    assert theta_only.has_quotient and theta_only.is_real and not theta_only.reads_x
+    mixed = add(multiply(XEXP, SIN_SYMBOL), conjugate(theta_only))
+    assert mixed.has_quotient and mixed.is_real and mixed.reads_x
+    assert not multiply(XEXP, TrigPoly([0.0, 0.0, 1.0])).is_real
+    assert not add(XEXP, LAPLACE_SYMBOL).has_quotient
 
 
 def test_json_unknown_coefficient_rejected():
@@ -450,6 +493,27 @@ def test_modulus_monotone_in_delta():
     sq = Coefficient("sq", lambda x: np.sin(5 * x), "continuous")
     vals = [modulus_of_continuity(sq, d, probe_count=2001) for d in (0.05, 0.1, 0.2, 0.5)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.003, 0.05, 0.5, 1.0, 3.0])
+def test_modulus_is_the_largest_spread_over_lattice_windows(delta):
+    """Against a scan of every window of probes within delta, ties included."""
+    table = Coefficient.from_table(np.linspace(0.0, 1.0, 9),
+                                   [0.0, 2.0, 2.0, -1.0, 0.5, 0.5, 3.0, -2.0, 1.0])
+    probes = 201
+    vals = table(np.linspace(0.0, 1.0, probes))
+    width = min(int(np.floor(delta * (probes - 1) + 1e-12)) + 1, probes)
+    spread = max(np.ptp(vals[i:i + width]) for i in range(probes - width + 1))
+    assert modulus_of_continuity(table, delta, probe_count=probes) == spread
+
+
+def test_modulus_upper_bound_takes_exact_moduli_only():
+    assert modulus_upper_bound(coefficient_preset("xexp"), 0.1) == pytest.approx(
+        0.1 * math.exp(-0.1), rel=1e-15)
+    table = Coefficient.from_table([0.0, 1.0], [0.0, 1.0], name="ramp")
+    assert modulus_of_continuity(table, 0.1) > 0.0  # only a lower estimate
+    with pytest.raises(ValueError, match="'ramp' has no exact modulus"):
+        modulus_upper_bound(table, 0.1)
 
 
 def test_integral_modulus_of_constant():
