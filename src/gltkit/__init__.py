@@ -100,7 +100,6 @@ from .analysis import (
     monomial,
     outlier_count,
     rearrangement_compare,
-    symbol_functional,
     symbol_samples,
     weyl_compare,
     zero_distribution_check,

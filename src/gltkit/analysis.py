@@ -116,32 +116,29 @@ def empirical_functional(spectrum, F) -> float:
     return float(np.mean(F(values)))
 
 
-def _quadrature_rule(kappa: SymbolExpr, rule="auto") -> str:
-    """``gauss`` or ``midpoint``; ``auto`` takes midpoint for quotient symbols."""
-    if rule not in ("auto", "gauss", "midpoint"):
-        raise ValueError(f"unknown quadrature rule {rule!r}; expected auto, gauss or midpoint")
-    if rule == "auto":
-        return "midpoint" if kappa.has_quotient else "gauss"
-    return rule
+#: (x, theta) domain of the symbols: every registered symbol is even in
+#: theta, so [0, pi] carries the distribution of [-pi, pi]
+SYMBOL_RECT = ((0.0, 1.0), (0.0, math.pi))
 
 
-def _quadrature_samples(kappa: SymbolExpr, rect, quad_res, rule, absolute=False):
+def _quadrature_samples(kappa: SymbolExpr, quad_res, absolute):
     """Symbol samples (moduli with ``absolute``) at the kept points of the
-    2-d quadrature grid.
+    2-d quadrature grid on :data:`SYMBOL_RECT`.
 
-    ``gauss`` is a composite Gauss-Legendre rule with ``quad_res`` panels and
-    two nodes per panel per axis (equal weights, so plain means are exact
-    averages); ``midpoint`` is the cell-center rule with singular cells
-    excluded and the measure renormalized accordingly.
+    A symbol without a quotient takes a composite Gauss-Legendre rule with
+    ``quad_res`` panels and two nodes per panel per axis (equal weights, so
+    plain means are exact averages); a quotient symbol takes the
+    cell-center rule, with singular cells excluded and the measure
+    renormalized accordingly.
     """
-    (x0, x1), (t0, t1) = rect
+    (x0, x1), (t0, t1) = SYMBOL_RECT
     centres = np.arange(quad_res) + 0.5
-    if rule == "gauss":
+    if kappa.has_quotient:
+        x, th = x0 + (x1 - x0) * centres / quad_res, t0 + (t1 - t0) * centres / quad_res
+    else:
         g = 1.0 / (2.0 * math.sqrt(3.0))  # 2-point Gauss offsets on a unit panel
         nodes = (centres[:, None] / quad_res + np.array([-g, g]) / quad_res).ravel()
         x, th = x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes
-    else:
-        x, th = x0 + (x1 - x0) * centres / quad_res, t0 + (t1 - t0) * centres / quad_res
     return grid_samples(kappa, (x, th), absolute)[0]
 
 
@@ -152,20 +149,6 @@ def _blocked_mean(F, values):
     step = block_size(values.size)
     return math.fsum(float(np.sum(F(values[i:i + step])))
                      for i in range(0, values.size, step)) / values.size
-
-
-def symbol_functional(kappa: SymbolExpr, rect, F, quad_res=400, rule="auto",
-                      absolute=False) -> float:
-    """Domain average of F(kappa) (or F(|kappa|)) over the rectangle.
-
-    Singular points of quotient symbols are excluded with measure
-    renormalization, matching the almost-everywhere definition of such
-    symbols.  A complex-valued symbol needs ``absolute``; without it,
-    ComplexSymbolError is raised.  ``rule`` is ``gauss``, ``midpoint`` or
-    ``auto`` (see ``_quadrature_rule``); any other name raises ValueError.
-    """
-    flat = _quadrature_samples(kappa, rect, quad_res, _quadrature_rule(kappa, rule), absolute)
-    return _blocked_mean(F, flat)
 
 
 # ----------------------------------------------------------------------------
@@ -231,11 +214,6 @@ class DistributionReport:
         return doc
 
 
-#: (x, theta) domain of the symbols: every registered symbol is even in
-#: theta, so [0, pi] carries the distribution of [-pi, pi]
-SYMBOL_RECT = ((0.0, 1.0), (0.0, math.pi))
-
-
 def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
     """The theory behind the predicted distribution: a case that declares
     corrections (``companions``) is a Hermitian part plus a vanishing-norm
@@ -256,7 +234,7 @@ def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
 class SymbolSamples:
     """Symbol values on the Weyl quadrature grid (``full``) and on its
     coarse half (``coarse``), as magnitudes in sigma mode.  They depend on
-    the case, ``mode`` and ``quad_res`` but not on n, so one set serves
+    the symbol, ``mode`` and ``quad_res`` but not on n, so one set serves
     every n of a case, and so does its :meth:`symbol_side` of each test
     function."""
 
@@ -281,15 +259,15 @@ class SymbolSamples:
         return self._symbol_sides[F]
 
 
-def symbol_samples(case: DiscretizationCase, mode="lambda", quad_res=400) -> SymbolSamples:
-    """Sample the predicted symbol of ``case`` for :func:`weyl_compare`."""
+def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamples:
+    """Sample ``kappa`` (a case's ``predicted_symbol``) for
+    :func:`weyl_compare`; a complex one raises ComplexSymbolError in lambda mode."""
     if mode not in ("lambda", "sigma"):
         raise ValueError("mode must be 'lambda' or 'sigma'")
-    kappa = case.predicted_symbol
-    rule = _quadrature_rule(kappa)
     absolute = mode == "sigma"
-    full = _quadrature_samples(kappa, SYMBOL_RECT, quad_res, rule, absolute)
-    coarse = _quadrature_samples(kappa, SYMBOL_RECT, max(2, quad_res // 2), rule, absolute)
+    full = _quadrature_samples(kappa, quad_res, absolute)
+    coarse = _quadrature_samples(kappa, max(2, quad_res // 2), absolute)
+    rule = "midpoint" if kappa.has_quotient else "gauss"
     return SymbolSamples(mode, rule, int(quad_res), full, coarse)
 
 
@@ -300,13 +278,13 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
 
     ``mode`` selects eigenvalues ("lambda") or singular values ("sigma");
     sigma mode compares against F(|kappa|) as the distribution definition
-    prescribes.  Pass ``samples`` from :func:`symbol_samples` (same case,
-    mode and ``quad_res``) to reuse them across n, and the ``spectrum`` of
-    alpha_n A_n (its n eigenvalues, or singular values in sigma mode) when
-    it is already at hand.
+    prescribes.  Pass ``samples`` from :func:`symbol_samples` (of the case's
+    ``predicted_symbol``, same mode and ``quad_res``) to reuse them across
+    n, and the ``spectrum`` of alpha_n A_n (its n eigenvalues, or singular
+    values in sigma mode) when it is already at hand.
     """
     if samples is None:
-        samples = symbol_samples(case, mode, quad_res)
+        samples = symbol_samples(case.predicted_symbol, mode, quad_res)
     elif (samples.mode, samples.quad_res) != (mode, quad_res):
         raise ValueError(
             f"symbol samples were taken for mode={samples.mode}, quad_res={samples.quad_res}; "
@@ -349,16 +327,17 @@ def outlier_count(spectrum, lo, hi, eps):
     return int(out.size), [float(v) for v in out]
 
 
-def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
+def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
                           spectrum=None) -> DistributionReport:
     """Sorted-spectrum vs rearranged-symbol comparison.
 
     e_n: eigenvalues of alpha_n A_n ascending; s_n: rearrangement samples at
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
     magnitude of the essential range), and outliers beyond the essential
-    range by more than 1e-8.  Pass a precomputed ``rearr`` to
-    amortize the sampling across several n, and the eigenvalue ``spectrum``
-    of alpha_n A_n when it is already at hand (e.g. from ``weyl_compare``).
+    range by more than 1e-8.  Pass a precomputed ``rearr`` to amortize the
+    sampling (r = 5000 by default) across several n, an ``r`` other than
+    its own raising ValueError, and the eigenvalue ``spectrum`` of alpha_n
+    A_n when it is already at hand (e.g. from ``weyl_compare``).
     """
     if case.symbol_unbounded:
         raise UnboundedSymbolError(
@@ -366,7 +345,11 @@ def rearrangement_compare(case: DiscretizationCase, n, r=5000, rearr=None,
             "use sigma-mode Weyl comparison on a bounded window instead"
         )
     if rearr is None:
-        rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, r)
+        rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT,
+                                       5000 if r is None else r)
+    elif r is not None and r != rearr.r:
+        raise ValueError(f"the rearrangement was sampled at r={rearr.r}; "
+                         f"this comparison asks for r={r}")
     if spectrum is None:
         spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
     else:

@@ -158,7 +158,7 @@ def cmd_compare(args) -> int:
         rearr = None
         if not case.symbol_unbounded:
             rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
-        samples = symbol_samples(case, args.mode, args.quad_res)
+        samples = symbol_samples(case.predicted_symbol, args.mode, args.quad_res)
         suite = samples.default_suite()
         for F in suite:
             samples.symbol_side(F)
@@ -278,7 +278,8 @@ def _build_parser():
     p_t2 = sub.add_parser("table2", help="rearrangement-gap benchmark vs the reference column")
     r_arg(p_t2)
     output_args(p_t2)
-    # no --format: the aligned table alone, or CSV into --out
+    # format=None stands for no --format given: the aligned table alone, plus
+    # CSV into --out when there is one (see cmd_table2)
     p_t2.set_defaults(fn=cmd_table2, format=None)
 
     p_cert = sub.add_parser("certify", help="finite-n proof-inequality certificates")

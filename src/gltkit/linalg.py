@@ -379,8 +379,8 @@ def _require_bands(*operands):
 @dataclass(frozen=True)
 class RankOneUpdate:
     """``S = T + s u u^T`` held as ``T``, ``u`` and ``s`` and never formed:
-    ``T`` a symmetric band (``SymmetryError``), ``u`` finite with no zero
-    entry and ``s`` finite (``ValueError``).  :func:`real_eigvals` solves it
+    ``T`` a real (``ValueError``) symmetric (``SymmetryError``) band, ``u``
+    finite with no zero entry and ``s`` finite (``ValueError``).  :func:`real_eigvals` solves it
     as an n x n band pencil (densely when u is rough); ``toarray`` forms S."""
 
     T: BandedMatrix
@@ -389,6 +389,7 @@ class RankOneUpdate:
 
     def __post_init__(self):
         _require_bands(self.T)
+        _require_real(self.T)
         require_symmetric(self.T)
         u = np.asarray(self.u, dtype=float)
         if u.shape != (self.T.n,) or not (np.all(np.isfinite(u)) and np.all(u != 0)):
@@ -404,8 +405,8 @@ class RankOneUpdate:
 
 @dataclass(frozen=True)
 class Pencil:
-    """The band pencil ``K x = lambda M x`` of two n x n bands, ``K``
-    symmetric (``SymmetryError``) and ``M`` SPD (checked here by banded
+    """The band pencil ``K x = lambda M x`` of two n x n bands, ``K`` real
+    (``ValueError``) and symmetric (``SymmetryError``) and ``M`` SPD (checked here by banded
     Cholesky, ``SpdError``); it has no dense form.  :func:`real_eigvals`
     solves it as :func:`generalized_sym_eigvals` does, trusting these checks."""
 
@@ -414,6 +415,7 @@ class Pencil:
 
     def __post_init__(self):
         _require_bands(self.K, self.M)
+        _require_real(self.K)
         require_symmetric(self.K)
         spd_cholesky_banded(self.M)
 
@@ -508,10 +510,10 @@ def sym_eigvals(A) -> SpectralSet:
 
 def _require_real(A):
     """ValueError for a complex matrix, whose imaginary parts the real
-    drivers below would drop: ``eigvalsh`` would even read a complex
-    symmetric matrix as Hermitian."""
+    drivers below, and the operands that reach them, would drop:
+    ``eigvalsh`` would even read a complex symmetric matrix as Hermitian."""
     if np.iscomplexobj(A.bands if isinstance(A, BandedMatrix) else as_dense(A)):
-        raise ValueError("a complex matrix reached a real symmetric driver, "
+        raise ValueError("a complex matrix reached a real symmetric driver or operand, "
                          "which would drop its imaginary parts")
 
 

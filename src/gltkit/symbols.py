@@ -535,7 +535,6 @@ class Rearrangement:
     """
 
     samples: np.ndarray = field(repr=False)
-    rect: tuple
     r: int
     excluded: int = 0
 
@@ -602,63 +601,42 @@ def block_size(total):
     return max(1, min(BLOCK_BYTES // 8, total // 16))
 
 
-def grid_samples(kappa, axes, absolute=False):
-    """Values of ``kappa`` on the outer-product grid of the 1-d ``axes``,
-    flattened row-major with the excluded points dropped, and the number of
-    excluded points.
-
-    A SymbolExpr takes two axes (x, theta) and excludes the points where a
-    division guard trips; any other callable (a Coefficient uses its ``fn``)
-    takes one grid array per axis, must act elementwise, and excludes
-    non-finite values.  Complex values raise ComplexSymbolError unless
-    ``absolute`` asks for moduli.
+def grid_samples(kappa: SymbolExpr, axes, absolute=False):
+    """Values of the symbol ``kappa`` on the outer-product grid of the 1-d
+    ``axes`` (x, theta), flattened row-major with the points where a
+    division guard trips dropped, and the number of those excluded points.
+    Complex values raise ComplexSymbolError unless ``absolute`` asks for
+    moduli.
 
     The returned buffer is freshly allocated, the caller's to overwrite or
-    sort in place.  It is filled in blocks of rows of the first axis (see
+    sort in place.  It is filled in blocks of x rows (see
     :func:`block_size`), each block's kept values after the previous ones,
     so no temporary of the grid's full size is made; the theta-only
-    subtrees of a SymbolExpr are evaluated once, and its root writes each
-    block straight into the buffer.  The axes reach the symbol read-only,
-    so a symbol that returns its input is copied, never sorted in place.
+    subtrees are evaluated once, and the root writes each block straight
+    into the buffer.  The axes reach the symbol read-only, so a symbol that
+    returns its input is copied, never sorted in place.
     """
-    axes = [np.asarray(a, dtype=float).view() for a in axes]
-    for a in axes:
-        a.flags.writeable = False
-    row_shape = tuple(a.size for a in axes[1:])
-    row_len = math.prod(row_shape)
-    total = axes[0].size * row_len
-    step = max(1, block_size(total) // max(row_len, 1))
-    guarded = isinstance(kappa, SymbolExpr)
-    if guarded:
-        if len(axes) != 2:
-            raise ValueError("a SymbolExpr needs a two-interval rectangle")
-        theta = axes[1][None, :]
-        bound = _bind_theta(kappa, theta)
+    x, theta = (np.asarray(a, dtype=float).view() for a in axes)
+    x.flags.writeable = theta.flags.writeable = False
+    theta = theta[None, :]
+    total = x.size * theta.size
+    step = max(1, block_size(total) // max(theta.size, 1))
+    bound = _bind_theta(kappa, theta)
 
-        # intermediate values go to buffers kept from block to block: fresh
-        # block-sized temporaries would make malloc map and fault in their
-        # pages again for every block (two cover every registered symbol;
-        # a deeper tree makes temporaries for the rest)
-        scratch = [np.empty((step,) + row_shape) for _ in range(2)]
-
-        def evaluate(rows, out):
-            spare = [a[:len(out)] for a in scratch]
-            return bound.eval_masked(axes[0][rows, None], theta, out, spare)
-    else:
-        fn = kappa.fn if isinstance(kappa, Coefficient) else kappa
-
-        def evaluate(rows, out):
-            return fn(*np.meshgrid(axes[0][rows], *axes[1:], indexing="ij", copy=False)), None
-
+    # intermediate values go to buffers kept from block to block: fresh
+    # block-sized temporaries would make malloc map and fault in their
+    # pages again for every block (two cover every registered symbol;
+    # a deeper tree makes temporaries for the rest)
+    scratch = [np.empty((step, theta.size)) for _ in range(2)]
     buf = np.empty(total)
     kept = 0
 
-    for start in range(0, axes[0].size, step):
-        rows = slice(start, start + step)
-        count = (min(start + step, axes[0].size) - start) * row_len
+    for start in range(0, x.size, step):
+        rows = x[start:start + step, None]
+        count = rows.size * theta.size
         block = buf[kept:kept + count]
-        out = block.reshape((-1,) + row_shape)
-        vals, invalid = evaluate(rows, out)
+        out = block.reshape(-1, theta.size)
+        vals, invalid = bound.eval_masked(rows, theta, out, [a[:len(out)] for a in scratch])
         if vals is not out:
             if np.iscomplexobj(vals) and not absolute:
                 raise ComplexSymbolError(
@@ -669,9 +647,6 @@ def grid_samples(kappa, axes, absolute=False):
                 np.copyto(out, vals)
         elif absolute:
             np.absolute(out, out=out)
-        if not guarded:
-            finite = np.isfinite(out)
-            invalid = None if finite.all() else ~finite
         if invalid is None:
             kept += count
         else:
@@ -683,24 +658,22 @@ def grid_samples(kappa, axes, absolute=False):
     return (buf if kept == total else buf[:kept]), total - kept
 
 
-def monotone_rearrangement(kappa, rect, r) -> Rearrangement:
-    """Uniform-lattice monotone rearrangement of a real symbol on ``rect``.
+def monotone_rearrangement(kappa: SymbolExpr, rect, r) -> Rearrangement:
+    """Uniform-lattice monotone rearrangement of a real symbol on ``rect``,
+    ((x_lo, x_hi), (theta_lo, theta_hi)).
 
-    ``rect`` is a sequence of (lo, hi) intervals, one per variable; a
-    SymbolExpr uses two, ([x_lo, x_hi], [theta_lo, theta_hi]).  Lattice
-    points where a division guard trips are excluded and the node count
-    shrinks accordingly (recorded in ``excluded``).  The samples are sorted
-    in the buffer that :func:`grid_samples` fills block by block, so the
-    r^d values are held once and no other array of that size is made.
+    Lattice points where a division guard trips are excluded and the node
+    count shrinks accordingly (recorded in ``excluded``).  The samples are
+    sorted in the buffer that :func:`grid_samples` fills block by block, so
+    the r^2 values are held once and no other array of that size is made.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"sampling parameter r must be an integer >= 1, got {r!r}")
-    rect = tuple((float(lo), float(hi)) for lo, hi in rect)
-    if isinstance(kappa, SymbolExpr) and not kappa.is_real:
+    if not kappa.is_real:
         raise ComplexSymbolError("monotone rearrangement needs a real-valued symbol")
     samples, excluded = grid_samples(kappa, _lattice(rect, r))
     samples.sort()
-    return Rearrangement(samples=samples, rect=rect, r=int(r), excluded=int(excluded))
+    return Rearrangement(samples=samples, r=int(r), excluded=int(excluded))
 
 
 # ----------------------------------------------------------------------------

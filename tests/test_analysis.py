@@ -6,11 +6,11 @@ import pytest
 
 from gltkit import (
     ComplexSymbolError,
-    DiscretizationCase,
     LAPLACE_SYMBOL,
     TrigFactor,
     TrigPoly,
     UnboundedSymbolError,
+    case_names,
     coefficient_preset,
     default_suite,
     empirical_functional,
@@ -25,7 +25,6 @@ from gltkit import (
     multiply,
     outlier_count,
     rearrangement_compare,
-    symbol_functional,
     symbol_samples,
     sym_eigvals,
     toeplitz,
@@ -76,48 +75,57 @@ def test_empirical_second_moment_closed_form():
 
 
 def test_symbol_functional_first_and_second_moment():
-    kappa = TrigFactor(LAPLACE_SYMBOL)
-    assert symbol_functional(kappa, RECT, WIDE) == pytest.approx(2.0, abs=1e-8)
-    assert symbol_functional(kappa, RECT, WIDE2) == pytest.approx(6.0, abs=1e-7)
+    samples = symbol_samples(TrigFactor(LAPLACE_SYMBOL))
+    assert samples.symbol_side(WIDE)[0] == pytest.approx(2.0, abs=1e-8)
+    assert samples.symbol_side(WIDE2)[0] == pytest.approx(6.0, abs=1e-7)
 
 
-def test_symbol_functional_rules_and_unknown_rule():
-    kappa = multiply(coefficient_preset("x"), LAPLACE_SYMBOL)  # x^2 separates the two rules
-    auto = symbol_functional(kappa, RECT, WIDE2)
-    assert auto == symbol_functional(kappa, RECT, WIDE2, rule="gauss")
-    assert auto != symbol_functional(kappa, RECT, WIDE2, rule="midpoint")
-    for bad in ("gaus", "Gauss", ""):
-        with pytest.raises(ValueError, match="unknown quadrature rule"):
-            symbol_functional(kappa, RECT, WIDE2, rule=bad)
+def test_symbol_samples_take_the_midpoint_rule_exactly_for_quotients():
+    """The rule follows the symbol: midpoint cells (quad_res^2 of them, less
+    the excluded ones) for a quotient, 2 x 2 Gauss nodes per panel
+    otherwise, for every registry symbol in both modes."""
+    quad_res = 8
+    for name in case_names():
+        kappa = get_case(name, "xexp").predicted_symbol
+        for mode in ("lambda", "sigma"):
+            samples = symbol_samples(kappa, mode, quad_res)
+            if kappa.has_quotient:
+                assert samples.quad_rule == "midpoint"
+                assert 0 < samples.full.size <= quad_res ** 2
+            else:
+                assert samples.quad_rule == "gauss"
+                assert samples.full.size == (2 * quad_res) ** 2
 
 
 def test_symbol_functional_separable_product():
-    kappa = multiply(coefficient_preset("x"), LAPLACE_SYMBOL)
-    assert symbol_functional(kappa, RECT, WIDE) == pytest.approx(1.0, abs=1e-8)
+    samples = symbol_samples(multiply(coefficient_preset("x"), LAPLACE_SYMBOL))
+    assert samples.symbol_side(WIDE)[0] == pytest.approx(1.0, abs=1e-8)
+    # mean x^2 (2 - 2cos)^2 = 6/3: exact to 1e-8 on the Gauss rule of a
+    # quotient-free symbol, where the midpoint rule would miss by 3e-6
+    assert samples.symbol_side(WIDE2)[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_symbol_functional_sigma_mode_uses_modulus():
     minus = TrigFactor(LAPLACE_SYMBOL)
     kappa = multiply(-1.0, minus)
-    got = symbol_functional(kappa, RECT, WIDE, absolute=True)
+    got = symbol_samples(kappa, "sigma").symbol_side(WIDE)[0]
     assert got == pytest.approx(2.0, abs=1e-8)
 
 
 def test_symbol_functional_of_complex_symbol_takes_the_modulus():
     e_itheta = TrigFactor(TrigPoly([0.0, 0.0, 1.0]))   # |e^{i theta}| = 1, mean |cos| = 2/pi
-    got = symbol_functional(e_itheta, RECT, lambda v: v, absolute=True)
+    got = symbol_samples(e_itheta, "sigma").symbol_side(lambda v: v)[0]
     assert got == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ComplexSymbolError):
-        symbol_functional(e_itheta, RECT, lambda v: v)
+        symbol_samples(e_itheta)
 
 
 def test_sigma_samples_of_complex_symbol_are_moduli():
-    case = DiscretizationCase(name="shift", tag="", build=None,
-                              predicted_symbol=TrigFactor(TrigPoly([0.0, 0.0, 1.0])))
-    samples = symbol_samples(case, "sigma", quad_res=20)
+    shift = TrigFactor(TrigPoly([0.0, 0.0, 1.0]))
+    samples = symbol_samples(shift, "sigma", quad_res=20)
     assert np.allclose(samples.full, 1.0) and np.allclose(samples.coarse, 1.0)
     with pytest.raises(ComplexSymbolError):
-        symbol_samples(case, "lambda", quad_res=20)
+        symbol_samples(shift, "lambda", quad_res=20)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +227,14 @@ def test_rearrangement_compare_constant_coefficient_decay():
     assert g200 <= 0.75 * g100 and g400 <= 0.75 * g200
 
 
+def test_rearrangement_compare_refuses_an_r_other_than_its_rearrangements():
+    case = fd_diffusion(ONE)
+    R = monotone_rearrangement(case.predicted_symbol, RECT, 300)
+    with pytest.raises(ValueError, match="sampled at r=300; this comparison asks for r=9999"):
+        rearrangement_compare(case, 20, r=9999, rearr=R)
+    assert rearrangement_compare(case, 20, r=300, rearr=R).rearrangement.r == 300
+
+
 def test_rearrangement_compare_refuses_unbounded_symbol():
     case = get_case("fd_t7:q=2", "one")
     with pytest.raises(UnboundedSymbolError):
@@ -240,13 +256,13 @@ def test_rearrangement_compare_reuses_a_given_spectrum():
 
 def test_weyl_compare_reuses_a_given_spectrum():
     case = get_case("fd_t2", "xexp")
-    samples = symbol_samples(case, quad_res=40)
+    samples = symbol_samples(case.predicted_symbol, quad_res=40)
     assert samples.default_suite() == default_suite(
         inflate(float(samples.full.min()), float(samples.full.max())))
     own = weyl_compare(case, 30, quad_res=40, samples=samples)
     given = weyl_compare(case, 30, quad_res=40, samples=samples, spectrum=own.spectrum)
     assert given.to_json_dict() == own.to_json_dict()
-    sigma = symbol_samples(case, "sigma", quad_res=40)
+    sigma = symbol_samples(case.predicted_symbol, "sigma", quad_res=40)
     singular = case.singular_spectrum(30)
     assert weyl_compare(case, 30, mode="sigma", quad_res=40, samples=sigma,
                         spectrum=singular).spectrum is singular
@@ -270,9 +286,10 @@ def test_dagger_functional_consistency():
     # rectangle equals the line integral of F(rearranged kappa)
     kappa = multiply(XEXP, LAPLACE_SYMBOL)
     R = monotone_rearrangement(kappa, RECT, 2000)
+    samples = symbol_samples(kappa, quad_res=400)
     t = (np.arange(4000) + 0.5) / 4000
     for F in default_suite((0.0, 4 / math.e)):
-        direct = symbol_functional(kappa, RECT, F, quad_res=400)
+        direct = samples.symbol_side(F)[0]
         via_dagger = float(np.mean(F(R(t))))
         assert direct == pytest.approx(via_dagger, abs=2e-3)
 
@@ -330,7 +347,7 @@ def test_zero_distribution_neumann_correction_passes():
                                        ("fd_t7:q=2", "sigma")])
 def test_weyl_reused_samples_give_identical_gaps(spec, mode):
     case = get_case(spec, "xexp")
-    samples = symbol_samples(case, mode, quad_res=60)
+    samples = symbol_samples(case.predicted_symbol, mode, quad_res=60)
     for n in (20, 40):
         fresh = weyl_compare(case, n, mode=mode, quad_res=60)
         reused = weyl_compare(case, n, mode=mode, quad_res=60, samples=samples)
@@ -341,7 +358,7 @@ def test_weyl_reused_samples_give_identical_gaps(spec, mode):
 
 def test_weyl_symbol_side_is_computed_once_per_test_function():
     case = get_case("fd_t1", "xexp")
-    samples = symbol_samples(case, "lambda", quad_res=40)
+    samples = symbol_samples(case.predicted_symbol, "lambda", quad_res=40)
     F = monomial(2, (0.0, 5.0))
     sizes = []
 
@@ -368,7 +385,7 @@ def test_weyl_symbol_side_is_computed_once_per_test_function():
 
 def test_weyl_rejects_samples_taken_for_other_settings():
     case = get_case("fd_t1", "xexp")
-    samples = symbol_samples(case, "lambda", quad_res=60)
+    samples = symbol_samples(case.predicted_symbol, "lambda", quad_res=60)
     for kwargs in ({"mode": "sigma", "quad_res": 60}, {"quad_res": 80}):
         with pytest.raises(ValueError, match="symbol samples"):
             weyl_compare(case, 20, samples=samples, **kwargs)

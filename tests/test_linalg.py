@@ -324,6 +324,16 @@ def test_real_drivers_refuse_complex_operands():
     assert np.allclose(sigma.values, np.linalg.svd(tri.toarray(), compute_uv=False)[::-1])
 
 
+def test_complex_pencil_and_rank_one_operands_are_refused_when_made():
+    """The complex symmetric band is refused where the operand is made, not
+    only when real_eigvals solves it."""
+    tri = toeplitz(TrigPoly([1j, 2, 1j]), 6)
+    for make in (lambda: Pencil(tri, toeplitz(MASS_SYMBOL, 6)),
+                 lambda: RankOneUpdate(tri, [1.0] * 6, 1.0)):
+        with pytest.raises(ValueError, match="complex matrix"):
+            make()
+
+
 # ---------------------------------------------------------------------------
 # Schatten norms
 # ---------------------------------------------------------------------------

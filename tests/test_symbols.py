@@ -194,18 +194,19 @@ def test_rearrangement_error_halves_when_r_doubles():
 
 
 def test_rearrangement_of_identity_coefficient():
-    R = monotone_rearrangement(coefficient_preset("x"), ((0.0, 1.0),), 500)
+    R = monotone_rearrangement(CoeffFactor(coefficient_preset("x")), RECT, 500)
     t = np.linspace(0.0, 1.0, 777)
     assert np.max(np.abs(R(t) - t)) <= 1.0 / 500 + 1e-12
 
 
 def test_rearrangement_lattice_needs_an_integral_r():
     # r = 2.5 would put the lattice at 0.4, 0.8, 1.2, past the rectangle
+    kappa = CoeffFactor(coefficient_preset("x"))
     for bad in (2.5, 2.0, 0, -3, "4"):
         with pytest.raises(ValueError, match="integer >= 1"):
-            monotone_rearrangement(lambda x: x, ((0.0, 1.0),), bad)
-    R = monotone_rearrangement(lambda x: x, ((0.0, 1.0),), np.int64(2))
-    assert R.samples.tolist() == [0.5, 1.0] and R.r == 2
+            monotone_rearrangement(kappa, RECT, bad)
+    R = monotone_rearrangement(kappa, RECT, np.int64(2))
+    assert R.samples.tolist() == [0.5, 0.5, 1.0, 1.0] and R.r == 2
 
 
 def test_rearrangement_endpoint_reaches_essential_sup():
@@ -231,7 +232,7 @@ def test_rearrangement_eval_rejects_out_of_range():
         with pytest.raises(ValueError):
             R(bad)
     with pytest.raises(ValueError, match="nondecreasing"):
-        Rearrangement(samples=np.array([0.0, 2.0, 1.0]), rect=RECT, r=1)
+        Rearrangement(samples=np.array([0.0, 2.0, 1.0]), r=1)
 
 
 @st.composite
@@ -251,7 +252,7 @@ def samples_and_points(draw):
 @given(samples_and_points())
 def test_rearrangement_eval_is_np_interp_bit_for_bit(data):
     samples, t = data
-    R = Rearrangement(samples=samples, rect=RECT, r=1)
+    R = Rearrangement(samples=samples, r=1)
     N = samples.size
     # node 0 repeats the smallest sample
     expected = np.interp(t * N, np.arange(N + 1), np.concatenate(([samples[0]], samples)))
@@ -297,17 +298,11 @@ def _whole_grid_samples(kappa, axes, absolute):
     """The reference for grid_samples: one evaluation on the whole grid,
     then the excluded points dropped by one boolean mask."""
     shape = tuple(a.size for a in axes)
-    if isinstance(kappa, SymbolExpr):
-        vals, invalid = kappa.eval_masked(axes[0][:, None], axes[1][None, :])
-    else:
-        vals, invalid = kappa(*np.meshgrid(*axes, indexing="ij")), None
+    vals, invalid = kappa.eval_masked(axes[0][:, None], axes[1][None, :])
     vals = np.broadcast_to(np.abs(vals) if absolute else np.asarray(vals), shape)
     flat = np.array(vals, dtype=float).reshape(-1)
-    if isinstance(kappa, SymbolExpr):
-        keep = np.ones(flat.size, bool) if invalid is None else \
-            ~np.broadcast_to(invalid, shape).reshape(-1)
-    else:
-        keep = np.isfinite(flat)
+    keep = np.ones(flat.size, bool) if invalid is None else \
+        ~np.broadcast_to(invalid, shape).reshape(-1)
     return flat[keep], flat.size - int(np.count_nonzero(keep))
 
 
@@ -339,6 +334,8 @@ def test_blocked_grid_samples_match_the_whole_grid(tmp_path, name):
 
 
 _DIP = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
+_HALF = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 0.0], name="half")  # 0 for x >= 1/2
+_E_ITHETA = TrigPoly([0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("kappa,rect,absolute", [
@@ -350,11 +347,14 @@ _DIP = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
          multiply(XEXP, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)), RECT, False),
     (TrigFactor(LAPLACE_SYMBOL), RECT, False),                   # theta-only root
     (CoeffFactor(coefficient_preset("x")), RECT, True),           # x-only root
-    (multiply(XEXP, TrigPoly([0.0, 0.0, 1.0])), RECT, True),      # complex, as moduli
+    (multiply(XEXP, _E_ITHETA), RECT, True),                      # complex, as moduli
     (conjugate(multiply(XEXP, SIN_SYMBOL)), RECT, False),
-    (lambda x, theta: np.where(x > 0.5, np.nan, x + theta), RECT, False),
-    (lambda x, theta: np.exp(1j * theta) * x, RECT, True),
-    (coefficient_preset("xexp"), ((0.0, 1.0),), False),          # 1-d Coefficient
+    # half the x rows excluded, whole blocks of them at r = 600
+    (divide(add(XEXP, TrigFactor(LAPLACE_SYMBOL)), CoeffFactor(_HALF), nonzero_ae=True),
+     RECT, False),
+    # complex, the row x = 1/2 excluded, as moduli
+    (divide(multiply(XEXP, _E_ITHETA), CoeffFactor(_DIP), nonzero_ae=True), RECT, True),
+    (CoeffFactor(XEXP), RECT, False),                             # x-only root, real
 ])
 @pytest.mark.parametrize("r", [1, 2, 17, 600])
 def test_blocked_grid_samples_match_the_whole_grid_on_every_tree_shape(kappa, rect, absolute, r):
@@ -363,8 +363,8 @@ def test_blocked_grid_samples_match_the_whole_grid_on_every_tree_shape(kappa, re
 
 def test_grid_samples_refuse_complex_values_unless_asked_for_moduli():
     axes = symbols._lattice(RECT, 17)
-    for kappa in (multiply(XEXP, TrigPoly([0.0, 0.0, 1.0])),
-                  lambda x, theta: np.exp(1j * theta) * x):
+    for kappa in (multiply(XEXP, _E_ITHETA),
+                  divide(TrigFactor(_E_ITHETA), CoeffFactor(_DIP), nonzero_ae=True)):
         with pytest.raises(ComplexSymbolError):
             symbols.grid_samples(kappa, axes)
 
@@ -390,20 +390,20 @@ def test_rearrangement_needs_no_second_full_size_array(name):
 def test_rearrangement_check_finds_an_inversion_on_a_chunk_boundary(monkeypatch, chunk):
     monkeypatch.setattr(symbols, "_CHECK_CHUNK", chunk)
     N = 2 * chunk + 1  # 2 chunks of pairs (s[k], s[k + 1])
-    Rearrangement(samples=np.arange(N, dtype=float), rect=RECT, r=1)
+    Rearrangement(samples=np.arange(N, dtype=float), r=1)
     # the last pair of the first chunk, the first of the second, the last one
     for k in (chunk - 1, chunk, N - 2):
         samples = np.arange(N, dtype=float)
         samples[k + 1] = samples[k] - 0.5
         with pytest.raises(ValueError, match="nondecreasing"):
-            Rearrangement(samples=samples, rect=RECT, r=1)
+            Rearrangement(samples=samples, r=1)
 
 
 def test_rearrangement_check_makes_no_temporary_of_the_samples_size():
     samples = np.arange(1 << 20, dtype=float)
     tracemalloc.start()
     try:
-        Rearrangement(samples=samples, rect=RECT, r=1)
+        Rearrangement(samples=samples, r=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,8 +414,10 @@ def test_rearrangement_check_makes_no_temporary_of_the_samples_size():
     (CoeffFactor(coefficient_preset("x")), RECT, 1),    # x-only, returns its input
     (CoeffFactor(coefficient_preset("x")), RECT, 7),
     (TrigFactor(LAPLACE_SYMBOL), RECT, 7),               # theta-only
-    (lambda x, theta: x, RECT, 7),                       # plain callable
-    (coefficient_preset("x"), ((0.0, 1.0),), 7),         # 1-d Coefficient path
+    (divide(CoeffFactor(coefficient_preset("x")), CoeffFactor(coefficient_preset("one")),
+            nonzero_ae=True), RECT, 7),                  # x-only quotient
+    (divide(TrigFactor(LAPLACE_SYMBOL), TrigFactor(MASS_SYMBOL), nonzero_ae=True),
+     RECT, 7),                                           # theta-only quotient
 ])
 def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
     lattice, made = symbols._lattice, []
@@ -428,18 +430,10 @@ def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
     monkeypatch.setattr(symbols, "_lattice", recording_lattice)
     R = monotone_rearrangement(kappa, rect, r)
     assert np.all(np.diff(R.samples) >= 0)
-    assert R.node_count == r ** len(rect) + 1
+    assert R.node_count == r * r + 1
     for axis, before in made[0]:
         assert not np.shares_memory(R.samples, axis)
         assert axis.tobytes() == before.tobytes()
-
-
-def test_rearrangement_of_callable_drops_non_finite_values():
-    r = 8
-    R = monotone_rearrangement(lambda x, theta: np.where(x > 0.5, np.nan, x + theta), RECT, r)
-    assert R.excluded == r * r // 2
-    assert np.all(np.isfinite(R.samples)) and np.all(np.diff(R.samples) >= 0)
-    assert R.ess_sup == pytest.approx(0.5 + math.pi)
 
 
 def test_rearrangement_requires_real_symbol():
