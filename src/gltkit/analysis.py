@@ -232,12 +232,13 @@ def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
 
 @dataclass(frozen=True)
 class SymbolSamples:
-    """Symbol values on the Weyl quadrature grid (``full``) and on its
-    coarse half (``coarse``), as magnitudes in sigma mode.  They depend on
-    the symbol, ``mode`` and ``quad_res`` but not on n, so one set serves
-    every n of a case, and so does its :meth:`symbol_side` of each test
-    function."""
+    """Values of the symbol ``kappa`` on the Weyl quadrature grid (``full``)
+    and on its coarse half (``coarse``), as magnitudes in sigma mode.  They
+    depend on the symbol, ``mode`` and ``quad_res`` but not on n, so one set
+    serves every n of a case, and so does its :meth:`symbol_side` of each
+    test function."""
 
+    kappa: SymbolExpr
     mode: str
     quad_rule: str
     quad_res: int
@@ -268,7 +269,7 @@ def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamp
     full = _quadrature_samples(kappa, quad_res, absolute)
     coarse = _quadrature_samples(kappa, max(2, quad_res // 2), absolute)
     rule = "midpoint" if kappa.has_quotient else "gauss"
-    return SymbolSamples(mode, rule, int(quad_res), full, coarse)
+    return SymbolSamples(kappa, mode, rule, int(quad_res), full, coarse)
 
 
 def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
@@ -279,12 +280,17 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
     ``mode`` selects eigenvalues ("lambda") or singular values ("sigma");
     sigma mode compares against F(|kappa|) as the distribution definition
     prescribes.  Pass ``samples`` from :func:`symbol_samples` (of the case's
-    ``predicted_symbol``, same mode and ``quad_res``) to reuse them across
-    n, and the ``spectrum`` of alpha_n A_n (its n eigenvalues, or singular
-    values in sigma mode) when it is already at hand.
+    ``predicted_symbol``, same mode and ``quad_res``, else ValueError) to
+    reuse them across n, and the ``spectrum`` of alpha_n A_n (its n
+    eigenvalues, or singular values in sigma mode) when it is already at
+    hand.
     """
     if samples is None:
         samples = symbol_samples(case.predicted_symbol, mode, quad_res)
+    elif (samples.kappa is not case.predicted_symbol
+          and samples.kappa.to_json() != case.predicted_symbol.to_json()):
+        raise ValueError(f"symbol samples were taken of {samples.kappa}; case {case.name} "
+                         f"predicts {case.predicted_symbol}")
     elif (samples.mode, samples.quad_res) != (mode, quad_res):
         raise ValueError(
             f"symbol samples were taken for mode={samples.mode}, quad_res={samples.quad_res}; "
@@ -327,6 +333,16 @@ def outlier_count(spectrum, lo, hi, eps):
     return int(out.size), [float(v) for v in out]
 
 
+def rearrangement_nodes(ns):
+    """The points i/n, i = 1..n, at which :func:`rearrangement_compare` reads
+    the rearrangement, for each n of ``ns``: the ``ts`` to build it for."""
+    return np.concatenate([_nodes(n) for n in ns])
+
+
+def _nodes(n):
+    return np.arange(1, n + 1) / n
+
+
 def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
                           spectrum=None) -> DistributionReport:
     """Sorted-spectrum vs rearranged-symbol comparison.
@@ -334,7 +350,8 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
     e_n: eigenvalues of alpha_n A_n ascending; s_n: rearrangement samples at
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
     magnitude of the essential range), and outliers beyond the essential
-    range by more than 1e-8.  Pass a precomputed ``rearr`` to amortize the
+    range by more than 1e-8.  Pass a precomputed ``rearr``, built for the
+    :func:`rearrangement_nodes` of every n it serves, to amortize the
     sampling (r = 5000 by default) across several n, an ``r`` other than
     its own raising ValueError, and the eigenvalue ``spectrum`` of alpha_n
     A_n when it is already at hand (e.g. from ``weyl_compare``).
@@ -346,7 +363,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
         )
     if rearr is None:
         rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT,
-                                       5000 if r is None else r)
+                                       5000 if r is None else r, ts=_nodes(n))
     elif r is not None and r != rearr.r:
         raise ValueError(f"the rearrangement was sampled at r={rearr.r}; "
                          f"this comparison asks for r={r}")
@@ -354,7 +371,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
         spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
     else:
         _require_spectrum(case, n, spectrum, "eigenvalues")
-    t = np.arange(1, n + 1) / n
+    t = _nodes(n)
     s = rearr(t)
     e = spectrum.values
     gap = float(np.max(np.abs(s - e)))

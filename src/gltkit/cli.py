@@ -32,6 +32,7 @@ from .analysis import (
     SYMBOL_RECT,
     UnboundedSymbolError,
     rearrangement_compare,
+    rearrangement_nodes,
     symbol_samples,
     weyl_compare,
 )
@@ -157,7 +158,8 @@ def cmd_compare(args) -> int:
     with _solving(solve, args.n) as collect:
         rearr = None
         if not case.symbol_unbounded:
-            rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
+            rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r,
+                                           ts=rearrangement_nodes(args.n))
         samples = symbol_samples(case.predicted_symbol, args.mode, args.quad_res)
         suite = samples.default_suite()
         for F in suite:
@@ -202,7 +204,8 @@ def cmd_compare(args) -> int:
 
 def cmd_table2(args) -> int:
     case = get_case("fd_t1", "xexp")
-    rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r)
+    rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r,
+                                   ts=rearrangement_nodes(TABLE2_NS))
     # stdout carries the aligned table, unless --format without --out puts the document there
     aligned = args.out or args.format is None
     rows, all_ok = [], True

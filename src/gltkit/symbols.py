@@ -519,71 +519,105 @@ def symbol_eval(kappa: SymbolExpr, x: float, theta: float):
 # monotone rearrangement
 # ----------------------------------------------------------------------------
 
-#: sample pairs per chunk of the nondecreasing check of a Rearrangement
-_CHECK_CHUNK = 1 << 16
+def _node_ranks(t, N):
+    """Where ``t`` in [0, 1] falls among the nodes (0, 1/N, ..., 1) of N
+    sorted samples: ``(x, j, exact, lo, hi)`` with x = t N, interval
+    j = min(floor(x), N - 1), ``exact`` where x is a node, and the ranks of
+    the samples R(t) reads.  Node i > 0 carries the sample of rank i - 1
+    and node 0 repeats rank 0, so an exact node reads rank max(x - 1, 0)
+    (``lo`` = ``hi``) and any other t the ranks max(j - 1, 0) and j of its
+    interval's ends."""
+    x = t * N
+    k = np.floor(x).astype(np.intp)
+    exact = x == k
+    j = np.minimum(k, N - 1)
+    hi = np.where(exact, np.maximum(k - 1, 0), j)
+    lo = np.where(exact, hi, np.maximum(j - 1, 0))
+    return x, j, exact, lo, hi
+
+
+def _require_unit_interval(t):
+    t = np.asarray(t, dtype=float)
+    if np.any(~((t >= 0.0) & (t <= 1.0))):
+        raise ValueError("rearrangement is defined on [0, 1]")
+    return t
 
 
 @dataclass(frozen=True)
 class Rearrangement:
-    """Piecewise-linear nondecreasing interpolant of sorted symbol samples.
+    """Piecewise-linear nondecreasing interpolant of N sorted symbol samples.
 
-    ``samples`` holds the N kept lattice samples, sorted.  The interpolation
-    nodes are (0, 1/N, ..., 1): node i > 0 carries sample i - 1 and node 0
-    repeats the smallest sample, so ``node_count`` is N + 1.  The endpoints
+    The interpolation nodes are (0, 1/N, ..., 1): node i > 0 carries the
+    sample of rank i - 1 and node 0 repeats the smallest, so ``node_count``
+    is N + 1.  Only the samples it is read at are kept: ``values`` holds
+    the sorted samples of the ascending ``ranks``, which include 0 and
+    N - 1, or every sample when ``ranks`` is None.  The endpoints
     approximate the essential infimum and supremum of the symbol on the
     rectangle.
     """
 
-    samples: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    N: int
     r: int
     excluded: int = 0
+    ranks: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or values.size < 1:
             raise ValueError("need a nonempty 1-d array of samples")
-        # in chunks, so no bool temporary of the samples' size is made
-        last = samples.size - 1
-        for start in range(0, last, _CHECK_CHUNK):
-            stop = min(start + _CHECK_CHUNK, last)
-            if np.any(samples[start + 1:stop + 1] < samples[start:stop]):
-                raise ValueError("rearrangement samples must be nondecreasing")
-        object.__setattr__(self, "samples", samples)
+        if self.ranks is None:
+            if values.size != self.N:
+                raise ValueError(f"need all N = {self.N} samples, got {values.size}")
+        else:
+            ranks = np.asarray(self.ranks, dtype=np.intp)
+            if (ranks.shape != values.shape or ranks[0] != 0 or ranks[-1] != self.N - 1
+                    or np.any(np.diff(ranks) <= 0)):
+                raise ValueError(f"need one value per rank, the ranks ascending strictly "
+                                 f"from 0 to N - 1 = {self.N - 1}")
+            object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "values", values)
 
     @property
     def node_count(self):
-        return self.samples.size + 1
+        return self.N + 1
 
     @property
     def ess_inf(self):
-        return float(self.samples[0])
+        return float(self.values[0])
 
     @property
     def ess_sup(self):
-        return float(self.samples[-1])
+        return float(self.values[-1])
 
     def to_json_dict(self):
         return {"r": self.r, "node_count": self.node_count, "excluded": self.excluded}
 
+    def _at(self, t, ranks):
+        """The kept samples of ``ranks``; ValueError for a rank not kept,
+        naming the first ``t`` that reads one."""
+        if self.ranks is None:
+            return self.values[ranks]
+        i = np.searchsorted(self.ranks, ranks)
+        missing = self.ranks[i] != ranks  # i stays in range: ranks[-1] is N - 1
+        if np.any(missing):
+            raise ValueError(f"the rearrangement was not built for t = "
+                             f"{float(np.ravel(t)[np.argmax(np.ravel(missing))])!r}: "
+                             "pass it to monotone_rearrangement in ts")
+        return self.values[i]
+
     def __call__(self, t):
         """Interpolated value at ``t`` in [0, 1], O(len(t)): the nodes i/N
         are uniform, so ``t`` lies in node interval ``floor(t N)`` and no
-        node array is built.  Interval j runs from node j, which carries
-        ``s[max(j - 1, 0)]``, to node j + 1, which carries ``s[j]``.  The
-        arithmetic is np.interp's on the N + 1 node values, bit for bit: an
-        exact node returns its sample, anything else the linear formula on
-        its interval (the last interval for t = 1)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(~((t >= 0.0) & (t <= 1.0))):
-            raise ValueError("rearrangement is defined on [0, 1]")
-        s = self.samples
-        N = s.size
-        x = t * N
-        k = np.floor(x).astype(np.intp)
-        j = np.minimum(k, N - 1)
-        lo = s[np.maximum(j - 1, 0)]
-        out = (s[j] - lo) * (x - j) + lo
-        return np.where(x == k, s[np.maximum(k - 1, 0)], out)[()]
+        node array is built.  The arithmetic is np.interp's on the N + 1
+        node values, bit for bit: an exact node returns its sample,
+        anything else the linear formula on its interval (the last
+        interval for t = 1).  A ``t`` whose samples were not kept raises
+        ValueError."""
+        t = _require_unit_interval(t)
+        x, j, exact, lo_rank, hi_rank = _node_ranks(t, self.N)
+        lo, hi = self._at(t, lo_rank), self._at(t, hi_rank)
+        return np.where(exact, lo, (hi - lo) * (x - j) + lo)[()]
 
 
 def _lattice(rect, r):
@@ -601,26 +635,25 @@ def block_size(total):
     return max(1, min(BLOCK_BYTES // 8, total // 16))
 
 
-def grid_samples(kappa: SymbolExpr, axes, absolute=False):
-    """Values of the symbol ``kappa`` on the outer-product grid of the 1-d
-    ``axes`` (x, theta), flattened row-major with the points where a
-    division guard trips dropped, and the number of those excluded points.
+def _grid_blocks(kappa: SymbolExpr, axes, absolute=False, dest=None):
+    """Yield the kept values of the symbol ``kappa`` on the outer-product
+    grid of the 1-d ``axes`` (x, theta), block by block of x rows in
+    row-major order (see :func:`block_size`), with the points where a
+    division guard trips dropped: ``(values, dropped)`` per block.
+
+    A block of ``count`` grid points is evaluated into the first ``count``
+    values of ``dest(count)``, a flat float array, and its kept values are
+    moved to the front of them and yielded as a view; without ``dest``,
+    into one buffer reused from block to block.  The theta-only subtrees
+    are evaluated once.  The axes reach the symbol read-only, so a symbol
+    that returns its input is copied, never handed out to be overwritten.
     Complex values raise ComplexSymbolError unless ``absolute`` asks for
     moduli.
-
-    The returned buffer is freshly allocated, the caller's to overwrite or
-    sort in place.  It is filled in blocks of x rows (see
-    :func:`block_size`), each block's kept values after the previous ones,
-    so no temporary of the grid's full size is made; the theta-only
-    subtrees are evaluated once, and the root writes each block straight
-    into the buffer.  The axes reach the symbol read-only, so a symbol that
-    returns its input is copied, never sorted in place.
     """
     x, theta = (np.asarray(a, dtype=float).view() for a in axes)
     x.flags.writeable = theta.flags.writeable = False
     theta = theta[None, :]
-    total = x.size * theta.size
-    step = max(1, block_size(total) // max(theta.size, 1))
+    step = max(1, block_size(x.size * theta.size) // max(theta.size, 1))
     bound = _bind_theta(kappa, theta)
 
     # intermediate values go to buffers kept from block to block: fresh
@@ -628,13 +661,16 @@ def grid_samples(kappa: SymbolExpr, axes, absolute=False):
     # pages again for every block (two cover every registered symbol;
     # a deeper tree makes temporaries for the rest)
     scratch = [np.empty((step, theta.size)) for _ in range(2)]
-    buf = np.empty(total)
-    kept = 0
+    if dest is None:
+        own = np.empty(step * theta.size)
+
+        def dest(count):
+            return own
 
     for start in range(0, x.size, step):
         rows = x[start:start + step, None]
         count = rows.size * theta.size
-        block = buf[kept:kept + count]
+        block = dest(count)[:count]
         out = block.reshape(-1, theta.size)
         vals, invalid = bound.eval_masked(rows, theta, out, [a[:len(out)] for a in scratch])
         if vals is not out:
@@ -648,32 +684,209 @@ def grid_samples(kappa: SymbolExpr, axes, absolute=False):
         elif absolute:
             np.absolute(out, out=out)
         if invalid is None:
-            kept += count
+            yield block, 0
         else:
             values = out[~np.broadcast_to(invalid, out.shape)]
             block[:values.size] = values
-            kept += values.size
+            yield block[:values.size], count - values.size
+
+
+def grid_samples(kappa: SymbolExpr, axes, absolute=False):
+    """Values of the symbol ``kappa`` on the outer-product grid of the 1-d
+    ``axes`` (x, theta), flattened row-major with the points where a
+    division guard trips dropped, and the number of those excluded points.
+    Complex values raise ComplexSymbolError unless ``absolute`` asks for
+    moduli.
+
+    The returned buffer is freshly allocated, the caller's to overwrite.
+    :func:`_grid_blocks` evaluates each block straight into it, after the
+    previous blocks' kept values, so no temporary of the grid's full size
+    is made.
+    """
+    total = np.size(axes[0]) * np.size(axes[1])
+    buf = np.empty(total)
+    kept = excluded = 0
+    # each block goes to the buffer's rest, read when the block is evaluated
+    for values, dropped in _grid_blocks(kappa, axes, absolute, lambda count: buf[kept:]):
+        kept += values.size
+        excluded += dropped
     if kept == 0:
         raise SymbolSingularityError("the symbol is singular at every grid point")
-    return (buf if kept == total else buf[:kept]), total - kept
+    return (buf if kept == total else buf[:kept]), excluded
 
 
-def monotone_rearrangement(kappa: SymbolExpr, rect, r) -> Rearrangement:
+#: uniform value buckets of the rearrangement's selection
+BUCKETS = 1 << 16
+
+#: rows and columns, at most, of the sub-lattice that sets the buckets' range
+_RANGE_LATTICE = 256
+
+
+def _bucket_map(lo, hi):
+    """The bucket of each of some finite values: (v - lo) / (hi - lo)
+    scaled to ``BUCKETS`` and clipped to its end buckets.  Each step
+    rounds monotonically, so v <= w puts v in a bucket no later than w's,
+    whatever the range; a range too narrow or too wide for a finite
+    positive scale takes the nearest one that is.  The returned function
+    writes into buffers it keeps from call to call, so each result holds
+    until its next call."""
+    with np.errstate(over="ignore"):
+        scale = float(np.divide(BUCKETS, np.subtract(hi, lo))) if hi > lo else 1.0
+    scale = min(max(scale, np.finfo(float).tiny), np.finfo(float).max)
+    work = np.empty(0)
+    index = np.empty(0, dtype=np.intp)
+
+    def buckets(values):
+        nonlocal work, index
+        if work.size < values.size:
+            work, index = np.empty(values.size), np.empty(values.size, dtype=np.intp)
+        with np.errstate(over="ignore"):  # an overflow to +-inf lands in an end bucket
+            t = np.subtract(values, lo, out=work[:values.size])
+            t *= scale
+        np.clip(t, 0, BUCKETS - 1, out=t)
+        b = index[:values.size]
+        np.copyto(b, t, casting="unsafe")  # truncation is floor on t >= 0
+        return b
+
+    return buckets
+
+
+def _histogram(blocks, buckets):
+    """The number of values of the ``blocks`` in each bucket; non-finite
+    values raise SymbolSingularityError with their number."""
+    hist = np.zeros(BUCKETS, dtype=np.intp)
+    nonfinite = 0
+    for values in blocks:
+        if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            nonfinite += values.size - int(np.count_nonzero(np.isfinite(values)))
+        elif not nonfinite:
+            hist += np.bincount(buckets(values), minlength=BUCKETS)
+    if nonfinite:
+        raise SymbolSingularityError(f"{nonfinite} samples of the symbol are not finite "
+                                     "(NaN or infinite)")
+    return hist
+
+
+def _select_ranks(blocks, value_range, ranks_of):
+    """Order statistics of a stream of values, in two passes over it
+    without holding it whole.
+
+    ``blocks(dest)`` iterates over the values as 1-d float blocks, the same
+    values in the same blocks on every call; a block of ``count`` values may
+    be computed into ``dest(count)`` (see :func:`_grid_blocks`), or
+    ``dest`` may be None.  ``value_range`` (lo, hi) spans the
+    ``BUCKETS`` uniform buckets, values beyond it falling into the end
+    buckets.  ``ranks_of(N)``, given the number N of values, returns the
+    ascending ranks wanted, or None for all of them.  Returns N, those
+    ranks and their values: what np.sort of all the values puts there.
+
+    Pass 1 histograms the blocks into the buckets.  The cumulative counts
+    place each wanted rank in one bucket at a known offset, and pass 2
+    gathers the values of those buckets, or all values when that is most
+    of them, into one buffer sized from the counts, which is then sorted.
+    Non-finite values raise SymbolSingularityError with their number; a
+    pass 2 that does not gather exactly the counted values raises
+    RuntimeError.
+    """
+    buckets = _bucket_map(*value_range)
+    hist = _histogram(blocks(None), buckets)
+    ends = np.cumsum(hist)  # ends[b]: values in buckets 0..b
+    N = int(ends[-1])
+    if N == 0:
+        raise SymbolSingularityError("the symbol is singular at every grid point")
+    ranks = ranks_of(N)
+    size, places, needed = N, ranks, None
+    if ranks is not None:
+        where = np.searchsorted(ends, ranks, side="right")  # the bucket of each rank
+        needed = np.zeros(BUCKETS, dtype=bool)
+        needed[where] = True
+        kept = np.where(needed, hist, 0)
+        # sorting a value costs about what mapping two to their buckets does,
+        # so past half of them every value is gathered, and no map is needed
+        if 2 * int(kept.sum()) < N:
+            size = int(kept.sum())
+            # a rank's place among the gathered values: less the values of
+            # the buckets below its own that pass 2 leaves out
+            places = ranks - (ends - np.cumsum(kept))[where]
+        else:
+            needed = None
+    del hist, ends
+    if needed is None:
+        buckets = None  # and its buffers
+
+    gathered = np.empty(size)
+    filled, spare = 0, np.empty(0)
+
+    def dest(count):
+        # straight into the gathered buffer while its rest holds a whole block
+        nonlocal spare
+        if size - filled >= count:
+            return gathered[filled:]
+        if spare.size < count:
+            spare = np.empty(count)
+        return spare
+
+    for values in blocks(dest):
+        if needed is not None:
+            values = values[np.take(needed, buckets(values))]
+        if filled + values.size > size:
+            raise RuntimeError(f"the second pass over the samples gathered more than the "
+                               f"{size} values the first one counted: the samples changed")
+        if values.base is not gathered:  # else it is in its place already
+            gathered[filled:filled + values.size] = values
+        filled += values.size
+    if filled != size:
+        raise RuntimeError(f"the second pass over the samples gathered {filled} of the "
+                           f"{size} values the first one counted: the samples changed")
+    gathered.sort()
+    return N, ranks, (gathered if places is None else gathered[places])
+
+
+def _range_of(kappa, axes):
+    """(lo, hi) of the finite samples on a sub-lattice of at most
+    ``_RANGE_LATTICE`` rows and columns of the grid of ``axes``; (0, 0)
+    when it has none."""
+    stride = -(-max(a.size for a in axes) // _RANGE_LATTICE)
+    lo, hi = math.inf, -math.inf
+    for values, _ in _grid_blocks(kappa, [a[::stride] for a in axes]):
+        finite = values[np.isfinite(values)]
+        if finite.size:
+            lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
+    return (lo, hi) if lo <= hi else (0.0, 0.0)
+
+
+def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement:
     """Uniform-lattice monotone rearrangement of a real symbol on ``rect``,
-    ((x_lo, x_hi), (theta_lo, theta_hi)).
+    ((x_lo, x_hi), (theta_lo, theta_hi)), to be read at the points ``ts``
+    of [0, 1] (None: anywhere, keeping every sample).
 
     Lattice points where a division guard trips are excluded and the node
-    count shrinks accordingly (recorded in ``excluded``).  The samples are
-    sorted in the buffer that :func:`grid_samples` fills block by block, so
-    the r^2 values are held once and no other array of that size is made.
+    count shrinks accordingly (recorded in ``excluded``); a sample that is
+    NaN or infinite raises SymbolSingularityError.  Only the sorted samples
+    that R(t) reads for t in ``ts`` are kept.  :func:`_select_ranks` finds
+    them in two passes over the r^2 lattice samples, evaluated in blocks of
+    x rows, without holding or sorting them all, except when they are all
+    needed.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"sampling parameter r must be an integer >= 1, got {r!r}")
     if not kappa.is_real:
         raise ComplexSymbolError("monotone rearrangement needs a real-valued symbol")
-    samples, excluded = grid_samples(kappa, _lattice(rect, r))
-    samples.sort()
-    return Rearrangement(samples=samples, r=int(r), excluded=int(excluded))
+    if ts is not None:
+        ts = _require_unit_interval(ts)
+    axes = _lattice(rect, r)
+
+    def ranks_of(N):
+        if ts is None:
+            return None
+        _, _, _, lo, hi = _node_ranks(ts, N)
+        return np.unique(np.concatenate(([0, N - 1], np.ravel(lo), np.ravel(hi))))
+
+    N, ranks, values = _select_ranks(
+        lambda dest: (v for v, _ in _grid_blocks(kappa, axes, dest=dest)),
+        _range_of(kappa, axes), ranks_of)
+    return Rearrangement(values=values, N=N, r=int(r), excluded=int(r) * int(r) - N,
+                         ranks=ranks)
 
 
 # ----------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from gltkit import (
     multiply,
     outlier_count,
     rearrangement_compare,
+    rearrangement_nodes,
     symbol_samples,
     sym_eigvals,
     toeplitz,
@@ -220,7 +221,8 @@ def test_rearrangement_compare_reference_row():
 
 def test_rearrangement_compare_constant_coefficient_decay():
     case = fd_diffusion(ONE)
-    R = monotone_rearrangement(case.predicted_symbol, RECT, 3000)
+    R = monotone_rearrangement(case.predicted_symbol, RECT, 3000,
+                               ts=rearrangement_nodes((100, 200, 400)))
     g100 = rearrangement_compare(case, 100, rearr=R).rearrangement_gap
     g200 = rearrangement_compare(case, 200, rearr=R).rearrangement_gap
     g400 = rearrangement_compare(case, 400, rearr=R).rearrangement_gap
@@ -285,9 +287,9 @@ def test_dagger_functional_consistency():
     # the rearrangement preserves test functionals: mean F(kappa) over the
     # rectangle equals the line integral of F(rearranged kappa)
     kappa = multiply(XEXP, LAPLACE_SYMBOL)
-    R = monotone_rearrangement(kappa, RECT, 2000)
-    samples = symbol_samples(kappa, quad_res=400)
     t = (np.arange(4000) + 0.5) / 4000
+    R = monotone_rearrangement(kappa, RECT, 2000, ts=t)
+    samples = symbol_samples(kappa, quad_res=400)
     for F in default_suite((0.0, 4 / math.e)):
         direct = samples.symbol_side(F)[0]
         via_dagger = float(np.mean(F(R(t))))
@@ -389,3 +391,14 @@ def test_weyl_rejects_samples_taken_for_other_settings():
     for kwargs in ({"mode": "sigma", "quad_res": 60}, {"quad_res": 80}):
         with pytest.raises(ValueError, match="symbol samples"):
             weyl_compare(case, 20, samples=samples, **kwargs)
+
+
+def test_weyl_rejects_samples_of_another_symbol():
+    case = get_case("fd_t1", "xexp")
+    other = symbol_samples(get_case("fd_t5", "one").predicted_symbol, quad_res=60)
+    with pytest.raises(ValueError, match="symbol samples were taken of .* case fd_t1 predicts"):
+        weyl_compare(case, 40, quad_res=60, samples=other)
+    # the same symbol from another get_case call is the same symbol
+    own = symbol_samples(get_case("fd_t1", "xexp").predicted_symbol, quad_res=60)
+    assert own.kappa is not case.predicted_symbol
+    assert weyl_compare(case, 40, quad_res=60, samples=own).max_gap() < 0.01

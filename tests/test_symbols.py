@@ -206,23 +206,23 @@ def test_rearrangement_lattice_needs_an_integral_r():
         with pytest.raises(ValueError, match="integer >= 1"):
             monotone_rearrangement(kappa, RECT, bad)
     R = monotone_rearrangement(kappa, RECT, np.int64(2))
-    assert R.samples.tolist() == [0.5, 0.5, 1.0, 1.0] and R.r == 2
+    assert R.values.tolist() == [0.5, 0.5, 1.0, 1.0] and R.r == 2
 
 
 def test_rearrangement_endpoint_reaches_essential_sup():
-    R = monotone_rearrangement(multiply(XEXP, LAPLACE_SYMBOL), RECT, 5000)
+    R = monotone_rearrangement(multiply(XEXP, LAPLACE_SYMBOL), RECT, 5000, ts=[1.0])
     assert R(1.0) == pytest.approx(4.0 / math.e, abs=1e-3)
     assert R.ess_inf == pytest.approx(0.0, abs=1e-3)
 
 
 def test_rearrangement_eval_endpoints_and_midpoint():
     R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 13)
-    assert R(0.0) == R.samples[0]
-    assert R(1.0) == R.samples[-1]
+    assert R(0.0) == R.values[0]
+    assert R(1.0) == R.values[-1]
     N = R.node_count - 1
-    assert N == R.samples.size
+    assert N == R.N == R.values.size
     mid = (0.5 / N) + (1.0 / N)  # midpoint of the second node interval
-    assert R(mid) == pytest.approx((R.samples[0] + R.samples[1]) / 2)
+    assert R(mid) == pytest.approx((R.values[0] + R.values[1]) / 2)
 
 
 def test_rearrangement_eval_rejects_out_of_range():
@@ -231,8 +231,16 @@ def test_rearrangement_eval_rejects_out_of_range():
     for bad in (1.5, np.nan, -eps, 1.0 + eps, [0.5, np.nan], [0.0, -eps]):
         with pytest.raises(ValueError):
             R(bad)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        Rearrangement(samples=np.array([0.0, 2.0, 1.0]), r=1)
+
+
+def test_rearrangement_needs_one_value_per_rank_from_0_to_N_minus_1():
+    for values, N, ranks in (([0.0, 1.0], 3, None),     # not all N samples
+                             ([0.0, 1.0], 3, [0, 1]),   # no sample of rank N - 1
+                             ([0.0, 1.0], 3, [1, 2]),   # none of rank 0
+                             ([0.0, 1.0, 1.0], 3, [0, 2, 2]),
+                             ([0.0, 1.0], 3, [0, 1, 2])):
+        with pytest.raises(ValueError, match="need"):
+            Rearrangement(values=np.array(values), N=N, r=1, ranks=ranks)
 
 
 @st.composite
@@ -252,13 +260,17 @@ def samples_and_points(draw):
 @given(samples_and_points())
 def test_rearrangement_eval_is_np_interp_bit_for_bit(data):
     samples, t = data
-    R = Rearrangement(samples=samples, r=1)
     N = samples.size
     # node 0 repeats the smallest sample
     expected = np.interp(t * N, np.arange(N + 1), np.concatenate(([samples[0]], samples)))
-    assert R(t).tobytes() == expected.tobytes()
-    for ti, ei in zip(t, expected):
-        assert np.float64(R(ti)).tobytes() == ei.tobytes()
+    # every sample, and only those of the ends of the intervals t falls in
+    k = np.floor(t * N).astype(int)
+    ends = np.unique(np.concatenate(([0, N - 1], np.maximum(k - 1, 0), np.minimum(k, N - 1))))
+    for R in (Rearrangement(values=samples, N=N, r=1),
+              Rearrangement(values=samples[ends], N=N, r=1, ranks=ends)):
+        assert R(t).tobytes() == expected.tobytes()
+        for ti, ei in zip(t, expected):
+            assert np.float64(R(ti)).tobytes() == ei.tobytes()
 
 
 def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
@@ -275,7 +287,7 @@ def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
     expected = np.sort(flat)
     assert R.excluded == r  # the whole lattice row at x = 1/2
     assert R.node_count == r * r - r + 1
-    assert R.samples.tobytes() == expected.tobytes()
+    assert R.values.tobytes() == expected.tobytes()
 
 
 def test_rearrangement_sorts_in_one_full_size_buffer():
@@ -386,30 +398,6 @@ def test_rearrangement_needs_no_second_full_size_array(name):
     assert peak <= 1.1 * 8 * r * r
 
 
-@pytest.mark.parametrize("chunk", [4, symbols._CHECK_CHUNK])
-def test_rearrangement_check_finds_an_inversion_on_a_chunk_boundary(monkeypatch, chunk):
-    monkeypatch.setattr(symbols, "_CHECK_CHUNK", chunk)
-    N = 2 * chunk + 1  # 2 chunks of pairs (s[k], s[k + 1])
-    Rearrangement(samples=np.arange(N, dtype=float), r=1)
-    # the last pair of the first chunk, the first of the second, the last one
-    for k in (chunk - 1, chunk, N - 2):
-        samples = np.arange(N, dtype=float)
-        samples[k + 1] = samples[k] - 0.5
-        with pytest.raises(ValueError, match="nondecreasing"):
-            Rearrangement(samples=samples, r=1)
-
-
-def test_rearrangement_check_makes_no_temporary_of_the_samples_size():
-    samples = np.arange(1 << 20, dtype=float)
-    tracemalloc.start()
-    try:
-        Rearrangement(samples=samples, r=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < samples.size / 8
-
-
 @pytest.mark.parametrize("kappa,rect,r", [
     (CoeffFactor(coefficient_preset("x")), RECT, 1),    # x-only, returns its input
     (CoeffFactor(coefficient_preset("x")), RECT, 7),
@@ -429,10 +417,10 @@ def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
 
     monkeypatch.setattr(symbols, "_lattice", recording_lattice)
     R = monotone_rearrangement(kappa, rect, r)
-    assert np.all(np.diff(R.samples) >= 0)
+    assert np.all(np.diff(R.values) >= 0)
     assert R.node_count == r * r + 1
     for axis, before in made[0]:
-        assert not np.shares_memory(R.samples, axis)
+        assert not np.shares_memory(R.values, axis)
         assert axis.tobytes() == before.tobytes()
 
 
@@ -461,7 +449,155 @@ def test_rearrangement_with_singular_points_excludes_and_renormalizes():
 def test_rearrangement_samples_always_nondecreasing(cosines, r):
     kappa = multiply(coefficient_preset("1+x"), TrigPoly.from_cosines(cosines))
     R = monotone_rearrangement(kappa, RECT, r)
-    assert np.all(np.diff(R.samples) >= 0)
+    assert np.all(np.diff(R.values) >= 0)
+
+
+_SCALES = st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+
+
+@st.composite
+def blocks_ranks_and_range(draw):
+    """Values with ties, +-0.0 and negatives at scales from 1e-300 to
+    1e300 (or one constant), cut into blocks of random sizes; ascending
+    ranks from 0 to N - 1 (or None: all of them); and a bucket range that
+    may miss some of the values or be a single point."""
+    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300])
+    scaled = st.builds(lambda u, s: u * s, st.floats(-1.0, 1.0), _SCALES)
+    if draw(st.booleans()):
+        values = draw(st.lists(st.one_of(scaled, special), min_size=1, max_size=80))
+    else:
+        values = [draw(st.one_of(scaled, special))] * draw(st.integers(1, 40))
+    values = np.array(values, dtype=float)
+    N = values.size
+    cuts = sorted(draw(st.lists(st.integers(0, N), max_size=6)))
+    blocks = np.split(values, cuts)
+    ranks = None
+    if draw(st.booleans()):
+        ranks = np.unique([0, N - 1] + draw(st.lists(st.integers(0, N - 1), max_size=10)))
+    lo, hi = sorted(draw(st.lists(st.one_of(st.sampled_from(values.tolist()), scaled),
+                                  min_size=2, max_size=2)))
+    return blocks, ranks, (lo, hi), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_ranks_and_range())
+def test_selection_picks_the_order_statistics_np_sort_puts_at_the_ranks(data):
+    blocks, ranks, value_range, into_dest = data
+    values = np.concatenate(blocks)
+
+    def passes(dest):
+        for block in blocks:
+            if into_dest and dest is not None:  # computed into the buffer offered
+                out = dest(block.size)[:block.size]
+                out[:] = block
+                yield out
+            else:
+                yield block.copy()
+
+    N, got_ranks, got = symbols._select_ranks(passes, value_range, lambda N: ranks)
+    assert N == values.size and got_ranks is ranks
+    expected = np.sort(values)[np.arange(N) if ranks is None else ranks]
+    # bit for bit, ranks 0 and N - 1 included; +0.0 and -0.0 compare equal,
+    # and np.sort itself orders them as they come
+    assert np.array_equal(got, expected)
+    nonzero = expected != 0
+    assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+
+
+def _full_sort_rearrangement(kappa, r, t):
+    """The oracle: the whole lattice evaluated at once, the excluded points
+    dropped, everything sorted, and np.interp on the N + 1 nodes."""
+    x, theta = symbols._lattice(RECT, r)
+    vals, invalid = kappa.eval_masked(x[:, None], theta[None, :])
+    flat = np.broadcast_to(vals, (r, r)).reshape(-1)
+    if invalid is not None:
+        flat = flat[~np.broadcast_to(invalid, (r, r)).reshape(-1)]
+    s = np.sort(flat)
+    N = s.size
+    return np.interp(t * N, np.arange(N + 1), np.concatenate(([s[0]], s))), N, r * r - N
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_streamed_rearrangement_matches_a_full_sort_at_its_nodes(name):
+    """Built for the nodes i/n of one n, the rearrangement reads there what
+    a full sort of every lattice sample gives, bit for bit, and counts the
+    same nodes and excluded points."""
+    for coeff in ("xexp", "one", "x"):
+        kappa = get_case(name, coeff).predicted_symbol
+        for r in (1, 2, 7, 300):
+            for n in (1, 7, 30, 120):
+                t = np.arange(1, n + 1) / n
+                R = monotone_rearrangement(kappa, RECT, r, ts=t)
+                expected, N, excluded = _full_sort_rearrangement(kappa, r, t)
+                assert R(t).tobytes() == expected.tobytes(), (coeff, r, n)
+                assert (R.node_count, R.excluded) == (N + 1, excluded)
+                assert R.values.size <= 2 * n + 2
+
+
+def test_rearrangement_refuses_a_t_it_was_not_built_for():
+    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 50, ts=[0.25, 1.0])
+    assert R([0.0, 0.25, 1.0]).shape == (3,)  # 0 reads rank 0, always kept
+    with pytest.raises(ValueError, match="not built for t = 0.5"):
+        R([0.25, 0.5])
+    with pytest.raises(ValueError, match="defined on"):
+        monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 50, ts=[0.5, 1.5])
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat", "shift"])
+def test_rearrangement_refuses_samples_that_change_between_its_passes(monkeypatch, change):
+    """The second pass must gather exactly the values the first counted in
+    the buckets it needs: a block dropped, repeated or moved to the top
+    bucket in pass 2 raises."""
+    blocks, calls = symbols._grid_blocks, []
+
+    def changing_blocks(kappa, axes, absolute=False, dest=None):
+        calls.append(dest)
+        for i, (values, dropped) in enumerate(blocks(kappa, axes, absolute, dest)):
+            if dest is not None and i == 1:  # pass 2, its second block
+                if change == "drop":
+                    continue
+                if change == "repeat":
+                    yield values.copy(), dropped
+                else:
+                    values = values + 1e3
+            yield values, dropped
+
+    monkeypatch.setattr(symbols, "_grid_blocks", changing_blocks)
+    kappa = get_case("fd_t1", "xexp").predicted_symbol
+    with pytest.raises(RuntimeError, match="samples changed"):
+        monotone_rearrangement(kappa, RECT, 400, ts=[0.5, 1.0])
+    assert sum(dest is not None for dest in calls) == 1
+
+
+@pytest.mark.parametrize("bad,width", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.01)])
+def test_rearrangement_refuses_non_finite_samples(bad, width):
+    """A coefficient that is NaN or infinite where no division guard trips
+    raises, with the number of such lattice samples, whether every sample
+    or only some ranks are wanted."""
+    hole = Coefficient("hole", lambda x: np.where(abs(x - .42) < width, bad, x))
+    r = 50
+    rows = int(np.count_nonzero(abs(symbols._lattice(RECT, r)[0] - .42) < width))
+    assert rows in (1, 10)
+    for kappa in (CoeffFactor(hole), multiply(hole, LAPLACE_SYMBOL)):
+        for ts in (None, [0.5]):
+            with pytest.raises(SymbolSingularityError, match=f"^{rows * r} samples .* not finite"):
+                monotone_rearrangement(kappa, RECT, r, ts=ts)
+
+
+def test_streamed_rearrangement_holds_a_fraction_of_the_lattice():
+    """Read at the table's nodes only, the r^2 samples are never held: the
+    traced peak stays below a third of one full-size float array."""
+    kappa = get_case("fd_t1", "xexp").predicted_symbol
+    r = 2000
+    t = np.concatenate([np.arange(1, n + 1) / n for n in (50, 100, 200, 400, 800, 1600)])
+    tracemalloc.start()
+    try:
+        R = monotone_rearrangement(kappa, RECT, r, ts=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.node_count == r * r + 1
+    assert peak <= 8 * r * r / 3
 
 
 # ---------------------------------------------------------------------------
