@@ -22,7 +22,7 @@ import numpy as np
 from .builders import DiscretizationCase
 from .linalg import SpectralSet, schatten_norm, singular_spectrum, spectral_norm
 from .symbols import (Rearrangement, SymbolExpr, block_size, grid_samples,
-                      monotone_rearrangement)
+                      monotone_rearrangement, nonfinite_count, require_finite)
 
 
 class UnboundedSymbolError(ValueError):
@@ -129,7 +129,8 @@ def _quadrature_samples(kappa: SymbolExpr, quad_res, absolute):
     ``quad_res`` panels and two nodes per panel per axis (equal weights, so
     plain means are exact averages); a quotient symbol takes the
     cell-center rule, with singular cells excluded and the measure
-    renormalized accordingly.
+    renormalized accordingly.  A NaN or infinite sample raises
+    SymbolSingularityError with their number.
     """
     (x0, x1), (t0, t1) = SYMBOL_RECT
     centres = np.arange(quad_res) + 0.5
@@ -139,7 +140,9 @@ def _quadrature_samples(kappa: SymbolExpr, quad_res, absolute):
         g = 1.0 / (2.0 * math.sqrt(3.0))  # 2-point Gauss offsets on a unit panel
         nodes = (centres[:, None] / quad_res + np.array([-g, g]) / quad_res).ravel()
         x, th = x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes
-    return grid_samples(kappa, (x, th), absolute)[0]
+    samples = grid_samples(kappa, (x, th), absolute)[0]
+    require_finite(nonfinite_count(samples))
+    return samples
 
 
 def _blocked_mean(F, values):
@@ -262,7 +265,8 @@ class SymbolSamples:
 
 def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamples:
     """Sample ``kappa`` (a case's ``predicted_symbol``) for
-    :func:`weyl_compare`; a complex one raises ComplexSymbolError in lambda mode."""
+    :func:`weyl_compare`; a complex one raises ComplexSymbolError in lambda
+    mode, and NaN or infinite samples SymbolSingularityError."""
     if mode not in ("lambda", "sigma"):
         raise ValueError("mode must be 'lambda' or 'sigma'")
     absolute = mode == "sigma"

@@ -294,11 +294,18 @@ def _as_symbol(value):
 
 
 class CoeffFactor(SymbolExpr):
+    """A coefficient a(x) as a symbol factor.  A constant one, whose exact
+    modulus vanishes (omega_a(1) = sup |a(x) - a(y)| = 0), does not read x,
+    so a grid evaluates it once with the theta-only subtrees."""
+
     def __init__(self, coefficient: Coefficient):
         self.coefficient = coefficient
+        modulus = coefficient.exact_modulus
+        self.reads_x = modulus is None or modulus(1.0) != 0
 
     def _eval(self, x, theta, invalid, ws=()):
-        return self.coefficient(x)
+        # x is None where the factor does not read x: any point of [0, 1] serves
+        return self.coefficient(0.0 if x is None else x)
 
     def to_json_obj(self):
         return f"coeff:{self.coefficient.name}"
@@ -751,19 +758,32 @@ def _bucket_map(lo, hi):
     return buckets
 
 
+def nonfinite_count(values):
+    """The number of NaN or infinite values of the float array ``values``:
+    one min/max pass when there are none."""
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        return values.size - int(np.count_nonzero(np.isfinite(values)))
+    return 0
+
+
+def require_finite(count):
+    """SymbolSingularityError when ``count`` samples of a symbol are NaN or
+    infinite."""
+    if count:
+        raise SymbolSingularityError(f"{count} samples of the symbol are not finite "
+                                     "(NaN or infinite)")
+
+
 def _histogram(blocks, buckets):
     """The number of values of the ``blocks`` in each bucket; non-finite
     values raise SymbolSingularityError with their number."""
     hist = np.zeros(BUCKETS, dtype=np.intp)
     nonfinite = 0
     for values in blocks:
-        if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
-            nonfinite += values.size - int(np.count_nonzero(np.isfinite(values)))
-        elif not nonfinite:
+        nonfinite += nonfinite_count(values)
+        if not nonfinite:
             hist += np.bincount(buckets(values), minlength=BUCKETS)
-    if nonfinite:
-        raise SymbolSingularityError(f"{nonfinite} samples of the symbol are not finite "
-                                     "(NaN or infinite)")
+    require_finite(nonfinite)
     return hist
 
 
@@ -867,6 +887,11 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
     them in two passes over the r^2 lattice samples, evaluated in blocks of
     x rows, without holding or sorting them all, except when they are all
     needed.
+
+    A symbol that does not read x (a Toeplitz symbol f(theta)) has r equal
+    lattice rows, so its sorted samples are those of one row, each repeated
+    r times: that row alone is evaluated and sorted, and rank k is its
+    value k // r, what sorting the whole lattice puts there.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"sampling parameter r must be an integer >= 1, got {r!r}")
@@ -882,9 +907,17 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
         _, _, _, lo, hi = _node_ranks(ts, N)
         return np.unique(np.concatenate(([0, N - 1], np.ravel(lo), np.ravel(hi))))
 
-    N, ranks, values = _select_ranks(
-        lambda dest: (v for v, _ in _grid_blocks(kappa, axes, dest=dest)),
-        _range_of(kappa, axes), ranks_of)
+    if kappa.reads_x:
+        N, ranks, values = _select_ranks(
+            lambda dest: (v for v, _ in _grid_blocks(kappa, axes, dest=dest)),
+            _range_of(kappa, axes), ranks_of)
+    else:
+        row, _ = grid_samples(kappa, (axes[0][:1], axes[1]))
+        require_finite(int(r) * nonfinite_count(row))
+        row.sort()
+        N = int(r) * row.size
+        ranks = ranks_of(N)
+        values = np.repeat(row, r) if ranks is None else row[ranks // r]
     return Rearrangement(values=values, N=N, r=int(r), excluded=int(r) * int(r) - N,
                          ranks=ranks)
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from gltkit import (
+    Coefficient,
     ComplexSymbolError,
     LAPLACE_SYMBOL,
+    SymbolSingularityError,
     TrigFactor,
     TrigPoly,
     UnboundedSymbolError,
@@ -127,6 +129,26 @@ def test_sigma_samples_of_complex_symbol_are_moduli():
     assert np.allclose(samples.full, 1.0) and np.allclose(samples.coarse, 1.0)
     with pytest.raises(ComplexSymbolError):
         symbol_samples(shift, "lambda", quad_res=20)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symbol_samples_refuse_non_finite_values(bad):
+    """A coefficient that is NaN or infinite where no division guard trips
+    raises, with the number of such samples of the full quadrature grid,
+    before the window of the default suite is taken from them."""
+    hole = Coefficient("hole", lambda x: np.where(abs(x - .5) < .1, bad, x))
+    quad_res = 60
+    # the Gauss nodes of the x axis, two per panel; the theta axis has as many
+    g = 1.0 / (2.0 * math.sqrt(3.0))
+    nodes = ((np.arange(quad_res) + 0.5)[:, None] + np.array([-g, g])).ravel() / quad_res
+    count = int(np.count_nonzero(abs(nodes - .5) < .1)) * nodes.size
+    assert count == 24 * 120
+    case = fd_diffusion(hole)
+    for mode in ("lambda", "sigma"):
+        with pytest.raises(SymbolSingularityError, match=f"^{count} samples .* not finite"):
+            symbol_samples(case.predicted_symbol, mode, quad_res)
+    with pytest.raises(SymbolSingularityError, match=f"^{count} samples .* not finite"):
+        weyl_compare(case, 40, quad_res=quad_res)
 
 
 # ---------------------------------------------------------------------------

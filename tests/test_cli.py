@@ -24,6 +24,7 @@ from gltkit import (
 from gltkit.analysis import SYMBOL_RECT
 from gltkit.builders import DiscretizationCase, case_names
 from gltkit.cli import main, TABLE2_REFERENCE
+from gltkit.symbols import COEFFICIENT_PRESETS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -326,6 +327,19 @@ def test_non_numeric_csv_cell_exits_2_naming_the_row(capsys, tmp_path):
                              "--n", "10", "--r", "50")
     assert code == 2 and not out
     assert err == "error: row 2 of the x/value table is not finite: x = 0.5, value = nan\n"
+
+
+def test_non_finite_weyl_samples_exit_2_with_their_number(capsys, monkeypatch):
+    """fd_t7's symbol is unbounded, so compare builds no rearrangement and
+    the Weyl symbol side is the first to sample a NaN coefficient: on the
+    60 x 60 midpoint grid, a(x^2) is NaN on the 8 rows with |x^2 - 1/2| <
+    0.1 (x = (i + 1/2)/60, i = 38..45)."""
+    hole = Coefficient("hole", lambda x: np.where(abs(x - .5) < .1, np.nan, x))
+    monkeypatch.setitem(COEFFICIENT_PRESETS, "hole", hole)
+    code, out, err = run_cli(capsys, "compare", "--case", "fd_t7", "--coeff", "hole",
+                             "--n", "10", "--quad-res", "60")
+    assert code == 2 and not out
+    assert err == f"error: {8 * 60} samples of the symbol are not finite (NaN or infinite)\n"
 
 
 def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_path):

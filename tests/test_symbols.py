@@ -159,13 +159,40 @@ def test_json_malformed_node_rejected(obj, match):
         SymbolExpr.from_json(json.dumps(obj))
 
 
-def test_node_flags_follow_children():
+def test_node_flags_follow_children(tmp_path):
     theta_only = divide(LAPLACE_SYMBOL, MASS_SYMBOL, nonzero_ae=True)
     assert theta_only.has_quotient and theta_only.is_real and not theta_only.reads_x
     mixed = add(multiply(XEXP, SIN_SYMBOL), conjugate(theta_only))
     assert mixed.has_quotient and mixed.is_real and mixed.reads_x
     assert not multiply(XEXP, TrigPoly([0.0, 0.0, 1.0])).is_real
     assert not add(XEXP, LAPLACE_SYMBOL).has_quotient
+    # a coefficient whose exact modulus vanishes, omega_a(1) = 0, does not
+    # read x; a table does, even with equal values, for it has no exact
+    # modulus at all
+    for name in ("one", "zero"):
+        factor = CoeffFactor(coefficient_preset(name))
+        assert not factor.reads_x and factor.is_real and not factor.has_quotient
+        assert not multiply(factor, LAPLACE_SYMBOL).reads_x
+    table = tmp_path / "flat.csv"
+    table.write_text("x,value\n0,2\n1,2\n")
+    for a in (coefficient_preset("x"), XEXP, Coefficient.from_table([0.0, 1.0], [2.0, 2.0]),
+              coefficient_preset(f"csv:{table}")):
+        assert CoeffFactor(a).reads_x
+        assert multiply(coefficient_preset("one"), a, LAPLACE_SYMBOL).reads_x
+
+
+#: the registry cases whose coefficients are all constant with the ``one``
+#: preset as their main one; fd_t7 reads x through its grid map
+CONSTANT_COEFFICIENT_CASES = ("Ln", "fd_t1", "fd_t2", "fd_t3", "fd_t4", "fd_t5", "fd_t6",
+                              "fe_mass", "fe_t1", "schur")
+
+
+def test_registry_symbols_with_constant_coefficients_do_not_read_x():
+    assert set(CONSTANT_COEFFICIENT_CASES) | {"fd_t7"} == set(case_names())
+    for name in CONSTANT_COEFFICIENT_CASES:
+        assert not get_case(name, "one").predicted_symbol.reads_x, name
+        assert get_case(name, "xexp").predicted_symbol.reads_x, name
+    assert get_case("fd_t7", "one").predicted_symbol.reads_x
 
 
 def test_json_unknown_coefficient_rejected():
@@ -426,8 +453,10 @@ def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
 
 def test_rearrangement_requires_real_symbol():
     complex_poly = TrigPoly([0.0, 0.0, 1.0])  # e^{i theta}
-    with pytest.raises(ComplexSymbolError):
-        monotone_rearrangement(TrigFactor(complex_poly), RECT, 10)
+    for kappa in (TrigFactor(complex_poly), multiply(coefficient_preset("one"), complex_poly),
+                  multiply(XEXP, complex_poly)):
+        with pytest.raises(ComplexSymbolError):
+            monotone_rearrangement(kappa, RECT, 10)
 
 
 def test_rearrangement_with_singular_points_excludes_and_renormalizes():
@@ -436,11 +465,14 @@ def test_rearrangement_with_singular_points_excludes_and_renormalizes():
     # (2-2cos)/x is finite on the sampling lattice (x >= 1/r), nothing excluded
     R = monotone_rearrangement(kappa, RECT, 50)
     assert R.excluded == 0
-    # a denominator that vanishes identically kills every lattice point
+    # a denominator that vanishes identically kills every lattice point, on
+    # the lattice of a symbol that reads x and on the row of one that does not
     zero = Coefficient("null", lambda x: np.zeros_like(x), "continuous")
-    bad = divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(zero), nonzero_ae=True)
-    with pytest.raises(SymbolSingularityError):
-        monotone_rearrangement(bad, RECT, 10)
+    for bad, reads_x in ((divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(zero), nonzero_ae=True),
+                          True), (get_case("Ln:c=zero", "one").predicted_symbol, False)):
+        assert bad.reads_x == reads_x
+        with pytest.raises(SymbolSingularityError, match="every grid point"):
+            monotone_rearrangement(bad, RECT, 10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -581,6 +613,110 @@ def test_rearrangement_refuses_non_finite_samples(bad, width):
     for kappa in (CoeffFactor(hole), multiply(hole, LAPLACE_SYMBOL)):
         for ts in (None, [0.5]):
             with pytest.raises(SymbolSingularityError, match=f"^{rows * r} samples .* not finite"):
+                monotone_rearrangement(kappa, RECT, r, ts=ts)
+
+
+_ONE, _ZERO = CoeffFactor(coefficient_preset("one")), CoeffFactor(coefficient_preset("zero"))
+
+#: denominators that vanish on lattice columns: sin and 1 + cos at theta = pi,
+#: cos at theta = pi/2 when r is even
+_VANISHING = (TrigFactor(SIN_SYMBOL), TrigFactor(TrigPoly.from_cosines([1.0, 1.0])),
+              TrigFactor(TrigPoly.from_cosines([0.0, 1.0])))
+
+
+@st.composite
+def theta_only_symbols(draw, depth=2):
+    """Real symbols that do not read x: cosine polynomials and constant
+    coefficients, their sums and products, and quotients whose denominator
+    may vanish on lattice columns (or everywhere, through ``zero``)."""
+    leaf = st.one_of(
+        st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=3).map(
+            lambda c: TrigFactor(TrigPoly.from_cosines(c))),
+        st.sampled_from((_ONE, _ZERO)))
+    if depth == 0:
+        return draw(leaf)
+    child = theta_only_symbols(depth - 1)
+    kind = draw(st.sampled_from(["leaf", "sum", "prod", "quot", "quot"]))
+    if kind == "leaf":
+        return draw(leaf)
+    if kind == "quot":
+        den = draw(st.one_of(st.sampled_from(_VANISHING), child))
+        return divide(draw(child), den, nonzero_ae=True)
+    nodes = draw(st.lists(child, min_size=2, max_size=3))
+    return add(*nodes) if kind == "sum" else multiply(*nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta_only_symbols(), st.integers(1, 80),
+       st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+def test_theta_only_rearrangement_is_the_sorted_lattice(kappa, r, ts):
+    """From one theta row, the rearrangement keeps what np.sort of all r^2
+    lattice samples puts at its ranks, and counts the same N and excluded
+    points; bit for bit, but for the order of +0.0 and -0.0, which compare
+    equal and which np.sort leaves as they come."""
+    assert not kappa.reads_x and kappa.is_real
+    axes = symbols._lattice(RECT, r)
+    try:
+        lattice, excluded = symbols.grid_samples(kappa, axes)
+    except SymbolSingularityError:  # singular everywhere, a zero denominator
+        with pytest.raises(SymbolSingularityError, match="every grid point"):
+            monotone_rearrangement(kappa, RECT, r, ts=ts)
+        return
+    R = monotone_rearrangement(kappa, RECT, r, ts=ts)
+    assert (R.N, R.excluded) == (lattice.size, excluded)
+    expected = np.sort(lattice)
+    if ts is None:
+        assert R.ranks is None
+    else:
+        expected = expected[R.ranks]
+    assert np.array_equal(R.values, expected)
+    nonzero = expected != 0
+    assert R.values[nonzero].tobytes() == expected[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("ts", [None, [0.25, 0.5, 1.0]])
+@pytest.mark.parametrize("kappa", [
+    TrigFactor(LAPLACE_SYMBOL),
+    get_case("schur", "one").predicted_symbol,
+    get_case("Ln", "one").predicted_symbol,
+    divide(multiply(_ONE, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL), nonzero_ae=True),
+])
+def test_theta_only_rearrangement_evaluates_one_row(monkeypatch, kappa, ts):
+    """A symbol that does not read x is evaluated at the r points of one
+    lattice row, not at r^2, with neither the bucket selection nor its
+    range sub-lattice."""
+    points = []
+    eval_masked = SymbolExpr.eval_masked
+
+    def counting(self, x, theta, *args, **kwargs):
+        points.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(theta))))
+        return eval_masked(self, x, theta, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a theta-only symbol needs no pass over the lattice")
+
+    monkeypatch.setattr(SymbolExpr, "eval_masked", counting)
+    monkeypatch.setattr(symbols, "_select_ranks", refused)
+    monkeypatch.setattr(symbols, "_range_of", refused)
+    r = 300
+    R = monotone_rearrangement(kappa, RECT, r, ts=ts)
+    assert sum(points) == r
+    assert R.N + R.excluded == r * r
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_theta_only_rearrangement_refuses_non_finite_samples(bad):
+    """A non-finite sample of the row raises with the number of lattice
+    samples it stands for, r per row sample; excluded points do not count."""
+    constant = Coefficient("bad", lambda x: np.full_like(x, bad), "L1", lambda d: 0.0)
+    r = 30
+    for kappa, columns in ((multiply(constant, LAPLACE_SYMBOL), r),
+                           (divide(multiply(constant, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL),
+                                   nonzero_ae=True), r - 1)):  # sin(pi) is excluded
+        assert not kappa.reads_x
+        for ts in (None, [0.5]):
+            with pytest.raises(SymbolSingularityError,
+                               match=f"^{r * columns} samples .* not finite"):
                 monotone_rearrangement(kappa, RECT, r, ts=ts)
 
 
