@@ -15,8 +15,9 @@ the output is the same as when the two run one after the other, errors exit
 as they did, and no thread outlives the command.
 
 Exit codes: 0 success / all PASS, 1 numeric failure (tolerance or certificate
-breach), 2 usage error.  All output files are written atomically and CSV
-numbers carry 17 significant digits.
+breach), 2 usage error (a file that cannot be read or written among them).
+All output files are written atomically and CSV numbers carry 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -53,9 +54,14 @@ def _fmt(v):
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # it may never have been made
+            os.remove(tmp)
+        raise
 
 
 def _emit(path, text):
@@ -305,7 +311,9 @@ def main(argv=None) -> int:
     except (ComplexSpectrumError, UnboundedSymbolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError, SymbolSingularityError) as exc:
+    except (KeyError, ValueError, SymbolSingularityError, OSError) as exc:
+        # OSError: a --coeff csv:PATH that cannot be read, an --out that
+        # cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -219,11 +219,11 @@ class SymbolExpr:
     #: False for a subtree of theta alone, which a grid evaluates once
     reads_x: bool = True
 
-    def _eval(self, x, theta, invalid, ws=()):
+    def _eval(self, x, theta, invalid, out=None):
         """Values at (x, theta); division guards append their masks to
-        ``invalid``.  ``ws`` is a workspace of float arrays of the full
-        broadcast shape: a node may write its result into ``ws[0]`` and
-        hands ``ws[1:]`` on to the children whose values it must keep."""
+        ``invalid``.  A node may write its real result into ``out``, a
+        float array of the full broadcast shape; its children are evaluated
+        without one."""
         raise NotImplementedError
 
     def __call__(self, x, theta):
@@ -233,19 +233,18 @@ class SymbolExpr:
             vals = np.where(invalid, np.nan, vals)
         return vals
 
-    def eval_masked(self, x, theta, out=None, scratch=()):
+    def eval_masked(self, x, theta, out=None):
         """Evaluate on broadcastable arrays, returning (values, invalid_mask).
 
         ``invalid_mask`` is None when no division guard was tripped.  A real
         result of the full broadcast shape may be written into ``out``, a
         float array of that shape, and the values returned are then ``out``
-        itself; ``scratch`` holds further such arrays that intermediate
-        values may be written into.
+        itself.
         """
         x = np.asarray(x, dtype=float)
         theta = np.asarray(theta, dtype=float)
         invalid = []
-        vals = self._eval(x, theta, invalid, () if out is None else (out, *scratch))
+        vals = self._eval(x, theta, invalid, out)
         if not invalid:
             return vals, None
         mask = invalid[0]
@@ -303,7 +302,7 @@ class CoeffFactor(SymbolExpr):
         modulus = coefficient.exact_modulus
         self.reads_x = modulus is None or modulus(1.0) != 0
 
-    def _eval(self, x, theta, invalid, ws=()):
+    def _eval(self, x, theta, invalid, out=None):
         # x is None where the factor does not read x: any point of [0, 1] serves
         return self.coefficient(0.0 if x is None else x)
 
@@ -320,7 +319,7 @@ class TrigFactor(SymbolExpr):
         self.is_real = poly.real_valued
         self.reads_x = False
 
-    def _eval(self, x, theta, invalid, ws=()):
+    def _eval(self, x, theta, invalid, out=None):
         return self.poly(theta)
 
     def to_json_obj(self):
@@ -372,8 +371,8 @@ class _Node(SymbolExpr):
 class Sum(_Node):
     kind = "sum"
 
-    def _eval(self, x, theta, invalid, ws=()):
-        return _fold(np.add, self.children, x, theta, invalid, ws)
+    def _eval(self, x, theta, invalid, out=None):
+        return _fold(np.add, self.children, x, theta, invalid, out)
 
     def __str__(self):
         return " + ".join(str(t) for t in self.children)
@@ -382,8 +381,8 @@ class Sum(_Node):
 class Prod(_Node):
     kind = "prod"
 
-    def _eval(self, x, theta, invalid, ws=()):
-        return _fold(np.multiply, self.children, x, theta, invalid, ws)
+    def _eval(self, x, theta, invalid, out=None):
+        return _fold(np.multiply, self.children, x, theta, invalid, out)
 
     def __str__(self):
         return " * ".join(f"({f})" for f in self.children)
@@ -396,16 +395,14 @@ class Quot(_Node):
 
     kind, arity = "quot", 2
 
-    def _eval(self, x, theta, invalid, ws=()):
+    def _eval(self, x, theta, invalid, out=None):
         num, den = self.children
-        nv = num._eval(x, theta, invalid, ws)
-        rest = _after(ws, nv)
-        dv = den._eval(x, theta, invalid, rest)
-        small = _apply(np.absolute, dv, ws=_after(rest, dv)) < DIV_GUARD
+        nv, dv = num._eval(x, theta, invalid), den._eval(x, theta, invalid)
+        small = np.absolute(dv) < DIV_GUARD
         if np.any(small):
             invalid.append(small)
             dv = np.where(small, 1.0, dv)
-        return _apply(np.divide, nv, dv, ws=ws)
+        return _apply(np.divide, nv, dv, out=out)
 
     def __str__(self):
         return "({}) / ({})".format(*self.children)
@@ -414,8 +411,8 @@ class Quot(_Node):
 class Conj(_Node):
     kind, arity = "conj", 1
 
-    def _eval(self, x, theta, invalid, ws=()):
-        return _apply(np.conjugate, self.children[0]._eval(x, theta, invalid, ws), ws=ws)
+    def _eval(self, x, theta, invalid, out=None):
+        return _apply(np.conjugate, self.children[0]._eval(x, theta, invalid), out=out)
 
     def __str__(self):
         return f"conj({self.children[0]})"
@@ -432,7 +429,7 @@ class _Fixed(SymbolExpr):
         self.has_quotient = node.has_quotient
         self.reads_x = False
 
-    def _eval(self, x, theta, invalid, ws=()):
+    def _eval(self, x, theta, invalid, out=None):
         invalid.extend(self.invalid)
         return self.values
 
@@ -448,26 +445,21 @@ def _bind_theta(node, theta):
     return type(node)(*(_bind_theta(c, theta) for c in node.children))
 
 
-def _apply(ufunc, *args, ws):
-    """``ufunc(*args)``, written into ``ws[0]`` when the workspace has one
-    of the operands' broadcast shape and the result is real."""
-    if ws and np.result_type(*args).kind == "f" and np.broadcast(*args).shape == ws[0].shape:
-        return ufunc(*args, out=ws[0])
+def _apply(ufunc, *args, out):
+    """``ufunc(*args)``, written into ``out`` when it has the operands'
+    broadcast shape and the result is real."""
+    if out is not None and np.result_type(*args).kind == "f" \
+            and np.broadcast(*args).shape == out.shape:
+        return ufunc(*args, out=out)
     return ufunc(*args)
 
 
-def _after(ws, value):
-    """The workspace still free while ``value`` is kept: all of it unless
-    ``value`` is ``ws[0]``."""
-    return ws[1:] if ws and value is ws[0] else ws
-
-
-def _fold(ufunc, nodes, x, theta, invalid, ws):
+def _fold(ufunc, nodes, x, theta, invalid, out):
     """Left fold of ``ufunc`` over the nodes' values, accumulated in
-    ``ws[0]``."""
-    acc = nodes[0]._eval(x, theta, invalid, ws)
+    ``out``."""
+    acc = nodes[0]._eval(x, theta, invalid)
     for node in nodes[1:]:
-        acc = _apply(ufunc, acc, node._eval(x, theta, invalid, _after(ws, acc)), ws=ws)
+        acc = _apply(ufunc, acc, node._eval(x, theta, invalid), out=out)
     return acc
 
 
@@ -646,28 +638,24 @@ def _grid_blocks(kappa: SymbolExpr, axes, absolute=False, dest=None):
     """Yield the kept values of the symbol ``kappa`` on the outer-product
     grid of the 1-d ``axes`` (x, theta), block by block of x rows in
     row-major order (see :func:`block_size`), with the points where a
-    division guard trips dropped: ``(values, dropped)`` per block.
+    division guard trips dropped.
 
     A block of ``count`` grid points is evaluated into the first ``count``
     values of ``dest(count)``, a flat float array, and its kept values are
     moved to the front of them and yielded as a view; without ``dest``,
-    into one buffer reused from block to block.  The theta-only subtrees
-    are evaluated once.  The axes reach the symbol read-only, so a symbol
-    that returns its input is copied, never handed out to be overwritten.
-    Complex values raise ComplexSymbolError unless ``absolute`` asks for
-    moduli.
+    into one buffer reused from block to block, so each block holds until
+    the next one is evaluated.  The root alone writes into that buffer;
+    the values of the inner nodes are temporaries of at most a block each.
+    The theta-only subtrees are evaluated once.  The axes reach the symbol
+    read-only, so a symbol that returns its input is copied, never handed
+    out to be overwritten.  Complex values raise ComplexSymbolError unless
+    ``absolute`` asks for moduli.
     """
     x, theta = (np.asarray(a, dtype=float).view() for a in axes)
     x.flags.writeable = theta.flags.writeable = False
     theta = theta[None, :]
     step = max(1, block_size(x.size * theta.size) // max(theta.size, 1))
     bound = _bind_theta(kappa, theta)
-
-    # intermediate values go to buffers kept from block to block: fresh
-    # block-sized temporaries would make malloc map and fault in their
-    # pages again for every block (two cover every registered symbol;
-    # a deeper tree makes temporaries for the rest)
-    scratch = [np.empty((step, theta.size)) for _ in range(2)]
     if dest is None:
         own = np.empty(step * theta.size)
 
@@ -679,7 +667,7 @@ def _grid_blocks(kappa: SymbolExpr, axes, absolute=False, dest=None):
         count = rows.size * theta.size
         block = dest(count)[:count]
         out = block.reshape(-1, theta.size)
-        vals, invalid = bound.eval_masked(rows, theta, out, [a[:len(out)] for a in scratch])
+        vals, invalid = bound.eval_masked(rows, theta, out)
         if vals is not out:
             if np.iscomplexobj(vals) and not absolute:
                 raise ComplexSymbolError(
@@ -691,11 +679,11 @@ def _grid_blocks(kappa: SymbolExpr, axes, absolute=False, dest=None):
         elif absolute:
             np.absolute(out, out=out)
         if invalid is None:
-            yield block, 0
+            yield block
         else:
             values = out[~np.broadcast_to(invalid, out.shape)]
             block[:values.size] = values
-            yield block[:values.size], count - values.size
+            yield block[:values.size]
 
 
 def grid_samples(kappa: SymbolExpr, axes, absolute=False):
@@ -712,14 +700,13 @@ def grid_samples(kappa: SymbolExpr, axes, absolute=False):
     """
     total = np.size(axes[0]) * np.size(axes[1])
     buf = np.empty(total)
-    kept = excluded = 0
+    kept = 0
     # each block goes to the buffer's rest, read when the block is evaluated
-    for values, dropped in _grid_blocks(kappa, axes, absolute, lambda count: buf[kept:]):
+    for values in _grid_blocks(kappa, axes, absolute, lambda count: buf[kept:]):
         kept += values.size
-        excluded += dropped
     if kept == 0:
         raise SymbolSingularityError("the symbol is singular at every grid point")
-    return (buf if kept == total else buf[:kept]), excluded
+    return (buf if kept == total else buf[:kept]), total - kept
 
 
 #: uniform value buckets of the rearrangement's selection
@@ -791,75 +778,50 @@ def _select_ranks(blocks, value_range, ranks_of):
     """Order statistics of a stream of values, in two passes over it
     without holding it whole.
 
-    ``blocks(dest)`` iterates over the values as 1-d float blocks, the same
-    values in the same blocks on every call; a block of ``count`` values may
-    be computed into ``dest(count)`` (see :func:`_grid_blocks`), or
-    ``dest`` may be None.  ``value_range`` (lo, hi) spans the
-    ``BUCKETS`` uniform buckets, values beyond it falling into the end
-    buckets.  ``ranks_of(N)``, given the number N of values, returns the
-    ascending ranks wanted, or None for all of them.  Returns N, those
-    ranks and their values: what np.sort of all the values puts there.
+    ``blocks()`` iterates over the values as 1-d float blocks, the same
+    values in the same blocks on every call.  ``value_range`` (lo, hi)
+    spans the ``BUCKETS`` uniform buckets, values beyond it falling into
+    the end buckets.  ``ranks_of(N)``, given the number N of values,
+    returns the ascending ranks wanted.  Returns N, those ranks and their
+    values: what np.sort of all the values puts there.
 
     Pass 1 histograms the blocks into the buckets.  The cumulative counts
     place each wanted rank in one bucket at a known offset, and pass 2
-    gathers the values of those buckets, or all values when that is most
-    of them, into one buffer sized from the counts, which is then sorted.
-    Non-finite values raise SymbolSingularityError with their number; a
-    pass 2 that does not gather exactly the counted values raises
-    RuntimeError.
+    gathers the values of those buckets into one buffer sized from the
+    counts, which is then sorted.  Non-finite values raise
+    SymbolSingularityError with their number; a pass 2 that does not
+    gather exactly the counted values raises RuntimeError.
     """
     buckets = _bucket_map(*value_range)
-    hist = _histogram(blocks(None), buckets)
+    hist = _histogram(blocks(), buckets)
     ends = np.cumsum(hist)  # ends[b]: values in buckets 0..b
     N = int(ends[-1])
     if N == 0:
         raise SymbolSingularityError("the symbol is singular at every grid point")
     ranks = ranks_of(N)
-    size, places, needed = N, ranks, None
-    if ranks is not None:
-        where = np.searchsorted(ends, ranks, side="right")  # the bucket of each rank
-        needed = np.zeros(BUCKETS, dtype=bool)
-        needed[where] = True
-        kept = np.where(needed, hist, 0)
-        # sorting a value costs about what mapping two to their buckets does,
-        # so past half of them every value is gathered, and no map is needed
-        if 2 * int(kept.sum()) < N:
-            size = int(kept.sum())
-            # a rank's place among the gathered values: less the values of
-            # the buckets below its own that pass 2 leaves out
-            places = ranks - (ends - np.cumsum(kept))[where]
-        else:
-            needed = None
-    del hist, ends
-    if needed is None:
-        buckets = None  # and its buffers
+    where = np.searchsorted(ends, ranks, side="right")  # the bucket of each rank
+    needed = np.zeros(BUCKETS, dtype=bool)
+    needed[where] = True
+    kept = np.where(needed, hist, 0)
+    # a rank's place among the gathered values: less the values of the
+    # buckets below its own that pass 2 leaves out
+    places = ranks - (ends - np.cumsum(kept))[where]
 
-    gathered = np.empty(size)
-    filled, spare = 0, np.empty(0)
-
-    def dest(count):
-        # straight into the gathered buffer while its rest holds a whole block
-        nonlocal spare
-        if size - filled >= count:
-            return gathered[filled:]
-        if spare.size < count:
-            spare = np.empty(count)
-        return spare
-
-    for values in blocks(dest):
-        if needed is not None:
-            values = values[np.take(needed, buckets(values))]
-        if filled + values.size > size:
+    gathered = np.empty(int(kept.sum()))
+    filled = 0
+    for values in blocks():
+        values = values[np.take(needed, buckets(values))]
+        if filled + values.size > gathered.size:
             raise RuntimeError(f"the second pass over the samples gathered more than the "
-                               f"{size} values the first one counted: the samples changed")
-        if values.base is not gathered:  # else it is in its place already
-            gathered[filled:filled + values.size] = values
+                               f"{gathered.size} values the first one counted: "
+                               "the samples changed")
+        gathered[filled:filled + values.size] = values
         filled += values.size
-    if filled != size:
+    if filled != gathered.size:
         raise RuntimeError(f"the second pass over the samples gathered {filled} of the "
-                           f"{size} values the first one counted: the samples changed")
+                           f"{gathered.size} values the first one counted: the samples changed")
     gathered.sort()
-    return N, ranks, (gathered if places is None else gathered[places])
+    return N, ranks, gathered[places]
 
 
 def _range_of(kappa, axes):
@@ -868,7 +830,7 @@ def _range_of(kappa, axes):
     when it has none."""
     stride = -(-max(a.size for a in axes) // _RANGE_LATTICE)
     lo, hi = math.inf, -math.inf
-    for values, _ in _grid_blocks(kappa, [a[::stride] for a in axes]):
+    for values in _grid_blocks(kappa, [a[::stride] for a in axes]):
         finite = values[np.isfinite(values)]
         if finite.size:
             lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
@@ -883,15 +845,17 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
     Lattice points where a division guard trips are excluded and the node
     count shrinks accordingly (recorded in ``excluded``); a sample that is
     NaN or infinite raises SymbolSingularityError.  Only the sorted samples
-    that R(t) reads for t in ``ts`` are kept.  :func:`_select_ranks` finds
-    them in two passes over the r^2 lattice samples, evaluated in blocks of
-    x rows, without holding or sorting them all, except when they are all
-    needed.
+    that R(t) reads for t in ``ts`` are kept.  For a symbol that reads x,
+    :func:`_select_ranks` finds them in two passes over the r^2 lattice
+    samples, evaluated in blocks of x rows, without holding or sorting
+    them all.
 
-    A symbol that does not read x (a Toeplitz symbol f(theta)) has r equal
-    lattice rows, so its sorted samples are those of one row, each repeated
-    r times: that row alone is evaluated and sorted, and rank k is its
-    value k // r, what sorting the whole lattice puts there.
+    With ``ts=None`` every sample is kept: the r^2 lattice samples are
+    evaluated once by :func:`grid_samples` and sorted in place.  A symbol
+    that does not read x (a Toeplitz symbol f(theta)) has r equal lattice
+    rows, so its sorted samples are those of one row, each repeated r
+    times: that row alone is evaluated and sorted, and rank k is its value
+    k // r, what sorting the whole lattice puts there.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"sampling parameter r must be an integer >= 1, got {r!r}")
@@ -899,27 +863,29 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
         raise ComplexSymbolError("monotone rearrangement needs a real-valued symbol")
     if ts is not None:
         ts = _require_unit_interval(ts)
+    r = int(r)
     axes = _lattice(rect, r)
 
     def ranks_of(N):
-        if ts is None:
-            return None
         _, _, _, lo, hi = _node_ranks(ts, N)
         return np.unique(np.concatenate(([0, N - 1], np.ravel(lo), np.ravel(hi))))
 
-    if kappa.reads_x:
-        N, ranks, values = _select_ranks(
-            lambda dest: (v for v, _ in _grid_blocks(kappa, axes, dest=dest)),
-            _range_of(kappa, axes), ranks_of)
+    if kappa.reads_x and ts is not None:
+        N, ranks, values = _select_ranks(lambda: _grid_blocks(kappa, axes),
+                                         _range_of(kappa, axes), ranks_of)
     else:
-        row, _ = grid_samples(kappa, (axes[0][:1], axes[1]))
-        require_finite(int(r) * nonfinite_count(row))
-        row.sort()
-        N = int(r) * row.size
-        ranks = ranks_of(N)
-        values = np.repeat(row, r) if ranks is None else row[ranks // r]
-    return Rearrangement(values=values, N=N, r=int(r), excluded=int(r) * int(r) - N,
-                         ranks=ranks)
+        # every row, or the one row that all r rows repeat
+        repeat = 1 if kappa.reads_x else r
+        samples, _ = grid_samples(kappa, (axes[0][:r // repeat], axes[1]))
+        require_finite(repeat * nonfinite_count(samples))
+        samples.sort()
+        N = repeat * samples.size
+        ranks = None if ts is None else ranks_of(N)
+        if ranks is not None:
+            values = samples[ranks // repeat]
+        else:  # np.repeat copies, even once
+            values = samples if repeat == 1 else np.repeat(samples, repeat)
+    return Rearrangement(values=values, N=N, r=r, excluded=r * r - N, ranks=ranks)
 
 
 # ----------------------------------------------------------------------------

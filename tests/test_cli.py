@@ -188,6 +188,35 @@ def test_symbol_singular_at_every_grid_point_is_usage_error(capsys):
     assert err == "error: the symbol is singular at every grid point\n"
 
 
+@pytest.mark.parametrize("table", ["missing.csv", "adir"])
+def test_unreadable_coefficient_table_is_usage_error(capsys, tmp_path, monkeypatch, table):
+    # a table that does not exist, and a directory in place of one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    code, out, err = run_cli(capsys, "spectrum", "--case", "fd_t1", "--coeff", f"csv:{table}",
+                             "--n", "4")
+    assert code == 2 and not out
+    assert err.startswith("error:") and err.count("\n") == 1 and table in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare", "table2", "certify"])
+@pytest.mark.parametrize("target", ["adir", "nodir/out.csv"])
+def test_unwritable_out_is_usage_error_and_leaves_no_temp_file(capsys, tmp_path, monkeypatch,
+                                                               command, target):
+    # a directory in the way of the file, and a directory that does not exist
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    args = {"spectrum": ["--case", "fd_t1", "--n", "4"],
+            "compare": ["--case", "fd_t1", "--n", "4", "--r", "20", "--quad-res", "20"],
+            "table2": ["--r", "20"],
+            "certify": ["--family", "thm2", "--n", "50"]}[command]
+    code, _, err = run_cli(capsys, command, *args, "--out", target)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
+
+
 def test_certify_pass_and_unknown_family(capsys):
     code, out, _ = run_cli(capsys, "certify", "--family", "thm2", "--n", "50,100")
     assert code == 0

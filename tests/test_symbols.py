@@ -491,8 +491,8 @@ _SCALES = st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
 def blocks_ranks_and_range(draw):
     """Values with ties, +-0.0 and negatives at scales from 1e-300 to
     1e300 (or one constant), cut into blocks of random sizes; ascending
-    ranks from 0 to N - 1 (or None: all of them); and a bucket range that
-    may miss some of the values or be a single point."""
+    ranks from 0 to N - 1 (or all of them); and a bucket range that may
+    miss some of the values or be a single point."""
     special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300])
     scaled = st.builds(lambda u, s: u * s, st.floats(-1.0, 1.0), _SCALES)
     if draw(st.booleans()):
@@ -503,32 +503,26 @@ def blocks_ranks_and_range(draw):
     N = values.size
     cuts = sorted(draw(st.lists(st.integers(0, N), max_size=6)))
     blocks = np.split(values, cuts)
-    ranks = None
+    ranks = np.arange(N)
     if draw(st.booleans()):
         ranks = np.unique([0, N - 1] + draw(st.lists(st.integers(0, N - 1), max_size=10)))
     lo, hi = sorted(draw(st.lists(st.one_of(st.sampled_from(values.tolist()), scaled),
                                   min_size=2, max_size=2)))
-    return blocks, ranks, (lo, hi), draw(st.booleans())
+    return blocks, ranks, (lo, hi)
 
 
 @settings(max_examples=300, deadline=None)
 @given(blocks_ranks_and_range())
 def test_selection_picks_the_order_statistics_np_sort_puts_at_the_ranks(data):
-    blocks, ranks, value_range, into_dest = data
+    blocks, ranks, value_range = data
     values = np.concatenate(blocks)
 
-    def passes(dest):
-        for block in blocks:
-            if into_dest and dest is not None:  # computed into the buffer offered
-                out = dest(block.size)[:block.size]
-                out[:] = block
-                yield out
-            else:
-                yield block.copy()
+    def passes():
+        return (block.copy() for block in blocks)
 
     N, got_ranks, got = symbols._select_ranks(passes, value_range, lambda N: ranks)
     assert N == values.size and got_ranks is ranks
-    expected = np.sort(values)[np.arange(N) if ranks is None else ranks]
+    expected = np.sort(values)[ranks]
     # bit for bit, ranks 0 and N - 1 included; +0.0 and -0.0 compare equal,
     # and np.sort itself orders them as they come
     assert np.array_equal(got, expected)
@@ -583,22 +577,24 @@ def test_rearrangement_refuses_samples_that_change_between_its_passes(monkeypatc
     blocks, calls = symbols._grid_blocks, []
 
     def changing_blocks(kappa, axes, absolute=False, dest=None):
-        calls.append(dest)
-        for i, (values, dropped) in enumerate(blocks(kappa, axes, absolute, dest)):
-            if dest is not None and i == 1:  # pass 2, its second block
+        calls.append(len(axes[0]))
+        # the range sub-lattice, pass 1 and pass 2 come in that order
+        second_pass = len(calls) == 3
+        for i, values in enumerate(blocks(kappa, axes, absolute, dest)):
+            if second_pass and i == 1:  # its second block
                 if change == "drop":
                     continue
                 if change == "repeat":
-                    yield values.copy(), dropped
+                    yield values.copy()
                 else:
                     values = values + 1e3
-            yield values, dropped
+            yield values
 
     monkeypatch.setattr(symbols, "_grid_blocks", changing_blocks)
     kappa = get_case("fd_t1", "xexp").predicted_symbol
     with pytest.raises(RuntimeError, match="samples changed"):
         monotone_rearrangement(kappa, RECT, 400, ts=[0.5, 1.0])
-    assert sum(dest is not None for dest in calls) == 1
+    assert calls == [200, 400, 400]
 
 
 @pytest.mark.parametrize("bad,width", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.01)])
@@ -674,6 +670,26 @@ def test_theta_only_rearrangement_is_the_sorted_lattice(kappa, r, ts):
     assert R.values[nonzero].tobytes() == expected[nonzero].tobytes()
 
 
+def _rearrangement_without_selection(monkeypatch, kappa, r, ts):
+    """The rearrangement of ``kappa`` at ``ts`` with the bucket selection
+    and its range sub-lattice refused, and the number of points at which
+    it evaluated the symbol."""
+    points = []
+    eval_masked = SymbolExpr.eval_masked
+
+    def counting(self, x, theta, *args, **kwargs):
+        points.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(theta))))
+        return eval_masked(self, x, theta, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("this rearrangement needs no bucket selection")
+
+    monkeypatch.setattr(SymbolExpr, "eval_masked", counting)
+    monkeypatch.setattr(symbols, "_select_ranks", refused)
+    monkeypatch.setattr(symbols, "_range_of", refused)
+    return monotone_rearrangement(kappa, RECT, r, ts=ts), sum(points)
+
+
 @pytest.mark.parametrize("ts", [None, [0.25, 0.5, 1.0]])
 @pytest.mark.parametrize("kappa", [
     TrigFactor(LAPLACE_SYMBOL),
@@ -685,23 +701,26 @@ def test_theta_only_rearrangement_evaluates_one_row(monkeypatch, kappa, ts):
     """A symbol that does not read x is evaluated at the r points of one
     lattice row, not at r^2, with neither the bucket selection nor its
     range sub-lattice."""
-    points = []
-    eval_masked = SymbolExpr.eval_masked
-
-    def counting(self, x, theta, *args, **kwargs):
-        points.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(theta))))
-        return eval_masked(self, x, theta, *args, **kwargs)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a theta-only symbol needs no pass over the lattice")
-
-    monkeypatch.setattr(SymbolExpr, "eval_masked", counting)
-    monkeypatch.setattr(symbols, "_select_ranks", refused)
-    monkeypatch.setattr(symbols, "_range_of", refused)
     r = 300
-    R = monotone_rearrangement(kappa, RECT, r, ts=ts)
-    assert sum(points) == r
+    R, points = _rearrangement_without_selection(monkeypatch, kappa, r, ts)
+    assert points == r
     assert R.N + R.excluded == r * r
+
+
+@pytest.mark.parametrize("kappa", [
+    get_case("fd_t1", "xexp").predicted_symbol,
+    get_case("Ln", "xexp").predicted_symbol,
+    divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP), nonzero_ae=True),
+])
+def test_keep_all_rearrangement_evaluates_the_lattice_once(monkeypatch, kappa):
+    """With every rank kept, a symbol that reads x is evaluated at the r^2
+    lattice points once and sorted, with neither the bucket selection nor
+    its range sub-lattice."""
+    assert kappa.reads_x
+    r = 300
+    R, points = _rearrangement_without_selection(monkeypatch, kappa, r, None)
+    assert points == r * r
+    assert R.ranks is None and R.values.size == R.N == r * r - R.excluded
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
