@@ -344,20 +344,7 @@ class BandedMatrix:
         if isinstance(other, BandedMatrix):
             if other.n != n:
                 raise ValueError(f"size mismatch: {n} vs {other.n}")
-            C = {}  # diagonal k of the product; every k = p + q with |k| < n gets a term
-
-            def rows(k, lo, hi):  # rows lo .. hi - 1 of diagonal k, which starts in row max(0, -k)
-                return slice(lo - max(0, -k), hi - max(0, -k))
-
-            for p, a in self._diagonals():
-                for q, b in other._diagonals():
-                    # C[i, i + k] += A[i, i + p] B[i + p, i + k] over the rows i where all exist
-                    k = p + q
-                    lo, hi = max(0, -p, -k), n - max(0, p, k)
-                    if lo < hi:
-                        c = C.setdefault(k, np.zeros(n - abs(k), np.result_type(a, b, float)))
-                        c[rows(k, lo, hi)] += a[rows(p, lo, hi)] * b[rows(q, lo + p, hi + p)]
-            return BandedMatrix.from_diagonals(n, C)
+            return BandedMatrix.from_diagonals(n, _product_diagonals(self, other, -n))
         X = np.asarray(other)
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"expected an array with {n} rows, got shape {X.shape}")
@@ -366,6 +353,26 @@ class BandedMatrix:
             lo, hi = max(0, -p), n - max(0, p)
             Y[lo:hi] += a[:, None] * X[lo + p: hi + p]
         return Y
+
+
+def _product_diagonals(A: BandedMatrix, B: BandedMatrix, lowest):
+    """``{k: diagonal k}`` of the band product ``A @ B`` for the offsets
+    ``k >= lowest``: every k = p + q with |k| < n gets a term, and each
+    diagonal sums its terms in ascending p."""
+    n, C = A.n, {}
+
+    def rows(k, lo, hi):  # rows lo .. hi - 1 of diagonal k, which starts in row max(0, -k)
+        return slice(lo - max(0, -k), hi - max(0, -k))
+
+    for p, a in A._diagonals():
+        for q, b in B._diagonals():
+            # C[i, i + k] += A[i, i + p] B[i + p, i + k] over the rows i where all exist
+            k = p + q
+            lo, hi = max(0, -p, -k), n - max(0, p, k)
+            if k >= lowest and lo < hi:
+                c = C.setdefault(k, np.zeros(n - abs(k), np.result_type(a, b, float)))
+                c[rows(k, lo, hi)] += a[rows(p, lo, hi)] * b[rows(q, lo + p, hi + p)]
+    return C
 
 
 def _require_bands(*operands):
@@ -753,7 +760,7 @@ def schatten_norm(A, p) -> float:
 def _banded_spectral_norm(A: BandedMatrix) -> float:
     """Largest singular value of a real band: sqrt of the top eigenvalue of
     the band ``A.T @ A`` (bandwidth ``lower_bw + upper_bw``)."""
-    n, ab = A.n, _upper_band(A.T @ A)
+    n, ab = A.n, _upper_gram(A)
     top = np.empty(n)
     # the largest eigenvalue alone (range I, il = iu = n) to the absolute
     # tolerance 2 dlamch('S') that LAPACK recommends for it
@@ -780,6 +787,14 @@ def _upper_band(A: BandedMatrix):
     _require_real(A)
     return np.asfortranarray(BandedMatrix.from_diagonals(
         A.n, {k: v for k, v in A._diagonals() if k >= 0}).bands)
+
+
+def _upper_gram(A: BandedMatrix):
+    """:func:`_upper_band` of ``A.T @ A`` for a real band ``A``, bit for bit:
+    only the diagonals k >= 0 are formed, each summed as ``A.T @ A`` sums
+    it."""
+    gram = _product_diagonals(A.T, A, 0)
+    return np.asfortranarray(BandedMatrix.from_diagonals(A.n, gram).bands)
 
 
 def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:

@@ -157,8 +157,14 @@ class Coefficient:
 
     @classmethod
     def from_csv(cls, path):
-        """Load a table coefficient from a CSV with header ``x,value``."""
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        """Load a table coefficient from a CSV with header ``x,value``; a
+        file without a header or without rows raises ValueError."""
+        with open(path) as f:
+            lines = f.readlines()
+        if not any(line.strip() for line in lines):  # genfromtxt fails on it with IndexError
+            raise ValueError(f"coefficient CSV {path} is empty: it needs header 'x,value' "
+                             "and rows")
+        data = np.genfromtxt(lines, delimiter=",", names=True)
         if data.dtype.names is None or tuple(data.dtype.names) != ("x", "value"):
             raise ValueError("coefficient CSV needs header 'x,value'")
         return cls.from_table(data["x"], data["value"], name=f"csv:{path}")
@@ -709,23 +715,40 @@ def grid_samples(kappa: SymbolExpr, axes, absolute=False):
     return (buf if kept == total else buf[:kept]), total - kept
 
 
-#: uniform value buckets of the rearrangement's selection
-BUCKETS = 1 << 16
+#: uniform value buckets of the rearrangement's selection, at most (their
+#: intp counts take 2 MB)
+BUCKETS = 1 << 18
+
+#: uniform value buckets of the rearrangement's selection, at least
+_MIN_BUCKETS = 1 << 16
 
 #: rows and columns, at most, of the sub-lattice that sets the buckets' range
 _RANGE_LATTICE = 256
 
 
-def _bucket_map(lo, hi):
+def _bucket_count(samples):
+    """The number of buckets the selection spreads ``samples`` values
+    over: the power of two at or above ``samples / 64``, within
+    ``_MIN_BUCKETS`` and ``BUCKETS`` (r^2 samples: 2^16 up to r = 2048).
+    Finer buckets leave pass 2 fewer values to gather where the symbol's
+    values pile up: 466 000 instead of 1.48M of the 25M at r = 5000 for
+    the benchmark table's nodes.  On small lattices the counts would
+    outweigh what they save (2^18 buckets raised the r = 1000 peak), and
+    coarser ones than 2^16 gather so much that r = 1000 got slower."""
+    wanted = -(-samples // 64)
+    return min(max(1 << max(wanted - 1, 0).bit_length(), _MIN_BUCKETS), BUCKETS)
+
+
+def _bucket_map(lo, hi, count):
     """The bucket of each of some finite values: (v - lo) / (hi - lo)
-    scaled to ``BUCKETS`` and clipped to its end buckets.  Each step
+    scaled to ``count`` buckets and clipped to its end buckets.  Each step
     rounds monotonically, so v <= w puts v in a bucket no later than w's,
     whatever the range; a range too narrow or too wide for a finite
     positive scale takes the nearest one that is.  The returned function
     writes into buffers it keeps from call to call, so each result holds
     until its next call."""
     with np.errstate(over="ignore"):
-        scale = float(np.divide(BUCKETS, np.subtract(hi, lo))) if hi > lo else 1.0
+        scale = float(np.divide(count, np.subtract(hi, lo))) if hi > lo else 1.0
     scale = min(max(scale, np.finfo(float).tiny), np.finfo(float).max)
     work = np.empty(0)
     index = np.empty(0, dtype=np.intp)
@@ -737,7 +760,7 @@ def _bucket_map(lo, hi):
         with np.errstate(over="ignore"):  # an overflow to +-inf lands in an end bucket
             t = np.subtract(values, lo, out=work[:values.size])
             t *= scale
-        np.clip(t, 0, BUCKETS - 1, out=t)
+        np.clip(t, 0, count - 1, out=t)
         b = index[:values.size]
         np.copyto(b, t, casting="unsafe")  # truncation is floor on t >= 0
         return b
@@ -761,53 +784,66 @@ def require_finite(count):
                                      "(NaN or infinite)")
 
 
-def _histogram(blocks, buckets):
-    """The number of values of the ``blocks`` in each bucket; non-finite
-    values raise SymbolSingularityError with their number."""
-    hist = np.zeros(BUCKETS, dtype=np.intp)
+def _histogram(blocks, buckets, count):
+    """The number of values of the ``blocks`` in each of ``count`` buckets;
+    non-finite values raise SymbolSingularityError with their number.
+
+    ``np.add.at`` counts into one intp histogram: an intp index into an
+    array of the increment's own dtype takes numpy's fast ``ufunc.at``
+    path (numpy >= 1.25; an int32 histogram falls off it, 30 times
+    slower), and it makes no per-block count array of ``count`` entries,
+    as ``np.bincount`` does."""
+    hist = np.zeros(count, dtype=np.intp)
     nonfinite = 0
     for values in blocks:
         nonfinite += nonfinite_count(values)
         if not nonfinite:
-            hist += np.bincount(buckets(values), minlength=BUCKETS)
+            np.add.at(hist, buckets(values), 1)
     require_finite(nonfinite)
     return hist
 
 
-def _select_ranks(blocks, value_range, ranks_of):
+def _select_ranks(blocks, value_range, ranks_of, samples):
     """Order statistics of a stream of values, in two passes over it
     without holding it whole.
 
     ``blocks()`` iterates over the values as 1-d float blocks, the same
-    values in the same blocks on every call.  ``value_range`` (lo, hi)
-    spans the ``BUCKETS`` uniform buckets, values beyond it falling into
-    the end buckets.  ``ranks_of(N)``, given the number N of values,
-    returns the ascending ranks wanted.  Returns N, those ranks and their
-    values: what np.sort of all the values puts there.
+    values in the same blocks on every call.  ``samples`` is the number
+    of values the caller expects, which sets the number of uniform
+    buckets (:func:`_bucket_count`) that ``value_range`` (lo, hi) spans,
+    values beyond it falling into the end buckets.  ``ranks_of(N)``,
+    given the number N of values, returns the ascending ranks wanted.
+    Returns N, those ranks and their values: what np.sort of all the
+    values puts there.
 
     Pass 1 histograms the blocks into the buckets.  The cumulative counts
-    place each wanted rank in one bucket at a known offset, and pass 2
-    gathers the values of those buckets into one buffer sized from the
-    counts, which is then sorted.  Non-finite values raise
-    SymbolSingularityError with their number; a pass 2 that does not
-    gather exactly the counted values raises RuntimeError.
+    place each wanted rank in one bucket at a known offset; only the
+    buckets of the ranks are looked at after that, and only one flag per
+    bucket is kept into pass 2, which gathers the values of the flagged
+    buckets into one buffer sized from their counts and sorts it.
+    Non-finite values raise SymbolSingularityError with their number; a
+    pass 2 that does not gather exactly the counted values raises
+    RuntimeError.
     """
-    buckets = _bucket_map(*value_range)
-    hist = _histogram(blocks(), buckets)
-    ends = np.cumsum(hist)  # ends[b]: values in buckets 0..b
+    count = _bucket_count(samples)
+    buckets = _bucket_map(*value_range, count)
+    ends = np.cumsum(_histogram(blocks(), buckets, count))  # ends[b]: values in buckets 0..b
     N = int(ends[-1])
     if N == 0:
         raise SymbolSingularityError("the symbol is singular at every grid point")
     ranks = ranks_of(N)
-    where = np.searchsorted(ends, ranks, side="right")  # the bucket of each rank
-    needed = np.zeros(BUCKETS, dtype=bool)
-    needed[where] = True
-    kept = np.where(needed, hist, 0)
-    # a rank's place among the gathered values: less the values of the
-    # buckets below its own that pass 2 leaves out
-    places = ranks - (ends - np.cumsum(kept))[where]
+    # the buckets of the ranks, ascending, and the one of each rank among them
+    used, slot = np.unique(np.searchsorted(ends, ranks, side="right"), return_inverse=True)
+    starts = np.where(used > 0, ends[used - 1], 0)  # values below each used bucket
+    sizes = ends[used] - starts
+    del ends  # 2 MB at 2^18 buckets: pass 2 keeps one flag per bucket alone
+    needed = np.zeros(count, dtype=bool)
+    needed[used] = True
+    # a rank's place among the gathered values: its offset in its bucket,
+    # after the gathered values of the used buckets below it
+    places = (np.cumsum(sizes) - sizes)[slot] + ranks - starts[slot]
 
-    gathered = np.empty(int(kept.sum()))
+    gathered = np.empty(int(sizes.sum()))
     filled = 0
     for values in blocks():
         values = values[np.take(needed, buckets(values))]
@@ -848,7 +884,8 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
     that R(t) reads for t in ``ts`` are kept.  For a symbol that reads x,
     :func:`_select_ranks` finds them in two passes over the r^2 lattice
     samples, evaluated in blocks of x rows, without holding or sorting
-    them all.
+    them all; it spreads them over a number of buckets set by r^2
+    (:func:`_bucket_count`: 2^16 up to r = 2048, 2^18 from r = 2897).
 
     With ``ts=None`` every sample is kept: the r^2 lattice samples are
     evaluated once by :func:`grid_samples` and sorted in place.  A symbol
@@ -872,7 +909,7 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
 
     if kappa.reads_x and ts is not None:
         N, ranks, values = _select_ranks(lambda: _grid_blocks(kappa, axes),
-                                         _range_of(kappa, axes), ranks_of)
+                                         _range_of(kappa, axes), ranks_of, r * r)
     else:
         # every row, or the one row that all r rows repeat
         repeat = 1 if kappa.reads_x else r

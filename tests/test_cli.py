@@ -349,6 +349,16 @@ def test_certify_names_the_scheme_and_its_minimum_n(capsys, family, scheme):
     assert err == f"error: {scheme} needs n >= 2, got n = 1\n"
 
 
+def test_empty_coefficient_table_exits_2(capsys, tmp_path):
+    # a 0-byte file has no header for genfromtxt, which fails with IndexError
+    table = tmp_path / "empty.csv"
+    table.write_bytes(b"")
+    code, out, err = run_cli(capsys, "spectrum", "--case", "fd_t1", "--coeff", f"csv:{table}",
+                             "--n", "4")
+    assert code == 2 and not out
+    assert err == f"error: coefficient CSV {table} is empty: it needs header 'x,value' and rows\n"
+
+
 def test_non_numeric_csv_cell_exits_2_naming_the_row(capsys, tmp_path):
     table = tmp_path / "bad.csv"
     table.write_text("x,value\n0,1\n0.5,abc\n1,2\n")

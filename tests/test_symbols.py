@@ -511,16 +511,27 @@ def blocks_ranks_and_range(draw):
     return blocks, ranks, (lo, hi)
 
 
-@settings(max_examples=300, deadline=None)
-@given(blocks_ranks_and_range())
-def test_selection_picks_the_order_statistics_np_sort_puts_at_the_ranks(data):
+def test_bucket_count_follows_the_lattice():
+    """The power of two at or above r^2 / 64: 2^16 buckets up to r = 2048,
+    2^17 up to r = 2896, and the 2^18 cap from r = 2897 on."""
+    count = {r: symbols._bucket_count(r * r) for r in (1, 300, 1000, 2000, 2048, 2049,
+                                                       2896, 2897, 5000, 10 ** 5)}
+    assert count == {1: 1 << 16, 300: 1 << 16, 1000: 1 << 16, 2000: 1 << 16,
+                     2048: 1 << 16, 2049: 1 << 17, 2896: 1 << 17, 2897: 1 << 18,
+                     5000: 1 << 18, 10 ** 5: 1 << 18}
+    assert symbols._bucket_count(0) == 1 << 16 and symbols.BUCKETS == 1 << 18
+
+
+def _check_selection(data, samples):
+    """The selection over ``samples`` expected values picks what np.sort
+    puts at the ranks."""
     blocks, ranks, value_range = data
     values = np.concatenate(blocks)
 
     def passes():
         return (block.copy() for block in blocks)
 
-    N, got_ranks, got = symbols._select_ranks(passes, value_range, lambda N: ranks)
+    N, got_ranks, got = symbols._select_ranks(passes, value_range, lambda N: ranks, samples)
     assert N == values.size and got_ranks is ranks
     expected = np.sort(values)[ranks]
     # bit for bit, ranks 0 and N - 1 included; +0.0 and -0.0 compare equal,
@@ -528,6 +539,19 @@ def test_selection_picks_the_order_statistics_np_sort_puts_at_the_ranks(data):
     assert np.array_equal(got, expected)
     nonzero = expected != 0
     assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_ranks_and_range())
+def test_selection_picks_the_order_statistics_np_sort_puts_at_the_ranks(data):
+    blocks = data[0]
+    _check_selection(data, sum(b.size for b in blocks))  # at most 80 values: 2^16 buckets
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_ranks_and_range())
+def test_selection_at_the_bucket_cap_picks_the_same_order_statistics(data):
+    _check_selection(data, 64 * symbols.BUCKETS)  # 2^18 buckets
 
 
 def _full_sort_rearrangement(kappa, r, t):
@@ -753,6 +777,23 @@ def test_streamed_rearrangement_holds_a_fraction_of_the_lattice():
         tracemalloc.stop()
     assert R.node_count == r * r + 1
     assert peak <= 8 * r * r / 3
+
+
+def test_table2_rearrangement_gathers_only_fine_buckets():
+    """At r = 5000 the 2^18 buckets leave about 466 000 of the 25M samples
+    to gather for the table's nodes: the traced peak stays below 10 MB
+    (18.4 MB with 2^16 buckets, which left 1.48M samples to gather)."""
+    kappa = get_case("fd_t1", "xexp").predicted_symbol
+    r = 5000
+    t = np.concatenate([np.arange(1, n + 1) / n for n in (50, 100, 200, 400, 800, 1600)])
+    tracemalloc.start()
+    try:
+        R = monotone_rearrangement(kappa, RECT, r, ts=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.node_count == r * r + 1
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------
