@@ -291,14 +291,12 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
     """
     if samples is None:
         samples = symbol_samples(case.predicted_symbol, mode, quad_res)
-    elif (samples.kappa is not case.predicted_symbol
-          and samples.kappa.to_json() != case.predicted_symbol.to_json()):
-        raise ValueError(f"symbol samples were taken of {samples.kappa}; case {case.name} "
-                         f"predicts {case.predicted_symbol}")
-    elif (samples.mode, samples.quad_res) != (mode, quad_res):
-        raise ValueError(
-            f"symbol samples were taken for mode={samples.mode}, quad_res={samples.quad_res}; "
-            f"this comparison asks for mode={mode}, quad_res={quad_res}")
+    else:
+        _require_symbol_of(case, samples.kappa, "symbol samples were taken")
+        if (samples.mode, samples.quad_res) != (mode, quad_res):
+            raise ValueError(f"symbol samples were taken for mode={samples.mode}, "
+                             f"quad_res={samples.quad_res}; this comparison asks for "
+                             f"mode={mode}, quad_res={quad_res}")
     if F_suite is None:
         F_suite = samples.default_suite()
     sigma = mode == "sigma"
@@ -320,6 +318,14 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
         quad_refinement=max(refinements, default=0.0),
         backing=_backing(case, spectrum.solver, mode),
     )
+
+
+def _require_symbol_of(case, kappa, what):
+    """ValueError, saying ``what`` was done of ``kappa``, unless it is the
+    case's predicted symbol: the same object or the same JSON."""
+    predicted = case.predicted_symbol
+    if kappa is not predicted and (kappa is None or kappa.to_json() != predicted.to_json()):
+        raise ValueError(f"{what} of {kappa}; case {case.name} predicts {predicted}")
 
 
 def _require_spectrum(case, n, spectrum, kind):
@@ -354,10 +360,11 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
     e_n: eigenvalues of alpha_n A_n ascending; s_n: rearrangement samples at
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
     magnitude of the essential range), and outliers beyond the essential
-    range by more than 1e-8.  Pass a precomputed ``rearr``, built for the
-    :func:`rearrangement_nodes` of every n it serves, to amortize the
-    sampling (r = 5000 by default) across several n, an ``r`` other than
-    its own raising ValueError, and the eigenvalue ``spectrum`` of alpha_n
+    range by more than 1e-8.  Pass a precomputed ``rearr`` of the case's
+    ``predicted_symbol``, built for the :func:`rearrangement_nodes` of
+    every n it serves, to amortize the sampling (r = 5000 by default)
+    across several n, another symbol or an ``r`` other than its own
+    raising ValueError, and the eigenvalue ``spectrum`` of alpha_n
     A_n when it is already at hand (e.g. from ``weyl_compare``).
     """
     if case.symbol_unbounded:
@@ -368,9 +375,11 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
     if rearr is None:
         rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT,
                                        5000 if r is None else r, ts=_nodes(n))
-    elif r is not None and r != rearr.r:
-        raise ValueError(f"the rearrangement was sampled at r={rearr.r}; "
-                         f"this comparison asks for r={r}")
+    else:
+        _require_symbol_of(case, rearr.kappa, "the rearrangement was built")
+        if r is not None and r != rearr.r:
+            raise ValueError(f"the rearrangement was sampled at r={rearr.r}; "
+                             f"this comparison asks for r={r}")
     if spectrum is None:
         spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
     else:
@@ -412,16 +421,6 @@ class TrendReport:
     @property
     def overall_pass(self):
         return self.passed or bool(self.split_passed)
-
-    def to_json_dict(self):
-        return {
-            "p": self.p, "n": list(self.ns), "norms": list(self.norms),
-            "ratios": list(self.ratios), "decay_threshold": self.decay_threshold,
-            "monotone": self.monotone, "trend_pass": self.passed,
-            "split_rank_ratios": list(self.split_rank_ratios),
-            "split_norms": list(self.split_norms), "split_pass": self.split_passed,
-            "pass": self.overall_pass,
-        }
 
 
 def _numerical_rank(A):

@@ -23,7 +23,7 @@ multiplies the eigenvalues by alpha_n once.  The returned
   closures, the fourth-derivative scheme (1,-4,6,-4,1), and the mapped-grid
   diffusion matrix with steps h_j = G(j/(n+1)) - G((j-1)/(n+1)).
 * FE stiffness/mass/convection matrices for hat functions on the uniform
-  mesh, assembled with per-element Gauss-Legendre quadrature, the Schur
+  mesh, assembled with 5-point Gauss-Legendre quadrature per element, the Schur
   complement rho M + H^T K^{-1} H of the saddle-point system (held, from
   the element integrals of a, as a tridiagonal plus a rank-one term; see
   :func:`fe_system_schur`), and the generalized eigenproblem pencil
@@ -346,7 +346,7 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
     _require_continuous(a, "diffusion")
     _require_bounded(b, "convection")
     _require_bounded(c, "reaction")
-    zero_lower = b.name == "zero" and c.name == "zero"
+    zero_lower = b.sup == 0 and c.sup == 0  # by the values; an undeclared sup is nonzero
     Z = partial(fd_lower_order_matrix, b, c)
 
     def build(n):
@@ -406,6 +406,8 @@ def _fourth_order_correction(a: Coefficient, n) -> BandedMatrix:
 
 def fd_fourth_order_scheme(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
     _require_continuous(a, "diffusion")
+    _require_bounded(b, "convection")
+    _require_bounded(c, "reaction")
     Z = partial(_fourth_order_lower, b, c)
     return DiscretizationCase(
         name="fd_t5",
@@ -455,7 +457,7 @@ def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
     _require_continuous(a, "diffusion")
     a_of_G = Coefficient(f"{a.name}(G)", lambda x: a(np.asarray(gmap.G(x))), a.regularity)
     dG = Coefficient(f"{gmap.name}'", gmap.dG, "continuous")
-    symbol = divide(multiply(a_of_G, LAPLACE_SYMBOL), CoeffFactor(dG), nonzero_ae=True)
+    symbol = divide(multiply(a_of_G, LAPLACE_SYMBOL), CoeffFactor(dG))
     return DiscretizationCase(
         name="fd_t7",
         tag=f"FD diffusion on the mapped grid G = {gmap.name}",
@@ -470,13 +472,16 @@ def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
 # FE families
 # ----------------------------------------------------------------------------
 
-def _element_quadrature(n, quad_order, singular_points=()):
+#: Gauss-Legendre points per element of every FE integral (exact to degree 9)
+_GAUSS_POINTS = 5
+
+
+def _element_quadrature(n, singular_points=()):
     """Gauss-Legendre nodes/weights per element [x_{e-1}, x_e], e = 1..n+1
     (nudged off singular points), the rising hat (x - x_{e-1})/h there, and h."""
-    if quad_order < 1:
-        raise ValueError("quadrature order must be >= 1")
     h = 1.0 / (n + 1)
-    gx, gw = np.polynomial.legendre.leggauss(quad_order)
+    # np.polynomial loads on its first use: here, not on import gltkit
+    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
     left = np.arange(n + 1)[:, None] * h
     nodes = left + (gx[None, :] + 1.0) * (h / 2)
     weights = np.broadcast_to(gw[None, :] * (h / 2), nodes.shape)
@@ -487,20 +492,20 @@ def _element_quadrature(n, quad_order, singular_points=()):
     return nodes, weights, (nodes - left) / h, h
 
 
-def _element_integrals(g: Coefficient, n, quad_order) -> np.ndarray:
+def _element_integrals(g: Coefficient, n) -> np.ndarray:
     """The integral of g over each of the n + 1 elements, by the composite
-    Gauss-Legendre rule (exact for polynomial g of degree up to 2 quad_order - 1)."""
-    nodes, weights, _, _ = _element_quadrature(n, quad_order, g.singular_points)
+    Gauss-Legendre rule (exact for polynomial g of degree up to 9)."""
+    nodes, weights, _, _ = _element_quadrature(n, g.singular_points)
     return np.sum(weights * np.asarray(g(nodes), dtype=float), axis=1)
 
 
-def fe_stiffness(g: Coefficient, n, quad_order=5) -> BandedMatrix:
+def fe_stiffness(g: Coefficient, n) -> BandedMatrix:
     """K_n(g): tridiagonal hat-function stiffness matrix for coefficient g.
 
     Entries are per-element integrals of g scaled by the constant slopes
     +-1/h.
     """
-    return _stiffness_from_element_integrals(_element_integrals(g, n, quad_order))
+    return _stiffness_from_element_integrals(_element_integrals(g, n))
 
 
 def _stiffness_from_element_integrals(I) -> BandedMatrix:
@@ -511,9 +516,9 @@ def _stiffness_from_element_integrals(I) -> BandedMatrix:
     return BandedMatrix.tridiagonal(diag, off, off)
 
 
-def fe_mass(g: Coefficient, n, quad_order=5) -> BandedMatrix:
+def fe_mass(g: Coefficient, n) -> BandedMatrix:
     """M_n(g): tridiagonal hat-function mass matrix for coefficient g."""
-    nodes, weights, asc, _ = _element_quadrature(n, quad_order, g.singular_points)
+    nodes, weights, asc, _ = _element_quadrature(n, g.singular_points)
     gv = np.asarray(g(nodes), dtype=float)
     desc = 1.0 - asc
     s_aa = np.sum(weights * gv * asc * asc, axis=1)
@@ -524,9 +529,9 @@ def fe_mass(g: Coefficient, n, quad_order=5) -> BandedMatrix:
     return BandedMatrix.tridiagonal(diag, off, off)
 
 
-def fe_convection(b: Coefficient, n, quad_order=5) -> BandedMatrix:
+def fe_convection(b: Coefficient, n) -> BandedMatrix:
     """Matrix of integrals of b phi_j' phi_i (skew part of the FE system)."""
-    nodes, weights, asc, h = _element_quadrature(n, quad_order, b.singular_points)
+    nodes, weights, asc, h = _element_quadrature(n, b.singular_points)
     bv = np.asarray(b(nodes), dtype=float)
     desc = 1.0 - asc
     s_a = np.sum(weights * bv * asc, axis=1) / h    # integral of b * rising / h
@@ -543,14 +548,14 @@ def fe_gradient_coupling(n) -> BandedMatrix:
     return BandedMatrix.from_diagonals(n, {0: np.zeros(n), 1: half, -1: -half})
 
 
-def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient, quad_order=5) -> DiscretizationCase:
-    symmetric = b.name == "zero" and c.name == "zero"
+def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
+    symmetric = b.sup == 0 and c.sup == 0  # by the values; an undeclared sup is nonzero
 
     def lower_order(n):
-        return fe_convection(b, n, quad_order) + fe_mass(c, n, quad_order)
+        return fe_convection(b, n) + fe_mass(c, n)
 
     def build(n):
-        K = fe_stiffness(a, n, quad_order)
+        K = fe_stiffness(a, n)
         return K if symmetric else K + lower_order(n)
 
     return DiscretizationCase(
@@ -563,17 +568,17 @@ def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient, quad_order=5) -> Disc
     )
 
 
-def fe_mass_case(g: Coefficient, quad_order=5) -> DiscretizationCase:
+def fe_mass_case(g: Coefficient) -> DiscretizationCase:
     return DiscretizationCase(
         name="fe_mass",
         tag="FE mass matrix (hat functions)",
-        build=lambda n: fe_mass(g, n, quad_order),
+        build=lambda n: fe_mass(g, n),
         alpha_power=1,
         predicted_symbol=multiply(g, MASS_SYMBOL),
     )
 
 
-def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationCase:
+def fe_system_schur(a: Coefficient, rho: float) -> DiscretizationCase:
     """The Schur complement ``S = rho M + H^T K^{-1} H`` of the FE
     saddle-point system (K = K_n(a), M = M_n(1), H = ``fe_gradient_coupling``)
     as a :class:`~gltkit.linalg.RankOneUpdate` ``T + s u u^T``; neither
@@ -598,7 +603,7 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
     element, also where K alone would still be SPD.
     """
     def build(n):
-        I = _element_integrals(a, n, quad_order)
+        I = _element_integrals(a, n)
         if not np.all(I > 0):
             e = int(np.argmax(I <= 0))
             raise SpdError(f"schur needs a positive integral of a over every element: that of "
@@ -606,13 +611,13 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
         v = (1.0 / (n + 1)) ** 2 / I
         u = v[:-1] + v[1:]
         off = v[1:-1] / 4
-        T = fe_mass(coefficient_preset("one"), n, quad_order).scaled(rho) \
+        T = fe_mass(coefficient_preset("one"), n).scaled(rho) \
             + BandedMatrix.tridiagonal(u / 4, off, off)
         return RankOneUpdate(T, u, -1.0 / (4 * np.sum(v)))
 
     sigma = add(
         TrigFactor(TrigPoly.from_cosines([2 * rho / 3, rho / 3])),
-        divide(multiply(SIN_SYMBOL, SIN_SYMBOL), multiply(a, LAPLACE_SYMBOL), nonzero_ae=True),
+        divide(multiply(SIN_SYMBOL, SIN_SYMBOL), multiply(a, LAPLACE_SYMBOL)),
     )
     return DiscretizationCase(
         name="schur",
@@ -623,16 +628,13 @@ def fe_system_schur(a: Coefficient, rho: float, quad_order=5) -> DiscretizationC
     )
 
 
-def fe_eigproblem(a: Coefficient, c: Coefficient, quad_order=5) -> DiscretizationCase:
+def fe_eigproblem(a: Coefficient, c: Coefficient) -> DiscretizationCase:
     def build(n):
         # the constructor's banded Cholesky raises SpdError unless M is SPD (c > 0 a.e.)
-        return Pencil(fe_stiffness(a, n, quad_order), fe_mass(c, n, quad_order))
+        return Pencil(fe_stiffness(a, n), fe_mass(c, n))
 
-    symbol = divide(
-        multiply(a, TrigPoly.from_cosines([6.0, -6.0])),
-        multiply(c, TrigPoly.from_cosines([2.0, 1.0])),
-        nonzero_ae=True,
-    )
+    symbol = divide(multiply(a, TrigPoly.from_cosines([6.0, -6.0])),
+                    multiply(c, TrigPoly.from_cosines([2.0, 1.0])))
     return DiscretizationCase(
         name="Ln",
         tag="FE generalized eigenproblem pencil (stiffness, mass)",
@@ -666,14 +668,11 @@ _CASE_FACTORIES = {
         a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
     "fd_t6": ((), lambda a, p: fd_fourth_derivative(a)),
     "fd_t7": (("q",), lambda a, p: fd_nonuniform(a, power_map(float(p.get("q", 2.0))))),
-    "fe_t1": (("b", "c", "quad"), lambda a, p: fe_cdr(
-        a, _coef_param(p, "b", "zero"), _coef_param(p, "c", "zero"),
-        quad_order=int(p.get("quad", 5)))),
-    "fe_mass": (("quad",), lambda a, p: fe_mass_case(a, quad_order=int(p.get("quad", 5)))),
-    "schur": (("rho", "quad"), lambda a, p: fe_system_schur(
-        a, rho=float(p.get("rho", 1.0)), quad_order=int(p.get("quad", 5)))),
-    "Ln": (("c", "quad"), lambda a, p: fe_eigproblem(
-        a, _coef_param(p, "c", "one"), quad_order=int(p.get("quad", 5)))),
+    "fe_t1": (("b", "c"), lambda a, p: fe_cdr(
+        a, _coef_param(p, "b", "zero"), _coef_param(p, "c", "zero"))),
+    "fe_mass": ((), lambda a, p: fe_mass_case(a)),
+    "schur": (("rho",), lambda a, p: fe_system_schur(a, rho=float(p.get("rho", 1.0)))),
+    "Ln": (("c",), lambda a, p: fe_eigproblem(a, _coef_param(p, "c", "one"))),
 }
 
 

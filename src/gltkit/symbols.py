@@ -477,12 +477,10 @@ def multiply(*factors):
     return Prod(*map(_as_symbol, factors))
 
 
-def divide(num, den, nonzero_ae=False):
-    """Quotient of symbols.  The caller must declare the denominator nonzero
-    almost everywhere; isolated zeros are then treated as excluded singular
-    points at evaluation time."""
-    if not nonzero_ae:
-        raise ValueError("divide() requires the denominator's nonzero_ae declaration")
+def divide(num, den):
+    """Quotient of symbols.  The denominator must be nonzero almost
+    everywhere; its isolated zeros are treated as excluded singular points
+    at evaluation time."""
     return Quot(_as_symbol(num), _as_symbol(den))
 
 
@@ -558,7 +556,8 @@ class Rearrangement:
     the sorted samples of the ascending ``ranks``, which include 0 and
     N - 1, or every sample when ``ranks`` is None.  The endpoints
     approximate the essential infimum and supremum of the symbol on the
-    rectangle.
+    rectangle.  ``kappa`` is the symbol the samples were taken of (None
+    for samples given by hand).
     """
 
     values: np.ndarray = field(repr=False)
@@ -566,6 +565,7 @@ class Rearrangement:
     r: int
     excluded: int = 0
     ranks: np.ndarray | None = field(default=None, repr=False)
+    kappa: SymbolExpr | None = field(default=None, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -817,33 +817,30 @@ def _select_ranks(blocks, value_range, ranks_of, samples):
     values puts there.
 
     Pass 1 histograms the blocks into the buckets.  The cumulative counts
-    place each wanted rank in one bucket at a known offset; only the
-    buckets of the ranks are looked at after that, and only one flag per
-    bucket is kept into pass 2, which gathers the values of the flagged
-    buckets into one buffer sized from their counts and sorts it.
+    place each wanted rank in one bucket, which is flagged; only one flag
+    per bucket is kept into pass 2, which gathers the values of the
+    flagged buckets into one buffer sized from their counts and sorts it.
     Non-finite values raise SymbolSingularityError with their number; a
     pass 2 that does not gather exactly the counted values raises
     RuntimeError.
     """
     count = _bucket_count(samples)
     buckets = _bucket_map(*value_range, count)
-    ends = np.cumsum(_histogram(blocks(), buckets, count))  # ends[b]: values in buckets 0..b
-    N = int(ends[-1])
+    hist = _histogram(blocks(), buckets, count)
+    N = int(hist.sum())
     if N == 0:
         raise SymbolSingularityError("the symbol is singular at every grid point")
     ranks = ranks_of(N)
-    # the buckets of the ranks, ascending, and the one of each rank among them
-    used, slot = np.unique(np.searchsorted(ends, ranks, side="right"), return_inverse=True)
-    starts = np.where(used > 0, ends[used - 1], 0)  # values below each used bucket
-    sizes = ends[used] - starts
-    del ends  # 2 MB at 2^18 buckets: pass 2 keeps one flag per bucket alone
+    where = np.searchsorted(np.cumsum(hist), ranks, side="right")  # the bucket of each rank
     needed = np.zeros(count, dtype=bool)
-    needed[used] = True
-    # a rank's place among the gathered values: its offset in its bucket,
-    # after the gathered values of the used buckets below it
-    places = (np.cumsum(sizes) - sizes)[slot] + ranks - starts[slot]
+    needed[where] = True
+    gathered = np.empty(int(hist[needed].sum()))
+    # a rank's place among the gathered values: the rank less the values of
+    # the buckets below its own that are not gathered
+    hist[needed] = 0
+    places = ranks - np.cumsum(hist, out=hist)[where]
+    del hist  # 2 MB at 2^18 buckets: pass 2 keeps one flag per bucket alone
 
-    gathered = np.empty(int(sizes.sum()))
     filled = 0
     for values in blocks():
         values = values[np.take(needed, buckets(values))]
@@ -905,7 +902,9 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
 
     def ranks_of(N):
         _, _, _, lo, hi = _node_ranks(ts, N)
-        return np.unique(np.concatenate(([0, N - 1], np.ravel(lo), np.ravel(hi))))
+        ranks = np.concatenate(([0, N - 1], np.ravel(lo), np.ravel(hi)))
+        ranks.sort()  # then a neighbour test: np.unique would import numpy.ma
+        return ranks[np.concatenate(([True], ranks[1:] != ranks[:-1]))]
 
     if kappa.reads_x and ts is not None:
         N, ranks, values = _select_ranks(lambda: _grid_blocks(kappa, axes),
@@ -922,7 +921,7 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
             values = samples[ranks // repeat]
         else:  # np.repeat copies, even once
             values = samples if repeat == 1 else np.repeat(samples, repeat)
-    return Rearrangement(values=values, N=N, r=r, excluded=r * r - N, ranks=ranks)
+    return Rearrangement(values=values, N=N, r=r, excluded=r * r - N, ranks=ranks, kappa=kappa)
 
 
 # ----------------------------------------------------------------------------

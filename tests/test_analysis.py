@@ -424,3 +424,15 @@ def test_weyl_rejects_samples_of_another_symbol():
     own = symbol_samples(get_case("fd_t1", "xexp").predicted_symbol, quad_res=60)
     assert own.kappa is not case.predicted_symbol
     assert weyl_compare(case, 40, quad_res=60, samples=own).max_gap() < 0.01
+
+
+def test_rearrangement_compare_rejects_a_rearrangement_of_another_symbol():
+    case = get_case("fd_t1", "xexp")
+    ts = rearrangement_nodes([40])
+    other = monotone_rearrangement(get_case("Ln", "xexp").predicted_symbol, RECT, 300, ts=ts)
+    with pytest.raises(ValueError, match="the rearrangement was built of .* case fd_t1 predicts"):
+        rearrangement_compare(case, 40, rearr=other)
+    # the same symbol from another get_case call is the same symbol
+    own = monotone_rearrangement(get_case("fd_t1", "xexp").predicted_symbol, RECT, 300, ts=ts)
+    assert own.kappa is not case.predicted_symbol
+    assert rearrangement_compare(case, 40, rearr=own).rearrangement_gap < 0.05

@@ -25,6 +25,7 @@ from gltkit import (
     fd_interior_grid,
     fd_nondiv,
     fd_nonuniform,
+    fe_cdr,
     fe_convection,
     fe_eigproblem,
     fe_gradient_coupling,
@@ -180,8 +181,11 @@ def test_fd_cdr_lower_order_norm_bound_random():
 
 def test_fd_cdr_requires_bounded_tags():
     unbounded = Coefficient("sing", lambda x: np.abs(x - 0.5) ** -0.25, "L1", singular_points=(0.5,))
-    with pytest.raises(ValueError):
-        fd_cdr_dirichlet(ONE, unbounded, ONE)
+    # fd_t2 .. fd_t5, with an unbounded b and with an unbounded c
+    for factory in (fd_cdr_dirichlet, fd_cdr_neumann, fd_nondiv, fd_fourth_order_scheme):
+        for role, b, c in (("convection", unbounded, ONE), ("reaction", ONE, unbounded)):
+            with pytest.raises(ValueError, match=f"{role} coefficient 'sing' must carry a bounded"):
+                factory(ONE, b, c)
 
 
 def test_fd_neumann_correction_rank_and_hand_values():
@@ -216,6 +220,22 @@ def test_fd_nondiv_constant_coefficient_collapses():
     T = as_dense(toeplitz(LAPLACE_SYMBOL, 4))
     assert np.array_equal(as_dense(case.build(4)), T)
     assert not as_dense(case.companions["N"](4)).any()  # K~ = K = T
+
+
+@pytest.mark.parametrize("factory", [fd_nondiv, fe_cdr])
+def test_lower_order_part_vanishes_by_its_values_not_its_name(factory):
+    n = 6
+    plain = factory(X, ZERO, ZERO)
+    # an all-zero table builds as the zero preset does
+    table = Coefficient.from_table([0.0, 1.0], [0.0, 0.0])
+    same = factory(X, table, table)
+    assert set(same.companions) == set(plain.companions)
+    assert np.array_equal(as_dense(same.build(n)), as_dense(plain.build(n)))
+    # a nonzero coefficient named "zero" is not dropped
+    named = Coefficient("zero", lambda x: np.ones_like(x), "continuous")
+    kept = factory(X, ZERO, named)
+    assert "Z" in kept.companions
+    assert not np.array_equal(as_dense(kept.build(n)), as_dense(plain.build(n)))
 
 
 def test_fd_nondiv_subdiagonal_shift():
@@ -400,11 +420,15 @@ def test_fe_stiffness_off_band_zero():
 
 
 def test_fe_stiffness_polynomial_exactness():
-    cubic = Coefficient("cubic", lambda x: 1 + x + 0.5 * x**3, "continuous")
+    """The 5-point element rule integrates a degree-9 coefficient exactly:
+    K matches the closed-form element integrals of 1 + x^9."""
+    nonic = Coefficient("nonic", lambda x: 1 + x**9, "continuous")
     n = 5
-    K2 = as_dense(fe_stiffness(cubic, n, quad_order=2))   # exact for degree <= 3
-    K8 = as_dense(fe_stiffness(cubic, n, quad_order=8))
-    assert np.allclose(K2, K8, atol=1e-10 * np.max(np.abs(K8)))
+    h = 1.0 / (n + 1)
+    e = np.arange(n + 2)
+    I = h + ((e[1:] * h) ** 10 - (e[:-1] * h) ** 10) / 10  # integral over element e
+    ref = (np.diag(I[:-1] + I[1:]) - np.diag(I[1:-1], 1) - np.diag(I[1:-1], -1)) / h**2
+    assert np.allclose(as_dense(fe_stiffness(nonic, n)), ref, rtol=1e-13, atol=0)
 
 
 def test_fe_mass_constant_exact():

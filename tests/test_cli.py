@@ -265,11 +265,12 @@ def test_zero_coefficient_preset(capsys):
     assert [float(line.split(",")[2]) for line in lines[1:]] == [0.0] * 5
 
 
-@pytest.mark.parametrize("spec", ["fd_t1:bogus=1", "fd_t7:qq=3"])
+@pytest.mark.parametrize("spec", ["fd_t1:bogus=1", "fd_t7:qq=3", "fe_t1:quad=5",
+                                  "fe_mass:quad=5", "schur:quad=5", "Ln:quad=5"])
 def test_unknown_case_parameter_is_usage_error(capsys, spec):
     code, out, err = run_cli(capsys, "spectrum", "--case", spec, "--n", "5")
     assert code == 2
-    assert "does not accept" in err and not out
+    assert "does not accept" in err and "accepted:" in err and not out
 
 
 def test_certify_out_holds_the_stdout_lines(capsys, tmp_path):
@@ -502,5 +503,21 @@ def test_compare_stops_solving_when_the_main_thread_fails(capsys, monkeypatch):
 
 def test_cli_imports_no_concurrent_futures():
     code = "import sys, gltkit.cli; assert 'concurrent.futures' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_rearranging_commands_leave_numpy_ma_unloaded():
+    # numpy.ma (about 10 ms and 0.5 MB) loads with the first np.unique call;
+    # numpy.polynomial loads when the first FE matrix is built, not on import
+    code = """
+import contextlib, io, sys, gltkit, gltkit.cli
+assert not {'numpy.ma', 'numpy.polynomial'} & set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    gltkit.cli.main(['table2', '--r', '300'])
+    assert gltkit.cli.main(['compare', '--case', 'fd_t2', '--n', '20,40', '--r', '200',
+                            '--quad-res', '40']) == 0
+assert 'numpy.ma' not in sys.modules
+"""
     env = dict(os.environ, PYTHONPATH=SRC)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

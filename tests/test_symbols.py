@@ -85,20 +85,14 @@ def test_symbol_eval_diffusion_at_corner():
 
 def test_symbol_eval_schur_second_term():
     sigma_term = divide(multiply(SIN_SYMBOL, SIN_SYMBOL),
-                        multiply(coefficient_preset("one"), LAPLACE_SYMBOL),
-                        nonzero_ae=True)
+                        multiply(coefficient_preset("one"), LAPLACE_SYMBOL))
     assert symbol_eval(sigma_term, 0.3, math.pi / 2) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_symbol_eval_raises_at_quotient_singularity():
-    q = divide(TrigFactor(SIN_SYMBOL), TrigFactor(LAPLACE_SYMBOL), nonzero_ae=True)
+    q = divide(TrigFactor(SIN_SYMBOL), TrigFactor(LAPLACE_SYMBOL))
     with pytest.raises(SymbolSingularityError):
         symbol_eval(q, 0.5, 0.0)
-
-
-def test_divide_requires_declaration():
-    with pytest.raises(ValueError):
-        divide(TrigFactor(SIN_SYMBOL), TrigFactor(LAPLACE_SYMBOL))
 
 
 def test_symbol_algebra_add_distributes():
@@ -119,7 +113,7 @@ def test_json_roundtrip():
     kappa = add(
         TrigFactor(TrigPoly.from_cosines([2 / 3, 1 / 3])),
         divide(multiply(SIN_SYMBOL, SIN_SYMBOL),
-               multiply(coefficient_preset("xexp"), LAPLACE_SYMBOL), nonzero_ae=True),
+               multiply(coefficient_preset("xexp"), LAPLACE_SYMBOL)),
     )
     back = SymbolExpr.from_json(kappa.to_json())
     rng = np.random.default_rng(0)
@@ -160,7 +154,7 @@ def test_json_malformed_node_rejected(obj, match):
 
 
 def test_node_flags_follow_children(tmp_path):
-    theta_only = divide(LAPLACE_SYMBOL, MASS_SYMBOL, nonzero_ae=True)
+    theta_only = divide(LAPLACE_SYMBOL, MASS_SYMBOL)
     assert theta_only.has_quotient and theta_only.is_real and not theta_only.reads_x
     mixed = add(multiply(XEXP, SIN_SYMBOL), conjugate(theta_only))
     assert mixed.has_quotient and mixed.is_real and mixed.reads_x
@@ -305,7 +299,7 @@ def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
     on a symbol with excluded lattice points; the N + 1 nodes are implicit."""
     r = 40
     dip = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
-    kappa = divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(dip), nonzero_ae=True)
+    kappa = divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(dip))
     R = monotone_rearrangement(kappa, RECT, r)
     x = np.arange(1, r + 1) * 1.0 / r  # the lattice of monotone_rearrangement
     theta = np.arange(1, r + 1) * math.pi / r
@@ -380,19 +374,19 @@ _E_ITHETA = TrigPoly([0.0, 0.0, 1.0])
 @pytest.mark.parametrize("kappa,rect,absolute", [
     # a theta-only quotient excludes the column theta = pi once per grid, an
     # x-only one the row x = 1/2 in its block
-    (divide(multiply(XEXP, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL), nonzero_ae=True), RECT, False),
-    (divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP), nonzero_ae=True), RECT, True),
-    (add(divide(TrigFactor(LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL), nonzero_ae=True),
+    (divide(multiply(XEXP, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)), RECT, False),
+    (divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP)), RECT, True),
+    (add(divide(TrigFactor(LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)),
          multiply(XEXP, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)), RECT, False),
     (TrigFactor(LAPLACE_SYMBOL), RECT, False),                   # theta-only root
     (CoeffFactor(coefficient_preset("x")), RECT, True),           # x-only root
     (multiply(XEXP, _E_ITHETA), RECT, True),                      # complex, as moduli
     (conjugate(multiply(XEXP, SIN_SYMBOL)), RECT, False),
     # half the x rows excluded, whole blocks of them at r = 600
-    (divide(add(XEXP, TrigFactor(LAPLACE_SYMBOL)), CoeffFactor(_HALF), nonzero_ae=True),
+    (divide(add(XEXP, TrigFactor(LAPLACE_SYMBOL)), CoeffFactor(_HALF)),
      RECT, False),
     # complex, the row x = 1/2 excluded, as moduli
-    (divide(multiply(XEXP, _E_ITHETA), CoeffFactor(_DIP), nonzero_ae=True), RECT, True),
+    (divide(multiply(XEXP, _E_ITHETA), CoeffFactor(_DIP)), RECT, True),
     (CoeffFactor(XEXP), RECT, False),                             # x-only root, real
 ])
 @pytest.mark.parametrize("r", [1, 2, 17, 600])
@@ -403,7 +397,7 @@ def test_blocked_grid_samples_match_the_whole_grid_on_every_tree_shape(kappa, re
 def test_grid_samples_refuse_complex_values_unless_asked_for_moduli():
     axes = symbols._lattice(RECT, 17)
     for kappa in (multiply(XEXP, _E_ITHETA),
-                  divide(TrigFactor(_E_ITHETA), CoeffFactor(_DIP), nonzero_ae=True)):
+                  divide(TrigFactor(_E_ITHETA), CoeffFactor(_DIP))):
         with pytest.raises(ComplexSymbolError):
             symbols.grid_samples(kappa, axes)
 
@@ -429,9 +423,9 @@ def test_rearrangement_needs_no_second_full_size_array(name):
     (CoeffFactor(coefficient_preset("x")), RECT, 1),    # x-only, returns its input
     (CoeffFactor(coefficient_preset("x")), RECT, 7),
     (TrigFactor(LAPLACE_SYMBOL), RECT, 7),               # theta-only
-    (divide(CoeffFactor(coefficient_preset("x")), CoeffFactor(coefficient_preset("one")),
-            nonzero_ae=True), RECT, 7),                  # x-only quotient
-    (divide(TrigFactor(LAPLACE_SYMBOL), TrigFactor(MASS_SYMBOL), nonzero_ae=True),
+    (divide(CoeffFactor(coefficient_preset("x")), CoeffFactor(coefficient_preset("one"))),
+     RECT, 7),                                           # x-only quotient
+    (divide(TrigFactor(LAPLACE_SYMBOL), TrigFactor(MASS_SYMBOL)),
      RECT, 7),                                           # theta-only quotient
 ])
 def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
@@ -461,14 +455,14 @@ def test_rearrangement_requires_real_symbol():
 
 def test_rearrangement_with_singular_points_excludes_and_renormalizes():
     kappa = divide(multiply(coefficient_preset("one"), LAPLACE_SYMBOL),
-                   CoeffFactor(coefficient_preset("x")), nonzero_ae=True)
+                   CoeffFactor(coefficient_preset("x")))
     # (2-2cos)/x is finite on the sampling lattice (x >= 1/r), nothing excluded
     R = monotone_rearrangement(kappa, RECT, 50)
     assert R.excluded == 0
     # a denominator that vanishes identically kills every lattice point, on
     # the lattice of a symbol that reads x and on the row of one that does not
     zero = Coefficient("null", lambda x: np.zeros_like(x), "continuous")
-    for bad, reads_x in ((divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(zero), nonzero_ae=True),
+    for bad, reads_x in ((divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(zero)),
                           True), (get_case("Ln:c=zero", "one").predicted_symbol, False)):
         assert bad.reads_x == reads_x
         with pytest.raises(SymbolSingularityError, match="every grid point"):
@@ -661,7 +655,7 @@ def theta_only_symbols(draw, depth=2):
         return draw(leaf)
     if kind == "quot":
         den = draw(st.one_of(st.sampled_from(_VANISHING), child))
-        return divide(draw(child), den, nonzero_ae=True)
+        return divide(draw(child), den)
     nodes = draw(st.lists(child, min_size=2, max_size=3))
     return add(*nodes) if kind == "sum" else multiply(*nodes)
 
@@ -719,7 +713,7 @@ def _rearrangement_without_selection(monkeypatch, kappa, r, ts):
     TrigFactor(LAPLACE_SYMBOL),
     get_case("schur", "one").predicted_symbol,
     get_case("Ln", "one").predicted_symbol,
-    divide(multiply(_ONE, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL), nonzero_ae=True),
+    divide(multiply(_ONE, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)),
 ])
 def test_theta_only_rearrangement_evaluates_one_row(monkeypatch, kappa, ts):
     """A symbol that does not read x is evaluated at the r points of one
@@ -734,7 +728,7 @@ def test_theta_only_rearrangement_evaluates_one_row(monkeypatch, kappa, ts):
 @pytest.mark.parametrize("kappa", [
     get_case("fd_t1", "xexp").predicted_symbol,
     get_case("Ln", "xexp").predicted_symbol,
-    divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP), nonzero_ae=True),
+    divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP)),
 ])
 def test_keep_all_rearrangement_evaluates_the_lattice_once(monkeypatch, kappa):
     """With every rank kept, a symbol that reads x is evaluated at the r^2
@@ -754,8 +748,8 @@ def test_theta_only_rearrangement_refuses_non_finite_samples(bad):
     constant = Coefficient("bad", lambda x: np.full_like(x, bad), "L1", lambda d: 0.0)
     r = 30
     for kappa, columns in ((multiply(constant, LAPLACE_SYMBOL), r),
-                           (divide(multiply(constant, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL),
-                                   nonzero_ae=True), r - 1)):  # sin(pi) is excluded
+                           (divide(multiply(constant, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)),
+                            r - 1)):  # sin(pi) is excluded
         assert not kappa.reads_x
         for ts in (None, [0.5]):
             with pytest.raises(SymbolSingularityError,
