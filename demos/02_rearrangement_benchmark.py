@@ -16,7 +16,7 @@ from gltkit.cli import TABLE2_REFERENCE
 case = fd_diffusion(coefficient_preset("xexp"))
 # built for the nodes i/n of the table's n's (50 among them, for the overlay):
 # only the sorted samples read there are kept, not all 25M
-rearr = monotone_rearrangement(case.predicted_symbol, ((0, 1), (0, np.pi)), r=5000,
+rearr = monotone_rearrangement(case.predicted_symbol, r=5000,
                                ts=rearrangement_nodes(TABLE2_REFERENCE))
 print(f"rearrangement built from {rearr.r}^2 lattice samples; "
       f"essential range [{rearr.ess_inf:.4f}, {rearr.ess_sup:.4f}] (4/e = {4/np.e:.4f})")

@@ -21,8 +21,8 @@ import numpy as np
 
 from .builders import DiscretizationCase
 from .linalg import SpectralSet, schatten_norm, singular_spectrum, spectral_norm
-from .symbols import (Rearrangement, SymbolExpr, block_size, grid_samples,
-                      monotone_rearrangement, nonfinite_count, require_finite)
+from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr, TrigFactor, block_size,
+                      grid_samples, monotone_rearrangement, nonfinite_count, require_finite)
 
 
 class UnboundedSymbolError(ValueError):
@@ -114,11 +114,6 @@ def empirical_functional(spectrum, F) -> float:
     """(1/n) sum F(values): the empirical side of the distribution limit."""
     values = spectrum.values if isinstance(spectrum, SpectralSet) else np.asarray(spectrum)
     return float(np.mean(F(values)))
-
-
-#: (x, theta) domain of the symbols: every registered symbol is even in
-#: theta, so [0, pi] carries the distribution of [-pi, pi]
-SYMBOL_RECT = ((0.0, 1.0), (0.0, math.pi))
 
 
 def _quadrature_samples(kappa: SymbolExpr, quad_res, absolute):
@@ -320,12 +315,25 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
     )
 
 
+def _same_symbol(a, b):
+    """Whether two symbol trees match node by node: trig leaves by their
+    JSON, ``coeff:`` leaves, which JSON names only, as equal Coefficients."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, CoeffFactor):
+        return a.coefficient == b.coefficient
+    if isinstance(a, TrigFactor):
+        return a.to_json_obj() == b.to_json_obj()
+    return len(a.children) == len(b.children) and all(map(_same_symbol, a.children, b.children))
+
+
 def _require_symbol_of(case, kappa, what):
     """ValueError, saying ``what`` was done of ``kappa``, unless it is the
-    case's predicted symbol: the same object or the same JSON."""
+    case's predicted symbol, node by node."""
     predicted = case.predicted_symbol
-    if kappa is not predicted and (kappa is None or kappa.to_json() != predicted.to_json()):
-        raise ValueError(f"{what} of {kappa}; case {case.name} predicts {predicted}")
+    if not _same_symbol(kappa, predicted):
+        other = " with other coefficient functions" if str(kappa) == str(predicted) else ""
+        raise ValueError(f"{what} of {kappa}; case {case.name} predicts {predicted}{other}")
 
 
 def _require_spectrum(case, n, spectrum, kind):
@@ -341,6 +349,10 @@ def outlier_count(spectrum, lo, hi, eps):
     mask = (values < lo - eps) | (values > hi + eps)
     out = values[mask]
     return int(out.size), [float(v) for v in out]
+
+
+#: the lattice parameter r of a rearrangement when none is given (table 2's)
+DEFAULT_R = 5000
 
 
 def rearrangement_nodes(ns):
@@ -361,20 +373,19 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
     magnitude of the essential range), and outliers beyond the essential
     range by more than 1e-8.  Pass a precomputed ``rearr`` of the case's
-    ``predicted_symbol``, built for the :func:`rearrangement_nodes` of
-    every n it serves, to amortize the sampling (r = 5000 by default)
-    across several n, another symbol or an ``r`` other than its own
-    raising ValueError, and the eigenvalue ``spectrum`` of alpha_n
-    A_n when it is already at hand (e.g. from ``weyl_compare``).
-    """
+    ``predicted_symbol``, built for the :func:`rearrangement_nodes` of every
+    n it serves, to amortize the sampling (r = :data:`DEFAULT_R` by default)
+    across several n, another symbol or an ``r`` other than its own raising
+    ValueError, and the eigenvalues ``spectrum`` of alpha_n A_n when already
+    at hand (e.g. from ``weyl_compare``)."""
     if case.symbol_unbounded:
         raise UnboundedSymbolError(
             f"case {case.name}: the symbol is unbounded (essential sup is infinite); "
             "use sigma-mode Weyl comparison on a bounded window instead"
         )
     if rearr is None:
-        rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT,
-                                       5000 if r is None else r, ts=_nodes(n))
+        rearr = monotone_rearrangement(case.predicted_symbol, DEFAULT_R if r is None else r,
+                                       _nodes(n))
     else:
         _require_symbol_of(case, rearr.kappa, "the rearrangement was built")
         if r is not None and r != rearr.r:

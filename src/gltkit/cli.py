@@ -30,7 +30,7 @@ import sys
 import threading
 
 from .analysis import (
-    SYMBOL_RECT,
+    DEFAULT_R,
     UnboundedSymbolError,
     rearrangement_compare,
     rearrangement_nodes,
@@ -164,8 +164,8 @@ def cmd_compare(args) -> int:
     with _solving(solve, args.n) as collect:
         rearr = None
         if not case.symbol_unbounded:
-            rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r,
-                                           ts=rearrangement_nodes(args.n))
+            rearr = monotone_rearrangement(case.predicted_symbol, args.r,
+                                           rearrangement_nodes(args.n))
         samples = symbol_samples(case.predicted_symbol, args.mode, args.quad_res)
         suite = samples.default_suite()
         for F in suite:
@@ -179,7 +179,7 @@ def cmd_compare(args) -> int:
         # lambda mode already solved for the eigenvalues; sigma mode holds singular values
         eigenvalues = spectrum if args.mode == "lambda" else None
         try:
-            rr = rearrangement_compare(case, n, r=args.r, rearr=rearr, spectrum=eigenvalues)
+            rr = rearrangement_compare(case, n, rearr=rearr, spectrum=eigenvalues)
             rr_doc = rr.to_json_dict()
             for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers", "rearrangement"):
                 doc[key] = rr_doc[key]
@@ -210,8 +210,7 @@ def cmd_compare(args) -> int:
 
 def cmd_table2(args) -> int:
     case = get_case("fd_t1", "xexp")
-    rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, args.r,
-                                   ts=rearrangement_nodes(TABLE2_NS))
+    rearr = monotone_rearrangement(case.predicted_symbol, args.r, rearrangement_nodes(TABLE2_NS))
     # stdout carries the aligned table, unless --format without --out puts the document there
     aligned = args.out or args.format is None
     rows, all_ok = [], True
@@ -265,7 +264,7 @@ def _build_parser():
         p.add_argument("--mode", choices=("sigma", "lambda"), default="lambda")
 
     def r_arg(p):
-        p.add_argument("--r", type=_positive_int, default=5000,
+        p.add_argument("--r", type=_positive_int, default=DEFAULT_R,
                        help="rearrangement sampling parameter")
 
     def output_args(p):

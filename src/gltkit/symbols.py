@@ -554,34 +554,27 @@ class Rearrangement:
     sample of rank i - 1 and node 0 repeats the smallest, so ``node_count``
     is N + 1.  Only the samples it is read at are kept: ``values`` holds
     the sorted samples of the ascending ``ranks``, which include 0 and
-    N - 1, or every sample when ``ranks`` is None.  The endpoints
-    approximate the essential infimum and supremum of the symbol on the
-    rectangle.  ``kappa`` is the symbol the samples were taken of (None
-    for samples given by hand).
+    N - 1.  The endpoints approximate the essential infimum and supremum
+    of the symbol on :data:`SYMBOL_RECT`.  ``kappa`` is the symbol the
+    samples were taken of (None for samples given by hand).
     """
 
     values: np.ndarray = field(repr=False)
     N: int
     r: int
+    ranks: np.ndarray = field(repr=False)
     excluded: int = 0
-    ranks: np.ndarray | None = field(default=None, repr=False)
     kappa: SymbolExpr | None = field(default=None, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("need a nonempty 1-d array of samples")
-        if self.ranks is None:
-            if values.size != self.N:
-                raise ValueError(f"need all N = {self.N} samples, got {values.size}")
-        else:
-            ranks = np.asarray(self.ranks, dtype=np.intp)
-            if (ranks.shape != values.shape or ranks[0] != 0 or ranks[-1] != self.N - 1
-                    or np.any(np.diff(ranks) <= 0)):
-                raise ValueError(f"need one value per rank, the ranks ascending strictly "
-                                 f"from 0 to N - 1 = {self.N - 1}")
-            object.__setattr__(self, "ranks", ranks)
+        ranks = np.asarray(self.ranks, dtype=np.intp)
+        if (values.ndim != 1 or values.size < 1 or ranks.shape != values.shape
+                or ranks[0] != 0 or ranks[-1] != self.N - 1 or np.any(np.diff(ranks) <= 0)):
+            raise ValueError(f"need one value per rank, the ranks ascending strictly "
+                             f"from 0 to N - 1 = {self.N - 1}")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def node_count(self):
@@ -601,8 +594,6 @@ class Rearrangement:
     def _at(self, t, ranks):
         """The kept samples of ``ranks``; ValueError for a rank not kept,
         naming the first ``t`` that reads one."""
-        if self.ranks is None:
-            return self.values[ranks]
         i = np.searchsorted(self.ranks, ranks)
         missing = self.ranks[i] != ranks  # i stays in range: ranks[-1] is N - 1
         if np.any(missing):
@@ -625,8 +616,14 @@ class Rearrangement:
         return np.where(exact, lo, (hi - lo) * (x - j) + lo)[()]
 
 
-def _lattice(rect, r):
-    return [lo + np.arange(1, r + 1) * (hi - lo) / r for lo, hi in rect]
+#: (x, theta) domain of the symbols: every registered symbol is even in
+#: theta, so [0, pi] carries the distribution of [-pi, pi]
+SYMBOL_RECT = ((0.0, 1.0), (0.0, math.pi))
+
+
+def _lattice(r):
+    """The axes lo + i (hi - lo) / r, i = 1..r, of :data:`SYMBOL_RECT`."""
+    return [lo + np.arange(1, r + 1) * (hi - lo) / r for lo, hi in SYMBOL_RECT]
 
 
 #: bytes of one float block of a blocked grid evaluation
@@ -870,10 +867,10 @@ def _range_of(kappa, axes):
     return (lo, hi) if lo <= hi else (0.0, 0.0)
 
 
-def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement:
-    """Uniform-lattice monotone rearrangement of a real symbol on ``rect``,
-    ((x_lo, x_hi), (theta_lo, theta_hi)), to be read at the points ``ts``
-    of [0, 1] (None: anywhere, keeping every sample).
+def monotone_rearrangement(kappa: SymbolExpr, r, ts) -> Rearrangement:
+    """Monotone rearrangement of a real symbol from its samples on the
+    r-by-r lattice of :data:`SYMBOL_RECT` (:func:`_lattice`), to be read
+    at the points ``ts`` of [0, 1].
 
     Lattice points where a division guard trips are excluded and the node
     count shrinks accordingly (recorded in ``excluded``); a sample that is
@@ -884,21 +881,18 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
     them all; it spreads them over a number of buckets set by r^2
     (:func:`_bucket_count`: 2^16 up to r = 2048, 2^18 from r = 2897).
 
-    With ``ts=None`` every sample is kept: the r^2 lattice samples are
-    evaluated once by :func:`grid_samples` and sorted in place.  A symbol
-    that does not read x (a Toeplitz symbol f(theta)) has r equal lattice
-    rows, so its sorted samples are those of one row, each repeated r
-    times: that row alone is evaluated and sorted, and rank k is its value
-    k // r, what sorting the whole lattice puts there.
+    A symbol that does not read x (a Toeplitz symbol f(theta)) has r equal
+    lattice rows, so its sorted samples are those of one row, each
+    repeated r times: that row alone is evaluated and sorted, and rank k
+    is its value k // r, what sorting the whole lattice puts there.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"sampling parameter r must be an integer >= 1, got {r!r}")
     if not kappa.is_real:
         raise ComplexSymbolError("monotone rearrangement needs a real-valued symbol")
-    if ts is not None:
-        ts = _require_unit_interval(ts)
+    ts = _require_unit_interval(ts)
     r = int(r)
-    axes = _lattice(rect, r)
+    axes = _lattice(r)
 
     def ranks_of(N):
         _, _, _, lo, hi = _node_ranks(ts, N)
@@ -906,22 +900,17 @@ def monotone_rearrangement(kappa: SymbolExpr, rect, r, ts=None) -> Rearrangement
         ranks.sort()  # then a neighbour test: np.unique would import numpy.ma
         return ranks[np.concatenate(([True], ranks[1:] != ranks[:-1]))]
 
-    if kappa.reads_x and ts is not None:
+    if kappa.reads_x:
         N, ranks, values = _select_ranks(lambda: _grid_blocks(kappa, axes),
                                          _range_of(kappa, axes), ranks_of, r * r)
     else:
-        # every row, or the one row that all r rows repeat
-        repeat = 1 if kappa.reads_x else r
-        samples, _ = grid_samples(kappa, (axes[0][:r // repeat], axes[1]))
-        require_finite(repeat * nonfinite_count(samples))
-        samples.sort()
-        N = repeat * samples.size
-        ranks = None if ts is None else ranks_of(N)
-        if ranks is not None:
-            values = samples[ranks // repeat]
-        else:  # np.repeat copies, even once
-            values = samples if repeat == 1 else np.repeat(samples, repeat)
-    return Rearrangement(values=values, N=N, r=r, excluded=r * r - N, ranks=ranks, kappa=kappa)
+        row, _ = grid_samples(kappa, (axes[0][:1], axes[1]))
+        require_finite(r * nonfinite_count(row))
+        row.sort()
+        N = r * row.size
+        ranks = ranks_of(N)
+        values = row[ranks // r]
+    return Rearrangement(values=values, N=N, r=r, ranks=ranks, excluded=r * r - N, kappa=kappa)
 
 
 # ----------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_criterion_1_rearrangement_benchmark_table():
     max(5e-4, 5% relative) per row; total runtime under two minutes."""
     t0 = time.time()
     case = fd_diffusion(XEXP)
-    rearr = monotone_rearrangement(case.predicted_symbol, ((0, 1), (0, math.pi)), 5000,
+    rearr = monotone_rearrangement(case.predicted_symbol, 5000,
                                    ts=rearrangement_nodes(TABLE2_REFERENCE))
     rows, ok = [], True
     for n, ref in sorted(TABLE2_REFERENCE.items()):

@@ -39,7 +39,6 @@ from gltkit.symbols import block_size
 
 ONE = coefficient_preset("one")
 XEXP = coefficient_preset("xexp")
-RECT = ((0.0, 1.0), (0.0, math.pi))
 WIDE = monomial(1, (-1e9, 1e9))          # effectively unclipped t
 WIDE2 = monomial(2, (-1e9, 1e9))
 
@@ -243,8 +242,7 @@ def test_rearrangement_compare_reference_row():
 
 def test_rearrangement_compare_constant_coefficient_decay():
     case = fd_diffusion(ONE)
-    R = monotone_rearrangement(case.predicted_symbol, RECT, 3000,
-                               ts=rearrangement_nodes((100, 200, 400)))
+    R = monotone_rearrangement(case.predicted_symbol, 3000, rearrangement_nodes((100, 200, 400)))
     g100 = rearrangement_compare(case, 100, rearr=R).rearrangement_gap
     g200 = rearrangement_compare(case, 200, rearr=R).rearrangement_gap
     g400 = rearrangement_compare(case, 400, rearr=R).rearrangement_gap
@@ -253,7 +251,7 @@ def test_rearrangement_compare_constant_coefficient_decay():
 
 def test_rearrangement_compare_refuses_an_r_other_than_its_rearrangements():
     case = fd_diffusion(ONE)
-    R = monotone_rearrangement(case.predicted_symbol, RECT, 300)
+    R = monotone_rearrangement(case.predicted_symbol, 300, rearrangement_nodes([20]))
     with pytest.raises(ValueError, match="sampled at r=300; this comparison asks for r=9999"):
         rearrangement_compare(case, 20, r=9999, rearr=R)
     assert rearrangement_compare(case, 20, r=300, rearr=R).rearrangement.r == 300
@@ -267,7 +265,7 @@ def test_rearrangement_compare_refuses_unbounded_symbol():
 
 def test_rearrangement_compare_reuses_a_given_spectrum():
     case = fd_cdr_dirichlet(XEXP, ONE, ONE)
-    R = monotone_rearrangement(case.predicted_symbol, RECT, 500)
+    R = monotone_rearrangement(case.predicted_symbol, 500, rearrangement_nodes([40]))
     own = rearrangement_compare(case, 40, rearr=R)
     given = rearrangement_compare(case, 40, rearr=R, spectrum=own.spectrum)
     assert given.rearrangement_gap == own.rearrangement_gap
@@ -310,7 +308,7 @@ def test_dagger_functional_consistency():
     # rectangle equals the line integral of F(rearranged kappa)
     kappa = multiply(XEXP, LAPLACE_SYMBOL)
     t = (np.arange(4000) + 0.5) / 4000
-    R = monotone_rearrangement(kappa, RECT, 2000, ts=t)
+    R = monotone_rearrangement(kappa, 2000, ts=t)
     samples = symbol_samples(kappa, quad_res=400)
     for F in default_suite((0.0, 4 / math.e)):
         direct = samples.symbol_side(F)[0]
@@ -429,10 +427,33 @@ def test_weyl_rejects_samples_of_another_symbol():
 def test_rearrangement_compare_rejects_a_rearrangement_of_another_symbol():
     case = get_case("fd_t1", "xexp")
     ts = rearrangement_nodes([40])
-    other = monotone_rearrangement(get_case("Ln", "xexp").predicted_symbol, RECT, 300, ts=ts)
+    other = monotone_rearrangement(get_case("Ln", "xexp").predicted_symbol, 300, ts)
     with pytest.raises(ValueError, match="the rearrangement was built of .* case fd_t1 predicts"):
         rearrangement_compare(case, 40, rearr=other)
     # the same symbol from another get_case call is the same symbol
-    own = monotone_rearrangement(get_case("fd_t1", "xexp").predicted_symbol, RECT, 300, ts=ts)
+    own = monotone_rearrangement(get_case("fd_t1", "xexp").predicted_symbol, 300, ts)
     assert own.kappa is not case.predicted_symbol
     assert rearrangement_compare(case, 40, rearr=own).rearrangement_gap < 0.05
+
+
+def _assert_symbol_checks_refuse(built, other):
+    """Rearrangement and Weyl samples of ``built``'s symbol are refused for
+    ``other``, whose symbol has the same JSON but other coefficients."""
+    assert built.predicted_symbol.to_json() == other.predicted_symbol.to_json()
+    rearr = monotone_rearrangement(built.predicted_symbol, 300, rearrangement_nodes([40]))
+    with pytest.raises(ValueError, match="the rearrangement was built of .* with other coefficient functions$"):
+        rearrangement_compare(other, 40, rearr=rearr)
+    samples = symbol_samples(built.predicted_symbol, quad_res=60)
+    with pytest.raises(ValueError, match="symbol samples were taken of .* with other coefficient functions$"):
+        weyl_compare(other, 40, quad_res=60, samples=samples)
+
+
+def test_symbol_checks_refuse_another_function_of_the_same_name():
+    impostor = Coefficient("xexp", lambda x: 2 * x * np.exp(-x))
+    _assert_symbol_checks_refuse(get_case("fd_t1", "xexp"), fd_diffusion(impostor))
+
+
+def test_symbol_checks_refuse_another_table_of_the_default_name():
+    tables = [Coefficient.from_table([0.0, 1.0], values) for values in ([1.0, 2.0], [30.0, 1.0])]
+    assert tables[0].name == tables[1].name == "table"
+    _assert_symbol_checks_refuse(*map(fd_diffusion, tables))

@@ -19,9 +19,9 @@ from gltkit import (
     get_case,
     monotone_rearrangement,
     rearrangement_compare,
+    rearrangement_nodes,
     weyl_compare,
 )
-from gltkit.analysis import SYMBOL_RECT
 from gltkit.builders import DiscretizationCase, case_names
 from gltkit.cli import main, TABLE2_REFERENCE
 from gltkit.symbols import COEFFICIENT_PRESETS
@@ -101,7 +101,7 @@ def test_compare_overlay_csv_lists_every_rearrangement_point(capsys, tmp_path):
                          "--n", "20,50", "--r", "300", "--quad-res", "60", "--out", str(path))
     assert code == 0
     case = get_case("Ln", "xexp")
-    rearr = monotone_rearrangement(case.predicted_symbol, SYMBOL_RECT, 300)
+    rearr = monotone_rearrangement(case.predicted_symbol, 300, rearrangement_nodes([20, 50]))
     lines = ["n,t,rearrangement,eigenvalue"]
     for n in (20, 50):
         t, s, e = rearrangement_compare(case, n, r=300, rearr=rearr).overlay

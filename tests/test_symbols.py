@@ -38,7 +38,13 @@ from gltkit import (
 from gltkit import symbols
 
 XEXP = coefficient_preset("xexp")
-RECT = ((0.0, 1.0), (0.0, math.pi))
+RECT = symbols.SYMBOL_RECT
+
+
+def _every_node(N):
+    """The nodes i/N, i = 0..N, at which R reads every one of N sorted
+    samples."""
+    return np.arange(N + 1) / N
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +205,8 @@ def test_json_unknown_coefficient_rejected():
 # ---------------------------------------------------------------------------
 
 def test_rearrangement_of_theta_only_symbol_tracks_sorted_profile():
-    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 400)
     t = np.linspace(0.0, 1.0, 1001)
+    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), 400, t)
     assert np.max(np.abs(R(t) - (2 - 2 * np.cos(np.pi * t)))) < 0.02
 
 
@@ -209,14 +215,14 @@ def test_rearrangement_error_halves_when_r_doubles():
     ref = 2 - 2 * np.cos(np.pi * t)
     errs = {}
     for r in (100, 200):
-        R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, r)
+        R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), r, t)
         errs[r] = np.max(np.abs(R(t) - ref))
     assert errs[200] <= 0.6 * errs[100]
 
 
 def test_rearrangement_of_identity_coefficient():
-    R = monotone_rearrangement(CoeffFactor(coefficient_preset("x")), RECT, 500)
     t = np.linspace(0.0, 1.0, 777)
+    R = monotone_rearrangement(CoeffFactor(coefficient_preset("x")), 500, t)
     assert np.max(np.abs(R(t) - t)) <= 1.0 / 500 + 1e-12
 
 
@@ -225,19 +231,28 @@ def test_rearrangement_lattice_needs_an_integral_r():
     kappa = CoeffFactor(coefficient_preset("x"))
     for bad in (2.5, 2.0, 0, -3, "4"):
         with pytest.raises(ValueError, match="integer >= 1"):
-            monotone_rearrangement(kappa, RECT, bad)
-    R = monotone_rearrangement(kappa, RECT, np.int64(2))
+            monotone_rearrangement(kappa, bad, [1.0])
+    R = monotone_rearrangement(kappa, np.int64(2), _every_node(4))
     assert R.values.tolist() == [0.5, 0.5, 1.0, 1.0] and R.r == 2
 
 
+@pytest.mark.parametrize("r", [1, 7, 5000])
+def test_lattice_nodes_are_i_over_r_of_the_symbol_rectangle(r):
+    """The table-2 column rests on this node convention: x = i/r and
+    theta = i pi/r, i = 1..r, byte for byte."""
+    x, theta = symbols._lattice(r)
+    assert x.tobytes() == (np.arange(1, r + 1) / r).tobytes()
+    assert theta.tobytes() == (np.arange(1, r + 1) * math.pi / r).tobytes()
+
+
 def test_rearrangement_endpoint_reaches_essential_sup():
-    R = monotone_rearrangement(multiply(XEXP, LAPLACE_SYMBOL), RECT, 5000, ts=[1.0])
+    R = monotone_rearrangement(multiply(XEXP, LAPLACE_SYMBOL), 5000, ts=[1.0])
     assert R(1.0) == pytest.approx(4.0 / math.e, abs=1e-3)
     assert R.ess_inf == pytest.approx(0.0, abs=1e-3)
 
 
 def test_rearrangement_eval_endpoints_and_midpoint():
-    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 13)
+    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), 13, _every_node(13 * 13))
     assert R(0.0) == R.values[0]
     assert R(1.0) == R.values[-1]
     N = R.node_count - 1
@@ -247,7 +262,7 @@ def test_rearrangement_eval_endpoints_and_midpoint():
 
 
 def test_rearrangement_eval_rejects_out_of_range():
-    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 10)
+    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), 10, [0.5])
     eps = np.finfo(float).eps
     for bad in (1.5, np.nan, -eps, 1.0 + eps, [0.5, np.nan], [0.0, -eps]):
         with pytest.raises(ValueError):
@@ -255,8 +270,7 @@ def test_rearrangement_eval_rejects_out_of_range():
 
 
 def test_rearrangement_needs_one_value_per_rank_from_0_to_N_minus_1():
-    for values, N, ranks in (([0.0, 1.0], 3, None),     # not all N samples
-                             ([0.0, 1.0], 3, [0, 1]),   # no sample of rank N - 1
+    for values, N, ranks in (([0.0, 1.0], 3, [0, 1]),   # no sample of rank N - 1
                              ([0.0, 1.0], 3, [1, 2]),   # none of rank 0
                              ([0.0, 1.0, 1.0], 3, [0, 2, 2]),
                              ([0.0, 1.0], 3, [0, 1, 2])):
@@ -287,44 +301,29 @@ def test_rearrangement_eval_is_np_interp_bit_for_bit(data):
     # every sample, and only those of the ends of the intervals t falls in
     k = np.floor(t * N).astype(int)
     ends = np.unique(np.concatenate(([0, N - 1], np.maximum(k - 1, 0), np.minimum(k, N - 1))))
-    for R in (Rearrangement(values=samples, N=N, r=1),
-              Rearrangement(values=samples[ends], N=N, r=1, ranks=ends)):
+    for ranks in (np.arange(N), ends):
+        R = Rearrangement(values=samples[ranks], N=N, r=1, ranks=ranks)
         assert R(t).tobytes() == expected.tobytes()
         for ti, ei in zip(t, expected):
             assert np.float64(R(ti)).tobytes() == ei.tobytes()
 
 
 def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
-    """Sorting the kept values in place gives np.sort of them, bit for bit,
-    on a symbol with excluded lattice points; the N + 1 nodes are implicit."""
+    """Read at every node, the rearrangement of a symbol with excluded
+    lattice points keeps np.sort of the kept values, bit for bit; the N + 1
+    nodes are implicit."""
     r = 40
     dip = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
     kappa = divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(dip))
-    R = monotone_rearrangement(kappa, RECT, r)
     x = np.arange(1, r + 1) * 1.0 / r  # the lattice of monotone_rearrangement
     theta = np.arange(1, r + 1) * math.pi / r
     vals, invalid = kappa.eval_masked(x[:, None], theta[None, :])
     flat = np.ravel(vals)[~np.ravel(invalid)]
     expected = np.sort(flat)
+    R = monotone_rearrangement(kappa, r, _every_node(expected.size))
     assert R.excluded == r  # the whole lattice row at x = 1/2
     assert R.node_count == r * r - r + 1
     assert R.values.tobytes() == expected.tobytes()
-
-
-def test_rearrangement_sorts_in_one_full_size_buffer():
-    """The evaluation's own r^2 buffer is sorted in place: the traced peak
-    stays within 1.25 full-size float arrays (a second sort buffer would
-    need 2)."""
-    kappa = get_case("fd_t1", "xexp").predicted_symbol
-    r = 600
-    tracemalloc.start()
-    try:
-        R = monotone_rearrangement(kappa, RECT, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert R.node_count == r * r + 1
-    assert peak <= 1.25 * 8 * r * r
 
 
 def _whole_grid_samples(kappa, axes, absolute):
@@ -339,8 +338,7 @@ def _whole_grid_samples(kappa, axes, absolute):
     return flat[keep], flat.size - int(np.count_nonzero(keep))
 
 
-def _assert_grid_samples_match_whole_grid(kappa, rect, r, absolute):
-    axes = symbols._lattice(rect, r)
+def _assert_grid_samples_match_whole_grid(kappa, axes, absolute):
     expected, excluded = _whole_grid_samples(kappa, axes, absolute)
     if expected.size == 0:
         with pytest.raises(SymbolSingularityError):
@@ -363,7 +361,7 @@ def test_blocked_grid_samples_match_the_whole_grid(tmp_path, name):
         kappa = get_case(name, coeff).predicted_symbol
         for r in (1, 2, 17, 600):
             for absolute in (False, True):
-                _assert_grid_samples_match_whole_grid(kappa, RECT, r, absolute)
+                _assert_grid_samples_match_whole_grid(kappa, symbols._lattice(r), absolute)
 
 
 _DIP = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 0.0, 2.0], name="dip")
@@ -391,11 +389,12 @@ _E_ITHETA = TrigPoly([0.0, 0.0, 1.0])
 ])
 @pytest.mark.parametrize("r", [1, 2, 17, 600])
 def test_blocked_grid_samples_match_the_whole_grid_on_every_tree_shape(kappa, rect, absolute, r):
-    _assert_grid_samples_match_whole_grid(kappa, rect, r, absolute)
+    axes = [lo + np.arange(1, r + 1) * (hi - lo) / r for lo, hi in rect]  # r-by-r on rect
+    _assert_grid_samples_match_whole_grid(kappa, axes, absolute)
 
 
 def test_grid_samples_refuse_complex_values_unless_asked_for_moduli():
-    axes = symbols._lattice(RECT, 17)
+    axes = symbols._lattice(17)
     for kappa in (multiply(XEXP, _E_ITHETA),
                   divide(TrigFactor(_E_ITHETA), CoeffFactor(_DIP))):
         with pytest.raises(ComplexSymbolError):
@@ -404,18 +403,19 @@ def test_grid_samples_refuse_complex_values_unless_asked_for_moduli():
 
 @pytest.mark.parametrize("name", case_names())
 def test_rearrangement_needs_no_second_full_size_array(name):
-    """The grid is evaluated in blocks straight into the buffer that gets
-    sorted, so the traced peak stays within 1.1 full-size float arrays for
-    every registry symbol, quotients and sums included."""
+    """grid_samples, which fills the Weyl quadrature samples, evaluates the
+    grid in blocks straight into the buffer it returns, so the traced peak
+    stays within 1.1 full-size float arrays for every registry symbol,
+    quotients and sums included."""
     kappa = get_case(name, "xexp").predicted_symbol
     r = 2000
     tracemalloc.start()
     try:
-        R = monotone_rearrangement(kappa, RECT, r)
+        samples, excluded = symbols.grid_samples(kappa, symbols._lattice(r))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert R.node_count == r * r + 1
+    assert samples.size + excluded == r * r
     assert peak <= 1.1 * 8 * r * r
 
 
@@ -429,17 +429,20 @@ def test_rearrangement_needs_no_second_full_size_array(name):
      RECT, 7),                                           # theta-only quotient
 ])
 def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
+    """The rearrangement samples the r-by-r lattice of ``rect``, which ends
+    at its far corner, and neither returns nor overwrites its axes."""
     lattice, made = symbols._lattice, []
 
-    def recording_lattice(rect, r):
-        axes = lattice(rect, r)
+    def recording_lattice(r):
+        axes = lattice(r)
         made.append([(a, a.copy()) for a in axes])
         return axes
 
     monkeypatch.setattr(symbols, "_lattice", recording_lattice)
-    R = monotone_rearrangement(kappa, rect, r)
+    R = monotone_rearrangement(kappa, r, _every_node(r * r))
     assert np.all(np.diff(R.values) >= 0)
     assert R.node_count == r * r + 1
+    assert [axis[-1] for axis, _ in made[0]] == [hi for _, hi in rect]
     for axis, before in made[0]:
         assert not np.shares_memory(R.values, axis)
         assert axis.tobytes() == before.tobytes()
@@ -450,14 +453,14 @@ def test_rearrangement_requires_real_symbol():
     for kappa in (TrigFactor(complex_poly), multiply(coefficient_preset("one"), complex_poly),
                   multiply(XEXP, complex_poly)):
         with pytest.raises(ComplexSymbolError):
-            monotone_rearrangement(kappa, RECT, 10)
+            monotone_rearrangement(kappa, 10, [0.5])
 
 
 def test_rearrangement_with_singular_points_excludes_and_renormalizes():
     kappa = divide(multiply(coefficient_preset("one"), LAPLACE_SYMBOL),
                    CoeffFactor(coefficient_preset("x")))
     # (2-2cos)/x is finite on the sampling lattice (x >= 1/r), nothing excluded
-    R = monotone_rearrangement(kappa, RECT, 50)
+    R = monotone_rearrangement(kappa, 50, [0.5])
     assert R.excluded == 0
     # a denominator that vanishes identically kills every lattice point, on
     # the lattice of a symbol that reads x and on the row of one that does not
@@ -466,7 +469,7 @@ def test_rearrangement_with_singular_points_excludes_and_renormalizes():
                           True), (get_case("Ln:c=zero", "one").predicted_symbol, False)):
         assert bad.reads_x == reads_x
         with pytest.raises(SymbolSingularityError, match="every grid point"):
-            monotone_rearrangement(bad, RECT, 10)
+            monotone_rearrangement(bad, 10, [0.5])
 
 
 @settings(max_examples=20, deadline=None)
@@ -474,7 +477,7 @@ def test_rearrangement_with_singular_points_excludes_and_renormalizes():
        st.integers(5, 40))
 def test_rearrangement_samples_always_nondecreasing(cosines, r):
     kappa = multiply(coefficient_preset("1+x"), TrigPoly.from_cosines(cosines))
-    R = monotone_rearrangement(kappa, RECT, r)
+    R = monotone_rearrangement(kappa, r, _every_node(r * r))
     assert np.all(np.diff(R.values) >= 0)
 
 
@@ -551,7 +554,7 @@ def test_selection_at_the_bucket_cap_picks_the_same_order_statistics(data):
 def _full_sort_rearrangement(kappa, r, t):
     """The oracle: the whole lattice evaluated at once, the excluded points
     dropped, everything sorted, and np.interp on the N + 1 nodes."""
-    x, theta = symbols._lattice(RECT, r)
+    x, theta = symbols._lattice(r)
     vals, invalid = kappa.eval_masked(x[:, None], theta[None, :])
     flat = np.broadcast_to(vals, (r, r)).reshape(-1)
     if invalid is not None:
@@ -571,7 +574,7 @@ def test_streamed_rearrangement_matches_a_full_sort_at_its_nodes(name):
         for r in (1, 2, 7, 300):
             for n in (1, 7, 30, 120):
                 t = np.arange(1, n + 1) / n
-                R = monotone_rearrangement(kappa, RECT, r, ts=t)
+                R = monotone_rearrangement(kappa, r, ts=t)
                 expected, N, excluded = _full_sort_rearrangement(kappa, r, t)
                 assert R(t).tobytes() == expected.tobytes(), (coeff, r, n)
                 assert (R.node_count, R.excluded) == (N + 1, excluded)
@@ -579,12 +582,14 @@ def test_streamed_rearrangement_matches_a_full_sort_at_its_nodes(name):
 
 
 def test_rearrangement_refuses_a_t_it_was_not_built_for():
-    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 50, ts=[0.25, 1.0])
+    R = monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), 50, ts=[0.25, 1.0])
     assert R([0.0, 0.25, 1.0]).shape == (3,)  # 0 reads rank 0, always kept
     with pytest.raises(ValueError, match="not built for t = 0.5"):
         R([0.25, 0.5])
     with pytest.raises(ValueError, match="defined on"):
-        monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), RECT, 50, ts=[0.5, 1.5])
+        monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), 50, ts=[0.5, 1.5])
+    with pytest.raises(TypeError):  # no default: say where R will be read
+        monotone_rearrangement(TrigFactor(LAPLACE_SYMBOL), 50)
 
 
 @pytest.mark.parametrize("change", ["drop", "repeat", "shift"])
@@ -611,23 +616,21 @@ def test_rearrangement_refuses_samples_that_change_between_its_passes(monkeypatc
     monkeypatch.setattr(symbols, "_grid_blocks", changing_blocks)
     kappa = get_case("fd_t1", "xexp").predicted_symbol
     with pytest.raises(RuntimeError, match="samples changed"):
-        monotone_rearrangement(kappa, RECT, 400, ts=[0.5, 1.0])
+        monotone_rearrangement(kappa, 400, ts=[0.5, 1.0])
     assert calls == [200, 400, 400]
 
 
 @pytest.mark.parametrize("bad,width", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.01)])
 def test_rearrangement_refuses_non_finite_samples(bad, width):
     """A coefficient that is NaN or infinite where no division guard trips
-    raises, with the number of such lattice samples, whether every sample
-    or only some ranks are wanted."""
+    raises, with the number of such lattice samples."""
     hole = Coefficient("hole", lambda x: np.where(abs(x - .42) < width, bad, x))
     r = 50
-    rows = int(np.count_nonzero(abs(symbols._lattice(RECT, r)[0] - .42) < width))
+    rows = int(np.count_nonzero(abs(symbols._lattice(r)[0] - .42) < width))
     assert rows in (1, 10)
     for kappa in (CoeffFactor(hole), multiply(hole, LAPLACE_SYMBOL)):
-        for ts in (None, [0.5]):
-            with pytest.raises(SymbolSingularityError, match=f"^{rows * r} samples .* not finite"):
-                monotone_rearrangement(kappa, RECT, r, ts=ts)
+        with pytest.raises(SymbolSingularityError, match=f"^{rows * r} samples .* not finite"):
+            monotone_rearrangement(kappa, r, ts=[0.5])
 
 
 _ONE, _ZERO = CoeffFactor(coefficient_preset("one")), CoeffFactor(coefficient_preset("zero"))
@@ -662,36 +665,32 @@ def theta_only_symbols(draw, depth=2):
 
 @settings(max_examples=300, deadline=None)
 @given(theta_only_symbols(), st.integers(1, 80),
-       st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
 def test_theta_only_rearrangement_is_the_sorted_lattice(kappa, r, ts):
     """From one theta row, the rearrangement keeps what np.sort of all r^2
     lattice samples puts at its ranks, and counts the same N and excluded
     points; bit for bit, but for the order of +0.0 and -0.0, which compare
     equal and which np.sort leaves as they come."""
     assert not kappa.reads_x and kappa.is_real
-    axes = symbols._lattice(RECT, r)
+    axes = symbols._lattice(r)
     try:
         lattice, excluded = symbols.grid_samples(kappa, axes)
     except SymbolSingularityError:  # singular everywhere, a zero denominator
         with pytest.raises(SymbolSingularityError, match="every grid point"):
-            monotone_rearrangement(kappa, RECT, r, ts=ts)
+            monotone_rearrangement(kappa, r, ts=ts)
         return
-    R = monotone_rearrangement(kappa, RECT, r, ts=ts)
+    R = monotone_rearrangement(kappa, r, ts=ts)
     assert (R.N, R.excluded) == (lattice.size, excluded)
-    expected = np.sort(lattice)
-    if ts is None:
-        assert R.ranks is None
-    else:
-        expected = expected[R.ranks]
+    expected = np.sort(lattice)[R.ranks]
     assert np.array_equal(R.values, expected)
     nonzero = expected != 0
     assert R.values[nonzero].tobytes() == expected[nonzero].tobytes()
 
 
 def _rearrangement_without_selection(monkeypatch, kappa, r, ts):
-    """The rearrangement of ``kappa`` at ``ts`` with the bucket selection
-    and its range sub-lattice refused, and the number of points at which
-    it evaluated the symbol."""
+    """The rearrangement of ``kappa`` at ``ts`` (None: every node of the
+    r^2 lattice) with the bucket selection and its range sub-lattice
+    refused, and the number of points at which it evaluated the symbol."""
     points = []
     eval_masked = SymbolExpr.eval_masked
 
@@ -705,7 +704,8 @@ def _rearrangement_without_selection(monkeypatch, kappa, r, ts):
     monkeypatch.setattr(SymbolExpr, "eval_masked", counting)
     monkeypatch.setattr(symbols, "_select_ranks", refused)
     monkeypatch.setattr(symbols, "_range_of", refused)
-    return monotone_rearrangement(kappa, RECT, r, ts=ts), sum(points)
+    ts = _every_node(r * r) if ts is None else ts
+    return monotone_rearrangement(kappa, r, ts=ts), sum(points)
 
 
 @pytest.mark.parametrize("ts", [None, [0.25, 0.5, 1.0]])
@@ -725,22 +725,6 @@ def test_theta_only_rearrangement_evaluates_one_row(monkeypatch, kappa, ts):
     assert R.N + R.excluded == r * r
 
 
-@pytest.mark.parametrize("kappa", [
-    get_case("fd_t1", "xexp").predicted_symbol,
-    get_case("Ln", "xexp").predicted_symbol,
-    divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP)),
-])
-def test_keep_all_rearrangement_evaluates_the_lattice_once(monkeypatch, kappa):
-    """With every rank kept, a symbol that reads x is evaluated at the r^2
-    lattice points once and sorted, with neither the bucket selection nor
-    its range sub-lattice."""
-    assert kappa.reads_x
-    r = 300
-    R, points = _rearrangement_without_selection(monkeypatch, kappa, r, None)
-    assert points == r * r
-    assert R.ranks is None and R.values.size == R.N == r * r - R.excluded
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_theta_only_rearrangement_refuses_non_finite_samples(bad):
     """A non-finite sample of the row raises with the number of lattice
@@ -751,10 +735,8 @@ def test_theta_only_rearrangement_refuses_non_finite_samples(bad):
                            (divide(multiply(constant, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)),
                             r - 1)):  # sin(pi) is excluded
         assert not kappa.reads_x
-        for ts in (None, [0.5]):
-            with pytest.raises(SymbolSingularityError,
-                               match=f"^{r * columns} samples .* not finite"):
-                monotone_rearrangement(kappa, RECT, r, ts=ts)
+        with pytest.raises(SymbolSingularityError, match=f"^{r * columns} samples .* not finite"):
+            monotone_rearrangement(kappa, r, ts=[0.5])
 
 
 def test_streamed_rearrangement_holds_a_fraction_of_the_lattice():
@@ -765,7 +747,7 @@ def test_streamed_rearrangement_holds_a_fraction_of_the_lattice():
     t = np.concatenate([np.arange(1, n + 1) / n for n in (50, 100, 200, 400, 800, 1600)])
     tracemalloc.start()
     try:
-        R = monotone_rearrangement(kappa, RECT, r, ts=t)
+        R = monotone_rearrangement(kappa, r, ts=t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -782,7 +764,7 @@ def test_table2_rearrangement_gathers_only_fine_buckets():
     t = np.concatenate([np.arange(1, n + 1) / n for n in (50, 100, 200, 400, 800, 1600)])
     tracemalloc.start()
     try:
-        R = monotone_rearrangement(kappa, RECT, r, ts=t)
+        R = monotone_rearrangement(kappa, r, ts=t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
