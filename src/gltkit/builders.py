@@ -33,7 +33,7 @@ multiplies the eigenvalues by alpha_n once.  The returned
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -50,22 +50,9 @@ from .linalg import (
     singular_spectrum,
     sym_eigvals,  # noqa: F401 - perfbench's tracer wraps builders.sym_eigvals by name
 )
-from .symbols import (
-    Coefficient,
-    CoeffFactor,
-    FOURTH_DERIVATIVE_SYMBOL,
-    FOURTH_ORDER_LAPLACE_SYMBOL,
-    LAPLACE_SYMBOL,
-    MASS_SYMBOL,
-    SIN_SYMBOL,
-    SymbolExpr,
-    TrigFactor,
-    TrigPoly,
-    coefficient_preset,
-    divide,
-    multiply,
-    add,
-)
+from .symbols import (FOURTH_DERIVATIVE_SYMBOL, FOURTH_ORDER_LAPLACE_SYMBOL, LAPLACE_SYMBOL,
+                      MASS_SYMBOL, SIN_SYMBOL, CoeffFactor, Coefficient, SymbolExpr, TrigFactor,
+                      TrigPoly, add, coefficient_preset, divide, multiply)
 
 
 # ----------------------------------------------------------------------------
@@ -125,8 +112,10 @@ class GridMap:
             raise ValueError("grid map derivative must be nonnegative")
 
 
+@cache
 def power_map(q: float) -> GridMap:
-    """G(x) = x^q; singular at 0 for q > 1 (local refinement near 0)."""
+    """G(x) = x^q; singular at 0 for q > 1 (local refinement near 0).  One
+    GridMap per q, so that fd_t7 cases built apart predict equal symbols."""
     if q <= 0:
         raise ValueError("power map needs q > 0")
     sing = (0.0,) if q > 1 else ()
@@ -453,10 +442,17 @@ def fd_nonuniform_matrix(a: Coefficient, gmap: GridMap, n) -> BandedMatrix:
     return BandedMatrix.tridiagonal(diag, off, off)
 
 
+@cache
+def _on_mapped_grid(a: Coefficient, gmap: GridMap):
+    """a(G(x)) and G' as Coefficients, the same two for equal (a, gmap), so
+    that fd_t7 cases built apart predict equal symbols."""
+    return (Coefficient(f"{a.name}(G)", lambda x: a(np.asarray(gmap.G(x))), a.regularity),
+            Coefficient(f"{gmap.name}'", gmap.dG, "continuous"))
+
+
 def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
     _require_continuous(a, "diffusion")
-    a_of_G = Coefficient(f"{a.name}(G)", lambda x: a(np.asarray(gmap.G(x))), a.regularity)
-    dG = Coefficient(f"{gmap.name}'", gmap.dG, "continuous")
+    a_of_G, dG = _on_mapped_grid(a, gmap)
     symbol = divide(multiply(a_of_G, LAPLACE_SYMBOL), CoeffFactor(dG))
     return DiscretizationCase(
         name="fd_t7",

@@ -50,20 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import (
-    _hadamard_with_toeplitz,
-    _stiffness_from_element_integrals,
-    fd_cdr_dirichlet,
-    fd_cdr_neumann,
-    fd_fourth_order_scheme,
-    fd_nondiv,
-    fd_nonuniform_matrix,
-    power_map,
-    toeplitz,
-    uniform_grid,
-    fd_interior_grid,
-    half_node_grid,
-)
+from .builders import (_hadamard_with_toeplitz, _stiffness_from_element_integrals,
+                       fd_cdr_dirichlet, fd_cdr_neumann, fd_fourth_order_scheme,
+                       fd_interior_grid, fd_nondiv, fd_nonuniform_matrix, half_node_grid,
+                       power_map, toeplitz, uniform_grid)
 from .linalg import schatten_norm, spectral_norm
 from .symbols import (
     Coefficient,

@@ -109,6 +109,18 @@ SIN_SYMBOL = TrigPoly.sine()
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _Interp:
+    """np.interp through the float64 knots xs and values, held as bytes so
+    that two tables of the same knots are equal functions."""
+
+    xs: bytes
+    values: bytes
+
+    def __call__(self, x):
+        return np.interp(x, np.frombuffer(self.xs), np.frombuffer(self.values))
+
+
+@dataclass(frozen=True)
 class Coefficient:
     """Real function a(x) on [0,1] with regularity metadata.
 
@@ -152,7 +164,7 @@ class Coefficient:
         if xs[0] < 0 or xs[-1] > 1:
             raise ValueError("x values must lie in [0, 1]")
         # piecewise-linear data attain their sup at the knots
-        return cls(name, lambda x: np.interp(x, xs, values), "continuous",
+        return cls(name, _Interp(xs.tobytes(), values.tobytes()), "continuous",
                    sup=float(np.max(np.abs(values))))
 
     @classmethod

@@ -413,6 +413,16 @@ def test_weyl_rejects_samples_taken_for_other_settings():
             weyl_compare(case, 20, samples=samples, **kwargs)
 
 
+def _built_twice(specs):
+    """Two separate get_case builds of each spec, with each coefficient of
+    "one" and "xexp": their symbols are equal but not the same object."""
+    for spec in specs:
+        for coeff in ("one", "xexp"):
+            case, again = get_case(spec, coeff), get_case(spec, coeff)
+            assert again.predicted_symbol is not case.predicted_symbol
+            yield case, again
+
+
 def test_weyl_rejects_samples_of_another_symbol():
     case = get_case("fd_t1", "xexp")
     other = symbol_samples(get_case("fd_t5", "one").predicted_symbol, quad_res=60)
@@ -422,6 +432,9 @@ def test_weyl_rejects_samples_of_another_symbol():
     own = symbol_samples(get_case("fd_t1", "xexp").predicted_symbol, quad_res=60)
     assert own.kappa is not case.predicted_symbol
     assert weyl_compare(case, 40, quad_res=60, samples=own).max_gap() < 0.01
+    for case, again in _built_twice(case_names()):
+        own = symbol_samples(again.predicted_symbol, "sigma", quad_res=40)
+        weyl_compare(case, 20, mode="sigma", quad_res=40, samples=own)
 
 
 def test_rearrangement_compare_rejects_a_rearrangement_of_another_symbol():
@@ -434,6 +447,11 @@ def test_rearrangement_compare_rejects_a_rearrangement_of_another_symbol():
     own = monotone_rearrangement(get_case("fd_t1", "xexp").predicted_symbol, 300, ts)
     assert own.kappa is not case.predicted_symbol
     assert rearrangement_compare(case, 40, rearr=own).rearrangement_gap < 0.05
+    # fd_t7's default grid map makes its symbol unbounded; q = 1 keeps it bounded
+    for case, again in _built_twice(case_names() + ["fd_t7:q=1"]):
+        if not case.symbol_unbounded:
+            own = monotone_rearrangement(again.predicted_symbol, 300, ts)
+            rearrangement_compare(case, 40, rearr=own)
 
 
 def _assert_symbol_checks_refuse(built, other):
@@ -457,3 +475,18 @@ def test_symbol_checks_refuse_another_table_of_the_default_name():
     tables = [Coefficient.from_table([0.0, 1.0], values) for values in ([1.0, 2.0], [30.0, 1.0])]
     assert tables[0].name == tables[1].name == "table"
     _assert_symbol_checks_refuse(*map(fd_diffusion, tables))
+
+
+def test_symbol_checks_accept_a_table_read_twice(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("x,value\n0.0,1.0\n0.5,2.5\n1.0,0.5\n")
+    case, again = (get_case(spec, f"csv:{path}") for spec in ("fd_t1", "fd_t1"))
+    assert again.predicted_symbol is not case.predicted_symbol
+    # neither check refuses the other build's rearrangement or samples
+    rearr = monotone_rearrangement(again.predicted_symbol, 300, rearrangement_nodes([40]))
+    rearrangement_compare(case, 40, rearr=rearr)
+    weyl_compare(case, 40, quad_res=60, samples=symbol_samples(again.predicted_symbol, quad_res=60))
+    # the same knots given as lists make an equal function (under another name)
+    same_knots = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 2.5, 0.5])
+    read = case.predicted_symbol.children[0].coefficient
+    assert same_knots.fn == read.fn and same_knots != read

@@ -389,8 +389,10 @@ _E_ITHETA = TrigPoly([0.0, 0.0, 1.0])
 ])
 @pytest.mark.parametrize("r", [1, 2, 17, 600])
 def test_blocked_grid_samples_match_the_whole_grid_on_every_tree_shape(kappa, rect, absolute, r):
-    axes = [lo + np.arange(1, r + 1) * (hi - lo) / r for lo, hi in rect]  # r-by-r on rect
-    _assert_grid_samples_match_whole_grid(kappa, axes, absolute)
+    # every row's rect is SYMBOL_RECT, the one rectangle _lattice samples; the
+    # column stays so that the test IDs do not change
+    assert rect == symbols.SYMBOL_RECT
+    _assert_grid_samples_match_whole_grid(kappa, symbols._lattice(r), absolute)
 
 
 def test_grid_samples_refuse_complex_values_unless_asked_for_moduli():
@@ -429,8 +431,9 @@ def test_rearrangement_needs_no_second_full_size_array(name):
      RECT, 7),                                           # theta-only quotient
 ])
 def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
-    """The rearrangement samples the r-by-r lattice of ``rect``, which ends
-    at its far corner, and neither returns nor overwrites its axes."""
+    """The rearrangement samples the r-by-r lattice of SYMBOL_RECT (every
+    row's ``rect``, kept so that the test IDs do not change), which ends at
+    its far corner, and neither returns nor overwrites its axes."""
     lattice, made = symbols._lattice, []
 
     def recording_lattice(r):
@@ -442,7 +445,8 @@ def test_rearrangement_never_sorts_the_lattice(monkeypatch, kappa, rect, r):
     R = monotone_rearrangement(kappa, r, _every_node(r * r))
     assert np.all(np.diff(R.values) >= 0)
     assert R.node_count == r * r + 1
-    assert [axis[-1] for axis, _ in made[0]] == [hi for _, hi in rect]
+    assert rect == symbols.SYMBOL_RECT
+    assert [axis[-1] for axis, _ in made[0]] == [hi for _, hi in symbols.SYMBOL_RECT]
     for axis, before in made[0]:
         assert not np.shares_memory(R.values, axis)
         assert axis.tobytes() == before.tobytes()
