@@ -21,7 +21,7 @@ import numpy as np
 
 from .builders import DiscretizationCase
 from .linalg import SpectralSet, schatten_norm, singular_spectrum, spectral_norm
-from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr, TrigFactor, block_size,
+from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr, TrigFactor,
                       grid_samples, monotone_rearrangement, nonfinite_count, require_finite)
 
 
@@ -141,10 +141,11 @@ def _quadrature_samples(kappa: SymbolExpr, quad_res, absolute):
 
 
 def _blocked_mean(F, values):
-    """Mean of F over ``values``, applied in blocks of
-    :func:`~gltkit.symbols.block_size` values, so F(values) is never held
-    at full size."""
-    step = block_size(values.size)
+    """Mean of F over ``values``, applied in blocks of 2^17 values (1/16 of
+    them when that is fewer), so F(values) is never held at full size."""
+    # the block boundaries fix the bits of every symbol-side value: this
+    # partition stays when the evaluation blocks (block_size) change
+    step = max(1, min(1 << 17, values.size // 16))
     return math.fsum(float(np.sum(F(values[i:i + step])))
                      for i in range(0, values.size, step)) / values.size
 

@@ -621,6 +621,8 @@ def fe_system_schur(a: Coefficient, rho: float) -> DiscretizationCase:
         build=build,
         alpha_power=1,
         predicted_symbol=sigma,
+        # sin^2 / (a (2 - 2 cos)) = (1 + cos) / (2a): unbounded where a vanishes
+        symbol_unbounded=not a.inf,
     )
 
 

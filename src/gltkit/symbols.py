@@ -127,7 +127,8 @@ class Coefficient:
     ``regularity`` is one of "continuous", "ae_continuous", "L1"; only the
     last admits unbounded values.  ``exact_modulus`` and ``sup`` optionally
     supply the true modulus of continuity and max |a| on [0,1] for
-    certificate checks.
+    certificate checks, and ``inf`` the exact min |a| on [0,1]: a symbol
+    that divides by a is bounded only when it is positive.
     """
 
     name: str
@@ -135,6 +136,7 @@ class Coefficient:
     regularity: str = "continuous"
     exact_modulus: callable | None = field(default=None, repr=False)
     sup: float | None = None
+    inf: float | None = None
     singular_points: tuple = ()
 
     def __post_init__(self):
@@ -163,9 +165,12 @@ class Coefficient:
             raise ValueError("x column must be strictly ascending")
         if xs[0] < 0 or xs[-1] > 1:
             raise ValueError("x values must lie in [0, 1]")
-        # piecewise-linear data attain their sup at the knots
+        # piecewise-linear data attain their sup at the knots, and their inf
+        # there too unless they change sign between two of them
+        changes_sign = values.min() < 0 < values.max()
         return cls(name, _Interp(xs.tobytes(), values.tobytes()), "continuous",
-                   sup=float(np.max(np.abs(values))))
+                   sup=float(np.max(np.abs(values))),
+                   inf=0.0 if changes_sign else float(np.min(np.abs(values))))
 
     @classmethod
     def from_csv(cls, path):
@@ -199,13 +204,14 @@ def _omega_expx(delta):
 
 
 COEFFICIENT_PRESETS = {
-    "one": Coefficient("one", lambda x: np.ones_like(x), "continuous", lambda d: 0.0, 1.0),
-    "x": Coefficient("x", lambda x: x, "continuous", _omega_linear, 1.0),
+    "one": Coefficient("one", lambda x: np.ones_like(x), "continuous", lambda d: 0.0, 1.0, 1.0),
+    "x": Coefficient("x", lambda x: x, "continuous", _omega_linear, 1.0, 0.0),
     "xexp": Coefficient("xexp", lambda x: x * np.exp(-x), "continuous", _omega_xexp,
-                        math.exp(-1.0)),
-    "1+x": Coefficient("1+x", lambda x: 1.0 + x, "continuous", _omega_linear, 2.0),
-    "expx": Coefficient("expx", np.exp, "continuous", _omega_expx, math.e),
-    "zero": Coefficient("zero", lambda x: np.zeros_like(x), "continuous", lambda d: 0.0, 0.0),
+                        math.exp(-1.0), 0.0),
+    "1+x": Coefficient("1+x", lambda x: 1.0 + x, "continuous", _omega_linear, 2.0, 1.0),
+    "expx": Coefficient("expx", np.exp, "continuous", _omega_expx, math.e, 1.0),
+    "zero": Coefficient("zero", lambda x: np.zeros_like(x), "continuous", lambda d: 0.0, 0.0,
+                        0.0),
 }
 
 
@@ -638,8 +644,9 @@ def _lattice(r):
     return [lo + np.arange(1, r + 1) * (hi - lo) / r for lo, hi in SYMBOL_RECT]
 
 
-#: bytes of one float block of a blocked grid evaluation
-BLOCK_BYTES = 1 << 20
+#: bytes of one float block of a blocked grid evaluation: 256 KB, so that a
+#: block and the temporaries of its evaluation stay in cache
+BLOCK_BYTES = 1 << 18
 
 
 def block_size(total):
@@ -724,9 +731,8 @@ def grid_samples(kappa: SymbolExpr, axes, absolute=False):
     return (buf if kept == total else buf[:kept]), total - kept
 
 
-#: uniform value buckets of the rearrangement's selection, at most (their
-#: intp counts take 2 MB)
-BUCKETS = 1 << 18
+#: bytes, at most, of the selection's bucket counts
+_BUCKET_BYTES = 1 << 21
 
 #: uniform value buckets of the rearrangement's selection, at least
 _MIN_BUCKETS = 1 << 16
@@ -737,15 +743,21 @@ _RANGE_LATTICE = 256
 
 def _bucket_count(samples):
     """The number of buckets the selection spreads ``samples`` values
-    over: the power of two at or above ``samples / 64``, within
-    ``_MIN_BUCKETS`` and ``BUCKETS`` (r^2 samples: 2^16 up to r = 2048).
+    over, and the dtype of their counts: int32 while ``samples`` is below
+    2^31 (r <= 46340), intp beyond.  The counts take about a byte per 8
+    samples: the power of two at or above samples / 32 int32 buckets (or
+    samples / 64 intp ones), within ``_MIN_BUCKETS`` and 2 MB of counts
+    (r^2 samples: 2^16 int32 buckets up to r = 1448, 2^19 from r = 2897).
     Finer buckets leave pass 2 fewer values to gather where the symbol's
-    values pile up: 466 000 instead of 1.48M of the 25M at r = 5000 for
-    the benchmark table's nodes.  On small lattices the counts would
-    outweigh what they save (2^18 buckets raised the r = 1000 peak), and
-    coarser ones than 2^16 gather so much that r = 1000 got slower."""
-    wanted = -(-samples // 64)
-    return min(max(1 << max(wanted - 1, 0).bit_length(), _MIN_BUCKETS), BUCKETS)
+    values pile up: 257 000 of the 25M at r = 5000 for the benchmark
+    table's nodes (466 000 with 2^18 buckets, 1.48M with 2^16).  On small
+    lattices the counts would outweigh what they save (2^18 intp buckets
+    raised the r = 1000 peak), and coarser ones than 2^16 gather so much
+    that r = 1000 got slower."""
+    dtype = np.dtype(np.int32 if samples < 1 << 31 else np.intp)
+    wanted = -(-samples // (8 * dtype.itemsize))
+    count = max(1 << max(wanted - 1, 0).bit_length(), _MIN_BUCKETS)
+    return min(count, _BUCKET_BYTES // dtype.itemsize), dtype
 
 
 def _bucket_map(lo, hi, count):
@@ -753,23 +765,27 @@ def _bucket_map(lo, hi, count):
     scaled to ``count`` buckets and clipped to its end buckets.  Each step
     rounds monotonically, so v <= w puts v in a bucket no later than w's,
     whatever the range; a range too narrow or too wide for a finite
-    positive scale takes the nearest one that is.  The returned function
-    writes into buffers it keeps from call to call, so each result holds
-    until its next call."""
+    positive scale takes the nearest one that is.  Given the least and the
+    greatest of the values, ``vmin`` and ``vmax``, the clip is skipped
+    when both map inside the buckets, which by that monotonicity puts
+    every value there.  The returned function writes into buffers it keeps
+    from call to call, so each result holds until its next call."""
     with np.errstate(over="ignore"):
         scale = float(np.divide(count, np.subtract(hi, lo))) if hi > lo else 1.0
     scale = min(max(scale, np.finfo(float).tiny), np.finfo(float).max)
     work = np.empty(0)
     index = np.empty(0, dtype=np.intp)
 
-    def buckets(values):
+    def buckets(values, vmin=None, vmax=None):
         nonlocal work, index
         if work.size < values.size:
             work, index = np.empty(values.size), np.empty(values.size, dtype=np.intp)
         with np.errstate(over="ignore"):  # an overflow to +-inf lands in an end bucket
             t = np.subtract(values, lo, out=work[:values.size])
             t *= scale
-        np.clip(t, 0, count - 1, out=t)
+            inside = vmin is not None and vmin >= lo and (vmax - lo) * scale < count - 1
+        if not inside:
+            np.clip(t, 0, count - 1, out=t)
         b = index[:values.size]
         np.copyto(b, t, casting="unsafe")  # truncation is floor on t >= 0
         return b
@@ -793,21 +809,29 @@ def require_finite(count):
                                      "(NaN or infinite)")
 
 
-def _histogram(blocks, buckets, count):
-    """The number of values of the ``blocks`` in each of ``count`` buckets;
-    non-finite values raise SymbolSingularityError with their number.
+def _histogram(blocks, buckets, count, dtype):
+    """The number of values of the ``blocks`` in each of ``count`` buckets,
+    as ``dtype`` counts; non-finite values raise SymbolSingularityError
+    with their number.  Each block's least and greatest values, taken to
+    find non-finite ones, also let ``buckets`` skip the clip of a block
+    inside the range.
 
-    ``np.add.at`` counts into one intp histogram: an intp index into an
-    array of the increment's own dtype takes numpy's fast ``ufunc.at``
-    path (numpy >= 1.25; an int32 histogram falls off it, 30 times
-    slower), and it makes no per-block count array of ``count`` entries,
-    as ``np.bincount`` does."""
-    hist = np.zeros(count, dtype=np.intp)
+    ``np.add.at`` counts into one histogram, with no per-block count array
+    of ``count`` entries, as ``np.bincount`` makes.  Its fast ``ufunc.at``
+    path (numpy >= 1.25) needs an intp index and an increment of the
+    histogram's own dtype: a Python 1 into int32 counts falls off it, 15
+    times slower, so the increment is ``hist.dtype.type(1)``."""
+    hist = np.zeros(count, dtype=dtype)
+    one = hist.dtype.type(1)
     nonfinite = 0
     for values in blocks:
-        nonfinite += nonfinite_count(values)
-        if not nonfinite:
-            np.add.at(hist, buckets(values), 1)
+        if not values.size:
+            continue
+        vmin, vmax = values.min(), values.max()
+        if not (math.isfinite(vmin) and math.isfinite(vmax)):
+            nonfinite += nonfinite_count(values)
+        elif not nonfinite:
+            np.add.at(hist, buckets(values, vmin, vmax), one)
     require_finite(nonfinite)
     return hist
 
@@ -817,38 +841,46 @@ def _select_ranks(blocks, value_range, ranks_of, samples):
     without holding it whole.
 
     ``blocks()`` iterates over the values as 1-d float blocks, the same
-    values in the same blocks on every call.  ``samples`` is the number
-    of values the caller expects, which sets the number of uniform
-    buckets (:func:`_bucket_count`) that ``value_range`` (lo, hi) spans,
-    values beyond it falling into the end buckets.  ``ranks_of(N)``,
-    given the number N of values, returns the ascending ranks wanted.
-    Returns N, those ranks and their values: what np.sort of all the
-    values puts there.
+    values in the same blocks on every call.  ``samples``, the number of
+    values the caller expects and at least their number, sets the number
+    of uniform buckets and the dtype of their counts
+    (:func:`_bucket_count`); the buckets span ``value_range`` (lo, hi),
+    values beyond it falling into the end buckets.  ``ranks_of(N)``, given
+    the number N of values, returns the ascending ranks wanted.  Returns
+    N, those ranks and their values: what np.sort of all the values puts
+    there.
 
-    Pass 1 histograms the blocks into the buckets.  The cumulative counts
-    place each wanted rank in one bucket, which is flagged; only one flag
-    per bucket is kept into pass 2, which gathers the values of the
-    flagged buckets into one buffer sized from their counts and sorts it.
-    Non-finite values raise SymbolSingularityError with their number; a
-    pass 2 that does not gather exactly the counted values raises
-    RuntimeError.
+    Pass 1 histograms the blocks into the buckets and accumulates the
+    counts in place.  The cumulative counts place each wanted rank in one
+    bucket, which is flagged, and among the values of the flagged buckets.
+    Then the counts are dropped, before pass 2 gathers the values of the
+    flagged buckets into one buffer sized from their counts and sorts it;
+    pass 2 keeps one flag per bucket alone.  Non-finite values raise
+    SymbolSingularityError with their number; a pass 2 that does not
+    gather exactly the counted values raises RuntimeError.
     """
-    count = _bucket_count(samples)
+    count, dtype = _bucket_count(samples)
     buckets = _bucket_map(*value_range, count)
-    hist = _histogram(blocks(), buckets, count)
-    N = int(hist.sum())
+    cum = _histogram(blocks(), buckets, count, dtype)
+    np.add.accumulate(cum, out=cum)  # in place: no second array of counts
+    N = int(cum[-1])
     if N == 0:
         raise SymbolSingularityError("the symbol is singular at every grid point")
     ranks = ranks_of(N)
-    where = np.searchsorted(np.cumsum(hist), ranks, side="right")  # the bucket of each rank
+    # ranks of the counts' own dtype: others would make searchsorted copy the counts
+    where = np.searchsorted(cum, ranks.astype(cum.dtype), side="right")  # the bucket of each rank
+    first = np.concatenate(([True], where[1:] != where[:-1]))  # ascending ranks, ascending buckets
+    flagged = where[first]
+    below = np.where(flagged > 0, cum[flagged - 1], 0)  # the values below each flagged bucket
+    sizes = cum[flagged] - below
+    # a rank's place among the gathered values: the rank less the values below
+    # its bucket, plus the values of the flagged buckets below it
+    k = np.cumsum(first) - 1
+    places = ranks - below[k] + (np.cumsum(sizes) - sizes)[k]
     needed = np.zeros(count, dtype=bool)
-    needed[where] = True
-    gathered = np.empty(int(hist[needed].sum()))
-    # a rank's place among the gathered values: the rank less the values of
-    # the buckets below its own that are not gathered
-    hist[needed] = 0
-    places = ranks - np.cumsum(hist, out=hist)[where]
-    del hist  # 2 MB at 2^18 buckets: pass 2 keeps one flag per bucket alone
+    needed[flagged] = True
+    del cum  # 2 MB of counts, gone before the gather buffer is allocated
+    gathered = np.empty(int(sizes.sum()))
 
     filled = 0
     for values in blocks():
@@ -891,7 +923,7 @@ def monotone_rearrangement(kappa: SymbolExpr, r, ts) -> Rearrangement:
     :func:`_select_ranks` finds them in two passes over the r^2 lattice
     samples, evaluated in blocks of x rows, without holding or sorting
     them all; it spreads them over a number of buckets set by r^2
-    (:func:`_bucket_count`: 2^16 up to r = 2048, 2^18 from r = 2897).
+    (:func:`_bucket_count`: 2^16 up to r = 1448, 2^19 from r = 2897).
 
     A symbol that does not read x (a Toeplitz symbol f(theta)) has r equal
     lattice rows, so its sorted samples are those of one row, each

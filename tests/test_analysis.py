@@ -35,7 +35,6 @@ from gltkit import (
     zero_distribution_check,
 )
 from gltkit.builders import as_dense
-from gltkit.symbols import block_size
 
 ONE = coefficient_preset("one")
 XEXP = coefficient_preset("xexp")
@@ -391,12 +390,12 @@ def test_weyl_symbol_side_is_computed_once_per_test_function():
     counted.label = F.label
     reports = [weyl_compare(case, n, F_suite=[counted], quad_res=40, samples=samples)
                for n in (20, 40)]
-    # the full and coarse samples once, in blocks of block_size values so
-    # that F never sees them at full size, then the spectra at n = 20 and 40
+    # the full and coarse samples once, in blocks of min(2^17, N/16) values
+    # so that F never sees them at full size, then the spectra at n = 20 and 40
     assert sizes[-2:] == [20, 40]
     blocks = sizes[:-2]
     assert sum(blocks) == samples.full.size + samples.coarse.size
-    assert max(blocks) == block_size(samples.full.size) < samples.coarse.size
+    assert max(blocks) == min(1 << 17, samples.full.size // 16) < samples.coarse.size
     sym = float(np.mean(F(samples.full)))
     refinement = abs(sym - float(np.mean(F(samples.coarse))))
     for rep in reports:

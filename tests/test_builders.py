@@ -487,6 +487,18 @@ def test_schur_symmetric_and_spd_requirement():
         fe_system_schur(signed, rho=1.0).build(1)
 
 
+def test_schur_symbol_is_unbounded_where_a_may_vanish():
+    """sin^2 / (a (2 - 2cos)) = (1 + cos) / (2a): bounded only when min |a|
+    on [0, 1] is declared and positive."""
+    for name in ("one", "1+x", "expx"):
+        assert not get_case("schur", name).symbol_unbounded, name
+    for name in ("x", "xexp", "zero"):
+        assert get_case("schur", name).symbol_unbounded, name
+    assert fe_system_schur(Coefficient("c", lambda x: 1.0 + x), rho=1.0).symbol_unbounded
+    assert not fe_system_schur(Coefficient.from_table([0, 1], [2, 3]), rho=1.0).symbol_unbounded
+    assert fe_system_schur(Coefficient.from_table([0, 1], [-1, 3]), rho=1.0).symbol_unbounded
+
+
 def test_eigproblem_exact_eigenvalues_constant_coefficients():
     case = fe_eigproblem(ONE, ONE)
     n = 50

@@ -383,18 +383,36 @@ def test_non_finite_weyl_samples_exit_2_with_their_number(capsys, monkeypatch):
 
 
 def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_path):
-    # a vanishes at x = 1/2, a lattice abscissa for even r, so the Schur
-    # symbol's denominator a(x)(2 - 2cos) trips the division guard on that row
+    # a = c vanishes at x = 1/2, a lattice abscissa for even r, so the pencil
+    # symbol a(x)(6 - 6cos) / (c(x)(2 + cos)) trips the division guard on that
+    # row and is bounded elsewhere
     table = tmp_path / "dip.csv"
     table.write_text("x,value\n0,1\n0.5,0\n1,1\n")
-    path = tmp_path / "schur.json"
+    path = tmp_path / "Ln.json"
     r = 40
-    code, _, _ = run_cli(capsys, "compare", "--case", "schur", "--coeff", f"csv:{table}",
-                         "--n", "20", "--r", str(r), "--quad-res", "40",
-                         "--format", "json", "--out", str(path))
+    code, _, _ = run_cli(capsys, "compare", "--case", f"Ln:c=csv:{table}",
+                         "--coeff", f"csv:{table}", "--n", "20", "--r", str(r),
+                         "--quad-res", "40", "--format", "json", "--out", str(path))
     assert code == 0
     rep = json.loads(path.read_text())["reports"][0]
     assert rep["rearrangement"] == {"r": r, "node_count": r * r - r + 1, "excluded": r}
+
+
+@pytest.mark.parametrize("coeff", ["xexp", "x", "dip"])
+def test_compare_refuses_to_rearrange_schur_where_a_vanishes(capsys, tmp_path, coeff):
+    """The Schur symbol's term sin^2 / (a (2 - 2cos)) = (1 + cos) / (2a) is
+    unbounded where a vanishes (xexp and x at 0, the table at 1/2): compare
+    reports the refusal in place of a rearrangement gap, as for fd_t7."""
+    if coeff == "dip":
+        table = tmp_path / "dip.csv"
+        table.write_text("x,value\n0,1\n0.5,0\n1,1\n")
+        coeff = f"csv:{table}"
+    code, out, _ = run_cli(capsys, "compare", "--case", "schur", "--coeff", coeff,
+                           "--n", "40,160", "--r", "300", "--format", "json")
+    assert code == 0
+    for rep in json.loads(out)["reports"]:
+        assert rep["rearrangement_gap"] is None and rep["rearrangement"] is None
+        assert rep["rearrangement_error"].startswith("case schur: the symbol is unbounded")
 
 
 # ----------------------------------------------------------------------------

@@ -513,14 +513,21 @@ def blocks_ranks_and_range(draw):
 
 
 def test_bucket_count_follows_the_lattice():
-    """The power of two at or above r^2 / 64: 2^16 buckets up to r = 2048,
-    2^17 up to r = 2896, and the 2^18 cap from r = 2897 on."""
-    count = {r: symbols._bucket_count(r * r) for r in (1, 300, 1000, 2000, 2048, 2049,
-                                                       2896, 2897, 5000, 10 ** 5)}
-    assert count == {1: 1 << 16, 300: 1 << 16, 1000: 1 << 16, 2000: 1 << 16,
-                     2048: 1 << 16, 2049: 1 << 17, 2896: 1 << 17, 2897: 1 << 18,
-                     5000: 1 << 18, 10 ** 5: 1 << 18}
-    assert symbols._bucket_count(0) == 1 << 16 and symbols.BUCKETS == 1 << 18
+    """int32 counts of a byte per 8 samples (the power of two at or above
+    r^2 / 32), within 2^16 buckets and 2 MB of counts: 2^16 buckets up to
+    r = 1448, 2^18 up to r = 2896, and the 2^19 cap from r = 2897 on;
+    from 2^31 samples on, the 2 MB hold 2^18 intp counts."""
+    count = {r: symbols._bucket_count(r * r) for r in (1, 300, 1000, 1448, 1449, 2048, 2049,
+                                                       2896, 2897, 5000, 46340)}
+    int32 = np.dtype(np.int32)
+    assert count == {1: (1 << 16, int32), 300: (1 << 16, int32), 1000: (1 << 16, int32),
+                     1448: (1 << 16, int32), 1449: (1 << 17, int32), 2048: (1 << 17, int32),
+                     2049: (1 << 18, int32), 2896: (1 << 18, int32), 2897: (1 << 19, int32),
+                     5000: (1 << 19, int32), 46340: (1 << 19, int32)}
+    assert symbols._bucket_count(0) == (1 << 16, int32)
+    intp = np.dtype(np.intp)
+    assert symbols._bucket_count(2 ** 31 - 1) == (1 << 19, int32)
+    assert symbols._bucket_count(2 ** 31) == symbols._bucket_count(10 ** 10) == (1 << 18, intp)
 
 
 def _check_selection(data, samples):
@@ -552,7 +559,67 @@ def test_selection_picks_the_order_statistics_np_sort_puts_at_the_ranks(data):
 @settings(max_examples=300, deadline=None)
 @given(blocks_ranks_and_range())
 def test_selection_at_the_bucket_cap_picks_the_same_order_statistics(data):
-    _check_selection(data, 64 * symbols.BUCKETS)  # 2^18 buckets
+    _check_selection(data, 1 << 24)  # 2^19 int32 buckets
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_ranks_and_range())
+def test_selection_with_intp_counts_picks_the_same_order_statistics(data):
+    _check_selection(data, 1 << 31)  # 2^18 intp buckets
+
+
+# 2^16 and 2^19 int32 buckets, 2^18 intp buckets
+_SAMPLES = [pytest.param(samples, id=f"samples={samples}") for samples in (0, 1 << 24, 1 << 31)]
+
+
+def _blocks_of(values, size=7):
+    return np.split(values, range(size, values.size, size))
+
+
+@pytest.mark.parametrize("samples", _SAMPLES)
+@pytest.mark.parametrize("values,value_range", [
+    # ties: three values repeated, in shuffled order
+    (np.random.default_rng(0).permutation(np.repeat([3.0, 1.0, 2.0], [50, 30, 20])), (1.0, 3.0)),
+    # values beyond the range on both sides, the range ends among them
+    (np.linspace(-10.0, 10.0, 101), (-1.0, 1.0)),
+    # a range a bucket wide: everything below, in or above one bucket
+    (np.linspace(0.0, 1.0, 64), (0.5, math.nextafter(0.5, 1.0))),
+    # a single-point range
+    (np.linspace(0.0, 1.0, 64), (0.5, 0.5)),
+    # all values in the first of the buckets
+    (1.0 + np.arange(64) * np.finfo(float).eps, (1.0, 2.0)),
+], ids=["ties", "beyond", "one-bucket", "point", "first-bucket"])
+def test_selection_matches_np_sort_on_ties_and_narrow_ranges(values, value_range, samples):
+    samples = max(samples, values.size)
+    for ranks in (np.arange(values.size), np.array([0, values.size // 3, values.size - 1])):
+        _check_selection((_blocks_of(values), ranks, value_range), samples)
+
+
+@pytest.mark.parametrize("samples", _SAMPLES)
+def test_selection_skips_the_clip_of_a_block_inside_the_range(monkeypatch, samples):
+    """Pass 1 clips only the blocks that reach past the buckets; pass 2
+    clips every block, so a sample that moves between the passes still
+    lands in an end bucket."""
+    clip, clipped = np.clip, []
+
+    def counting(t, *args, **kwargs):
+        clipped.append(t.size)
+        return clip(t, *args, **kwargs)
+
+    monkeypatch.setattr(np, "clip", counting)
+    inside = np.linspace(0.0, 1.0, 70)
+    blocks = _blocks_of(inside)
+    samples = max(samples, inside.size)
+    _check_selection((blocks, np.arange(inside.size), (-1.0, 2.0)), samples)
+    assert len(clipped) == len(blocks)  # pass 2 alone
+    clipped.clear()
+    # the top value maps to the last bucket's end: that block is clipped
+    _check_selection((blocks, np.arange(inside.size), (-1.0, 1.0)), samples)
+    assert clipped == [blocks[-1].size] + [b.size for b in blocks]
+    clipped.clear()
+    _check_selection((blocks, np.arange(inside.size), (0.5, 2.0)), samples)
+    below = [b.size for b in blocks if b.min() < 0.5]
+    assert clipped == below + [b.size for b in blocks]
 
 
 def _full_sort_rearrangement(kappa, r, t):
@@ -759,10 +826,12 @@ def test_streamed_rearrangement_holds_a_fraction_of_the_lattice():
     assert peak <= 8 * r * r / 3
 
 
-def test_table2_rearrangement_gathers_only_fine_buckets():
-    """At r = 5000 the 2^18 buckets leave about 466 000 of the 25M samples
-    to gather for the table's nodes: the traced peak stays below 10 MB
-    (18.4 MB with 2^16 buckets, which left 1.48M samples to gather)."""
+def test_table2_rearrangement_gathers_only_fine_buckets(monkeypatch):
+    """At r = 5000 the 2^19 int32 buckets leave 256 876 of the 25M samples
+    to gather for the table's nodes, and their counts are dropped before
+    the gather buffer is allocated: the traced peak stays below 5 MB (7.9
+    MB with 2^18 intp counts alive beside the buffer of 466 394 samples,
+    18.4 MB with 2^16 buckets, which left 1.48M samples to gather)."""
     kappa = get_case("fd_t1", "xexp").predicted_symbol
     r = 5000
     t = np.concatenate([np.arange(1, n + 1) / n for n in (50, 100, 200, 400, 800, 1600)])
@@ -773,7 +842,21 @@ def test_table2_rearrangement_gathers_only_fine_buckets():
     finally:
         tracemalloc.stop()
     assert R.node_count == r * r + 1
-    assert peak < 10e6
+    assert peak < 5e6
+    # pass 2 gathers exactly the values of the buckets that hold a rank
+    histogram, counts = symbols._histogram, []
+
+    def kept(*args):
+        hist = histogram(*args)
+        counts.append(hist.copy())  # the selection accumulates its own in place
+        return hist
+
+    monkeypatch.setattr(symbols, "_histogram", kept)
+    assert np.array_equal(monotone_rearrangement(kappa, r, ts=t).values, R.values)
+    (hist,) = counts
+    assert hist.size == 1 << 19 and hist.dtype == np.int32
+    wanted = np.unique(np.searchsorted(np.cumsum(hist), R.ranks, side="right"))
+    assert int(hist[wanted].sum()) == 256_876
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +957,27 @@ def test_table_sup_is_the_largest_knot_modulus():
     coef = Coefficient.from_table(np.linspace(0.0, 1.0, 33), values)
     assert coef.sup == np.max(np.abs(values))
     assert coef.sup == np.max(np.abs(coef(np.linspace(0.0, 1.0, 4097))))
+
+
+@pytest.mark.parametrize("name,inf", [("one", 1.0), ("x", 0.0), ("xexp", 0.0), ("1+x", 1.0),
+                                      ("expx", 1.0), ("zero", 0.0)])
+def test_preset_inf_is_the_min_modulus_on_the_unit_interval(name, inf):
+    coef = coefficient_preset(name)
+    assert coef.inf == inf == np.min(np.abs(coef(np.linspace(0.0, 1.0, 4097))))
+
+
+@pytest.mark.parametrize("values,inf", [
+    ([2.0, 0.5, 3.0], 0.5),
+    ([-2.0, -0.25, -1.0], 0.25),
+    ([1.0, 0.0, 1.0], 0.0),
+    ([1.0, -1.0, 1.0], 0.0),  # the sign changes between knots: a zero there
+    ([0.5, 0.5, -0.5], 0.0),
+])
+def test_table_inf_is_zero_across_a_sign_change_else_the_least_knot_modulus(values, inf):
+    coef = Coefficient.from_table([0.0, 0.3, 1.0], values)
+    assert coef.inf == inf
+    probe = np.abs(coef(np.linspace(0.0, 1.0, 4001)))
+    assert np.min(probe) == pytest.approx(inf, abs=1e-3)
 
 
 def test_table_coefficient_roundtrip(tmp_path):
