@@ -13,7 +13,7 @@ from gltkit import (
     coefficient_preset, fd_cdr_dirichlet, fd_cdr_neumann,
     rearrangement_compare, zero_distribution_check,
 )
-from gltkit.builders import as_dense
+from gltkit.linalg import as_dense
 
 one = coefficient_preset("one")
 xexp = coefficient_preset("xexp")

@@ -11,7 +11,7 @@ from gltkit import UnboundedSymbolError, get_case, hat, rearrangement_compare, w
 
 case = get_case("fd_t7:q=2", "one")
 print(f"case: {case.tag}")
-print(f"symbol: {case.predicted_symbol}   (unbounded: {case.symbol_unbounded})")
+print(f"symbol: {case.predicted_symbol}   (bounded: {case.predicted_symbol.bounded})")
 
 try:
     rearrangement_compare(case, 100)

@@ -50,12 +50,10 @@ from .symbols import (
     coefficient_preset,
     conjugate,
     divide,
-    modulus_of_continuity,
     modulus_of_integral_continuity,
     modulus_upper_bound,
     monotone_rearrangement,
     multiply,
-    symbol_eval,
 )
 from .builders import (
     DiscretizationCase,

@@ -379,7 +379,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
     across several n, another symbol or an ``r`` other than its own raising
     ValueError, and the eigenvalues ``spectrum`` of alpha_n A_n when already
     at hand (e.g. from ``weyl_compare``)."""
-    if case.symbol_unbounded:
+    if not case.predicted_symbol.bounded:
         raise UnboundedSymbolError(
             f"case {case.name}: the symbol is unbounded (essential sup is infinite); "
             "use sigma-mode Weyl comparison on a bounded window instead"

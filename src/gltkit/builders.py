@@ -44,7 +44,6 @@ from .linalg import (
     RankOneUpdate,
     SpdError,
     SpectralSet,
-    as_dense,
     nonsym_eigvals,
     real_eigvals,
     singular_spectrum,
@@ -101,26 +100,28 @@ class GridMap:
 
     name: str
     G: callable = field(repr=False)
-    dG: callable = field(repr=False)
+    dG: callable = field(repr=False)  # G', a Coefficient where it declares its range
     singularities: tuple = ()
 
     def __post_init__(self):
         if abs(float(self.G(0.0))) > 1e-12 or abs(float(self.G(1.0)) - 1.0) > 1e-12:
             raise ValueError("grid map must satisfy G(0) = 0 and G(1) = 1")
-        probes = np.linspace(0.0, 1.0, 257)
+        probes = (np.arange(256) + 0.5) / 256  # off 0 and 1, where G' may be singular
         if np.any(np.asarray(self.dG(probes)) < -1e-12):
             raise ValueError("grid map derivative must be nonnegative")
 
 
 @cache
 def power_map(q: float) -> GridMap:
-    """G(x) = x^q; singular at 0 for q > 1 (local refinement near 0).  One
+    """G(x) = x^q; singular at 0 for q > 1 (local refinement near 0).  G' =
+    q x^(q-1) declares its exact range on (0, 1]: [0, q] for q > 1, {1} at
+    q = 1 and [q, inf) for q < 1, where it is unbounded (the L1 tag).  One
     GridMap per q, so that fd_t7 cases built apart predict equal symbols."""
     if q <= 0:
         raise ValueError("power map needs q > 0")
-    sing = (0.0,) if q > 1 else ()
-    return GridMap(f"x^{q:g}", lambda x: np.asarray(x) ** q,
-                   lambda x: q * np.asarray(x) ** (q - 1.0), sing)
+    dG = Coefficient(f"x^{q:g}'", lambda x: q * x ** (q - 1.0), "L1" if q < 1 else "continuous",
+                     sup=None if q < 1 else q, inf=0.0 if q > 1 else q)
+    return GridMap(f"x^{q:g}", lambda x: np.asarray(x) ** q, dG, (0.0,) if q > 1 else ())
 
 
 def mapped_grid(gmap: GridMap, n) -> Grid:
@@ -200,7 +201,6 @@ class DiscretizationCase:
     build: callable = field(repr=False)
     alpha_power: int = 0
     predicted_symbol: SymbolExpr | None = None
-    symbol_unbounded: bool = False
     companions: dict = field(default_factory=dict, repr=False)
 
     def alpha(self, n) -> float:
@@ -210,9 +210,6 @@ class DiscretizationCase:
     @property
     def alpha_text(self) -> str:
         return {0: "1", 1: "n+1", -1: "1/(n+1)"}.get(self.alpha_power, f"(n+1)^{self.alpha_power}")
-
-    def normalized_dense(self, n):
-        return self.alpha(n) * as_dense(self.build(n))
 
     def _normalized(self, s: SpectralSet, n) -> SpectralSet:
         return replace(s, values=np.sort(self.alpha(n) * s.values))
@@ -447,7 +444,7 @@ def _on_mapped_grid(a: Coefficient, gmap: GridMap):
     """a(G(x)) and G' as Coefficients, the same two for equal (a, gmap), so
     that fd_t7 cases built apart predict equal symbols."""
     return (Coefficient(f"{a.name}(G)", lambda x: a(np.asarray(gmap.G(x))), a.regularity),
-            Coefficient(f"{gmap.name}'", gmap.dG, "continuous"))
+            gmap.dG if isinstance(gmap.dG, Coefficient) else Coefficient(f"{gmap.name}'", gmap.dG))
 
 
 def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
@@ -460,7 +457,6 @@ def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
         build=lambda n: fd_nonuniform_matrix(a, gmap, n),
         alpha_power=-1,
         predicted_symbol=symbol,
-        symbol_unbounded=bool(gmap.singularities),
     )
 
 
@@ -621,8 +617,6 @@ def fe_system_schur(a: Coefficient, rho: float) -> DiscretizationCase:
         build=build,
         alpha_power=1,
         predicted_symbol=sigma,
-        # sin^2 / (a (2 - 2 cos)) = (1 + cos) / (2a): unbounded where a vanishes
-        symbol_unbounded=not a.inf,
     )
 
 

@@ -163,7 +163,7 @@ def cmd_compare(args) -> int:
     solve = case.singular_spectrum if args.mode == "sigma" else case.spectrum
     with _solving(solve, args.n) as collect:
         rearr = None
-        if not case.symbol_unbounded:
+        if case.predicted_symbol.bounded:
             rearr = monotone_rearrangement(case.predicted_symbol, args.r,
                                            rearrangement_nodes(args.n))
         samples = symbol_samples(case.predicted_symbol, args.mode, args.quad_res)

@@ -11,12 +11,12 @@ approaching the essential infimum and supremum.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 #: divisions with |denominator| below this guard count as singular points
 DIV_GUARD = 1e-13
@@ -85,12 +85,6 @@ class TrigPoly:
             out = out + self.coeffs[r + k] * np.exp(1j * k * theta) \
                       + self.coeffs[r - k] * np.exp(-1j * k * theta)
         return out
-
-    def sup_norm(self, grid=100001):
-        """max |f| on a fine theta grid (exact enough for certificates at
-        the resolutions used here; known symbols pass their exact value)."""
-        th = np.linspace(-np.pi, np.pi, grid)
-        return float(np.max(np.abs(self(th))))
 
     def __repr__(self):
         return f"TrigPoly(degree={self.degree}, real_valued={self.real_valued})"
@@ -242,6 +236,8 @@ class SymbolExpr:
     has_quotient: bool = False
     #: False for a subtree of theta alone, which a grid evaluates once
     reads_x: bool = True
+    #: essentially bounded on :data:`SYMBOL_RECT`, as far as the tree shows
+    bounded: bool = True
 
     def _eval(self, x, theta, invalid, out=None):
         """Values at (x, theta); division guards append their masks to
@@ -323,6 +319,7 @@ class CoeffFactor(SymbolExpr):
 
     def __init__(self, coefficient: Coefficient):
         self.coefficient = coefficient
+        self.bounded = coefficient.bounded
         modulus = coefficient.exact_modulus
         self.reads_x = modulus is None or modulus(1.0) != 0
 
@@ -370,11 +367,11 @@ class TrigFactor(SymbolExpr):
 
 
 class _Node(SymbolExpr):
-    """A node of the symbol algebra over its ``children``: real when they
-    all are, reading x when one of them does, and with a quotient when one
-    of them has one or the node is a :class:`Quot`.  ``kind`` names it in
-    JSON, ``{"kind": kind, "children": [...]}``, and ``arity`` fixes its
-    number of children (None: any)."""
+    """A node of the symbol algebra over its ``children``: real and bounded
+    when they all are (a Quot: when its numerator is bounded and
+    :func:`_stays_off_zero` holds), reading x when one does, with a quotient
+    when one has one or it is a Quot.  ``kind`` names it in JSON, ``{"kind":
+    kind, "children": [...]}``, and ``arity`` fixes their number (None: any)."""
 
     kind: str
     arity: int | None = None
@@ -387,6 +384,8 @@ class _Node(SymbolExpr):
         self.is_real = all(c.is_real for c in children)
         self.has_quotient = self.kind == "quot" or any(c.has_quotient for c in children)
         self.reads_x = any(c.reads_x for c in children)
+        self.bounded = (children[0].bounded and _stays_off_zero(*children) if self.kind == "quot"
+                        else all(c.bounded for c in children))
 
     def to_json_obj(self):
         return {"kind": self.kind, "children": [c.to_json_obj() for c in self.children]}
@@ -432,6 +431,45 @@ class Quot(_Node):
         return "({}) / ({})".format(*self.children)
 
 
+def _leaf_product(node):
+    """A product of leaves as its Coefficients and the product of its trig
+    polynomials, (c_-r, ..., c_r); None for any other node."""
+    if isinstance(node, CoeffFactor):
+        return [node.coefficient], np.ones(1)
+    if isinstance(node, TrigFactor):
+        return [], node.poly.coeffs
+    forms = [_leaf_product(c) for c in node.children] if isinstance(node, Prod) else [None]
+    if None in forms:
+        return None
+    return [c for f in forms for c in f[0]], math.prod(np.poly1d(f[1]) for f in forms).coeffs
+
+
+def _stays_off_zero(num, den):
+    """Whether ``den``, a product of leaves, stays off 0 on the symbol's
+    rectangle after cancelling with ``num`` its equal Coefficients, and its
+    polynomial if that divides ``num``'s (sin^2 / (2 - 2cos) = (1 + cos) / 2):
+    if the Coefficients left declare inf > 0 and the polynomial left, less
+    terms below 1e-12 of the largest, has a term outweighing the rest (no
+    np.roots, whose LAPACK costs 0.9 MB of RSS) or no root within 1e-3
+    (eps^(1/m) at multiplicity m) of |z| = 1, z = e^{i theta}."""
+    (top, upper), (bottom, poly) = _leaf_product(num) or ([], None), _leaf_product(den) or ([], [])
+    for coefficient in bottom:
+        if coefficient in top:
+            top.remove(coefficient)
+        elif not (coefficient.inf or 0) > 0:
+            return False
+    scale = np.abs(poly).max(initial=0.0)
+    if not scale > np.finfo(float).tiny:  # not a product of leaves, or too small to scale
+        return False
+    poly = np.trim_zeros(np.where(np.abs(poly) > 1e-12 * scale, poly / scale, 0))
+    if upper is not None and np.all(np.abs(np.polydiv(upper, poly)[1])
+                                    <= 1e-12 * np.abs(upper).max()):
+        return True
+    if np.abs(poly).sum() < 1.999:  # the largest term, 1, outweighs the rest, rounding aside
+        return True
+    return not np.any(np.abs(np.abs(np.roots(poly)) - 1) <= 1e-3)
+
+
 class Conj(_Node):
     kind, arity = "conj", 1
 
@@ -444,14 +482,11 @@ class Conj(_Node):
 
 class _Fixed(SymbolExpr):
     """A subtree of theta alone, evaluated once on a grid's theta axis: its
-    values and the masks its division guards tripped."""
+    values and the masks its division guards tripped; its flags go unread."""
 
     def __init__(self, node, theta):
         self.invalid = []
         self.values = node._eval(None, theta, self.invalid)
-        self.is_real = node.is_real
-        self.has_quotient = node.has_quotient
-        self.reads_x = False
 
     def _eval(self, x, theta, invalid, out=None):
         invalid.extend(self.invalid)
@@ -466,7 +501,9 @@ def _bind_theta(node, theta):
         return _Fixed(node, theta)
     if not isinstance(node, _Node):
         return node
-    return type(node)(*(_bind_theta(c, theta) for c in node.children))
+    bound = copy.copy(node)  # keeps what the node derived from its children
+    bound.children = tuple(_bind_theta(c, theta) for c in node.children)
+    return bound
 
 
 def _apply(ufunc, *args, out):
@@ -525,15 +562,6 @@ def _symbol_from_json(obj, coefficients):
     if kind not in _NODE_KINDS:
         raise ValueError(f"unknown symbol node kind {kind!r}")
     return _NODE_KINDS[kind](*(_symbol_from_json(c, coefficients) for c in obj["children"]))
-
-
-def symbol_eval(kappa: SymbolExpr, x: float, theta: float):
-    """Evaluate one point of a symbol; singular division raises."""
-    vals, invalid = kappa.eval_masked(np.asarray(x, dtype=float), np.asarray(theta, dtype=float))
-    if invalid is not None and np.any(invalid):
-        raise SymbolSingularityError(f"symbol is singular at (x, theta) = ({x}, {theta})")
-    v = complex(np.asarray(vals).reshape(-1)[0]) if np.ndim(vals) else complex(vals)
-    return v.real if kappa.is_real else v
 
 
 # ----------------------------------------------------------------------------
@@ -961,35 +989,15 @@ def monotone_rearrangement(kappa: SymbolExpr, r, ts) -> Rearrangement:
 # moduli of continuity
 # ----------------------------------------------------------------------------
 
-def modulus_of_continuity(a: Coefficient, delta, probe_count=4097):
-    """Lattice lower estimate of omega_a(delta) = sup_{|x-y|<=delta} |a(x)-a(y)|.
-
-    Probes a uniform lattice of [0,1] and takes the largest max - min over
-    its windows of the probes within delta of each other; exact for
-    piecewise-linear data when delta is a multiple of the lattice step.
-    Nondecreasing in delta for a fixed lattice.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    x = np.linspace(0.0, 1.0, probe_count)
-    vals = np.asarray(a(x), dtype=float)
-    step = 1.0 / (probe_count - 1)
-    width = min(int(np.floor(delta / step + 1e-12)) + 1, vals.size)
-    if width <= 1:
-        return 0.0
-    windows = sliding_window_view(vals, width)
-    return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
-
-
 def modulus_upper_bound(a: Coefficient, delta):
     """omega_a(delta) for certificate right-hand sides, from the
     coefficient's exact modulus.  A coefficient without one raises
-    ValueError: the lattice estimate of :func:`modulus_of_continuity` is a
-    lower bound, so no right-hand side may rest on it.
+    ValueError: a modulus sampled on a lattice is only a lower bound, so no
+    right-hand side may rest on it.
     """
     if a.exact_modulus is None:
-        raise ValueError(f"coefficient {a.name!r} has no exact modulus of continuity, "
-                         "which a certificate's right-hand side needs")
+        raise ValueError(f"coefficient {a.name!r} has no exact modulus of continuity; "
+                         "a sampled one is a lower bound, which no right-hand side may use")
     return float(a.exact_modulus(delta))
 
 

@@ -35,7 +35,7 @@ from gltkit import (
     weyl_compare,
     zero_distribution_check,
 )
-from gltkit.builders import as_dense
+from gltkit.linalg import as_dense
 from gltkit.cli import TABLE2_REFERENCE
 
 ONE = coefficient_preset("one")

@@ -34,7 +34,7 @@ from gltkit import (
     weyl_compare,
     zero_distribution_check,
 )
-from gltkit.builders import as_dense
+from gltkit.linalg import as_dense
 
 ONE = coefficient_preset("one")
 XEXP = coefficient_preset("xexp")
@@ -431,7 +431,7 @@ def test_weyl_rejects_samples_of_another_symbol():
     own = symbol_samples(get_case("fd_t1", "xexp").predicted_symbol, quad_res=60)
     assert own.kappa is not case.predicted_symbol
     assert weyl_compare(case, 40, quad_res=60, samples=own).max_gap() < 0.01
-    for case, again in _built_twice(case_names()):
+    for case, again in _built_twice(case_names() + ["fd_t7:q=0.5"]):
         own = symbol_samples(again.predicted_symbol, "sigma", quad_res=40)
         weyl_compare(case, 20, mode="sigma", quad_res=40, samples=own)
 
@@ -446,9 +446,9 @@ def test_rearrangement_compare_rejects_a_rearrangement_of_another_symbol():
     own = monotone_rearrangement(get_case("fd_t1", "xexp").predicted_symbol, 300, ts)
     assert own.kappa is not case.predicted_symbol
     assert rearrangement_compare(case, 40, rearr=own).rearrangement_gap < 0.05
-    # fd_t7's default grid map makes its symbol unbounded; q = 1 keeps it bounded
-    for case, again in _built_twice(case_names() + ["fd_t7:q=1"]):
-        if not case.symbol_unbounded:
+    # fd_t7's default grid map makes its symbol unbounded; q = 1 and 0.5 keep it bounded
+    for case, again in _built_twice(case_names() + ["fd_t7:q=1", "fd_t7:q=0.5"]):
+        if case.predicted_symbol.bounded:
             own = monotone_rearrangement(again.predicted_symbol, 300, ts)
             rearrangement_compare(case, 40, rearr=own)
 

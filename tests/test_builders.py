@@ -1,5 +1,6 @@
 """Tests for grids and the FD/FE matrix families."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gltkit import (
     arrow_sampling,
     coefficient_preset,
     diag_sampling,
+    divide,
     fd_cdr_dirichlet,
     fd_cdr_neumann,
     fd_diffusion,
@@ -34,9 +36,9 @@ from gltkit import (
     fe_system_schur,
     get_case,
     mapped_grid,
+    multiply,
     power_map,
     registry_lines,
-    symbol_eval,
     sym_eigvals,
     toeplitz,
     uniform_grid,
@@ -138,7 +140,7 @@ def test_fd_diffusion_linear_coefficient_hand_values():
 def test_fd_diffusion_symbol_at_theta_pi():
     case = fd_diffusion(XEXP)
     for x in (0.2, 0.7, 1.0):
-        assert symbol_eval(case.predicted_symbol, x, math.pi) == pytest.approx(4 * float(XEXP(x)))
+        assert case.predicted_symbol(x, math.pi) == pytest.approx(4 * float(XEXP(x)))
 
 
 def test_fd_diffusion_gerschgorin_containment():
@@ -366,8 +368,9 @@ def test_nonuniform_square_map_hand_values():
 def test_nonuniform_symbol_value():
     case = fd_nonuniform(ONE, power_map(2.0))
     for xh in (0.25, 0.5, 1.0):
-        assert symbol_eval(case.predicted_symbol, xh, math.pi) == pytest.approx(4.0 / (2 * xh))
-    assert case.symbol_unbounded
+        assert case.predicted_symbol(xh, math.pi) == pytest.approx(4.0 / (2 * xh))
+    # 4 / G'(x) = 2 / x: G' = 2x declares inf = 0, so the symbol is unbounded
+    assert power_map(2.0).dG.inf == 0.0 and not case.predicted_symbol.bounded
 
 
 def test_nonuniform_detects_non_increasing_mesh():
@@ -490,13 +493,84 @@ def test_schur_symmetric_and_spd_requirement():
 def test_schur_symbol_is_unbounded_where_a_may_vanish():
     """sin^2 / (a (2 - 2cos)) = (1 + cos) / (2a): bounded only when min |a|
     on [0, 1] is declared and positive."""
+    def bounded(a):
+        return fe_system_schur(a, rho=1.0).predicted_symbol.bounded
+
     for name in ("one", "1+x", "expx"):
-        assert not get_case("schur", name).symbol_unbounded, name
+        assert get_case("schur", name).predicted_symbol.bounded, name
     for name in ("x", "xexp", "zero"):
-        assert get_case("schur", name).symbol_unbounded, name
-    assert fe_system_schur(Coefficient("c", lambda x: 1.0 + x), rho=1.0).symbol_unbounded
-    assert not fe_system_schur(Coefficient.from_table([0, 1], [2, 3]), rho=1.0).symbol_unbounded
-    assert fe_system_schur(Coefficient.from_table([0, 1], [-1, 3]), rho=1.0).symbol_unbounded
+        assert not get_case("schur", name).predicted_symbol.bounded, name
+    assert not bounded(Coefficient("c", lambda x: 1.0 + x))
+    assert bounded(Coefficient.from_table([0, 1], [2, 3]))
+    assert not bounded(Coefficient.from_table([0, 1], [-1, 3]))
+
+
+#: whether the symbol is bounded, with the coefficient one, x, xexp, 1+x, expx
+BOUNDED = {
+    "Ln": (True, True, True, True, True),
+    "fd_t1": (True, True, True, True, True),
+    "fd_t2": (True, True, True, True, True),
+    "fd_t3": (True, True, True, True, True),
+    "fd_t4": (True, True, True, True, True),
+    "fd_t5": (True, True, True, True, True),
+    "fd_t6": (True, True, True, True, True),
+    "fd_t7": (False, False, False, False, False),  # q = 2: G' = 2x vanishes at 0
+    "fe_mass": (True, True, True, True, True),
+    "fe_t1": (True, True, True, True, True),
+    "schur": (True, False, False, True, True),  # (1 + cos) / (2a): a vanishes at 0
+    "fd_t7:q=0.5": (True, True, True, True, True),  # G' = x^(-1/2) / 2 >= 1/2
+    "fd_t7:q=1": (True, True, True, True, True),
+    "fd_t7:q=2": (False, False, False, False, False),
+    "fd_t7:q=3": (False, False, False, False, False),
+    "Ln:c=x": (False, True, False, False, False),  # a (6 - 6cos) / (c (2 + cos))
+    "Ln:c=xexp": (False, False, True, False, False),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BOUNDED))
+def test_boundedness_follows_from_the_symbol_tree(spec):
+    assert set(case_names()) <= set(BOUNDED)
+    got = tuple(get_case(spec, name).predicted_symbol.bounded
+                for name in ("one", "x", "xexp", "1+x", "expx"))
+    assert got == BOUNDED[spec]
+
+
+def test_boundedness_cancels_equal_coefficients_and_reads_inf(tmp_path):
+    table = tmp_path / "dip.csv"
+    table.write_text("x,value\n0,1\n0.5,0\n1,1\n")
+    dip = f"csv:{table}"
+    for c in ("x", "zero", dip):
+        # c cancels against a = c, read from its own file for the table
+        assert get_case(f"Ln:c={c}", c).predicted_symbol.bounded, c
+        assert not get_case(f"Ln:c={c}", "one").predicted_symbol.bounded, c
+    assert not get_case("schur", dip).predicted_symbol.bounded
+    assert get_case("schur", Coefficient.from_table([0, 1], [2, 3])).predicted_symbol.bounded
+    assert not get_case("schur", Coefficient.from_table([0, 1], [-1, 3])).predicted_symbol.bounded
+    # an L1 coefficient: unbounded as a factor, bounded in a denominator that
+    # declares inf > 0, unbounded in one that does not
+    rsqrt = Coefficient("rsqrt", lambda x: x ** -0.5, "L1", inf=1.0)
+    assert not get_case("fd_t1", rsqrt).predicted_symbol.bounded
+    assert not get_case("Ln", rsqrt).predicted_symbol.bounded
+    assert get_case("schur", rsqrt).predicted_symbol.bounded
+    assert not get_case("schur", replace(rsqrt, inf=None)).predicted_symbol.bounded
+    # the denominator's polynomial: 2 - 2cos vanishes at theta = 0 and 1/2 + cos
+    # at 2 pi / 3; 2 + cos (its constant term outweighs the rest) and 0.4 +
+    # 0.5 cos + 1.2 cos^2 = 1 + 0.5 cos + 0.6 cos 2theta (no real root) nowhere
+    assert not divide(SIN_SYMBOL, LAPLACE_SYMBOL).bounded
+    assert not divide(SIN_SYMBOL, TrigPoly.from_cosines([0.5, 1.0])).bounded
+    assert divide(SIN_SYMBOL, TrigPoly.from_cosines([2.0, 1.0])).bounded
+    assert divide(SIN_SYMBOL, TrigPoly.from_cosines([1.0, 0.5, 0.6])).bounded
+    assert divide(multiply(SIN_SYMBOL, SIN_SYMBOL), LAPLACE_SYMBOL).bounded
+
+
+def test_power_map_declares_the_range_of_its_derivative():
+    for q, (regularity, inf, sup) in {0.5: ("L1", 0.5, None), 1.0: ("continuous", 1.0, 1.0),
+                                      2.0: ("continuous", 0.0, 2.0),
+                                      3.0: ("continuous", 0.0, 3.0)}.items():
+        dG = power_map(q).dG
+        assert (dG.regularity, dG.inf, dG.sup) == (regularity, inf, sup), q
+        values = dG(np.linspace(1e-6, 1.0, 4097))
+        assert values.min() >= inf and (sup is None or values.max() <= sup), q
 
 
 def test_eigproblem_exact_eigenvalues_constant_coefficients():
@@ -539,7 +613,8 @@ DECLARED_CORRECTIONS = {
 
 
 @pytest.mark.parametrize("coeff", ("xexp", "one", "x"))
-@pytest.mark.parametrize("spec", case_names() + ["fd_t4:b=zero,c=zero", "fe_t1:b=x,c=one"])
+@pytest.mark.parametrize("spec", case_names() + ["fd_t4:b=zero,c=zero", "fe_t1:b=x,c=one",
+                                                 "fd_t7:q=0.5"])
 def test_build_minus_its_corrections_is_symmetric(spec, coeff):
     """The split a case declares: build(n) minus the sum of its companions
     is symmetric, Z and N vanish in the normalized Frobenius norm divided
@@ -709,7 +784,7 @@ def test_alpha_after_the_solve_matches_the_normalized_matrix(spec):
     case = get_case(spec, "xexp")
     n = 60
     assert case.alpha(n) != 1.0
-    ref = np.linalg.eigvalsh(case.normalized_dense(n))
+    ref = np.linalg.eigvalsh(case.alpha(n) * as_dense(case.build(n)))
     got = case.spectrum(n).values
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -717,7 +792,7 @@ def test_alpha_after_the_solve_matches_the_normalized_matrix(spec):
 def test_pencil_case_has_no_dense_form():
     case = get_case("Ln", "xexp")
     with pytest.raises(ValueError, match="no dense form"):
-        case.normalized_dense(5)
+        case.alpha(5) * as_dense(case.build(5))
     with pytest.raises(ValueError, match="no dense form"):
         case.complex_spectrum(5)
 
@@ -726,7 +801,7 @@ def test_pencil_case_has_no_dense_form():
 def test_singular_spectrum_matches_dense_svd(spec):
     case = get_case(spec, "xexp")
     n = 60
-    ref = np.sort(np.linalg.svd(case.normalized_dense(n), compute_uv=False))
+    ref = np.sort(np.linalg.svd(case.alpha(n) * as_dense(case.build(n)), compute_uv=False))
     got = case.singular_spectrum(n)
     assert got.kind == "singular_values"
     assert np.max(np.abs(got.values - ref)) <= 1e-10

@@ -415,6 +415,31 @@ def test_compare_refuses_to_rearrange_schur_where_a_vanishes(capsys, tmp_path, c
         assert rep["rearrangement_error"].startswith("case schur: the symbol is unbounded")
 
 
+def test_compare_refuses_to_rearrange_ln_where_c_vanishes_and_a_does_not(capsys):
+    """The pencil symbol a (6 - 6cos) / (c (2 + cos)) with a = 1 and c = x
+    is unbounded at x = 0 (c.inf = 0 and nothing cancels c): compare
+    reports the refusal in place of a rearrangement gap."""
+    code, out, _ = run_cli(capsys, "compare", "--case", "Ln:c=x", "--coeff", "one",
+                           "--n", "40,160", "--r", "300", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [rep["n"] for rep in reports] == [40, 160]
+    for rep in reports:
+        assert rep["rearrangement_gap"] is None and rep["rearrangement"] is None
+        assert rep["rearrangement_error"].startswith("case Ln: the symbol is unbounded")
+
+
+def test_compare_rearranges_fd_t7_where_g_prime_is_unbounded_but_positive(capsys):
+    """G = x^(1/2): G' = x^(-1/2) / 2 is unbounded at 0 but at least 1/2, so
+    the symbol a(G) (2 - 2cos) / G' is bounded.  No probe reads G' at 0,
+    where it divides by zero (a RuntimeWarning, an error under pytest)."""
+    code, out, err = run_cli(capsys, "compare", "--case", "fd_t7:q=0.5", "--n", "20,80",
+                             "--r", "200", "--format", "json")
+    assert code == 0 and not err
+    gaps = [rep["rearrangement_gap"] for rep in json.loads(out)["reports"]]
+    assert gaps[1] < gaps[0] < 0.5
+
+
 # ----------------------------------------------------------------------------
 # compare solves on one worker thread while the main thread samples the symbol
 # ----------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for trig polynomials, coefficients, symbol trees, rearrangement,
-and the two moduli of continuity."""
+and the moduli of continuity."""
 import json
 import math
 import tracemalloc
@@ -28,12 +28,10 @@ from gltkit import (
     conjugate,
     divide,
     get_case,
-    modulus_of_continuity,
     modulus_of_integral_continuity,
     modulus_upper_bound,
     monotone_rearrangement,
     multiply,
-    symbol_eval,
 )
 from gltkit import symbols
 
@@ -72,12 +70,16 @@ def test_sine_symbol_is_real_valued_with_complex_coefficients():
     assert np.allclose(SIN_SYMBOL(th), np.sin(th), atol=1e-15)
 
 
+def _grid_max(f, grid):
+    """max |f| on ``grid`` points of [-pi, pi]: a lower bound of sup |f|."""
+    return float(np.max(np.abs(f(np.linspace(-np.pi, np.pi, grid)))))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=4))
 def test_fourier_coefficients_bounded_by_sup_norm(cosines):
     f = TrigPoly.from_cosines(cosines)
-    sup = f.sup_norm(20001)
-    assert np.all(np.abs(f.coeffs) <= sup + 1e-9)
+    assert np.all(np.abs(f.coeffs) <= _grid_max(f, 20001) + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +88,21 @@ def test_fourier_coefficients_bounded_by_sup_norm(cosines):
 
 def test_symbol_eval_diffusion_at_corner():
     kappa = multiply(XEXP, LAPLACE_SYMBOL)
-    assert symbol_eval(kappa, 1.0, math.pi) == pytest.approx(4.0 / math.e, rel=1e-12)
+    assert kappa(1.0, math.pi) == pytest.approx(4.0 / math.e, rel=1e-12)
 
 
 def test_symbol_eval_schur_second_term():
     sigma_term = divide(multiply(SIN_SYMBOL, SIN_SYMBOL),
                         multiply(coefficient_preset("one"), LAPLACE_SYMBOL))
-    assert symbol_eval(sigma_term, 0.3, math.pi / 2) == pytest.approx(0.5, rel=1e-12)
+    assert sigma_term(0.3, math.pi / 2) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_symbol_eval_raises_at_quotient_singularity():
+def test_symbol_eval_masks_the_quotient_singularity():
     q = divide(TrigFactor(SIN_SYMBOL), TrigFactor(LAPLACE_SYMBOL))
-    with pytest.raises(SymbolSingularityError):
-        symbol_eval(q, 0.5, 0.0)
+    values, invalid = q.eval_masked(0.5, [0.0, 1.0])
+    assert invalid.tolist() == [True, False]
+    assert values[1] == pytest.approx(math.sin(1.0) / (2 - 2 * math.cos(1.0)), rel=1e-12)
+    assert np.isnan(q(0.5, 0.0))
 
 
 def test_symbol_algebra_add_distributes():
@@ -107,12 +111,12 @@ def test_symbol_algebra_add_distributes():
     left = add(multiply(a, f), multiply(b, f))
     for x, th in [(0.1, 0.3), (0.9, 2.5), (0.5, 1.0)]:
         ref = (a(x) + b(x)) * f(th)
-        assert symbol_eval(left, x, th) == pytest.approx(float(ref), rel=1e-12)
+        assert left(x, th) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_symbol_algebra_multiply_point():
     kappa = multiply(coefficient_preset("x"), LAPLACE_SYMBOL)
-    assert symbol_eval(kappa, 0.5, math.pi) == pytest.approx(2.0)
+    assert kappa(0.5, math.pi) == pytest.approx(2.0)
 
 
 def test_json_roundtrip():
@@ -125,7 +129,7 @@ def test_json_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(5):
         x, th = rng.uniform(0.05, 1.0), rng.uniform(0.1, math.pi)
-        assert symbol_eval(back, x, th) == pytest.approx(symbol_eval(kappa, x, th), rel=1e-12)
+        assert back(x, th) == pytest.approx(kappa(x, th), rel=1e-12)
 
 
 def _coefficients(kappa):
@@ -145,7 +149,7 @@ def test_json_roundtrip_of_every_registry_symbol(name, coeff):
     back = SymbolExpr.from_json(kappa.to_json(), _coefficients(kappa))
     assert back.to_json() == kappa.to_json()
     assert str(back) == str(kappa)
-    flags = ("is_real", "has_quotient", "reads_x")
+    flags = ("is_real", "has_quotient", "reads_x", "bounded")
     assert [getattr(back, f) for f in flags] == [getattr(kappa, f) for f in flags]
 
 
@@ -863,44 +867,10 @@ def test_table2_rearrangement_gathers_only_fine_buckets(monkeypatch):
 # moduli of continuity
 # ---------------------------------------------------------------------------
 
-def test_modulus_linear_is_exact_on_aligned_lattice():
-    got = modulus_of_continuity(coefficient_preset("x"), 0.1, probe_count=1001)
-    assert got == pytest.approx(0.1, abs=1e-12)
-
-
-def test_modulus_constant_is_zero():
-    assert modulus_of_continuity(coefficient_preset("one"), 0.3) == 0.0
-
-
-def test_modulus_of_square_closed_form():
-    sq = Coefficient("sq", lambda x: x**2, "continuous")
-    got = modulus_of_continuity(sq, 0.1, probe_count=1001)
-    assert got == pytest.approx(0.19, abs=1e-12)
-
-
-def test_modulus_monotone_in_delta():
-    sq = Coefficient("sq", lambda x: np.sin(5 * x), "continuous")
-    vals = [modulus_of_continuity(sq, d, probe_count=2001) for d in (0.05, 0.1, 0.2, 0.5)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-@pytest.mark.parametrize("delta", [1e-4, 0.003, 0.05, 0.5, 1.0, 3.0])
-def test_modulus_is_the_largest_spread_over_lattice_windows(delta):
-    """Against a scan of every window of probes within delta, ties included."""
-    table = Coefficient.from_table(np.linspace(0.0, 1.0, 9),
-                                   [0.0, 2.0, 2.0, -1.0, 0.5, 0.5, 3.0, -2.0, 1.0])
-    probes = 201
-    vals = table(np.linspace(0.0, 1.0, probes))
-    width = min(int(np.floor(delta * (probes - 1) + 1e-12)) + 1, probes)
-    spread = max(np.ptp(vals[i:i + width]) for i in range(probes - width + 1))
-    assert modulus_of_continuity(table, delta, probe_count=probes) == spread
-
-
 def test_modulus_upper_bound_takes_exact_moduli_only():
     assert modulus_upper_bound(coefficient_preset("xexp"), 0.1) == pytest.approx(
         0.1 * math.exp(-0.1), rel=1e-15)
     table = Coefficient.from_table([0.0, 1.0], [0.0, 1.0], name="ramp")
-    assert modulus_of_continuity(table, 0.1) > 0.0  # only a lower estimate
     with pytest.raises(ValueError, match="'ramp' has no exact modulus"):
         modulus_upper_bound(table, 0.1)
 
@@ -936,10 +906,16 @@ def test_integral_modulus_monotone_and_bounded():
 # ---------------------------------------------------------------------------
 
 def test_preset_exact_moduli_match_lattice_estimates():
+    """Each exact modulus bounds the largest spread of the coefficient over
+    the windows of an 8193-point lattice within delta, a lower estimate of
+    omega(delta)."""
+    x = np.linspace(0.0, 1.0, 8193)
     for name in ("x", "xexp", "1+x", "expx"):
         coef = coefficient_preset(name)
+        values = coef(x)
         for d in (0.05, 0.2):
-            lattice = modulus_of_continuity(coef, d, probe_count=8193)
+            windows = np.lib.stride_tricks.sliding_window_view(values, int(d * 8192 + 1e-9) + 1)
+            lattice = np.max(windows.max(axis=1) - windows.min(axis=1))
             assert lattice <= coef.exact_modulus(d) + 1e-9
 
 
@@ -1019,7 +995,7 @@ def test_conjugate_of_real_symbol_is_identity():
     kappa = multiply(XEXP, LAPLACE_SYMBOL)
     conj = conjugate(kappa)
     assert conj.is_real
-    assert symbol_eval(conj, 0.3, 1.1) == pytest.approx(symbol_eval(kappa, 0.3, 1.1), rel=1e-14)
+    assert conj(0.3, 1.1) == pytest.approx(kappa(0.3, 1.1), rel=1e-14)
 
 
 def test_conjugate_of_complex_trig():
@@ -1037,4 +1013,4 @@ def test_fourier_bound_holds_for_general_polynomials(pairs):
     if len(pairs) % 2 == 0:
         pairs = pairs + [(0.5, 0.0)]
     f = TrigPoly([complex(re, im) for re, im in pairs])
-    assert np.all(np.abs(f.coeffs) <= f.sup_norm(40001) + 1e-9)
+    assert np.all(np.abs(f.coeffs) <= _grid_max(f, 40001) + 1e-9)
