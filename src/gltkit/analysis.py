@@ -15,14 +15,16 @@ Three complementary diagnostics:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .builders import DiscretizationCase
 from .linalg import SpectralSet, schatten_norm, singular_spectrum, spectral_norm
-from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr, TrigFactor,
-                      grid_samples, monotone_rearrangement, nonfinite_count, require_finite)
+from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr,
+                      SymbolSingularityError, TrigFactor, _grid_blocks, block_size,
+                      monotone_rearrangement, nonfinite_count, require_finite)
 
 
 class UnboundedSymbolError(ValueError):
@@ -116,38 +118,67 @@ def empirical_functional(spectrum, F) -> float:
     return float(np.mean(F(values)))
 
 
-def _quadrature_samples(kappa: SymbolExpr, quad_res, absolute):
-    """Symbol samples (moduli with ``absolute``) at the kept points of the
-    2-d quadrature grid on :data:`SYMBOL_RECT`.
+def _quadrature_axes(kappa: SymbolExpr, quad_res):
+    """The x and theta axes of the 2-d quadrature grid on :data:`SYMBOL_RECT`.
 
     A symbol without a quotient takes a composite Gauss-Legendre rule with
     ``quad_res`` panels and two nodes per panel per axis (equal weights, so
     plain means are exact averages); a quotient symbol takes the
     cell-center rule, with singular cells excluded and the measure
-    renormalized accordingly.  A NaN or infinite sample raises
-    SymbolSingularityError with their number.
+    renormalized accordingly.
     """
     (x0, x1), (t0, t1) = SYMBOL_RECT
     centres = np.arange(quad_res) + 0.5
     if kappa.has_quotient:
-        x, th = x0 + (x1 - x0) * centres / quad_res, t0 + (t1 - t0) * centres / quad_res
-    else:
-        g = 1.0 / (2.0 * math.sqrt(3.0))  # 2-point Gauss offsets on a unit panel
-        nodes = (centres[:, None] / quad_res + np.array([-g, g]) / quad_res).ravel()
-        x, th = x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes
-    samples = grid_samples(kappa, (x, th), absolute)[0]
-    require_finite(nonfinite_count(samples))
-    return samples
+        return x0 + (x1 - x0) * centres / quad_res, t0 + (t1 - t0) * centres / quad_res
+    g = 1.0 / (2.0 * math.sqrt(3.0))  # 2-point Gauss offsets on a unit panel
+    nodes = (centres[:, None] / quad_res + np.array([-g, g]) / quad_res).ravel()
+    return x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes
 
 
-def _blocked_mean(F, values):
-    """Mean of F over ``values``, applied in blocks of 2^17 values (1/16 of
-    them when that is fewer), so F(values) is never held at full size."""
-    # the block boundaries fix the bits of every symbol-side value: this
+#: a symbol on one quadrature grid: its kept and excluded points, least and greatest value
+GridRange = namedtuple("GridRange", "count excluded lo hi")
+
+
+def _grid_range(kappa: SymbolExpr, quad_res, absolute):
+    """The :data:`GridRange` of ``kappa`` (of its moduli with ``absolute``)
+    on the grid of ``quad_res`` panels, from one pass over its blocks.  NaN
+    or infinite values raise SymbolSingularityError with their number."""
+    axes = _quadrature_axes(kappa, quad_res)
+    count, lo, hi = 0, math.inf, -math.inf
+    for values in _grid_blocks(kappa, axes, absolute):
+        count += values.size
+        lo, hi = values.min(initial=lo), values.max(initial=hi)  # a NaN stays
+    if count == 0:
+        raise SymbolSingularityError("the symbol is singular at every grid point")
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a second pass counts them
+        require_finite(sum(map(nonfinite_count, _grid_blocks(kappa, axes, absolute))))
+    return GridRange(count, axes[0].size * axes[1].size - count, float(lo), float(hi))
+
+
+def _streamed_means(kappa: SymbolExpr, quad_res, absolute, count, Fs):
+    """The mean of each F of ``Fs`` over the ``count`` kept values of ``kappa`` on
+    the grid of ``quad_res`` panels, in one pass staging its blocks in one buffer,
+    F taking each chunk of 2^17 values (1/16 of them when that is fewer)."""
+    # the chunk boundaries fix the bits of every symbol-side value: this
     # partition stays when the evaluation blocks (block_size) change
-    step = max(1, min(1 << 17, values.size // 16))
-    return math.fsum(float(np.sum(F(values[i:i + step])))
-                     for i in range(0, values.size, step)) / values.size
+    step = max(1, min(1 << 17, count // 16))
+    x, theta = axes = _quadrature_axes(kappa, quad_res)
+    buf = np.empty(step + max(block_size(x.size * theta.size), theta.size))
+    sums, seen, filled = [[] for _ in Fs], 0, 0
+    # each block goes to the buffer's rest, read when the block is evaluated
+    for values in _grid_blocks(kappa, axes, absolute, lambda size: buf[filled:]):
+        filled += values.size
+        done = filled if seen + filled == count else filled - filled % step
+        for start in range(0, done, step):
+            chunk = buf[start:min(start + step, done)]
+            for F, parts in zip(Fs, sums):
+                parts.append(float(np.sum(F(chunk))))
+        buf[:filled - done] = buf[done:filled]  # fewer than step: no overlap
+        seen, filled = seen + done, filled - done
+    if seen != count:
+        raise RuntimeError(f"the grid gave {seen} of its {count} values: the samples changed")
+    return [math.fsum(parts) / count for parts in sums]
 
 
 # ----------------------------------------------------------------------------
@@ -183,6 +214,7 @@ class DistributionReport:
     quad_rule: str = ""
     quad_res: int = 0
     quad_refinement: float | None = None
+    quad_excluded: int | None = None  # full-grid points a division guard drops
     backing: str = ""
     rearrangement: Rearrangement | None = field(default=None, repr=False)
 
@@ -190,7 +222,7 @@ class DistributionReport:
         return max((f.gap for f in self.functionals), default=0.0)
 
     def to_json_dict(self):
-        doc = {
+        return {
             "case": self.case,
             "n": self.n,
             "alpha_n": self.alpha_n,
@@ -206,11 +238,11 @@ class DistributionReport:
             "rearrangement": (self.rearrangement.to_json_dict()
                               if self.rearrangement is not None else None),
             "quadrature": {"rule": self.quad_rule, "resolution": self.quad_res,
-                           "refinement_gap": self.quad_refinement},
+                           "refinement_gap": self.quad_refinement,
+                           "excluded": self.quad_excluded},
             "backing": self.backing,
             "solver": self.spectrum.solver if self.spectrum is not None else None,
         }
-        return doc
 
 
 def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
@@ -231,43 +263,52 @@ def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
 
 @dataclass(frozen=True)
 class SymbolSamples:
-    """Values of the symbol ``kappa`` on the Weyl quadrature grid (``full``)
-    and on its coarse half (``coarse``), as magnitudes in sigma mode.  They
-    depend on the symbol, ``mode`` and ``quad_res`` but not on n, so one set
-    serves every n of a case, and so does its :meth:`symbol_side` of each
-    test function."""
+    """The :data:`GridRange` of the symbol ``kappa`` (of its moduli in sigma
+    mode) on the Weyl quadrature grid (``full``) and on its coarse half
+    (``coarse``); :meth:`symbol_sides` evaluates the values again and holds
+    none.  It depends on ``kappa``, ``mode`` and ``quad_res`` but not on n,
+    so one serves every n of a case, and so does each F's symbol side."""
 
     kappa: SymbolExpr
     mode: str
     quad_rule: str
     quad_res: int
-    full: np.ndarray = field(repr=False)
-    coarse: np.ndarray = field(repr=False)
+    full: GridRange
+    coarse: GridRange
     _symbol_sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def default_suite(self):
         """:func:`default_suite` on the inflated range of ``full``: the test
         functions of :func:`weyl_compare` when it is given none."""
-        return default_suite(inflate(float(self.full.min()), float(self.full.max())))
+        return default_suite(inflate(self.full.lo, self.full.hi))
+
+    def symbol_sides(self, Fs):
+        """``(mean F(full), |mean F(full) - mean F(coarse)|)`` for each F of ``Fs``:
+        one streamed pass over each grid for all the F not asked for before."""
+        new = [F for F in dict.fromkeys(Fs) if F not in self._symbol_sides]
+        if new:
+            full, coarse = (_streamed_means(self.kappa, res, self.mode == "sigma", grid.count, new)
+                            for res, grid in ((self.quad_res, self.full),
+                                              (self.quad_res // 2, self.coarse)))
+            for F, sym, rough in zip(new, full, coarse):
+                self._symbol_sides[F] = (sym, abs(sym - rough))
+        return [self._symbol_sides[F] for F in Fs]
 
     def symbol_side(self, F):
-        """``(mean F(full), |mean F(full) - mean F(coarse)|)``, computed on
-        the first call for each F."""
-        if F not in self._symbol_sides:
-            sym = _blocked_mean(F, self.full)
-            self._symbol_sides[F] = (sym, abs(sym - _blocked_mean(F, self.coarse)))
-        return self._symbol_sides[F]
+        """:meth:`symbol_sides` of F alone."""
+        return self.symbol_sides([F])[0]
 
 
 def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamples:
-    """Sample ``kappa`` (a case's ``predicted_symbol``) for
-    :func:`weyl_compare`; a complex one raises ComplexSymbolError in lambda
-    mode, and NaN or infinite samples SymbolSingularityError."""
+    """Range :func:`weyl_compare`'s quadrature grids of ``kappa`` (a case's
+    ``predicted_symbol``); a complex one raises ComplexSymbolError in lambda
+    mode, NaN or infinite samples SymbolSingularityError, and a ``quad_res``
+    below 2, which leaves no coarser grid to refine from, ValueError."""
     if mode not in ("lambda", "sigma"):
         raise ValueError("mode must be 'lambda' or 'sigma'")
-    absolute = mode == "sigma"
-    full = _quadrature_samples(kappa, quad_res, absolute)
-    coarse = _quadrature_samples(kappa, max(2, quad_res // 2), absolute)
+    if quad_res < 2:
+        raise ValueError(f"quad_res must be >= 2, got {quad_res}")
+    full, coarse = (_grid_range(kappa, res, mode == "sigma") for res in (quad_res, quad_res // 2))
     rule = "midpoint" if kappa.has_quotient else "gauss"
     return SymbolSamples(kappa, mode, rule, int(quad_res), full, coarse)
 
@@ -301,17 +342,16 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
     else:
         _require_spectrum(case, n, spectrum, "singular_values" if sigma else "eigenvalues")
 
-    gaps, refinements = [], []
-    for F in F_suite:
-        sym, d = samples.symbol_side(F)
-        gaps.append(FunctionalGap(F.label, empirical_functional(spectrum, F), sym))
-        refinements.append(d)
+    sides = samples.symbol_sides(F_suite)
+    gaps = [FunctionalGap(F.label, empirical_functional(spectrum, F), sym)
+            for F, (sym, _) in zip(F_suite, sides)]
 
     return DistributionReport(
         case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode=mode,
         functionals=tuple(gaps), spectrum=spectrum,
         quad_rule=samples.quad_rule, quad_res=samples.quad_res,
-        quad_refinement=max(refinements, default=0.0),
+        quad_refinement=max((d for _, d in sides), default=0.0),
+        quad_excluded=samples.full.excluded,
         backing=_backing(case, spectrum.solver, mode),
     )
 

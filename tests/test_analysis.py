@@ -1,5 +1,6 @@
 """Tests for functionals, distribution reports, and trend diagnostics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from gltkit import (
     weyl_compare,
     zero_distribution_check,
 )
+import gltkit.analysis as analysis
 from gltkit.linalg import as_dense
+from gltkit.symbols import SYMBOL_RECT, grid_samples, nonfinite_count, require_finite
 
 ONE = coefficient_preset("one")
 XEXP = coefficient_preset("xexp")
@@ -92,10 +95,13 @@ def test_symbol_samples_take_the_midpoint_rule_exactly_for_quotients():
             samples = symbol_samples(kappa, mode, quad_res)
             if kappa.has_quotient:
                 assert samples.quad_rule == "midpoint"
-                assert 0 < samples.full.size <= quad_res ** 2
+                assert 0 < samples.full.count <= quad_res ** 2
+                assert samples.full.excluded == quad_res ** 2 - samples.full.count
+                assert 0 < samples.coarse.count <= (quad_res // 2) ** 2
             else:
                 assert samples.quad_rule == "gauss"
-                assert samples.full.size == (2 * quad_res) ** 2
+                assert samples.full.count == (2 * quad_res) ** 2 and samples.full.excluded == 0
+                assert samples.coarse.count == quad_res ** 2
 
 
 def test_symbol_functional_separable_product():
@@ -124,9 +130,123 @@ def test_symbol_functional_of_complex_symbol_takes_the_modulus():
 def test_sigma_samples_of_complex_symbol_are_moduli():
     shift = TrigFactor(TrigPoly([0.0, 0.0, 1.0]))
     samples = symbol_samples(shift, "sigma", quad_res=20)
-    assert np.allclose(samples.full, 1.0) and np.allclose(samples.coarse, 1.0)
+    assert (samples.full.count, samples.coarse.count) == (40 ** 2, 20 ** 2)
+    assert np.allclose([samples.full.lo, samples.full.hi, samples.coarse.lo, samples.coarse.hi],
+                       1.0)
     with pytest.raises(ComplexSymbolError):
         symbol_samples(shift, "lambda", quad_res=20)
+
+
+def _oracle_samples(kappa, quad_res, absolute):
+    """The kept values of ``kappa`` (moduli with ``absolute``) on the Weyl
+    quadrature grid of ``quad_res`` panels, held whole: the Gauss rule's
+    two nodes per panel per axis, or the cell centres of a quotient."""
+    (x0, x1), (t0, t1) = SYMBOL_RECT
+    centres = np.arange(quad_res) + 0.5
+    if kappa.has_quotient:
+        x, th = x0 + (x1 - x0) * centres / quad_res, t0 + (t1 - t0) * centres / quad_res
+    else:
+        g = 1.0 / (2.0 * math.sqrt(3.0))
+        nodes = (centres[:, None] / quad_res + np.array([-g, g]) / quad_res).ravel()
+        x, th = x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes
+    samples = grid_samples(kappa, (x, th), absolute)[0]
+    require_finite(nonfinite_count(samples))
+    return samples
+
+
+def _oracle_mean(F, values):
+    """Mean of F over ``values``, summed in chunks of 2^17 values (1/16 of
+    them when that is fewer) and the chunk sums added by math.fsum."""
+    step = max(1, min(1 << 17, values.size // 16))
+    return math.fsum(float(np.sum(F(values[i:i + step])))
+                     for i in range(0, values.size, step)) / values.size
+
+
+def _assert_streamed_sides_are_the_oracle(kappa, mode, quad_res, suite=None):
+    """symbol_samples ranges, and its symbol_sides average, what the grids
+    held whole give, bit for bit; ``suite`` defaults to the default one."""
+    full, coarse = (_oracle_samples(kappa, res, mode == "sigma")
+                    for res in (quad_res, quad_res // 2))
+    samples = symbol_samples(kappa, mode, quad_res)
+    for grid, held, res in ((samples.full, full, quad_res),
+                            (samples.coarse, coarse, quad_res // 2)):
+        points = (res if kappa.has_quotient else 2 * res) ** 2
+        assert grid == (held.size, points - held.size, held.min(), held.max())
+    if suite is None:
+        suite = default_suite(inflate(float(full.min()), float(full.max())))
+        assert samples.default_suite() == suite
+    for F, (sym, refinement) in zip(suite, samples.symbol_sides(suite)):
+        assert sym == _oracle_mean(F, full)
+        assert refinement == abs(sym - _oracle_mean(F, coarse))
+    return samples
+
+
+@pytest.mark.parametrize("quad_res", [2, 3, 37, 400])
+@pytest.mark.parametrize("mode", ["lambda", "sigma"])
+def test_streamed_symbol_sides_are_the_means_over_the_held_grids(mode, quad_res):
+    for name in case_names():
+        for coeff in ("xexp", "one"):
+            _assert_streamed_sides_are_the_oracle(get_case(name, coeff).predicted_symbol,
+                                                  mode, quad_res)
+
+
+def test_streamed_symbol_sides_of_hats_and_of_excluded_cells(tmp_path):
+    kappa = get_case("fd_t1", "xexp").predicted_symbol
+    hats = [hat(c, w) for c, w in ((0.5, 0.4), (2.0, 1.0), (3.9, 0.3))]
+    for mode in ("lambda", "sigma"):
+        _assert_streamed_sides_are_the_oracle(kappa, mode, 37, hats)
+    # a = c vanishes at x = 1/2, the centre of the middle row of cells for
+    # an odd quad_res: that row trips the division guard and is excluded
+    table = tmp_path / "dip.csv"
+    table.write_text("x,value\n0,1\n0.5,0\n1,1\n")
+    kappa = get_case(f"Ln:c=csv:{table}", f"csv:{table}").predicted_symbol
+    for quad_res, excluded in ((37, 37), (400, 0)):
+        samples = _assert_streamed_sides_are_the_oracle(kappa, "lambda", quad_res)
+        assert samples.full.excluded == excluded
+        assert samples.full.count == quad_res ** 2 - excluded
+    # at quad_res = 3 the coarse grid is the one cell centred on x = 1/2
+    with pytest.raises(SymbolSingularityError, match="singular at every grid point"):
+        symbol_samples(kappa, quad_res=3)
+
+
+def test_streamed_symbol_sides_take_chunks_of_2_17_values_on_large_grids():
+    """From 2^21 kept values on, the chunks are 2^17 values, not N/16."""
+    kappa = get_case("fd_t2", "xexp").predicted_symbol
+    samples = _assert_streamed_sides_are_the_oracle(kappa, "lambda", 800)
+    assert samples.full.count // 16 > 1 << 17
+
+
+def test_symbol_side_memory_does_not_grow_with_quad_res():
+    """The quadrature values are never held: at quad_res = 1600 the 10.24M
+    Gauss nodes of fd_t2 (82 MB of samples, held whole) stream through a
+    staging buffer of one 2^17-value chunk and one evaluation block."""
+    kappa = get_case("fd_t2", "xexp").predicted_symbol
+    warm = symbol_samples(kappa, quad_res=20)
+    warm.symbol_sides(warm.default_suite())
+    tracemalloc.start()
+    try:
+        samples = symbol_samples(kappa, quad_res=1600)
+        samples.symbol_sides(samples.default_suite())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.full.count == 3200 ** 2
+    # the 1.3 MB buffer, a 1 MB chunk of F's values and F's masks
+    assert peak < 3 << 20, peak
+
+
+@pytest.mark.parametrize("quad_res", [1, 2, 3])
+def test_the_coarse_grid_takes_half_the_panels(quad_res):
+    """quad_res // 2 panels refine to quad_res: below 2 there is no coarser
+    grid (ValueError), and at 2 and 3 the coarse grid has one panel."""
+    case = get_case("fd_t1", "xexp")
+    if quad_res == 1:
+        with pytest.raises(ValueError, match="quad_res must be >= 2"):
+            symbol_samples(case.predicted_symbol, quad_res=quad_res)
+        return
+    samples = symbol_samples(case.predicted_symbol, quad_res=quad_res)
+    assert (samples.full.count, samples.coarse.count) == ((2 * quad_res) ** 2, 2 ** 2)
+    assert weyl_compare(case, 20, quad_res=quad_res, samples=samples).quad_refinement > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -278,8 +398,9 @@ def test_rearrangement_compare_reuses_a_given_spectrum():
 def test_weyl_compare_reuses_a_given_spectrum():
     case = get_case("fd_t2", "xexp")
     samples = symbol_samples(case.predicted_symbol, quad_res=40)
+    full = _oracle_samples(case.predicted_symbol, 40, absolute=False)
     assert samples.default_suite() == default_suite(
-        inflate(float(samples.full.min()), float(samples.full.max())))
+        inflate(float(full.min()), float(full.max())))
     own = weyl_compare(case, 30, quad_res=40, samples=samples)
     given = weyl_compare(case, 30, quad_res=40, samples=samples, spectrum=own.spectrum)
     assert given.to_json_dict() == own.to_json_dict()
@@ -377,9 +498,20 @@ def test_weyl_reused_samples_give_identical_gaps(spec, mode):
         assert (reused.quad_rule, reused.quad_res) == (fresh.quad_rule, fresh.quad_res)
 
 
-def test_weyl_symbol_side_is_computed_once_per_test_function():
+def test_weyl_symbol_side_is_computed_once_per_test_function(monkeypatch):
+    """symbol_samples ranges each grid in one pass; the symbol sides of a
+    whole suite then take one more pass per grid, shared by every n."""
+    passes = []
+    blocks = analysis._grid_blocks
+
+    def counted_blocks(kappa, axes, absolute=False, dest=None):
+        passes.append((axes[0].size, dest is not None))
+        return blocks(kappa, axes, absolute, dest)
+
+    monkeypatch.setattr(analysis, "_grid_blocks", counted_blocks)
     case = get_case("fd_t1", "xexp")
     samples = symbol_samples(case.predicted_symbol, "lambda", quad_res=40)
+    assert passes == [(80, False), (40, False)]  # Gauss rule: two nodes per panel
     F = monomial(2, (0.0, 5.0))
     sizes = []
 
@@ -388,20 +520,24 @@ def test_weyl_symbol_side_is_computed_once_per_test_function():
         return F(t)
 
     counted.label = F.label
-    reports = [weyl_compare(case, n, F_suite=[counted], quad_res=40, samples=samples)
+    suite = samples.default_suite() + [counted]
+    reports = [weyl_compare(case, n, F_suite=suite, quad_res=40, samples=samples)
                for n in (20, 40)]
-    # the full and coarse samples once, in blocks of min(2^17, N/16) values
+    assert passes[2:] == [(80, True), (40, True)]
+    # the full and coarse values once, in chunks of min(2^17, N/16) values
     # so that F never sees them at full size, then the spectra at n = 20 and 40
     assert sizes[-2:] == [20, 40]
-    blocks = sizes[:-2]
-    assert sum(blocks) == samples.full.size + samples.coarse.size
-    assert max(blocks) == min(1 << 17, samples.full.size // 16) < samples.coarse.size
-    sym = float(np.mean(F(samples.full)))
-    refinement = abs(sym - float(np.mean(F(samples.coarse))))
+    chunks = sizes[:-2]
+    assert sum(chunks) == samples.full.count + samples.coarse.count
+    assert max(chunks) == min(1 << 17, samples.full.count // 16) < samples.coarse.count
+    full = _oracle_samples(case.predicted_symbol, 40, absolute=False)
+    coarse = _oracle_samples(case.predicted_symbol, 20, absolute=False)
+    sym = _oracle_mean(F, full)
     for rep in reports:
-        assert rep.functionals[0].symbol_value == pytest.approx(sym, rel=1e-14)
-        assert rep.quad_refinement == pytest.approx(refinement, rel=1e-12, abs=1e-15)
-    assert reports[0].functionals[0].symbol_value == reports[1].functionals[0].symbol_value
+        assert rep.functionals[-1].symbol_value == sym
+        assert rep.quad_refinement >= abs(sym - _oracle_mean(F, coarse))
+    assert ([g.symbol_value for g in reports[0].functionals]
+            == [g.symbol_value for g in reports[1].functionals])
 
 
 def test_weyl_rejects_samples_taken_for_other_settings():

@@ -398,6 +398,40 @@ def test_compare_reports_the_rearrangement_and_its_excluded_points(capsys, tmp_p
     assert rep["rearrangement"] == {"r": r, "node_count": r * r - r + 1, "excluded": r}
 
 
+def test_compare_reports_the_quadrature_cells_it_excludes(capsys, tmp_path):
+    # for an odd --quad-res the middle row of cells has its centres at
+    # x = 1/2, where a = c vanishes: the division guard drops that row
+    table = tmp_path / "dip.csv"
+    table.write_text("x,value\n0,1\n0.5,0\n1,1\n")
+    for quad_res, excluded in ((41, 41), (40, 0)):
+        code, out, _ = run_cli(capsys, "compare", "--case", f"Ln:c=csv:{table}",
+                               "--coeff", f"csv:{table}", "--n", "20", "--r", "40",
+                               "--quad-res", str(quad_res), "--format", "json")
+        assert code == 0
+        quadrature = json.loads(out)["reports"][0]["quadrature"]
+        assert list(quadrature) == ["rule", "resolution", "refinement_gap", "excluded"]
+        assert (quadrature["rule"], quadrature["resolution"]) == ("midpoint", quad_res)
+        assert quadrature["excluded"] == excluded
+
+
+@pytest.mark.parametrize("quad_res", ["1", "2", "3"])
+def test_compare_refines_from_a_grid_of_half_the_panels(capsys, quad_res):
+    """--quad-res 1 leaves no coarser grid (exit 2); at 2 and 3 the coarse
+    grid has one panel, so the refinement gap is not 0."""
+    argv = ("compare", "--case", "fd_t1", "--n", "20", "--r", "50",
+            "--quad-res", quad_res, "--format", "json")
+    if quad_res == "1":
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "need at least 2 quadrature panels, got 1" in capsys.readouterr().err
+        return
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    quadrature = json.loads(out)["reports"][0]["quadrature"]
+    assert quadrature["excluded"] == 0 and quadrature["refinement_gap"] > 0
+
+
 @pytest.mark.parametrize("coeff", ["xexp", "x", "dip"])
 def test_compare_refuses_to_rearrange_schur_where_a_vanishes(capsys, tmp_path, coeff):
     """The Schur symbol's term sin^2 / (a (2 - 2cos)) = (1 + cos) / (2a) is
