@@ -141,17 +141,15 @@ GridRange = namedtuple("GridRange", "count excluded lo hi")
 
 
 def _grid_range(kappa: SymbolExpr, quad_res, absolute):
-    """The :data:`GridRange` of ``kappa`` (of its moduli with ``absolute``)
-    on the grid of ``quad_res`` panels, from one pass over its blocks.  NaN
-    or infinite values raise SymbolSingularityError with their number."""
+    """The :data:`GridRange` of ``kappa`` (of its moduli with ``absolute``) on the grid of
+    ``quad_res`` panels, from one pass over its blocks (lo, hi = inf, -inf if none is kept).
+    NaN or infinite values raise SymbolSingularityError with their number."""
     axes = _quadrature_axes(kappa, quad_res)
     count, lo, hi = 0, math.inf, -math.inf
     for values in _grid_blocks(kappa, axes, absolute):
         count += values.size
         lo, hi = values.min(initial=lo), values.max(initial=hi)  # a NaN stays
-    if count == 0:
-        raise SymbolSingularityError("the symbol is singular at every grid point")
-    if not (math.isfinite(lo) and math.isfinite(hi)):  # a second pass counts them
+    if count and not (math.isfinite(lo) and math.isfinite(hi)):  # a second pass counts them
         require_finite(sum(map(nonfinite_count, _grid_blocks(kappa, axes, absolute))))
     return GridRange(count, axes[0].size * axes[1].size - count, float(lo), float(hi))
 
@@ -283,15 +281,16 @@ class SymbolSamples:
         return default_suite(inflate(self.full.lo, self.full.hi))
 
     def symbol_sides(self, Fs):
-        """``(mean F(full), |mean F(full) - mean F(coarse)|)`` for each F of ``Fs``:
-        one streamed pass over each grid for all the F not asked for before."""
+        """``(mean F(full), |mean F(full) - mean F(coarse)|, None if it keeps no point)``
+        for each F of ``Fs``: one streamed pass over each grid for all the F not seen yet."""
         new = [F for F in dict.fromkeys(Fs) if F not in self._symbol_sides]
         if new:
             full, coarse = (_streamed_means(self.kappa, res, self.mode == "sigma", grid.count, new)
+                            if grid.count else [None] * len(new)
                             for res, grid in ((self.quad_res, self.full),
                                               (self.quad_res // 2, self.coarse)))
             for F, sym, rough in zip(new, full, coarse):
-                self._symbol_sides[F] = (sym, abs(sym - rough))
+                self._symbol_sides[F] = (sym, None if rough is None else abs(sym - rough))
         return [self._symbol_sides[F] for F in Fs]
 
     def symbol_side(self, F):
@@ -300,15 +299,17 @@ class SymbolSamples:
 
 
 def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamples:
-    """Range :func:`weyl_compare`'s quadrature grids of ``kappa`` (a case's
-    ``predicted_symbol``); a complex one raises ComplexSymbolError in lambda
-    mode, NaN or infinite samples SymbolSingularityError, and a ``quad_res``
-    below 2, which leaves no coarser grid to refine from, ValueError."""
+    """Range :func:`weyl_compare`'s quadrature grids of ``kappa`` (a case's ``predicted_symbol``);
+    a complex one raises ComplexSymbolError in lambda mode, NaN or infinite samples
+    SymbolSingularityError, and a ``quad_res`` below 2 (no coarser grid to refine) ValueError."""
     if mode not in ("lambda", "sigma"):
         raise ValueError("mode must be 'lambda' or 'sigma'")
     if quad_res < 2:
         raise ValueError(f"quad_res must be >= 2, got {quad_res}")
-    full, coarse = (_grid_range(kappa, res, mode == "sigma") for res in (quad_res, quad_res // 2))
+    full = _grid_range(kappa, quad_res, mode == "sigma")
+    if full.count == 0:
+        raise SymbolSingularityError("the symbol is singular at every grid point")
+    coarse = _grid_range(kappa, quad_res // 2, mode == "sigma")
     rule = "midpoint" if kappa.has_quotient else "gauss"
     return SymbolSamples(kappa, mode, rule, int(quad_res), full, coarse)
 
@@ -350,7 +351,7 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
         case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode=mode,
         functionals=tuple(gaps), spectrum=spectrum,
         quad_rule=samples.quad_rule, quad_res=samples.quad_res,
-        quad_refinement=max((d for _, d in sides), default=0.0),
+        quad_refinement=max((d for _, d in sides), default=0.0) if samples.coarse.count else None,
         quad_excluded=samples.full.excluded,
         backing=_backing(case, spectrum.solver, mode),
     )

@@ -81,12 +81,6 @@ def _positive_int(text):
     return value
 
 
-def _quad_res(text):  # the refinement gap takes a coarse grid of quad_res // 2 panels
-    if _positive_int(text) < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 quadrature panels, got {text}")
-    return int(text)
-
-
 def _parse_int_list(text):
     values = [_positive_int(v) for v in text.split(",") if v.strip()]
     if not values or any(b <= a for a, b in zip(values, values[1:])):
@@ -284,7 +278,7 @@ def _build_parser():
     p_cmp = sub.add_parser("compare", help="Weyl + rearrangement reports")
     case_args(p_cmp)
     r_arg(p_cmp)
-    p_cmp.add_argument("--quad-res", dest="quad_res", type=_quad_res, default=400)
+    p_cmp.add_argument("--quad-res", dest="quad_res", type=_positive_int, default=400)
     output_args(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
 

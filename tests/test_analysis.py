@@ -204,9 +204,16 @@ def test_streamed_symbol_sides_of_hats_and_of_excluded_cells(tmp_path):
         samples = _assert_streamed_sides_are_the_oracle(kappa, "lambda", quad_res)
         assert samples.full.excluded == excluded
         assert samples.full.count == quad_res ** 2 - excluded
-    # at quad_res = 3 the coarse grid is the one cell centred on x = 1/2
-    with pytest.raises(SymbolSingularityError, match="singular at every grid point"):
-        symbol_samples(kappa, quad_res=3)
+    # at quad_res = 3 the coarse grid is the one cell centred on x = 1/2:
+    # it keeps no point, so there is no refinement gap, but the full grid
+    # keeps its two outer rows and gives the symbol side
+    samples = symbol_samples(kappa, quad_res=3)
+    assert samples.full == (6, 3, *samples.full[2:]) and samples.coarse == (0, 1, np.inf, -np.inf)
+    full = _oracle_samples(kappa, 3, absolute=False)
+    suite = samples.default_suite()
+    assert samples.symbol_sides(suite) == [(_oracle_mean(F, full), None) for F in suite]
+    case = get_case(f"Ln:c=csv:{table}", f"csv:{table}")
+    assert weyl_compare(case, 20, quad_res=3, samples=samples).quad_refinement is None
 
 
 def test_streamed_symbol_sides_take_chunks_of_2_17_values_on_large_grids():
@@ -533,9 +540,10 @@ def test_weyl_symbol_side_is_computed_once_per_test_function(monkeypatch):
     full = _oracle_samples(case.predicted_symbol, 40, absolute=False)
     coarse = _oracle_samples(case.predicted_symbol, 20, absolute=False)
     sym = _oracle_mean(F, full)
+    refinement = max(abs(_oracle_mean(G, full) - _oracle_mean(G, coarse)) for G in suite)
     for rep in reports:
         assert rep.functionals[-1].symbol_value == sym
-        assert rep.quad_refinement >= abs(sym - _oracle_mean(F, coarse))
+        assert rep.quad_refinement == refinement
     assert ([g.symbol_value for g in reports[0].functionals]
             == [g.symbol_value for g in reports[1].functionals])
 

@@ -412,6 +412,14 @@ def test_compare_reports_the_quadrature_cells_it_excludes(capsys, tmp_path):
         assert list(quadrature) == ["rule", "resolution", "refinement_gap", "excluded"]
         assert (quadrature["rule"], quadrature["resolution"]) == ("midpoint", quad_res)
         assert quadrature["excluded"] == excluded
+    # at --quad-res 3 the one coarse cell is centred on x = 1/2 and excluded:
+    # the full grid still gives the report, with no refinement gap
+    code, out, _ = run_cli(capsys, "compare", "--case", f"Ln:c=csv:{table}",
+                           "--coeff", f"csv:{table}", "--n", "20", "--r", "40",
+                           "--quad-res", "3", "--format", "json")
+    assert code == 0
+    quadrature = json.loads(out)["reports"][0]["quadrature"]
+    assert (quadrature["refinement_gap"], quadrature["excluded"]) == (None, 3)
 
 
 @pytest.mark.parametrize("quad_res", ["1", "2", "3"])
@@ -420,13 +428,10 @@ def test_compare_refines_from_a_grid_of_half_the_panels(capsys, quad_res):
     grid has one panel, so the refinement gap is not 0."""
     argv = ("compare", "--case", "fd_t1", "--n", "20", "--r", "50",
             "--quad-res", quad_res, "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
     if quad_res == "1":
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        assert "need at least 2 quadrature panels, got 1" in capsys.readouterr().err
+        assert (code, out, err) == (2, "", "error: quad_res must be >= 2, got 1\n")
         return
-    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     quadrature = json.loads(out)["reports"][0]["quadrature"]
     assert quadrature["excluded"] == 0 and quadrature["refinement_gap"] > 0
