@@ -78,7 +78,6 @@ from .builders import (
     fe_stiffness,
     fe_system_schur,
     get_case,
-    mapped_grid,
     power_map,
     registry_lines,
     toeplitz,

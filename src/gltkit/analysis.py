@@ -9,7 +9,7 @@ Three complementary diagnostics:
   it against uniform samples of the rearranged symbol; report the sup-norm
   mismatch and outliers beyond the essential range.
 * Zero-distribution trend checks: Schatten-norm decay of correction terms
-  relative to n^(1/p), optionally with a small-rank plus small-norm split.
+  relative to n^(1/p).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builders import DiscretizationCase
-from .linalg import SpectralSet, schatten_norm, singular_spectrum, spectral_norm
+from .linalg import SpectralSet, schatten_norm
 from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr,
                       SymbolSingularityError, TrigFactor, _grid_blocks, block_size,
                       monotone_rearrangement, nonfinite_count, require_finite)
@@ -293,10 +293,6 @@ class SymbolSamples:
                 self._symbol_sides[F] = (sym, None if rough is None else abs(sym - rough))
         return [self._symbol_sides[F] for F in Fs]
 
-    def symbol_side(self, F):
-        """:meth:`symbol_sides` of F alone."""
-        return self.symbol_sides([F])[0]
-
 
 def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamples:
     """Range :func:`weyl_compare`'s quadrature grids of ``kappa`` (a case's ``predicted_symbol``);
@@ -359,13 +355,13 @@ def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
 
 def _same_symbol(a, b):
     """Whether two symbol trees match node by node: trig leaves by their
-    JSON, ``coeff:`` leaves, which JSON names only, as equal Coefficients."""
+    coefficients, coefficient leaves as equal Coefficients."""
     if type(a) is not type(b):
         return False
     if isinstance(a, CoeffFactor):
         return a.coefficient == b.coefficient
     if isinstance(a, TrigFactor):
-        return a.to_json_obj() == b.to_json_obj()
+        return np.array_equal(a.poly.coeffs, b.poly.coeffs)
     return len(a.children) == len(b.children) and all(map(_same_symbol, a.children, b.children))
 
 
@@ -467,30 +463,21 @@ class TrendReport:
     decay_threshold: float
     monotone: bool
     passed: bool
-    split_rank_ratios: tuple = ()
-    split_norms: tuple = ()
-    split_passed: bool | None = None
 
     @property
     def overall_pass(self):
-        return self.passed or bool(self.split_passed)
-
-
-def _numerical_rank(A):
-    s = singular_spectrum(A).values  # ascending; all zero gives rank 0
-    return int(np.sum(s > s[-1] * s.size * np.finfo(float).eps))
+        """The same as ``passed``."""
+        return self.passed
 
 
 DECAY_THRESHOLD = 2.0
 
 
-def zero_distribution_check(build, ns, p=2.0, split=None) -> TrendReport:
+def zero_distribution_check(build, ns, p=2.0) -> TrendReport:
     """Check that ||Z_n||_p = o(n^(1/p)) holds in trend over ``ns``.
 
     PASS requires the ratios ||Z_n||_p / n^(1/p) to decrease monotonically
-    with the last below the first divided by ``DECAY_THRESHOLD``.  When a
-    ``split`` callable returning (R_n, N_n) is supplied, the small-rank plus
-    small-norm route is evaluated as well and either route passing suffices.
+    with the last below the first divided by ``DECAY_THRESHOLD``.
     """
     ns = tuple(int(n) for n in ns)
     norms, ratios = [], []
@@ -502,21 +489,7 @@ def zero_distribution_check(build, ns, p=2.0, split=None) -> TrendReport:
     monotone = all(b <= a * (1 + 1e-12) for a, b in zip(ratios, ratios[1:]))
     decayed = ratios[-1] < ratios[0] / DECAY_THRESHOLD if ratios[0] > 0 else True
     passed = monotone and decayed
-
-    rank_ratios, n_norms, split_passed = (), (), None
-    if split is not None:
-        rr, nn = [], []
-        for n in ns:
-            R, N = split(n)
-            rr.append(_numerical_rank(R) / n)
-            nn.append(spectral_norm(N))
-        rank_ratios, n_norms = tuple(rr), tuple(nn)
-        rank_ok = rr[-1] < max(rr[0] / DECAY_THRESHOLD, 1e-15) or all(v == 0 for v in rr)
-        norm_ok = nn[-1] < max(nn[0] / DECAY_THRESHOLD, 1e-15) or all(v <= 1e-14 for v in nn)
-        split_passed = rank_ok and norm_ok
-
     return TrendReport(
         p=float(p), ns=ns, norms=tuple(norms), ratios=ratios,
         decay_threshold=DECAY_THRESHOLD, monotone=monotone, passed=passed,
-        split_rank_ratios=rank_ratios, split_norms=n_norms, split_passed=split_passed,
     )

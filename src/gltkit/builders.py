@@ -117,16 +117,11 @@ def power_map(q: float) -> GridMap:
     q x^(q-1) declares its exact range on (0, 1]: [0, q] for q > 1, {1} at
     q = 1 and [q, inf) for q < 1, where it is unbounded (the L1 tag).  One
     GridMap per q, so that fd_t7 cases built apart predict equal symbols."""
-    if q <= 0:
-        raise ValueError("power map needs q > 0")
+    if not (np.isfinite(q) and q > 0):
+        raise ValueError(f"power map needs a finite q > 0, got q={q}")
     dG = Coefficient(f"x^{q:g}'", lambda x: q * x ** (q - 1.0), "L1" if q < 1 else "continuous",
                      sup=None if q < 1 else q, inf=0.0 if q > 1 else q)
     return GridMap(f"x^{q:g}", lambda x: np.asarray(x) ** q, dG, (0.0,) if q > 1 else ())
-
-
-def mapped_grid(gmap: GridMap, n) -> Grid:
-    """Interior FD nodes G(j/(n+1)), j = 1..n."""
-    return Grid(n, np.asarray(gmap.G(np.arange(1, n + 1) / (n + 1)), dtype=float))
 
 
 # ----------------------------------------------------------------------------
@@ -594,6 +589,9 @@ def fe_system_schur(a: Coefficient, rho: float) -> DiscretizationCase:
     Every I_e must be positive (W SPD); otherwise ``SpdError`` names the
     element, also where K alone would still be SPD.
     """
+    if not np.isfinite(rho):
+        raise ValueError(f"schur needs a finite rho, got rho={rho}")
+
     def build(n):
         I = _element_integrals(a, n)
         if not np.all(I > 0):
@@ -641,10 +639,7 @@ def fe_eigproblem(a: Coefficient, c: Coefficient) -> DiscretizationCase:
 # ----------------------------------------------------------------------------
 
 def _coef_param(params, key, default_name):
-    name = params.get(key, default_name)
-    if isinstance(name, Coefficient):
-        return name
-    return coefficient_preset(name)
+    return coefficient_preset(params.get(key, default_name))
 
 
 #: name -> (accepted ``key=value`` parameters, factory(a, params))
@@ -680,7 +675,7 @@ def get_case(spec: str, coefficient=None) -> DiscretizationCase:
     the main diffusion coefficient; secondary coefficients default to the
     values documented in the factory table and can be overridden with
     ``key=value`` parameters in the spec string; a key the case does not
-    accept raises ValueError.
+    accept, or one given twice, raises ValueError.
     """
     head, _, tail = spec.partition(":")
     if head not in _CASE_FACTORIES:
@@ -689,9 +684,12 @@ def get_case(spec: str, coefficient=None) -> DiscretizationCase:
     if tail:
         for item in tail.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not value:
                 raise ValueError(f"malformed case parameter {item!r}")
-            params[key.strip()] = value.strip()
+            if key in params:
+                raise ValueError(f"case parameter {key!r} given twice")
+            params[key] = value.strip()
     accepted, factory = _CASE_FACTORIES[head]
     unknown = sorted(set(params) - set(accepted))
     if unknown:

@@ -12,7 +12,6 @@ approaching the essential infimum and supremum.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -273,32 +272,6 @@ class SymbolExpr:
         mask = np.broadcast_to(mask, np.broadcast_shapes(np.shape(vals), mask.shape))
         return vals, mask
 
-    def __add__(self, other):
-        return Sum(self, _as_symbol(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return Prod(self, _as_symbol(other))
-
-    __rmul__ = __mul__
-
-    # serialization -------------------------------------------------------
-
-    def to_json_obj(self):
-        raise NotImplementedError
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json_obj(obj, coefficients=None):
-        return _symbol_from_json(obj, coefficients or COEFFICIENT_PRESETS)
-
-    @staticmethod
-    def from_json(text, coefficients=None):
-        return SymbolExpr.from_json_obj(json.loads(text), coefficients)
-
 
 def _as_symbol(value):
     if isinstance(value, SymbolExpr):
@@ -327,9 +300,6 @@ class CoeffFactor(SymbolExpr):
         # x is None where the factor does not read x: any point of [0, 1] serves
         return self.coefficient(0.0 if x is None else x)
 
-    def to_json_obj(self):
-        return f"coeff:{self.coefficient.name}"
-
     def __str__(self):
         return f"{self.coefficient.name}(x)"
 
@@ -342,14 +312,6 @@ class TrigFactor(SymbolExpr):
 
     def _eval(self, x, theta, invalid, out=None):
         return self.poly(theta)
-
-    def to_json_obj(self):
-        c = self.poly.coeffs
-        if np.allclose(c.imag, 0.0):
-            payload = [float(v) for v in c.real]
-        else:
-            payload = [[float(v.real), float(v.imag)] for v in c]
-        return "trig:" + json.dumps(payload)
 
     def __str__(self):
         """The cosine/sine form, e.g. ``2-2cos(theta)``, from c_k e^{ik theta}
@@ -370,8 +332,8 @@ class _Node(SymbolExpr):
     """A node of the symbol algebra over its ``children``: real and bounded
     when they all are (a Quot: when its numerator is bounded and
     :func:`_stays_off_zero` holds), reading x when one does, with a quotient
-    when one has one or it is a Quot.  ``kind`` names it in JSON, ``{"kind":
-    kind, "children": [...]}``, and ``arity`` fixes their number (None: any)."""
+    when one has one or it is a Quot.  ``kind`` names it and ``arity`` fixes
+    their number (None: any)."""
 
     kind: str
     arity: int | None = None
@@ -386,9 +348,6 @@ class _Node(SymbolExpr):
         self.reads_x = any(c.reads_x for c in children)
         self.bounded = (children[0].bounded and _stays_off_zero(*children) if self.kind == "quot"
                         else all(c.bounded for c in children))
-
-    def to_json_obj(self):
-        return {"kind": self.kind, "children": [c.to_json_obj() for c in self.children]}
 
 
 class Sum(_Node):
@@ -541,27 +500,6 @@ def divide(num, den):
 
 def conjugate(arg):
     return Conj(_as_symbol(arg))
-
-
-_NODE_KINDS = {cls.kind: cls for cls in (Sum, Prod, Quot, Conj)}
-
-
-def _symbol_from_json(obj, coefficients):
-    if isinstance(obj, str):
-        if obj.startswith("coeff:"):
-            name = obj[6:]
-            if name not in coefficients:
-                raise KeyError(f"unknown coefficient name {name!r} in symbol JSON")
-            return CoeffFactor(coefficients[name])
-        if obj.startswith("trig:"):
-            payload = json.loads(obj[5:])
-            coeffs = [complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in payload]
-            return TrigFactor(TrigPoly(coeffs))
-        raise ValueError(f"unknown symbol leaf {obj!r}")
-    kind = obj["kind"]
-    if kind not in _NODE_KINDS:
-        raise ValueError(f"unknown symbol node kind {kind!r}")
-    return _NODE_KINDS[kind](*(_symbol_from_json(c, coefficients) for c in obj["children"]))
 
 
 # ----------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from gltkit import (
     fe_stiffness,
     fe_system_schur,
     get_case,
-    mapped_grid,
     multiply,
     power_map,
     registry_lines,
@@ -60,11 +59,6 @@ def test_uniform_grid_points_and_deviation():
     g = uniform_grid(4)
     assert np.allclose(g.points, [0.25, 0.5, 0.75, 1.0])
     assert g.au_deviation == 0.0
-
-
-def test_mapped_grid_square():
-    g = mapped_grid(power_map(2.0), 3)
-    assert np.allclose(g.points, [1 / 16, 4 / 16, 9 / 16])
 
 
 def test_fd_interior_grid_deviation_closed_form():
@@ -650,6 +644,14 @@ def test_registry_parameter_parsing():
     assert "rho=0" in case.tag
     with pytest.raises(KeyError):
         get_case("fd_t99")
+
+
+@pytest.mark.parametrize("spec", ["fd_t2:b=one,b=x", "fd_t2:c=x, c=x", "fd_t7:q=2,q=3",
+                                  "schur:rho=1,rho=1"])
+def test_registry_rejects_a_parameter_given_twice(spec):
+    key = spec.split(":")[1].split("=")[0]
+    with pytest.raises(ValueError, match=f"case parameter '{key}' given twice"):
+        get_case(spec, "one")
 
 
 @settings(max_examples=80, deadline=None)

@@ -273,6 +273,20 @@ def test_unknown_case_parameter_is_usage_error(capsys, spec):
     assert "does not accept" in err and "accepted:" in err and not out
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("fd_t2:b=one,b=x", "case parameter 'b' given twice"),
+    ("fd_t7:q=nan", "power map needs a finite q > 0, got q=nan"),
+    ("fd_t7:q=inf", "power map needs a finite q > 0, got q=inf"),
+    ("fd_t7:q=-inf", "power map needs a finite q > 0, got q=-inf"),
+    ("schur:rho=nan", "schur needs a finite rho, got rho=nan"),
+    ("schur:rho=inf", "schur needs a finite rho, got rho=inf"),
+    ("schur:rho=-inf", "schur needs a finite rho, got rho=-inf"),
+])
+def test_repeated_or_non_finite_case_parameter_is_usage_error(capsys, spec, message):
+    code, out, err = run_cli(capsys, "spectrum", "--case", spec, "--n", "5")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_certify_out_holds_the_stdout_lines(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "certify", "--family", "fd_t4", "--n", "50,100")
     assert code == 0

@@ -1,6 +1,5 @@
 """Tests for trig polynomials, coefficients, symbol trees, rearrangement,
 and the moduli of continuity."""
-import json
 import math
 import tracemalloc
 
@@ -119,48 +118,14 @@ def test_symbol_algebra_multiply_point():
     assert kappa(0.5, math.pi) == pytest.approx(2.0)
 
 
-def test_json_roundtrip():
-    kappa = add(
-        TrigFactor(TrigPoly.from_cosines([2 / 3, 1 / 3])),
-        divide(multiply(SIN_SYMBOL, SIN_SYMBOL),
-               multiply(coefficient_preset("xexp"), LAPLACE_SYMBOL)),
-    )
-    back = SymbolExpr.from_json(kappa.to_json())
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        x, th = rng.uniform(0.05, 1.0), rng.uniform(0.1, math.pi)
-        assert back(x, th) == pytest.approx(kappa(x, th), rel=1e-12)
-
-
-def _coefficients(kappa):
-    """The coefficients of the CoeffFactor leaves of ``kappa``, by name."""
-    if isinstance(kappa, CoeffFactor):
-        return {kappa.coefficient.name: kappa.coefficient}
-    found = {}
-    for child in getattr(kappa, "children", ()):
-        found |= _coefficients(child)
-    return found
-
-
-@pytest.mark.parametrize("coeff", ["xexp", "one", "x"])
-@pytest.mark.parametrize("name", case_names())
-def test_json_roundtrip_of_every_registry_symbol(name, coeff):
-    kappa = get_case(name, coeff).predicted_symbol
-    back = SymbolExpr.from_json(kappa.to_json(), _coefficients(kappa))
-    assert back.to_json() == kappa.to_json()
-    assert str(back) == str(kappa)
-    flags = ("is_real", "has_quotient", "reads_x", "bounded")
-    assert [getattr(back, f) for f in flags] == [getattr(kappa, f) for f in flags]
-
-
-@pytest.mark.parametrize("obj,match", [
-    ({"kind": "quot", "children": ["trig:[1.0]"]}, "quot node takes 2"),
-    ({"kind": "conj", "children": ["trig:[1.0]", "trig:[2.0]"]}, "conj node takes 1"),
-    ({"kind": "pow", "children": ["trig:[1.0]"]}, "unknown symbol node kind 'pow'"),
+@pytest.mark.parametrize("node,children,match", [
+    ("Quot", 1, "quot node takes 2"),
+    ("Conj", 2, "conj node takes 1"),
 ])
-def test_json_malformed_node_rejected(obj, match):
+def test_node_arity_rejected(node, children, match):
+    leaf = TrigFactor(TrigPoly([1.0]))
     with pytest.raises(ValueError, match=match):
-        SymbolExpr.from_json(json.dumps(obj))
+        getattr(symbols, node)(*[leaf] * children)
 
 
 def test_node_flags_follow_children(tmp_path):
@@ -197,11 +162,6 @@ def test_registry_symbols_with_constant_coefficients_do_not_read_x():
         assert not get_case(name, "one").predicted_symbol.reads_x, name
         assert get_case(name, "xexp").predicted_symbol.reads_x, name
     assert get_case("fd_t7", "one").predicted_symbol.reads_x
-
-
-def test_json_unknown_coefficient_rejected():
-    with pytest.raises(KeyError):
-        SymbolExpr.from_json('"coeff:nonexistent"')
 
 
 # ---------------------------------------------------------------------------
