@@ -601,9 +601,14 @@ def _assert_symbol_checks_refuse(built, other):
         weyl_compare(other, 40, quad_res=60, samples=samples)
 
 
+def test_symbol_checks_refuse_another_function_of_the_same_name():
+    impostor = Coefficient("xexp", lambda x: 2 * x * np.exp(-x))
+    _assert_symbol_checks_refuse(get_case("fd_t1", "xexp"), fd_diffusion(impostor))
+
+
 @pytest.mark.parametrize("coeff", ["xexp", "one", "x"])
 @pytest.mark.parametrize("name", case_names())
-def test_symbol_checks_refuse_another_function_of_the_same_name(name, coeff):
+def test_a_second_build_of_every_registry_symbol_matches_it(name, coeff):
     """A second build of a registry symbol matches it node by node, trig
     leaves included, with the same flags; a coefficient that declares the
     same name and metadata as the preset but is another function does not."""
