@@ -23,7 +23,7 @@ import numpy as np
 from .builders import DiscretizationCase
 from .linalg import SpectralSet, schatten_norm
 from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr,
-                      SymbolSingularityError, TrigFactor, _grid_blocks, block_size,
+                      SymbolSingularityError, TrigFactor, _grid_blocks,
                       monotone_rearrangement, nonfinite_count, require_finite)
 
 
@@ -118,6 +118,10 @@ def empirical_functional(spectrum, F) -> float:
     return float(np.mean(F(values)))
 
 
+#: the panels per axis of the Weyl quadrature grid when none is given
+DEFAULT_QUAD_RES = 400
+
+
 def _quadrature_axes(kappa: SymbolExpr, quad_res):
     """The x and theta axes of the 2-d quadrature grid on :data:`SYMBOL_RECT`.
 
@@ -156,24 +160,16 @@ def _grid_range(kappa: SymbolExpr, quad_res, absolute):
 
 def _streamed_means(kappa: SymbolExpr, quad_res, absolute, count, Fs):
     """The mean of each F of ``Fs`` over the ``count`` kept values of ``kappa`` on
-    the grid of ``quad_res`` panels, in one pass staging its blocks in one buffer,
-    F taking each chunk of 2^17 values (1/16 of them when that is fewer)."""
+    the grid of ``quad_res`` panels, in one pass, F taking each chunk of 2^17
+    values (1/16 of them when that is fewer)."""
     # the chunk boundaries fix the bits of every symbol-side value: this
-    # partition stays when the evaluation blocks (block_size) change
+    # partition stays when the evaluation blocks change
     step = max(1, min(1 << 17, count // 16))
-    x, theta = axes = _quadrature_axes(kappa, quad_res)
-    buf = np.empty(step + max(block_size(x.size * theta.size), theta.size))
-    sums, seen, filled = [[] for _ in Fs], 0, 0
-    # each block goes to the buffer's rest, read when the block is evaluated
-    for values in _grid_blocks(kappa, axes, absolute, lambda size: buf[filled:]):
-        filled += values.size
-        done = filled if seen + filled == count else filled - filled % step
-        for start in range(0, done, step):
-            chunk = buf[start:min(start + step, done)]
-            for F, parts in zip(Fs, sums):
-                parts.append(float(np.sum(F(chunk))))
-        buf[:filled - done] = buf[done:filled]  # fewer than step: no overlap
-        seen, filled = seen + done, filled - done
+    sums, seen = [[] for _ in Fs], 0
+    for chunk in _grid_blocks(kappa, _quadrature_axes(kappa, quad_res), absolute, step):
+        seen += chunk.size
+        for F, parts in zip(Fs, sums):
+            parts.append(float(np.sum(F(chunk))))
     if seen != count:
         raise RuntimeError(f"the grid gave {seen} of its {count} values: the samples changed")
     return [math.fsum(parts) / count for parts in sums]
@@ -294,7 +290,7 @@ class SymbolSamples:
         return [self._symbol_sides[F] for F in Fs]
 
 
-def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamples:
+def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=DEFAULT_QUAD_RES) -> SymbolSamples:
     """Range :func:`weyl_compare`'s quadrature grids of ``kappa`` (a case's ``predicted_symbol``);
     a complex one raises ComplexSymbolError in lambda mode, NaN or infinite samples
     SymbolSingularityError, and a ``quad_res`` below 2 (no coarser grid to refine) ValueError."""
@@ -311,7 +307,7 @@ def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=400) -> SymbolSamp
 
 
 def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
-                 quad_res=400, samples=None, spectrum=None) -> DistributionReport:
+                 quad_res=DEFAULT_QUAD_RES, samples=None, spectrum=None) -> DistributionReport:
     """Test-functional comparison of the spectrum of alpha_n A_n with the
     predicted symbol.
 

@@ -642,6 +642,14 @@ def _coef_param(params, key, default_name):
     return coefficient_preset(params.get(key, default_name))
 
 
+def _number_param(params, key, default, case):
+    try:
+        return float(params.get(key, default))
+    except ValueError:  # the default is a float
+        raise ValueError(f"case parameter {key!r} of {case!r} must be a number, "
+                         f"got {params[key]!r}") from None
+
+
 #: name -> (accepted ``key=value`` parameters, factory(a, params))
 _CASE_FACTORIES = {
     "fd_t1": ((), lambda a, p: fd_diffusion(a)),
@@ -654,11 +662,13 @@ _CASE_FACTORIES = {
     "fd_t5": (("b", "c"), lambda a, p: fd_fourth_order_scheme(
         a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
     "fd_t6": ((), lambda a, p: fd_fourth_derivative(a)),
-    "fd_t7": (("q",), lambda a, p: fd_nonuniform(a, power_map(float(p.get("q", 2.0))))),
+    "fd_t7": (("q",), lambda a, p: fd_nonuniform(
+        a, power_map(_number_param(p, "q", 2.0, "fd_t7")))),
     "fe_t1": (("b", "c"), lambda a, p: fe_cdr(
         a, _coef_param(p, "b", "zero"), _coef_param(p, "c", "zero"))),
     "fe_mass": ((), lambda a, p: fe_mass_case(a)),
-    "schur": (("rho",), lambda a, p: fe_system_schur(a, rho=float(p.get("rho", 1.0)))),
+    "schur": (("rho",), lambda a, p: fe_system_schur(
+        a, rho=_number_param(p, "rho", 1.0, "schur"))),
     "Ln": (("c",), lambda a, p: fe_eigproblem(a, _coef_param(p, "c", "one"))),
 }
 
@@ -685,7 +695,7 @@ def get_case(spec: str, coefficient=None) -> DiscretizationCase:
         for item in tail.split(","):
             key, _, value = item.partition("=")
             key = key.strip()
-            if not value:
+            if not key or not value:
                 raise ValueError(f"malformed case parameter {item!r}")
             if key in params:
                 raise ValueError(f"case parameter {key!r} given twice")

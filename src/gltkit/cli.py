@@ -30,6 +30,7 @@ import sys
 import threading
 
 from .analysis import (
+    DEFAULT_QUAD_RES,
     DEFAULT_R,
     UnboundedSymbolError,
     rearrangement_compare,
@@ -278,7 +279,7 @@ def _build_parser():
     p_cmp = sub.add_parser("compare", help="Weyl + rearrangement reports")
     case_args(p_cmp)
     r_arg(p_cmp)
-    p_cmp.add_argument("--quad-res", dest="quad_res", type=_positive_int, default=400)
+    p_cmp.add_argument("--quad-res", dest="quad_res", type=_positive_int, default=DEFAULT_QUAD_RES)
     output_args(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
 

@@ -615,45 +615,30 @@ def _lattice(r):
 BLOCK_BYTES = 1 << 18
 
 
-def block_size(total):
-    """Values per block when ``total`` values are evaluated in blocks: the
-    ``BLOCK_BYTES`` budget, or 1/16 of ``total`` when that is smaller, so a
-    block's temporaries stay a small fraction of the buffer they fill."""
-    return max(1, min(BLOCK_BYTES // 8, total // 16))
-
-
-def _grid_blocks(kappa: SymbolExpr, axes, absolute=False, dest=None):
+def _grid_blocks(kappa: SymbolExpr, axes, absolute=False, step=None):
     """Yield the kept values of the symbol ``kappa`` on the outer-product
-    grid of the 1-d ``axes`` (x, theta), block by block of x rows in
-    row-major order (see :func:`block_size`), with the points where a
-    division guard trips dropped.
-
-    A block of ``count`` grid points is evaluated into the first ``count``
-    values of ``dest(count)``, a flat float array, and its kept values are
-    moved to the front of them and yielded as a view; without ``dest``,
-    into one buffer reused from block to block, so each block holds until
-    the next one is evaluated.  The root alone writes into that buffer;
-    the values of the inner nodes are temporaries of at most a block each.
-    The theta-only subtrees are evaluated once.  The axes reach the symbol
-    read-only, so a symbol that returns its input is copied, never handed
-    out to be overwritten.  Complex values raise ComplexSymbolError unless
-    ``absolute`` asks for moduli.
+    grid of the 1-d ``axes`` (x, theta), row-major, with the points where a
+    division guard trips dropped: block by block of x rows (of
+    ``BLOCK_BYTES``, or 1/16 of the grid when that is less), or with
+    ``step`` in chunks of exactly ``step`` values, the last one shorter.
+    Each is a view of one buffer (a block, or ``step`` values plus a block)
+    and holds until the next is yielded.  The root alone writes into that
+    buffer; the values of the inner nodes are temporaries of at most a
+    block each.  The theta-only subtrees are evaluated once.  The axes
+    reach the symbol read-only, so a symbol that returns its input is
+    copied, never handed out to be overwritten.  Complex values raise
+    ComplexSymbolError unless ``absolute`` asks for moduli.
     """
     x, theta = (np.asarray(a, dtype=float).view() for a in axes)
     x.flags.writeable = theta.flags.writeable = False
     theta = theta[None, :]
-    step = max(1, block_size(x.size * theta.size) // max(theta.size, 1))
+    rows_per_block = max(1, min(BLOCK_BYTES // 8, x.size * theta.size // 16) // max(theta.size, 1))
     bound = _bind_theta(kappa, theta)
-    if dest is None:
-        own = np.empty(step * theta.size)
-
-        def dest(count):
-            return own
-
-    for start in range(0, x.size, step):
-        rows = x[start:start + step, None]
-        count = rows.size * theta.size
-        block = dest(count)[:count]
+    buf = np.empty((step or 0) + rows_per_block * theta.size)
+    filled = 0
+    for start in range(0, x.size, rows_per_block):
+        rows = x[start:start + rows_per_block, None]
+        block = buf[filled:filled + rows.size * theta.size]
         out = block.reshape(-1, theta.size)
         vals, invalid = bound.eval_masked(rows, theta, out)
         if vals is not out:
@@ -666,35 +651,21 @@ def _grid_blocks(kappa: SymbolExpr, axes, absolute=False, dest=None):
                 np.copyto(out, vals)
         elif absolute:
             np.absolute(out, out=out)
-        if invalid is None:
-            yield block
-        else:
+        if invalid is not None:
             values = out[~np.broadcast_to(invalid, out.shape)]
-            block[:values.size] = values
-            yield block[:values.size]
-
-
-def grid_samples(kappa: SymbolExpr, axes, absolute=False):
-    """Values of the symbol ``kappa`` on the outer-product grid of the 1-d
-    ``axes`` (x, theta), flattened row-major with the points where a
-    division guard trips dropped, and the number of those excluded points.
-    Complex values raise ComplexSymbolError unless ``absolute`` asks for
-    moduli.
-
-    The returned buffer is freshly allocated, the caller's to overwrite.
-    :func:`_grid_blocks` evaluates each block straight into it, after the
-    previous blocks' kept values, so no temporary of the grid's full size
-    is made.
-    """
-    total = np.size(axes[0]) * np.size(axes[1])
-    buf = np.empty(total)
-    kept = 0
-    # each block goes to the buffer's rest, read when the block is evaluated
-    for values in _grid_blocks(kappa, axes, absolute, lambda count: buf[kept:]):
-        kept += values.size
-    if kept == 0:
-        raise SymbolSingularityError("the symbol is singular at every grid point")
-    return (buf if kept == total else buf[:kept]), total - kept
+            block = block[:values.size]
+            block[:] = values
+        if step is None:
+            yield block
+            continue
+        filled += block.size  # the kept values follow those left over
+        done = filled - filled % step
+        for i in range(0, done, step):
+            yield buf[i:i + step]
+        buf[:filled - done] = buf[done:filled]  # fewer than step: no overlap
+        filled -= done
+    if filled:
+        yield buf[:filled]
 
 
 #: bytes, at most, of the selection's bucket counts
@@ -914,7 +885,9 @@ def monotone_rearrangement(kappa: SymbolExpr, r, ts) -> Rearrangement:
         N, ranks, values = _select_ranks(lambda: _grid_blocks(kappa, axes),
                                          _range_of(kappa, axes), ranks_of, r * r)
     else:
-        row, _ = grid_samples(kappa, (axes[0][:1], axes[1]))
+        (row,) = _grid_blocks(kappa, (axes[0][:1], axes[1]))  # one row: one block
+        if row.size == 0:
+            raise SymbolSingularityError("the symbol is singular at every grid point")
         require_finite(r * nonfinite_count(row))
         row.sort()
         N = r * row.size

@@ -281,6 +281,11 @@ def test_unknown_case_parameter_is_usage_error(capsys, spec):
     ("schur:rho=nan", "schur needs a finite rho, got rho=nan"),
     ("schur:rho=inf", "schur needs a finite rho, got rho=inf"),
     ("schur:rho=-inf", "schur needs a finite rho, got rho=-inf"),
+    # a value that is not a number, and an item without a key
+    ("fd_t7:q=abc", "case parameter 'q' of 'fd_t7' must be a number, got 'abc'"),
+    ("schur: rho = 2x ", "case parameter 'rho' of 'schur' must be a number, got '2x'"),
+    ("fd_t2:=x", "malformed case parameter '=x'"),
+    ("fd_t2:b=one, =x", "malformed case parameter ' =x'"),
 ])
 def test_repeated_or_non_finite_case_parameter_is_usage_error(capsys, spec, message):
     code, out, err = run_cli(capsys, "spectrum", "--case", spec, "--n", "5")

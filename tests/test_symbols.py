@@ -291,7 +291,7 @@ def test_rearrangement_of_masked_symbol_matches_sort_and_concatenate():
 
 
 def _whole_grid_samples(kappa, axes, absolute):
-    """The reference for grid_samples: one evaluation on the whole grid,
+    """The reference for _grid_blocks: one evaluation on the whole grid,
     then the excluded points dropped by one boolean mask."""
     shape = tuple(a.size for a in axes)
     vals, invalid = kappa.eval_masked(axes[0][:, None], axes[1][None, :])
@@ -302,15 +302,16 @@ def _whole_grid_samples(kappa, axes, absolute):
     return flat[keep], flat.size - int(np.count_nonzero(keep))
 
 
+def _walked_grid(kappa, axes, absolute=False, step=None):
+    """What _grid_blocks yields, each block or chunk copied: the next one
+    overwrites its buffer."""
+    return [values.copy() for values in symbols._grid_blocks(kappa, axes, absolute, step)]
+
+
 def _assert_grid_samples_match_whole_grid(kappa, axes, absolute):
-    expected, excluded = _whole_grid_samples(kappa, axes, absolute)
-    if expected.size == 0:
-        with pytest.raises(SymbolSingularityError):
-            symbols.grid_samples(kappa, axes, absolute)
-        return
-    samples, got_excluded = symbols.grid_samples(kappa, axes, absolute)
-    assert samples.tobytes() == expected.tobytes()
-    assert got_excluded == excluded
+    expected, _ = _whole_grid_samples(kappa, axes, absolute)
+    blocks = _walked_grid(kappa, axes, absolute)
+    assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", case_names())
@@ -363,26 +364,64 @@ def test_grid_samples_refuse_complex_values_unless_asked_for_moduli():
     axes = symbols._lattice(17)
     for kappa in (multiply(XEXP, _E_ITHETA),
                   divide(TrigFactor(_E_ITHETA), CoeffFactor(_DIP))):
-        with pytest.raises(ComplexSymbolError):
-            symbols.grid_samples(kappa, axes)
+        for step in (None, 7):
+            with pytest.raises(ComplexSymbolError):
+                _walked_grid(kappa, axes, step=step)
+
+
+#: x rows excluded (the row x = 1/2, or half of them in whole blocks), the
+#: theta column theta = pi, and both at once
+_EXCLUDING = (
+    divide(TrigFactor(LAPLACE_SYMBOL), CoeffFactor(_DIP)),
+    divide(add(XEXP, TrigFactor(LAPLACE_SYMBOL)), CoeffFactor(_HALF)),
+    divide(multiply(XEXP, LAPLACE_SYMBOL), TrigFactor(SIN_SYMBOL)),
+    divide(divide(multiply(XEXP, _E_ITHETA), CoeffFactor(_DIP)), TrigFactor(SIN_SYMBOL)),
+)
+
+
+@pytest.mark.parametrize("kappa", _EXCLUDING)
+@pytest.mark.parametrize("r", [4, 120])
+@pytest.mark.parametrize("step", ["1", "7", "block-1", "block", "block+1", "grid+1"])
+def test_grid_chunks_concatenate_to_the_whole_grid(kappa, r, step):
+    """With ``step``, _grid_blocks yields the kept values in chunks of
+    exactly ``step`` values, the last one shorter and none empty: together
+    they are the whole-grid samples, byte for byte, whether a chunk is
+    smaller than a block, about one block or longer than the grid."""
+    axes = symbols._lattice(r)
+    block = max(1, min(symbols.BLOCK_BYTES // 8, r * r // 16) // r) * r  # values per block
+    step = {"1": 1, "7": 7, "block-1": block - 1, "block": block, "block+1": block + 1,
+            "grid+1": r * r + 1}[step]
+    absolute = not kappa.is_real
+    expected, _ = _whole_grid_samples(kappa, axes, absolute)
+    assert 0 < expected.size < r * r  # every grid drops points
+    chunks = _walked_grid(kappa, axes, absolute, step)
+    assert [c.size for c in chunks[:-1]] == [step] * (len(chunks) - 1)
+    assert 0 < chunks[-1].size <= step
+    assert np.concatenate(chunks).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", case_names())
 def test_rearrangement_needs_no_second_full_size_array(name):
-    """grid_samples, which fills the Weyl quadrature samples, evaluates the
-    grid in blocks straight into the buffer it returns, so the traced peak
-    stays within 1.1 full-size float arrays for every registry symbol,
-    quotients and sums included."""
+    """_grid_blocks, which reads the rearrangement lattice and the Weyl
+    quadrature grids, holds one block (and with ``step`` one chunk plus a
+    block) at a time: walking the r = 2000 lattice of every registry
+    symbol, quotients and sums included, in blocks or in chunks of 2^17
+    values, peaks at a tenth of one full-size float array under
+    tracemalloc."""
     kappa = get_case(name, "xexp").predicted_symbol
     r = 2000
-    tracemalloc.start()
-    try:
-        samples, excluded = symbols.grid_samples(kappa, symbols._lattice(r))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert samples.size + excluded == r * r
-    assert peak <= 1.1 * 8 * r * r
+    axes = symbols._lattice(r)
+    for step in (None, 1 << 17):
+        tracemalloc.start()
+        try:
+            sizes = [values.size for values in symbols._grid_blocks(kappa, axes, step=step)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) == r * r  # no lattice point is excluded
+        if step:
+            assert set(sizes[:-1]) == {step} and 0 < sizes[-1] <= step
+        assert peak <= 0.1 * 8 * r * r
 
 
 @pytest.mark.parametrize("kappa,rect,r", [
@@ -634,11 +673,11 @@ def test_rearrangement_refuses_samples_that_change_between_its_passes(monkeypatc
     bucket in pass 2 raises."""
     blocks, calls = symbols._grid_blocks, []
 
-    def changing_blocks(kappa, axes, absolute=False, dest=None):
+    def changing_blocks(kappa, axes, absolute=False, step=None):
         calls.append(len(axes[0]))
         # the range sub-lattice, pass 1 and pass 2 come in that order
         second_pass = len(calls) == 3
-        for i, values in enumerate(blocks(kappa, axes, absolute, dest)):
+        for i, values in enumerate(blocks(kappa, axes, absolute, step)):
             if second_pass and i == 1:  # its second block
                 if change == "drop":
                     continue
@@ -708,9 +747,8 @@ def test_theta_only_rearrangement_is_the_sorted_lattice(kappa, r, ts):
     equal and which np.sort leaves as they come."""
     assert not kappa.reads_x and kappa.is_real
     axes = symbols._lattice(r)
-    try:
-        lattice, excluded = symbols.grid_samples(kappa, axes)
-    except SymbolSingularityError:  # singular everywhere, a zero denominator
+    lattice, excluded = _whole_grid_samples(kappa, axes, absolute=False)
+    if lattice.size == 0:  # singular everywhere, a zero denominator
         with pytest.raises(SymbolSingularityError, match="every grid point"):
             monotone_rearrangement(kappa, r, ts=ts)
         return
