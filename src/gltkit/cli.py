@@ -312,8 +312,9 @@ def main(argv=None) -> int:
         return 1
     except (KeyError, ValueError, SymbolSingularityError, OSError) as exc:
         # OSError: a --coeff csv:PATH that cannot be read, an --out that
-        # cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+        # cannot be written; str() of a KeyError would quote its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -1,36 +1,38 @@
 """Dense and banded real linear algebra used by the matrix builders.
 
-Eigenvalues of symmetric matrices go through LAPACK's tridiagonal/banded
-drivers when the band structure allows it (values-only QL/QR for the
-tridiagonal path), nonsymmetric spectra through Hessenberg + shifted QR,
-symmetric-definite band pencils through LAPACK ``dsbgv`` (split Cholesky
-``dpbstf``, Crawford's band-preserving reduction ``dsbgst``, ``dsbtrd``
-and ``dsterf``, O(n^2) for a fixed bandwidth), a symmetric band plus a
-rank-one term ``T + s u u^T`` as an n x n band pencil, and SPD banded
-systems through banded Cholesky.  :func:`real_eigvals` alone maps an
-operand to its eigensolver: a :class:`Pencil` to ``dsbgv``, a
-:class:`RankOneUpdate` to the pencil ``(L (T + s u u^T) L^T, L L^T)`` with
-``L u = e_1`` (the dense S when u is rough), and a matrix by its structure
-(a band diagonally similar to a symmetric band is solved as one; the dense
-nonsymmetric solver is the last resort); :func:`singular_spectrum` alone
-maps one to its singular values, which :func:`schatten_norm` takes.
+Eigenvalues of symmetric band matrices go through LAPACK's band driver
+(values only, a tridiagonal as a kd = 1 band), nonsymmetric spectra
+through Hessenberg + shifted QR, symmetric-definite band pencils through
+LAPACK ``dsbgv`` (split Cholesky ``dpbstf``, Crawford's band-preserving
+reduction ``dsbgst``, ``dsbtrd`` and ``dsterf``, O(n^2) for a fixed
+bandwidth), a symmetric band plus a rank-one term ``T + s u u^T`` as an
+n x n band pencil, and SPD banded systems through banded Cholesky.
+:func:`real_eigvals` alone maps an operand to its eigensolver: a
+:class:`Pencil` to ``dsbgv``, a :class:`RankOneUpdate` to the pencil
+``(L (T + s u u^T) L^T, L L^T)`` with ``L u = e_1`` (the dense S when u is
+rough), and a matrix by its structure (a band diagonally similar to a
+symmetric band is solved as one; the dense nonsymmetric solver is the last
+resort); :func:`singular_spectrum` alone maps one to its singular values,
+which :func:`schatten_norm` takes.
 Everything is 64-bit; failures inside LAPACK surface as
 ``EigenConvergenceError``, never silently.
 :class:`BandedMatrix` alone knows the band layout; its algebra (``+``,
 ``-``, ``row_scaled``, ``@``, ``.T``) reads only the stored diagonals.
 
-The band and tridiagonal routines are LAPACK's own, called through the C
-function capsules of scipy's ``cython_lapack`` extension: ``dstevd`` and
-``dsbevd`` (symmetric tridiagonal and band spectra, values only),
-``dsbevx`` (the largest eigenvalue of ``A^T A`` for the spectral norm of a
-nonsymmetric band), ``dsbgv`` (band pencils), ``dptsv`` and ``dpbsv`` (SPD
-tridiagonal and band solves) and ``dpbtrf`` (banded Cholesky).  Each takes
-the driver and arguments of the ``scipy.linalg`` wrapper it replaces, so
-the results are the same bytes.  The extension file is loaded by path when
-this module is imported, so ``scipy/linalg/__init__.py`` never runs, and
-leaves no ``sys.modules`` entry behind; a module already in
-``sys.modules`` is reused, and without the file the module comes from
-``from scipy.linalg import cython_lapack``.
+The band routines are LAPACK's own, called through the C function
+capsules of scipy's ``cython_lapack`` extension, five of them: ``dsbevd``
+(symmetric band spectra, values only), ``dsbevx`` (the largest eigenvalue
+of ``A^T A`` for the spectral norm of a nonsymmetric band), ``dsbgv``
+(band pencils), ``dpbsv`` (SPD band solves) and ``dpbtrf`` (banded
+Cholesky).  Each is called with the arguments that scipy.linalg's wrapper
+of the same routine passes, so the results are the same bytes.  A
+tridiagonal is solved as a kd = 1 band: ``dsbevd``'s band reduction
+``dsbtrd`` only copies it, so its ``dsterf`` gives the bits of LAPACK's
+tridiagonal driver.  The extension file is loaded by path when this module
+is imported, so ``scipy/linalg/__init__.py`` never runs, and leaves no
+``sys.modules`` entry behind; a module already in ``sys.modules`` is
+reused, and without the file the module comes from ``from scipy.linalg
+import cython_lapack``.
 :data:`LAPACK_SOURCE` says which: the loaded file, or ``"scipy.linalg
 import"``.  Each routine is bound on its first call, after its capsule's
 declared C signature is checked against the binding.  Every LAPACK
@@ -121,13 +123,11 @@ _SCALAR_TYPES = {"i": (ctypes.c_int, np.intc), "d": (ctypes.c_double, np.float64
 #: the Fortran argument list of every routine bound here, each argument with
 #: its C type: c is ``char *``, i ``int *`` and d ``double *``
 _SIGNATURES = {name: tuple(tuple(arg.split(":")) for arg in spec.split()) for name, spec in {
-    "dstevd": "jobz:c n:i d:d e:d z:d ldz:i work:d lwork:i iwork:i liwork:i info:i",
     "dsbevd": "jobz:c uplo:c n:i kd:i ab:d ldab:i w:d z:d ldz:i work:d lwork:i "
               "iwork:i liwork:i info:i",
     "dsbevx": "jobz:c range:c uplo:c n:i kd:i ab:d ldab:i q:d ldq:i vl:d vu:d il:i iu:i "
               "abstol:d m:i w:d z:d ldz:i work:d iwork:i ifail:i info:i",
     "dsbgv": "jobz:c uplo:c n:i ka:i kb:i ab:d ldab:i bb:d ldbb:i w:d z:d ldz:i work:d info:i",
-    "dptsv": "n:i nrhs:i d:d e:d b:d ldb:i info:i",
     "dpbsv": "uplo:c n:i kd:i nrhs:i ab:d ldab:i b:d ldb:i info:i",
     "dpbtrf": "uplo:c n:i kd:i ab:d ldab:i info:i",
 }.items()}
@@ -200,7 +200,7 @@ def _check_info(name, info, n):
     if info > n and name == "dsbgv":
         raise SpdError(f"mass matrix of the pencil is not SPD: the split Cholesky "
                        f"factorization (dpbstf) failed, info = {info}")
-    if info > 0 and name in ("dpbtrf", "dptsv", "dpbsv"):
+    if info > 0 and name in ("dpbtrf", "dpbsv"):
         raise SpdError(f"matrix is not SPD: the leading minor of order {info} is not "
                        f"positive definite (LAPACK {name})")
     if info > 0:
@@ -338,21 +338,10 @@ class BandedMatrix:
         return self._combine(other, np.subtract)
 
     def __matmul__(self, other):
-        """Band ``B``: a band of bandwidths ``min(A.bw + B.bw, n - 1)``, in
-        O(n bw_A bw_B).  Dense n x m ``X``: an ndarray, in O(n bw m)."""
-        n = self.n
-        if isinstance(other, BandedMatrix):
-            if other.n != n:
-                raise ValueError(f"size mismatch: {n} vs {other.n}")
-            return BandedMatrix.from_diagonals(n, _product_diagonals(self, other, -n))
-        X = np.asarray(other)
-        if X.ndim != 2 or X.shape[0] != n:
-            raise ValueError(f"expected an array with {n} rows, got shape {X.shape}")
-        Y = np.zeros(X.shape, dtype=np.result_type(self.bands, X, float))
-        for p, a in self._diagonals():  # Y[i] += A[i, i + p] X[i + p]
-            lo, hi = max(0, -p), n - max(0, p)
-            Y[lo:hi] += a[:, None] * X[lo + p: hi + p]
-        return Y
+        """The band ``A @ B`` of bandwidths ``min(A.bw + B.bw, n - 1)``, in
+        O(n bw_A bw_B); an operand that is not a band raises TypeError."""
+        _require_bands(self, other)
+        return BandedMatrix.from_diagonals(self.n, _product_diagonals(self, other, -self.n))
 
 
 def _product_diagonals(A: BandedMatrix, B: BandedMatrix, lowest):
@@ -507,9 +496,8 @@ class SpectralSet:
 def sym_eigvals(A) -> SpectralSet:
     """Eigenvalues of a symmetric matrix, sorted ascending.
 
-    Dispatches to the LAPACK tridiagonal QL/QR path for tridiagonal band
-    storage, the banded driver for wider bands, and the dense symmetric
-    driver otherwise.
+    Band storage goes to LAPACK's band driver ``dsbevd`` (a tridiagonal
+    as a kd = 1 band), anything else to the dense symmetric driver.
     """
     require_symmetric(A)
     return _sym_eigvals(A)
@@ -535,20 +523,13 @@ def _sym_eigvals(A) -> SpectralSet:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigenConvergenceError(str(exc)) from exc
         return SpectralSet(np.sort(vals), "eigenvalues", "sym_dense")
-    n = A.n
-    if max(A.lower_bw, A.upper_bw) <= 1:  # values-only tridiagonal driver, on d in place
-        vals = A.diagonal_values(0).astype(float)
-        if n > 1:
-            _call("dstevd", jobz="N", n=n, d=vals, e=A.diagonal_values(-1).astype(float),
-                  z=np.empty(1), ldz=1, work=np.empty(1), lwork=1,
-                  iwork=np.empty(1, np.intc), liwork=1)
-        return SpectralSet(np.sort(vals), "eigenvalues", "sym_tridiagonal")
-    ab = _upper_band(A)
+    n, ab = A.n, _upper_band(A)
+    kd = ab.shape[0] - 1
     vals = np.empty(n)
-    _call("dsbevd", jobz="N", uplo="U", n=n, kd=ab.shape[0] - 1, ab=ab, ldab=ab.shape[0],
-          w=vals, z=np.empty(1), ldz=1, work=np.empty(2 * n), lwork=2 * n,
+    _call("dsbevd", jobz="N", uplo="U", n=n, kd=kd, ab=ab, ldab=kd + 1, w=vals,
+          z=np.empty(1), ldz=1, work=np.empty(2 * n), lwork=2 * n,
           iwork=np.empty(1, np.intc), liwork=1)
-    return SpectralSet(np.sort(vals), "eigenvalues", "sym_band")
+    return SpectralSet(np.sort(vals), "eigenvalues", "sym_tridiagonal" if kd <= 1 else "sym_band")
 
 
 def sym_eigpairs(A):
@@ -798,7 +779,7 @@ def _upper_gram(A: BandedMatrix):
 
 
 def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:
-    """Solve ``A X = B`` for SPD banded ``A`` via banded Cholesky."""
+    """Solve ``A X = B`` for SPD banded ``A`` via banded Cholesky (``dpbsv``)."""
     _require_bands(A)
     require_symmetric(A)
     B = np.asarray(B, dtype=float)
@@ -809,11 +790,8 @@ def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:
         raise ValueError("right-hand side size mismatch")
     n, ab = A.n, _upper_band(A)
     X = np.array(B, order="F")  # overwritten with the solution
-    if ab.shape[0] == 2:  # tridiagonal: LDL^T (dpttrf) on d and e
-        _call("dptsv", n=n, nrhs=X.shape[1], d=ab[1].copy(), e=ab[0, 1:].copy(), b=X, ldb=n)
-    else:
-        _call("dpbsv", uplo="U", n=n, kd=ab.shape[0] - 1, nrhs=X.shape[1], ab=ab,
-              ldab=ab.shape[0], b=X, ldb=n)
+    _call("dpbsv", uplo="U", n=n, kd=ab.shape[0] - 1, nrhs=X.shape[1], ab=ab,
+          ldab=ab.shape[0], b=X, ldb=n)
     return X[:, 0] if squeeze else X
 
 

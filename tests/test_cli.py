@@ -76,6 +76,22 @@ def test_unknown_case_is_usage_error(capsys):
     assert "unknown case" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("spectrum", "--case", "fd_t1", "--coeff", "nosuch", "--n", "3"),
+     "unknown coefficient 'nosuch'; presets: ['1+x', 'expx', 'one', 'x', 'xexp', 'zero'] "
+     "or csv:PATH"),
+    (("spectrum", "--case", "nosuch"),
+     "unknown case 'nosuch'; known cases: Ln, fd_t1, fd_t2, fd_t3, fd_t4, fd_t5, fd_t6, "
+     "fd_t7, fe_mass, fe_t1, schur"),
+    (("certify", "--family", "nosuch"),
+     "unknown certificate family 'nosuch'; known: fd_t2, fd_t3, fd_t4, fd_t5, fd_t7, "
+     "fe_t1, thm2"),
+])
+def test_unknown_name_is_one_unquoted_error_line(capsys, argv, message):
+    # a KeyError's message is printed as it is, not quoted as str() of it would be
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_compare_writes_report_and_overlay(capsys, tmp_path):
     path = tmp_path / "cmp.json"
     code, _, _ = run_cli(capsys, "compare", "--case", "fd_t1", "--coeff", "xexp",
@@ -286,6 +302,7 @@ def test_unknown_case_parameter_is_usage_error(capsys, spec):
     ("schur: rho = 2x ", "case parameter 'rho' of 'schur' must be a number, got '2x'"),
     ("fd_t2:=x", "malformed case parameter '=x'"),
     ("fd_t2:b=one, =x", "malformed case parameter ' =x'"),
+    ("fd_t2:", "malformed case parameter ''"),
 ])
 def test_repeated_or_non_finite_case_parameter_is_usage_error(capsys, spec, message):
     code, out, err = run_cli(capsys, "spectrum", "--case", spec, "--n", "5")
