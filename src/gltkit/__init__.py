@@ -57,7 +57,6 @@ from .symbols import (
 )
 from .builders import (
     DiscretizationCase,
-    Grid,
     GridMap,
     arrow_sampling,
     case_names,

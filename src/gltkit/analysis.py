@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builders import DiscretizationCase
+from .builders import DiscretizationCase, uniform_grid
 from .linalg import SpectralSet, schatten_norm
 from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr,
                       SymbolSingularityError, TrigFactor, _grid_blocks,
@@ -392,11 +392,7 @@ DEFAULT_R = 5000
 def rearrangement_nodes(ns):
     """The points i/n, i = 1..n, at which :func:`rearrangement_compare` reads
     the rearrangement, for each n of ``ns``: the ``ts`` to build it for."""
-    return np.concatenate([_nodes(n) for n in ns])
-
-
-def _nodes(n):
-    return np.arange(1, n + 1) / n
+    return np.concatenate([uniform_grid(n) for n in ns])
 
 
 def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
@@ -419,7 +415,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
         )
     if rearr is None:
         rearr = monotone_rearrangement(case.predicted_symbol, DEFAULT_R if r is None else r,
-                                       _nodes(n))
+                                       uniform_grid(n))
     else:
         _require_symbol_of(case, rearr.kappa, "the rearrangement was built")
         if r is not None and r != rearr.r:
@@ -429,7 +425,7 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
         spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
     else:
         _require_spectrum(case, n, spectrum, "eigenvalues")
-    t = _nodes(n)
+    t = uniform_grid(n)
     s = rearr(t)
     e = spectrum.values
     gap = float(np.max(np.abs(s - e)))
@@ -458,12 +454,7 @@ class TrendReport:
     ratios: tuple          # ||Z_n||_p / n^(1/p)
     decay_threshold: float
     monotone: bool
-    passed: bool
-
-    @property
-    def overall_pass(self):
-        """The same as ``passed``."""
-        return self.passed
+    overall_pass: bool
 
 
 DECAY_THRESHOLD = 2.0
@@ -484,8 +475,7 @@ def zero_distribution_check(build, ns, p=2.0) -> TrendReport:
     ratios = tuple(ratios)
     monotone = all(b <= a * (1 + 1e-12) for a, b in zip(ratios, ratios[1:]))
     decayed = ratios[-1] < ratios[0] / DECAY_THRESHOLD if ratios[0] > 0 else True
-    passed = monotone and decayed
     return TrendReport(
         p=float(p), ns=ns, norms=tuple(norms), ratios=ratios,
-        decay_threshold=DECAY_THRESHOLD, monotone=monotone, passed=passed,
+        decay_threshold=DECAY_THRESHOLD, monotone=monotone, overall_pass=monotone and decayed,
     )

@@ -55,43 +55,28 @@ from .symbols import (FOURTH_DERIVATIVE_SYMBOL, FOURTH_ORDER_LAPLACE_SYMBOL, LAP
 
 
 # ----------------------------------------------------------------------------
-# grids and grid maps
+# grids (point arrays) and grid maps
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Grid:
-    """n points of [0,1] with their deviation from the reference {i/n}."""
-
-    n: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.shape != (self.n,):
-            raise ValueError("grid needs exactly n points")
-        if np.any(np.diff(pts) < 0):
-            raise ValueError("grid points must be nondecreasing")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def au_deviation(self):
-        """m(G_n) = max_i |x_i - i/n|, the asymptotic-uniformity defect."""
-        i = np.arange(1, self.n + 1)
-        return float(np.max(np.abs(self.points - i / self.n)))
+def uniform_grid(n) -> np.ndarray:
+    """The reference grid {i/n}, i = 1..n."""
+    return np.arange(1, n + 1) / n
 
 
-def uniform_grid(n) -> Grid:
-    return Grid(n, np.arange(1, n + 1) / n)
-
-
-def fd_interior_grid(n) -> Grid:
+def fd_interior_grid(n) -> np.ndarray:
     """The FD interior nodes x_j = j h, h = 1/(n+1), j = 1..n."""
-    return Grid(n, np.arange(1, n + 1) * (1.0 / (n + 1)))
+    return np.arange(1, n + 1) * (1.0 / (n + 1))
 
 
-def half_node_grid(n, shift) -> Grid:
+def half_node_grid(n, shift) -> np.ndarray:
     """Half-integer FD nodes {(j + shift)/(n+1)} with shift = +-1/2."""
-    return Grid(n, (np.arange(1, n + 1) + shift) / (n + 1))
+    return (np.arange(1, n + 1) + shift) / (n + 1)
+
+
+def au_deviation(points) -> float:
+    """m(G_n) = max_i |x_i - i/n| of the n grid points x_i, the
+    asymptotic-uniformity defect."""
+    return float(np.max(np.abs(points - uniform_grid(points.size))))
 
 
 @dataclass(frozen=True)
@@ -149,15 +134,15 @@ def toeplitz(f: TrigPoly, n) -> BandedMatrix:
     return BandedMatrix.from_diagonals(n, diags)
 
 
-def diag_sampling(a: Coefficient, grid: Grid) -> BandedMatrix:
+def diag_sampling(a: Coefficient, points) -> BandedMatrix:
     """Diagonal sampling matrix diag(a(x_i))."""
-    return BandedMatrix.diagonal(np.asarray(a(grid.points), dtype=float))
+    return BandedMatrix.diagonal(np.asarray(a(points), dtype=float))
 
 
-def arrow_sampling(a: Coefficient, grid: Grid) -> np.ndarray:
+def arrow_sampling(a: Coefficient, points) -> np.ndarray:
     """Arrow-shaped sampling matrix S_ij = a(x_min(i,j))."""
-    vals = np.asarray(a(grid.points), dtype=float)
-    idx = np.arange(grid.n)
+    vals = np.asarray(a(points), dtype=float)
+    idx = np.arange(vals.size)
     return vals[np.minimum.outer(idx, idx)]
 
 
@@ -254,7 +239,7 @@ def fd_diffusion_matrix(a: Coefficient, n) -> BandedMatrix:
 def fd_lower_order_matrix(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
     """(h/2) tridiag(-b_j, 0, b_j) + h^2 diag(c_j) on the nodes x_j = j h."""
     h = 1.0 / (n + 1)
-    x = fd_interior_grid(n).points
+    x = fd_interior_grid(n)
     bv = np.asarray(b(x), dtype=float)
     cv = np.asarray(c(x), dtype=float)
     return BandedMatrix.tridiagonal(h * h * cv, -(h / 2) * bv[1:], (h / 2) * bv[:-1])
@@ -262,7 +247,7 @@ def fd_lower_order_matrix(b: Coefficient, c: Coefficient, n) -> BandedMatrix:
 
 def fd_neumann_correction(a: Coefficient, b: Coefficient, n) -> BandedMatrix:
     h = 1.0 / (n + 1)
-    bv = np.asarray(b(fd_interior_grid(n).points), dtype=float)
+    bv = np.asarray(b(fd_interior_grid(n)), dtype=float)
     d = np.zeros(n)
     d[0] = -float(a(0.5 * h)) - (h / 2) * bv[0]
     d[-1] = -float(a((n + 0.5) * h)) + (h / 2) * bv[-1]
@@ -308,7 +293,7 @@ def _nondiv_samples(a: Coefficient, n) -> np.ndarray:
     """``a`` at the FD nodes; fd_t4's matrices check n here."""
     if n < 2:
         raise ValueError(f"non-divergence scheme (fd_t4) needs n >= 2, got n = {n}")
-    return np.asarray(a(fd_interior_grid(n).points), dtype=float)
+    return np.asarray(a(fd_interior_grid(n)), dtype=float)
 
 
 def _nondiv_diffusion(a: Coefficient, n) -> BandedMatrix:
@@ -350,7 +335,7 @@ def _fourth_order_samples(coef: Coefficient, n) -> np.ndarray:
     """``coef`` at the FD nodes; fd_t5 and its companions check n here."""
     if n < 4:
         raise ValueError(f"fourth-order scheme needs n >= 4, got n = {n}")
-    return np.asarray(coef(fd_interior_grid(n).points), dtype=float)
+    return np.asarray(coef(fd_interior_grid(n)), dtype=float)
 
 
 def _fourth_order_diffusion(a: Coefficient, n) -> BandedMatrix:
@@ -406,7 +391,7 @@ def fd_fourth_derivative(a: Coefficient) -> DiscretizationCase:
         if n < 5:
             raise ValueError("fourth-derivative stencil needs n >= 5")
         # a at the inner nodes x_2 .. x_{n+1} of the (n+2)-node FD grid
-        av = np.asarray(a(fd_interior_grid(n + 2).points[1:-1]), dtype=float)
+        av = np.asarray(a(fd_interior_grid(n + 2)[1:-1]), dtype=float)
         return toeplitz(FOURTH_DERIVATIVE_SYMBOL, n).row_scaled(av)
 
     return DiscretizationCase(
@@ -638,38 +623,24 @@ def fe_eigproblem(a: Coefficient, c: Coefficient) -> DiscretizationCase:
 # registry
 # ----------------------------------------------------------------------------
 
-def _coef_param(params, key, default_name):
-    return coefficient_preset(params.get(key, default_name))
+#: the main coefficient of a case when none is given
+DEFAULT_COEFFICIENT = "xexp"
 
-
-def _number_param(params, key, default, case):
-    try:
-        return float(params.get(key, default))
-    except ValueError:  # the default is a float
-        raise ValueError(f"case parameter {key!r} of {case!r} must be a number, "
-                         f"got {params[key]!r}") from None
-
-
-#: name -> (accepted ``key=value`` parameters, factory(a, params))
+#: name -> (factory(a, **params), {accepted ``key=value`` parameter: default}):
+#: a string default names a coefficient (a preset or ``csv:PATH``), a float
+#: default a number
 _CASE_FACTORIES = {
-    "fd_t1": ((), lambda a, p: fd_diffusion(a)),
-    "fd_t2": (("b", "c"), lambda a, p: fd_cdr_dirichlet(
-        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
-    "fd_t3": (("b", "c"), lambda a, p: fd_cdr_neumann(
-        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
-    "fd_t4": (("b", "c"), lambda a, p: fd_nondiv(
-        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
-    "fd_t5": (("b", "c"), lambda a, p: fd_fourth_order_scheme(
-        a, _coef_param(p, "b", "one"), _coef_param(p, "c", "one"))),
-    "fd_t6": ((), lambda a, p: fd_fourth_derivative(a)),
-    "fd_t7": (("q",), lambda a, p: fd_nonuniform(
-        a, power_map(_number_param(p, "q", 2.0, "fd_t7")))),
-    "fe_t1": (("b", "c"), lambda a, p: fe_cdr(
-        a, _coef_param(p, "b", "zero"), _coef_param(p, "c", "zero"))),
-    "fe_mass": ((), lambda a, p: fe_mass_case(a)),
-    "schur": (("rho",), lambda a, p: fe_system_schur(
-        a, rho=_number_param(p, "rho", 1.0, "schur"))),
-    "Ln": (("c",), lambda a, p: fe_eigproblem(a, _coef_param(p, "c", "one"))),
+    "fd_t1": (fd_diffusion, {}),
+    "fd_t2": (fd_cdr_dirichlet, {"b": "one", "c": "one"}),
+    "fd_t3": (fd_cdr_neumann, {"b": "one", "c": "one"}),
+    "fd_t4": (fd_nondiv, {"b": "one", "c": "one"}),
+    "fd_t5": (fd_fourth_order_scheme, {"b": "one", "c": "one"}),
+    "fd_t6": (fd_fourth_derivative, {}),
+    "fd_t7": (lambda a, q: fd_nonuniform(a, power_map(q)), {"q": 2.0}),
+    "fe_t1": (fe_cdr, {"b": "zero", "c": "zero"}),
+    "fe_mass": (fe_mass_case, {}),
+    "schur": (fe_system_schur, {"rho": 1.0}),
+    "Ln": (fe_eigproblem, {"c": "one"}),
 }
 
 
@@ -700,16 +671,27 @@ def get_case(spec: str, coefficient=None) -> DiscretizationCase:
             if key in params:
                 raise ValueError(f"case parameter {key!r} given twice")
             params[key] = value.strip()
-    accepted, factory = _CASE_FACTORIES[head]
-    unknown = sorted(set(params) - set(accepted))
+    factory, defaults = _CASE_FACTORIES[head]
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"case {head!r} does not accept parameter(s) {', '.join(unknown)}; "
-                         f"accepted: {', '.join(accepted) or 'none'}")
+                         f"accepted: {', '.join(defaults) or 'none'}")
     if coefficient is None:
-        coefficient = "xexp"
+        coefficient = DEFAULT_COEFFICIENT
     if not isinstance(coefficient, Coefficient):
         coefficient = coefficient_preset(coefficient)
-    return factory(coefficient, params)
+    values = {}
+    for key, default in defaults.items():  # in the table's order: b before c
+        value = params.get(key, default)
+        if isinstance(default, str):
+            values[key] = coefficient_preset(value)
+            continue
+        try:
+            values[key] = float(value)
+        except ValueError:  # the default is a float
+            raise ValueError(f"case parameter {key!r} of {head!r} must be a number, "
+                             f"got {value!r}") from None
+    return factory(coefficient, **values)
 
 
 def registry_lines():

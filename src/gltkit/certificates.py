@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import (_hadamard_with_toeplitz, _stiffness_from_element_integrals,
-                       fd_cdr_dirichlet, fd_cdr_neumann, fd_fourth_order_scheme,
+                       au_deviation, fd_cdr_dirichlet, fd_cdr_neumann, fd_fourth_order_scheme,
                        fd_interior_grid, fd_nondiv, fd_nonuniform_matrix, half_node_grid,
                        power_map, toeplitz, uniform_grid)
 from .linalg import schatten_norm, spectral_norm
@@ -111,10 +111,10 @@ def _family_thm2(ns, ms, seed=0):
                     r = f.degree
                     if r >= n:
                         continue
-                    a_vals = np.asarray(a(grid.points), dtype=float)
+                    a_vals = np.asarray(a(grid), dtype=float)
                     lhs = schatten_norm(_hadamard_with_toeplitz(a_vals, f)
                                         - toeplitz(f, n).row_scaled(a_vals), 2)
-                    omega = modulus_upper_bound(a, r / n + 2 * grid.au_deviation)
+                    omega = modulus_upper_bound(a, r / n + 2 * au_deviation(grid))
                     rhs = math.sqrt(r) * f_sup * math.sqrt(n) * omega
                     checks.append(CertificateCheck(
                         "hadamard", f"a={a_name}, f={f_name}, grid={grid_name}", n, None, lhs, rhs))
@@ -206,7 +206,7 @@ def _family_fd_t7(ns, ms, seed=0):
         a = coefficient_preset(a_name)
         for n in ns:
             h = 1.0 / (n + 1)
-            xhat = fd_interior_grid(n).points
+            xhat = fd_interior_grid(n)
             A = fd_nonuniform_matrix(a, gmap, n).scaled(h)
             ratio = a(np.asarray(gmap.G(xhat))) / np.asarray(gmap.dG(xhat))
             Z = A - toeplitz(LAPLACE_SYMBOL, n).row_scaled(ratio)

@@ -38,7 +38,7 @@ from .analysis import (
     symbol_samples,
     weyl_compare,
 )
-from .builders import ComplexSpectrumError, get_case, registry_lines
+from .builders import DEFAULT_COEFFICIENT, ComplexSpectrumError, get_case, registry_lines
 from .certificates import certificate_families, run_certificates
 from .symbols import SymbolSingularityError, monotone_rearrangement
 
@@ -258,7 +258,7 @@ def _build_parser():
     # each subcommand takes only the flags it reads; argparse rejects the rest
     def case_args(p):
         p.add_argument("--case", required=True, help="registry name, e.g. fd_t1 or fd_t7:q=2")
-        p.add_argument("--coeff", default="xexp", help="coefficient preset or csv:PATH")
+        p.add_argument("--coeff", default=DEFAULT_COEFFICIENT, help="coefficient preset or csv:PATH")
         p.add_argument("--n", type=_parse_int_list, default=[100],
                        help="ascending comma list of sizes")
         p.add_argument("--mode", choices=("sigma", "lambda"), default="lambda")

@@ -42,7 +42,8 @@ from gltkit import (
     toeplitz,
     uniform_grid,
 )
-from gltkit.builders import _CASE_FACTORIES, GridMap, case_names, fd_nonuniform_matrix
+from gltkit.builders import (_CASE_FACTORIES, GridMap, au_deviation, case_names,
+                             fd_nonuniform_matrix)
 from gltkit.symbols import FOURTH_ORDER_LAPLACE_SYMBOL
 
 ONE = coefficient_preset("one")
@@ -57,13 +58,13 @@ ZERO = coefficient_preset("zero")
 
 def test_uniform_grid_points_and_deviation():
     g = uniform_grid(4)
-    assert np.allclose(g.points, [0.25, 0.5, 0.75, 1.0])
-    assert g.au_deviation == 0.0
+    assert np.allclose(g, [0.25, 0.5, 0.75, 1.0])
+    assert au_deviation(g) == 0.0
 
 
 def test_fd_interior_grid_deviation_closed_form():
     for n in (3, 10, 57):
-        assert fd_interior_grid(n).au_deviation == pytest.approx(1.0 / (n + 1), abs=1e-15)
+        assert au_deviation(fd_interior_grid(n)) == pytest.approx(1.0 / (n + 1), abs=1e-15)
 
 
 def test_grid_map_rejects_non_bijection():
@@ -657,12 +658,12 @@ def test_registry_rejects_a_parameter_given_twice(spec):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(case_names()), st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=5))
 def test_registry_rejects_keys_a_case_does_not_accept(name, key):
-    accepted = _CASE_FACTORIES[name][0]
-    assume(key not in accepted)
+    defaults = _CASE_FACTORIES[name][1]
+    assume(key not in defaults)
     with pytest.raises(ValueError, match="does not accept"):
         get_case(f"{name}:{key}=1", "one")
-    for good in accepted:  # every declared key is consumed, not rejected
-        spec = f"{name}:{good}={'one' if good in ('b', 'c') else '3'}"
+    for good, default in defaults.items():  # every declared key is consumed, not rejected
+        spec = f"{name}:{good}={'one' if isinstance(default, str) else '3'}"
         assert get_case(spec, "one").name == get_case(name, "one").name
 
 

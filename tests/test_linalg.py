@@ -1230,7 +1230,7 @@ def test_solve_roundtrip_large_random_spd():
 
 def test_hadamard_arrow_with_laplacian_matches_hand_pattern():
     x, grid = coefficient_preset("x"), uniform_grid(3)
-    got = as_dense(_hadamard_with_toeplitz(x(grid.points), LAPLACE_SYMBOL))
+    got = as_dense(_hadamard_with_toeplitz(x(grid), LAPLACE_SYMBOL))
     ref = np.array([
         [2 / 3, -1 / 3, 0.0],
         [-1 / 3, 4 / 3, -2 / 3],
