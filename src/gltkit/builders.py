@@ -389,7 +389,7 @@ def fd_fourth_derivative(a: Coefficient) -> DiscretizationCase:
 
     def build(n):
         if n < 5:
-            raise ValueError("fourth-derivative stencil needs n >= 5")
+            raise ValueError(f"fourth-derivative stencil needs n >= 5, got n = {n}")
         # a at the inner nodes x_2 .. x_{n+1} of the (n+2)-node FD grid
         av = np.asarray(a(fd_interior_grid(n + 2)[1:-1]), dtype=float)
         return toeplitz(FOURTH_DERIVATIVE_SYMBOL, n).row_scaled(av)

@@ -100,6 +100,8 @@ class CertificateCheck:
 # ----------------------------------------------------------------------------
 
 def _family_thm2(ns, ms, seed=0):
+    if min(ns) < 4:  # T_n(f) needs deg f < n, and 2-2cos3 has degree 3
+        raise ValueError(f"Hadamard split (thm2) needs n >= 4, got n = {min(ns)}")
     checks = []
     for a_name in ("x", "xexp"):
         a = coefficient_preset(a_name)
@@ -109,8 +111,6 @@ def _family_thm2(ns, ms, seed=0):
             for grid_name, grid in grids:
                 for f_name, f, f_sup in _HADAMARD_POLYS:
                     r = f.degree
-                    if r >= n:
-                        continue
                     a_vals = np.asarray(a(grid), dtype=float)
                     lhs = schatten_norm(_hadamard_with_toeplitz(a_vals, f)
                                         - toeplitz(f, n).row_scaled(a_vals), 2)

@@ -360,16 +360,21 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     ("compare", "--case", "fd_t1", "--quad-res", "0"),
     ("compare", "--case", "fd_t1", "--r", "0"),
     ("table2", "--r", "-1"),
-    # fd_t5's stencil needs n >= 4: below that the parser accepts n, the family refuses it
+    # fd_t5's stencil needs n >= 4 and fd_t6's n >= 5: below that the parser
+    # accepts n, the scheme refuses it
     ("certify", "--family", "fd_t5", "--n", "1"),
     ("certify", "--family", "fd_t5", "--n", "2"),
     ("certify", "--family", "fd_t5", "--n", "3"),
+    ("spectrum", "--case", "fd_t6", "--n", "4"),
 ])
 def test_sizes_below_one_are_usage_errors(capsys, argv):
-    if "fd_t5" in argv:
+    schemes = {"fd_t5": "fourth-order scheme needs n >= 4",
+               "fd_t6": "fourth-derivative stencil needs n >= 5"}
+    scheme = next((text for name, text in schemes.items() if name in argv), None)
+    if scheme:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out
-        assert err.startswith("error:") and "needs n >= 4" in err
+        assert err == f"error: {scheme}, got n = {argv[-1]}\n"
         return
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -378,12 +383,17 @@ def test_sizes_below_one_are_usage_errors(capsys, argv):
     assert err.startswith("usage:") and "need a positive integer" in err
 
 
-@pytest.mark.parametrize("family,scheme", [("fd_t4", "non-divergence scheme (fd_t4)"),
-                                           ("fd_t7", "mapped-grid scheme (fd_t7)")])
-def test_certify_names_the_scheme_and_its_minimum_n(capsys, family, scheme):
+@pytest.mark.parametrize("family,scheme,minimum", [
+    pytest.param("fd_t4", "non-divergence scheme (fd_t4)", 2,
+                 id="fd_t4-non-divergence scheme (fd_t4)"),
+    pytest.param("fd_t7", "mapped-grid scheme (fd_t7)", 2, id="fd_t7-mapped-grid scheme (fd_t7)"),
+    # below n = 4 the family had printed nothing or dropped checks and exited 0
+    pytest.param("thm2", "Hadamard split (thm2)", 4, id="thm2-Hadamard split (thm2)"),
+])
+def test_certify_names_the_scheme_and_its_minimum_n(capsys, family, scheme, minimum):
     code, out, err = run_cli(capsys, "certify", "--family", family, "--n", "1")
     assert code == 2 and not out
-    assert err == f"error: {scheme} needs n >= 2, got n = 1\n"
+    assert err == f"error: {scheme} needs n >= {minimum}, got n = 1\n"
 
 
 def test_empty_coefficient_table_exits_2(capsys, tmp_path):
