@@ -55,7 +55,7 @@ from .symbols import (FOURTH_DERIVATIVE_SYMBOL, FOURTH_ORDER_LAPLACE_SYMBOL, LAP
 
 
 # ----------------------------------------------------------------------------
-# grids (point arrays) and grid maps
+# grids and grid maps
 # ----------------------------------------------------------------------------
 
 def uniform_grid(n) -> np.ndarray:
@@ -685,12 +685,12 @@ def get_case(spec: str, coefficient=None) -> DiscretizationCase:
         value = params.get(key, default)
         if isinstance(default, str):
             values[key] = coefficient_preset(value)
-            continue
-        try:
-            values[key] = float(value)
-        except ValueError:  # the default is a float
-            raise ValueError(f"case parameter {key!r} of {head!r} must be a number, "
-                             f"got {value!r}") from None
+        else:
+            try:
+                values[key] = float(value)
+            except ValueError:  # the default is a float
+                raise ValueError(f"case parameter {key!r} of {head!r} must be a number, "
+                                 f"got {value!r}") from None
     return factory(coefficient, **values)
 
 
