@@ -66,6 +66,7 @@ from .symbols import (
 
 DEFAULT_NS = (50, 100, 200, 500)
 DEFAULT_MS = (2, 4, 8)
+READS_M = ("fd_t7", "fe_t1")  # the families that read m; the CLI refuses --m elsewhere
 
 #: trig polynomials used by the Hadamard-split family, with exact sup norms
 _HADAMARD_POLYS = (
@@ -202,6 +203,14 @@ def _family_fd_t7(ns, ms, seed=0):
     gmap = power_map(2.0)
     s = len(gmap.singularities)
     g_sup = 2.0                    # max of G'(x) = 2x on [0,1]
+    # G' is monotone, so its minimum off the balls is at an end of [1/m, 1];
+    # the entry bound needs it above omega_G'(h) = 2h (G'' = 2 is constant,
+    # so omega is exact), which holds exactly when m <= n
+    m_offs = {m: float(min(gmap.dG(1.0 / m), gmap.dG(1.0))) for m in ms}
+    bad = [(n, m) for n in ns for m in ms if 2.0 * (1.0 / (n + 1)) >= m_offs[m]]
+    if bad and min(ns) >= 2:  # a smaller n gets the builder's refusal first
+        raise ValueError("off-ball residual bound (fd_t7) needs m <= n, got n = %d, m = %d"
+                         % bad[0])
     for a_name in ("one", "x"):
         a = coefficient_preset(a_name)
         for n in ns:
@@ -210,7 +219,7 @@ def _family_fd_t7(ns, ms, seed=0):
             A = fd_nonuniform_matrix(a, gmap, n).scaled(h)
             ratio = a(np.asarray(gmap.G(xhat))) / np.asarray(gmap.dG(xhat))
             Z = A - toeplitz(LAPLACE_SYMBOL, n).row_scaled(ratio)
-            omega_dG = 2.0 * h  # G'' = 2 is constant, so omega is exact
+            omega_dG = 2.0 * h
             for m in ms:
                 in_ball = np.zeros(n, dtype=bool)
                 for sing in gmap.singularities:
@@ -219,10 +228,7 @@ def _family_fd_t7(ns, ms, seed=0):
                 checks.append(CertificateCheck(
                     "fd_t7", f"ball row count, a={a_name}", n, m,
                     float(count), 2.0 * s * (n + 1) / m + s))
-                # G' is monotone, so its minimum off the balls is at an end of [1/m, 1]
-                m_off = float(min(gmap.dG(1.0 / m), gmap.dG(1.0)))
-                if omega_dG >= m_off:
-                    continue  # bound inapplicable at this (n, m); skip, do not fake
+                m_off = m_offs[m]
                 N = Z.row_scaled(~in_ball)
                 entry_bound = (modulus_upper_bound(a, (h / 2) * g_sup) / (m_off - omega_dG)
                                + a.sup * omega_dG / (m_off * (m_off - omega_dG)))

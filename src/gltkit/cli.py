@@ -39,7 +39,7 @@ from .analysis import (
     weyl_compare,
 )
 from .builders import DEFAULT_COEFFICIENT, ComplexSpectrumError, get_case, registry_lines
-from .certificates import certificate_families, run_certificates
+from .certificates import READS_M, certificate_families, run_certificates
 from .symbols import SymbolSingularityError, monotone_rearrangement
 
 #: published reference column for the diffusion benchmark (a = x e^{-x}):
@@ -236,6 +236,9 @@ def cmd_table2(args) -> int:
 
 def cmd_certify(args) -> int:
     families = certificate_families() if args.family == "all" else [args.family]
+    if args.m and args.family in certificate_families() and args.family not in READS_M:
+        raise ValueError(f"certificate family {args.family!r} reads no --m; only "
+                         f"{' and '.join(READS_M)} do")
     checks = [check for family in families
               for check in run_certificates(family, args.n, args.m, seed=args.seed)]
     _emit(args.out, "".join(check.line() + "\n" for check in checks))

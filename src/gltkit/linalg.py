@@ -292,10 +292,13 @@ class BandedMatrix:
         return BandedMatrix.from_diagonals(self.n, {-k: v for k, v in self._diagonals()})
 
     def toarray(self):
+        """The dense form.  Only stored entries whose bits are not +0.0 are
+        written, so the pages of ``np.zeros`` that a sparse band never
+        touches are never mapped (-0.0 and complex parts keep their bytes)."""
         A = np.zeros((self.n, self.n), dtype=self.bands.dtype)
         for k, v in self._diagonals():
-            i = np.arange(v.size) + max(0, -k)
-            A[i, i + k] = v
+            i = np.flatnonzero((v != 0) | np.signbit(v.real) | np.signbit(v.imag))
+            A[i + max(0, -k), i + max(0, k)] = v[i]
         return A
 
     def scaled(self, alpha):
@@ -417,7 +420,8 @@ class Pencil:
 
 
 def as_dense(A):
-    """Dense ndarray view of a BandedMatrix, RankOneUpdate or array-like."""
+    """A BandedMatrix or RankOneUpdate as a new dense ndarray; a square
+    array-like as an ndarray (the same array when it already is one)."""
     if isinstance(A, Pencil):
         raise ValueError("a pencil (K, M) has no dense form; solve it with real_eigvals")
     if isinstance(A, (BandedMatrix, RankOneUpdate)):

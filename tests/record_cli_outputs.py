@@ -74,6 +74,9 @@ def _argvs():
                                 ("fd_t4", "1"), ("fd_t5", "3"), ("fd_t7", "1"))]
     argvs += [["certify", "--family", "nosuch"], ["spectrum", "--case", "fd_t1", "--n", "0"],
               ["compare", "--case", "fd_t1", "--n", "20", "--r", "50", "--quad-res", "1"]]
+    # an m that fd_t7's off-ball bound does not cover, and an m that thm2 does not read
+    argvs += [["certify", "--family", "fd_t7", "--n", "4", "--m", "2,8"],
+              ["certify", "--family", "thm2", "--n", "50", "--m", "3"]]
     return argvs
 
 

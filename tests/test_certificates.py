@@ -18,7 +18,7 @@ from gltkit import (
     uniform_grid,
     zero_distribution_check,
 )
-from gltkit.certificates import truncated_tail_l1, _tail_element_integrals
+from gltkit.certificates import _family_fd_t7, truncated_tail_l1, _tail_element_integrals
 
 
 def test_every_family_passes_on_small_grid():
@@ -74,6 +74,37 @@ def test_tail_element_integrals_sum_to_l1_norm():
         I = _tail_element_integrals(n, m)
         assert I.sum() == pytest.approx(truncated_tail_l1(m), rel=1e-12)
         assert np.all(I >= -1e-15)
+
+
+_OFF_BALL = "off-ball residual bound (fd_t7) needs m <= n,"
+
+
+def test_fd_t7_refuses_an_m_whose_off_ball_bound_does_not_apply():
+    # the residual bound divides by min G' off the balls minus omega_G'(h);
+    # the pair was dropped without a word, the other checks still printed
+    with pytest.raises(ValueError) as exc:
+        run_certificates("fd_t7", ns=(4,), ms=(2, 8))
+    assert str(exc.value) == f"{_OFF_BALL} got n = 4, m = 8"
+    checks = run_certificates("fd_t7", ns=(4,), ms=(2, 4))
+    assert sum(c.label.startswith("off-ball") for c in checks) == 4 and all(c.ok for c in checks)
+
+
+def test_fd_t7_refuses_exactly_the_pairs_with_m_above_n():
+    """The refusal makes the comparison the check divides by, 2h >= min G'
+    off the balls, and that holds exactly when m > n.  An m that passes
+    leaves the refusal to the sentinel m after it."""
+    sentinel = 10 ** 6
+    wrong = []
+    for n in range(2, 400):
+        for m in range(1, 402):
+            try:
+                _family_fd_t7((n,), (m, sentinel))
+            except ValueError as exc:
+                if str(exc) != f"{_OFF_BALL} got n = {n}, m = {m if m > n else sentinel}":
+                    wrong.append((n, m, str(exc)))
+            else:
+                wrong.append((n, m, "no refusal"))
+    assert not wrong, wrong[:5]
 
 
 def test_unknown_family_rejected():

@@ -396,6 +396,34 @@ def test_certify_names_the_scheme_and_its_minimum_n(capsys, family, scheme, mini
     assert err == f"error: {scheme} needs n >= {minimum}, got n = 1\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    # fd_t7 had printed its 6 other lines, with no off-ball line at m = 8, and exited 0
+    (("certify", "--family", "fd_t7", "--n", "4", "--m", "2,8"),
+     "off-ball residual bound (fd_t7) needs m <= n, got n = 4, m = 8"),
+    (("certify", "--family", "all", "--n", "4"),
+     "off-ball residual bound (fd_t7) needs m <= n, got n = 4, m = 8"),
+    # thm2 had printed the same bytes as without --m and exited 0
+    (("certify", "--family", "thm2", "--n", "50", "--m", "3"),
+     "certificate family 'thm2' reads no --m; only fd_t7 and fe_t1 do"),
+    (("certify", "--family", "fd_t4", "--m", "2"),
+     "certificate family 'fd_t4' reads no --m; only fd_t7 and fe_t1 do"),
+    (("certify", "--family", "nosuch", "--m", "2"),
+     "unknown certificate family 'nosuch'; known: fd_t2, fd_t3, fd_t4, fd_t5, fd_t7, fe_t1, thm2"),
+])
+def test_certify_refuses_an_m_it_would_not_check(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_certify_all_and_the_families_that_read_m_take_m(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--family", "all", "--n", "4", "--m", "2,4")
+    assert code == 0 and len(out.splitlines()) == 39  # 8 of them fd_t7's, all PASS
+    families = {line.split("] ")[1].split(":")[0] for line in out.splitlines()}
+    assert families == {"hadamard", "fd_t2", "fd_t3", "fd_t4", "fd_t5", "fd_t7", "fe_t1"}
+    code, out, _ = run_cli(capsys, "certify", "--family", "fe_t1", "--n", "4", "--m", "2,8")
+    assert code == 0 and out.count("\n") == 2
+
+
 def test_empty_coefficient_table_exits_2(capsys, tmp_path):
     # a 0-byte file has no header for genfromtxt, which fails with IndexError
     table = tmp_path / "empty.csv"

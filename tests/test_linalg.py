@@ -539,6 +539,65 @@ def test_band_sum_difference_and_row_scaling_match_dense(operands):
     assert np.all(np.abs(C.toarray() - Ad @ Bd) <= terms * eps * (np.abs(Ad) @ np.abs(Bd)) + tiny)
 
 
+def _toarray_writing_every_stored_entry(A):
+    """The dense form as it was made before +0.0 went unwritten: each
+    stored diagonal written whole."""
+    D = np.zeros((A.n, A.n), dtype=A.bands.dtype)
+    for k in range(-A.lower_bw, A.upper_bw + 1):
+        v = A.diagonal_values(k)
+        i = np.arange(v.size) + max(0, -k)
+        D[i, i + k] = v
+    return D
+
+
+@st.composite
+def signed_zero_bands(draw):
+    """A band of n <= 40 and bandwidths <= 3 whose parts are drawn from
+    +0.0, -0.0, subnormals and finite floats; complex for half the draws."""
+    n = draw(st.integers(1, 40))
+    kl, ku = (draw(st.integers(0, min(3, n - 1))) for _ in range(2))
+    part = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    size = (kl + ku + 1) * n
+    bands = np.array(draw(st.lists(part, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        z = np.empty(size, dtype=complex)  # set, not summed, so -0.0 parts survive
+        z.real, z.imag = bands, draw(st.lists(part, min_size=size, max_size=size))
+        bands = z
+    return BandedMatrix(n, kl, ku, bands.reshape(kl + ku + 1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_zero_bands())
+@example(BandedMatrix(3, 1, 0, np.array([[-0.0, 0.0, 2.0], [0.0, -0.0, 0.0]])))
+@example(BandedMatrix(2, 0, 1, np.array([[9.0, complex(0.0, -0.0)],
+                                         [complex(-0.0, 0.0), 5e-324j]])))
+def test_toarray_has_the_bytes_of_writing_every_stored_entry(A):
+    got, ref = A.toarray(), _toarray_writing_every_stored_entry(A)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_a_sparse_band_maps_only_the_pages_its_dense_form_touches():
+    """toarray leaves +0.0 unwritten, so the pages of np.zeros that no
+    other entry lands on are never mapped: a diagonal of n = 4000 (128 MB
+    dense) with two nonzeros grew ru_maxrss by 0.1 MB, and by 120.5 MB
+    when every stored entry was written."""
+    out = _fresh_python("""
+import resource
+import numpy as np
+from gltkit.linalg import BandedMatrix
+d = np.zeros(4000)
+d[0], d[-1] = 1.0, 2.0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+A = BandedMatrix.diagonal(d).toarray()
+grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+assert (A[0, 0], A[-1, -1], np.count_nonzero(A)) == (1.0, 2.0, 2)
+print(grew)
+""")
+    assert int(out) < 8 * 1024, f"ru_maxrss grew by {int(out) / 1024:.1f} MB"
+
+
 def test_band_algebra_rejects_mismatched_operands():
     T = toeplitz(LAPLACE_SYMBOL, 4)
     with pytest.raises(ValueError):
