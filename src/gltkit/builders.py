@@ -192,7 +192,7 @@ class DiscretizationCase:
         return {0: "1", 1: "n+1", -1: "1/(n+1)"}.get(self.alpha_power, f"(n+1)^{self.alpha_power}")
 
     def _normalized(self, s: SpectralSet, n) -> SpectralSet:
-        return replace(s, values=np.sort(self.alpha(n) * s.values))
+        return replace(s, values=self.alpha(n) * s.values)  # alpha(n) > 0 keeps the order
 
     def spectrum(self, n) -> SpectralSet:
         """Real eigenvalues of alpha_n A_n through the solver that

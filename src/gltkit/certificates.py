@@ -248,7 +248,7 @@ def truncated_tail_l1(m) -> float:
     """||g - min(g, m)||_L1 for g = |x - 1/2|^(-1/4): equals (2/3) m^(-3)."""
     radius = float(m) ** (1.0 / _SING_EXPONENT)  # m^-4
     if radius >= _SING_CENTER:
-        raise ValueError("truncation level too small for the closed form")
+        raise ValueError(f"the closed form of the truncated tail needs m^-4 < 1/2, got m = {m}")
     return (2.0 / 3.0) * float(m) ** -3
 
 
@@ -270,6 +270,10 @@ def _tail_element_integrals(n, m):
 
 
 def _family_fe_t1(ns, ms, seed=0):
+    small = [m for m in ms if float(m) ** (1.0 / _SING_EXPONENT) >= _SING_CENTER]  # m^-4 >= 1/2
+    if small:  # the closed form of truncated_tail_l1 does not hold
+        raise ValueError(f"stiffness truncation trace-norm bound (fe_t1) needs m >= 2, "
+                         f"got m = {small[0]}")
     checks = []
     for n in ns:
         for m in ms:

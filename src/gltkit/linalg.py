@@ -22,7 +22,7 @@ Everything is 64-bit; failures inside LAPACK surface as
 The band routines are LAPACK's own, called through the C function
 capsules of scipy's ``cython_lapack`` extension, five of them: ``dsbevd``
 (symmetric band spectra, values only), ``dsbevx`` (the largest eigenvalue
-of ``A^T A`` for the spectral norm of a nonsymmetric band), ``dsbgv``
+of ``A^T A`` for the spectral norm of a real band), ``dsbgv``
 (band pencils), ``dpbsv`` (SPD band solves) and ``dpbtrf`` (banded
 Cholesky).  Each is called with the arguments that scipy.linalg's wrapper
 of the same routine passes, so the results are the same bytes.  A
@@ -47,6 +47,7 @@ import ctypes
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -526,14 +527,13 @@ def _sym_eigvals(A) -> SpectralSet:
             vals = np.linalg.eigvalsh(as_dense(A))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigenConvergenceError(str(exc)) from exc
-        return SpectralSet(np.sort(vals), "eigenvalues", "sym_dense")
-    n, ab = A.n, _upper_band(A)
-    kd = ab.shape[0] - 1
+        return SpectralSet(vals, "eigenvalues", "sym_dense")
+    n, kd = A.n, A.upper_bw
     vals = np.empty(n)
-    _call("dsbevd", jobz="N", uplo="U", n=n, kd=kd, ab=ab, ldab=kd + 1, w=vals,
-          z=np.empty(1), ldz=1, work=np.empty(2 * n), lwork=2 * n,
+    _call("dsbevd", jobz="N", uplo="U", n=n, kd=kd, ab=_upper_band(A), ldab=kd + 1,
+          w=vals, z=np.empty(1), ldz=1, work=np.empty(2 * n), lwork=2 * n,
           iwork=np.empty(1, np.intc), liwork=1)
-    return SpectralSet(np.sort(vals), "eigenvalues", "sym_tridiagonal" if kd <= 1 else "sym_band")
+    return SpectralSet(vals, "eigenvalues", "sym_tridiagonal" if kd <= 1 else "sym_band")
 
 
 def sym_eigpairs(A):
@@ -563,14 +563,13 @@ def generalized_sym_eigvals(K, M) -> SpectralSet:
 
 
 def _pencil_eigvals(K, M) -> SpectralSet:
-    """:func:`generalized_sym_eigvals` without its guards, for a
-    :class:`Pencil`, whose operands were checked when it was made."""
+    """:func:`generalized_sym_eigvals` without its guards, for a :class:`Pencil`,
+    whose operands were checked when it was made, and the pencil that
+    :func:`_rank_one_eigvals` builds; only the upper diagonals are read."""
     n, kb = K.n, M.upper_bw
     ka = max(K.upper_bw, kb)
-    ab = np.zeros((ka + 1, n), order="F")  # LAPACK's AB(LDAB, N), column-major
-    ab[ka - K.upper_bw:] = _upper_band(K)
     w = np.empty(n)
-    _call("dsbgv", jobz="N", uplo="U", n=n, ka=ka, kb=kb, ab=ab, ldab=ka + 1,
+    _call("dsbgv", jobz="N", uplo="U", n=n, ka=ka, kb=kb, ab=_upper_band(K, ka), ldab=ka + 1,
           bb=_upper_band(M), ldbb=kb + 1, w=w, z=np.empty(1), ldz=1, work=np.empty(3 * n))
     return SpectralSet(w, "eigenvalues", "pencil_band")
 
@@ -612,8 +611,7 @@ def _rank_one_eigvals(A: RankOneUpdate) -> SpectralSet:
     L = BandedMatrix.from_diagonals(n, {0: np.append(1.0 / u[0], u[:-1] / w), -1: -u[1:] / w})
     upper = {k: v.copy() for k, v in (L @ T @ L.T)._diagonals() if k >= 0}
     upper[0][0] += A.s
-    K = BandedMatrix.from_diagonals(n, upper | {-k: v for k, v in upper.items()})
-    lam = generalized_sym_eigvals(K, L @ L.T).values
+    lam = _pencil_eigvals(BandedMatrix.from_diagonals(n, upper), L @ L.T).values
     diag, rank_one = A.T.diagonal_values(0), A.s * float(A.u @ A.u)
     residual = abs(float(np.sum(lam)) - (float(np.sum(diag)) + rank_one))
     scale = max(n * float(np.max(np.abs(lam))), float(np.sum(np.abs(diag))) + abs(rank_one))
@@ -725,9 +723,8 @@ def schatten_norm(A, p) -> float:
     ``p = 1`` is the trace norm, ``p = 2`` the Frobenius norm, ``p = inf``
     the spectral norm.  Two shortcuts skip the singular spectrum: ``p = 2``
     is the norm of the entries (a band's stored diagonals), and ``p = inf``
-    on a nonsymmetric real band the square root of the top eigenvalue of
-    the band ``A^T A`` (a symmetric one takes max |lambda| after the same
-    one symmetry test).  A :class:`Pencil` has no Schatten norm.
+    on a real band, symmetric or not, :func:`_banded_spectral_norm`.  A
+    :class:`Pencil` has no Schatten norm.
     """
     if p < 1:
         raise ValueError("Schatten norms need p >= 1")
@@ -736,16 +733,16 @@ def schatten_norm(A, p) -> float:
     if p == 2:
         return float(np.linalg.norm(_entries(A)))
     if np.isinf(p) and isinstance(A, BandedMatrix) and np.isrealobj(A.bands):
-        if is_symmetric(A, 0.0):
-            return float(np.linalg.norm(_sym_eigvals(A).values, p))
         return _banded_spectral_norm(A)
     return float(np.linalg.norm(singular_spectrum(A).values, p))
 
 
 def _banded_spectral_norm(A: BandedMatrix) -> float:
-    """Largest singular value of a real band: sqrt of the top eigenvalue of
-    the band ``A.T @ A`` (bandwidth ``lower_bw + upper_bw``)."""
-    n, ab = A.n, _upper_gram(A)
+    """Largest singular value of a real band: sqrt of the top eigenvalue of the
+    band ``B.T @ B`` over ``scale``, where ``B = scale * A`` and the power of two
+    ``scale`` puts max |A| in [1/2, 1) (at most 2^1023): exact at any finite scale."""
+    scale = math.ldexp(1.0, min(-math.frexp(_max_abs(A))[1], 1023))
+    n, ab = A.n, _upper_gram(A.scaled(scale))
     top = np.empty(n)
     # the largest eigenvalue alone (range I, il = iu = n) to the absolute
     # tolerance 2 dlamch('S') that LAPACK recommends for it
@@ -754,7 +751,7 @@ def _banded_spectral_norm(A: BandedMatrix) -> float:
           abstol=2 * np.finfo(float).tiny, m=np.zeros(1, np.intc), w=top, z=np.empty(1),
           ldz=1, work=np.empty(7 * n), iwork=np.empty(5 * n, np.intc),
           ifail=np.empty(n, np.intc))
-    return float(np.sqrt(max(top[0], 0.0)))
+    return float(np.sqrt(max(top[0], 0.0))) / scale
 
 
 def spectral_norm(A) -> float:
@@ -765,13 +762,14 @@ def spectral_norm(A) -> float:
 # solves
 # ----------------------------------------------------------------------------
 
-def _upper_band(A: BandedMatrix):
-    """Upper band storage ``ab[u + i - j, j] = A[i, j]`` of the upper
-    triangle, in Fortran order, for LAPACK's symmetric band drivers; a
-    complex ``A`` raises ValueError."""
+def _upper_band(A: BandedMatrix, kd=0):
+    """LAPACK's upper band storage ``ab[max(kd, u) + i - j, j] = A[i, j]``, u = A.upper_bw, in
+    Fortran order: zero rows over the first u + 1 rows of ``A.bands``, padding and all
+    (LAPACK never reads it).  A complex ``A`` raises ValueError."""
     _require_real(A)
-    return np.asfortranarray(BandedMatrix.from_diagonals(
-        A.n, {k: v for k, v in A._diagonals() if k >= 0}).bands)
+    ab = np.zeros((max(kd, A.upper_bw) + 1, A.n), order="F")  # AB(LDAB, N), column-major
+    ab[-A.upper_bw - 1:] = A.bands[:A.upper_bw + 1]
+    return ab
 
 
 def _upper_gram(A: BandedMatrix):

@@ -77,6 +77,9 @@ def _argvs():
     # an m that fd_t7's off-ball bound does not cover, and an m that thm2 does not read
     argvs += [["certify", "--family", "fd_t7", "--n", "4", "--m", "2,8"],
               ["certify", "--family", "thm2", "--n", "50", "--m", "3"]]
+    # an m below the one fe_t1's closed form needs, alone and through all
+    argvs += [["certify", "--family", "fe_t1", "--n", "4", "--m", "1"],
+              ["certify", "--family", "all", "--m", "1"]]
     return argvs
 
 

@@ -18,7 +18,8 @@ from gltkit import (
     uniform_grid,
     zero_distribution_check,
 )
-from gltkit.certificates import _family_fd_t7, truncated_tail_l1, _tail_element_integrals
+from gltkit.certificates import (_family_fd_t7, _family_fe_t1, truncated_tail_l1,
+                                 _tail_element_integrals)
 
 
 def test_every_family_passes_on_small_grid():
@@ -105,6 +106,30 @@ def test_fd_t7_refuses_exactly_the_pairs_with_m_above_n():
             else:
                 wrong.append((n, m, "no refusal"))
     assert not wrong, wrong[:5]
+
+
+def test_fe_t1_refuses_exactly_the_m_below_2():
+    """The closed form (2/3) m^-3 of the truncated tail needs the ball
+    |x - 1/2| < m^-4 inside [0, 1], m^-4 < 1/2, which for an integer m is
+    m >= 2.  The family refuses such an m before any check, wherever it
+    stands in the list; truncated_tail_l1 names m and its condition."""
+    wrong = []
+    for m in range(1, 401):
+        if (float(m) ** -4 < 0.5) != (m >= 2):
+            wrong.append((m, "condition"))
+        try:
+            checks = _family_fe_t1((4,), (2, m))
+        except ValueError as exc:
+            if m >= 2 or str(exc) != ("stiffness truncation trace-norm bound (fe_t1) needs "
+                                      "m >= 2, got m = 1"):
+                wrong.append((m, str(exc)))
+        else:
+            if m < 2 or len(checks) != 2:
+                wrong.append((m, len(checks)))
+    assert not wrong, wrong[:5]
+    with pytest.raises(ValueError) as exc:
+        truncated_tail_l1(1)
+    assert str(exc.value) == "the closed form of the truncated tail needs m^-4 < 1/2, got m = 1"
 
 
 def test_unknown_family_rejected():

@@ -409,6 +409,11 @@ def test_certify_names_the_scheme_and_its_minimum_n(capsys, family, scheme, mini
      "certificate family 'fd_t4' reads no --m; only fd_t7 and fe_t1 do"),
     (("certify", "--family", "nosuch", "--m", "2"),
      "unknown certificate family 'nosuch'; known: fd_t2, fd_t3, fd_t4, fd_t5, fd_t7, fe_t1, thm2"),
+    # fe_t1 had said "truncation level too small for the closed form", naming no family or m
+    (("certify", "--family", "fe_t1", "--n", "4", "--m", "1"),
+     "stiffness truncation trace-norm bound (fe_t1) needs m >= 2, got m = 1"),
+    (("certify", "--family", "all", "--m", "1"),
+     "stiffness truncation trace-norm bound (fe_t1) needs m >= 2, got m = 1"),
 ])
 def test_certify_refuses_an_m_it_would_not_check(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

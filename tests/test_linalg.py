@@ -1,5 +1,6 @@
 """Tests for the dense/banded linear algebra layer."""
 import contextlib
+import dataclasses
 import importlib.machinery
 import io
 import os
@@ -277,14 +278,19 @@ def test_negative_products_fall_back_to_dense_and_raise():
 
 def test_one_symmetry_test_per_solve():
     """Each dispatcher proves symmetry once and solves without a second
-    test; the public sym_eigvals keeps its own guard."""
+    test; the public sym_eigvals keeps its own guard.  The spectral norm of
+    a real band needs no symmetry, and an operand proven symmetric when it
+    was made (a RankOneUpdate) is solved without another test."""
     T = toeplitz(LAPLACE_SYMBOL, 30)
     _, _, A = _diag_times_symmetric_band(30, 37)
+    S = get_case("schur", "xexp").build(30)
+    assert real_eigvals(S).solver == "pencil_rank_one"
     expected = [
         (lambda: real_eigvals(T), 1),
         (lambda: real_eigvals(A), 2),  # A itself, then its similar band S
         (lambda: schatten_norm(T, 1), 1),
-        (lambda: spectral_norm(T), 1),
+        (lambda: spectral_norm(T), 0),
+        (lambda: real_eigvals(S), 0),
         (lambda: get_case("fd_t1", "xexp").singular_spectrum(30), 1),
         (lambda: sym_eigvals(T), 1),
     ]
@@ -293,11 +299,11 @@ def test_one_symmetry_test_per_solve():
                                wraps=linalg._symmetry_defect) as spy:
             solve()
         assert spy.call_count == count
-    # 12 trace norms of fe_t1 (one test each, was two) and 24 spectral norms
-    # of fd_t7's nonsymmetric band (one failing test each, then A^T A)
+    # 12 trace norms of fe_t1, one test each; the 24 spectral norms of
+    # fd_t7's nonsymmetric band go straight to A^T A (one failing test each before)
     with mock.patch.object(linalg, "_symmetry_defect", wraps=linalg._symmetry_defect) as spy:
         run_all_certificates(seed=7)
-    assert spy.call_count == 36
+    assert spy.call_count == 12
 
 
 def test_real_drivers_refuse_complex_operands():
@@ -954,6 +960,108 @@ def test_upper_gram_is_the_upper_band_of_the_full_product(A):
     assert got.tobytes(order="F") == full.tobytes(order="F")
 
 
+@st.composite
+def scaled_real_bands(draw):
+    """Real bands, symmetric or not, of n in 1..40 and kl, ku in 0..3, with
+    entries from +-0.0 and finite floats in [-4, 4] (subnormals included),
+    all times one 2^k with k in -1000..1000."""
+    n = draw(st.integers(1, 40))
+    kl = draw(st.integers(0, min(3, n - 1)))
+    symmetric = draw(st.booleans())
+    ku = kl if symmetric else draw(st.integers(0, min(3, n - 1)))
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+    scale = 2.0 ** draw(st.integers(-1000, 1000))
+    diags = {k: scale * np.array(draw(st.lists(entry, min_size=n - abs(k), max_size=n - abs(k))))
+             for k in range(-kl, ku + 1)}
+    if symmetric:
+        diags.update({-k: diags[k] for k in range(1, ku + 1)})
+    return BandedMatrix.from_diagonals(n, diags)
+
+
+_SCALE_DEFECT = [BandedMatrix.tridiagonal(np.full(5, 2 * s), np.full(4, -s), np.full(4, -2 * s))
+                 for s in (1e200, 1e-200, 1e300, 1e-300, 1e-310)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaled_real_bands())
+@example(_SCALE_DEFECT[0])  # overflowed A^T A, ValueError "non-finite entries"
+@example(_SCALE_DEFECT[1])  # underflowed A^T A, 0.0 for 4.62e-200
+@example(_SCALE_DEFECT[2])
+@example(_SCALE_DEFECT[3])
+@example(_SCALE_DEFECT[4])  # a subnormal max |A|, scaled by 2^1023
+@example(BandedMatrix.tridiagonal(np.full(6, 1e200), np.full(5, -1e200), np.full(5, -1e200)))
+@example(BandedMatrix.diagonal(np.array([5e-324, -0.0])))
+@example(BandedMatrix(3, 1, 1, np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0]])))
+def test_spectral_norm_of_a_real_band_is_the_dense_two_norm(A):
+    """Every real band, symmetric or not, takes the A^T A route, scaled by a
+    power of two, so it holds at every finite scale; a zero band gives 0."""
+    with mock.patch.object(linalg, "_sym_eigvals") as sym, \
+            mock.patch.object(linalg, "singular_values") as svd:
+        got = spectral_norm(A)
+    assert sym.call_count == svd.call_count == 0
+    ref = np.linalg.norm(A.toarray(), 2)
+    if ref == 0.0:
+        assert got == 0.0 and not np.any(A.bands)
+    else:
+        assert abs(got - ref) <= 1e-14 * ref, (got, ref)
+
+
+def _upper_band_by_diagonals(A, kd=0):
+    """The upper band storage as it was built before: the diagonals k >= 0
+    rebuilt through ``from_diagonals`` (so the padding is zero), with K's
+    rows above its band added by hand for a pencil."""
+    ab = np.asfortranarray(BandedMatrix.from_diagonals(
+        A.n, {k: v for k, v in A._diagonals() if k >= 0}).bands)
+    if kd <= A.upper_bw:
+        return ab
+    padded = np.zeros((kd + 1, A.n), order="F")
+    padded[kd - A.upper_bw:] = ab
+    return padded
+
+
+def _with_junk_padding(A, junk):
+    """``A`` with every band slot outside the matrix set to ``junk``."""
+    bands = np.full(A.bands.shape, junk)
+    for k, v in A._diagonals():
+        bands[linalg._slot(A.upper_bw, A.n, k)] = v
+    return BandedMatrix(A.n, A.lower_bw, A.upper_bw, bands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_pencils(), st.floats(allow_nan=False, allow_infinity=False),
+       st.sampled_from(["K", "pencil", "lower", "upper"]))
+def test_band_storage_is_read_without_its_padding(pencil, junk, operand):
+    """``_upper_band`` copies the rows of ``A.bands``, junk padding and all:
+    the eigenvalues of a symmetric band (also with an all-zero outer
+    diagonal on one side) and of a Pencil have the bytes of the route that
+    rebuilt the band from its diagonals, and come ascending without a sort."""
+    K, M, _ = pencil
+    if operand in ("lower", "upper") and K.n > K.upper_bw + 1:
+        wider = -(K.upper_bw + 1) if operand == "lower" else K.upper_bw + 1
+        K = BandedMatrix.from_diagonals(K.n, dict(K._diagonals())
+                                        | {wider: np.zeros(K.n - K.upper_bw - 1)})
+        assert K.lower_bw != K.upper_bw
+    A = Pencil(_with_junk_padding(K, junk), _with_junk_padding(M, -junk))
+    if operand != "pencil":
+        A = A.K
+    got = real_eigvals(A)
+    with mock.patch.object(linalg, "_upper_band", _upper_band_by_diagonals):
+        ref = real_eigvals(A)
+    assert got.solver == ref.solver
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(got.values, np.sort(got.values))
+
+
+def test_spectra_keep_the_signed_zeros_lapack_returns():
+    """A spectrum is not re-sorted after LAPACK: numpy 2.4's np.sort turned
+    the one -0.0 that dsbevd returns for this diagonal into five, in the
+    solve and again in the case's normalization."""
+    D = BandedMatrix.diagonal(np.append(np.zeros(8), -0.0))
+    case = dataclasses.replace(get_case("fd_t1", "one"), build=lambda n: D)
+    for values in (real_eigvals(D).values, case.spectrum(9).values):
+        assert np.signbit(values).sum() == 1 and not np.any(values)
+
+
 def _fresh_python(code):
     """stdout of ``code`` run in a new interpreter that imports this gltkit."""
     src = os.path.dirname(os.path.dirname(linalg.__file__))
@@ -1136,18 +1244,19 @@ def test_schur_complement_densifies_to_the_dense_build_bit_for_bit(coeff, rho,
 def test_rank_one_trace_identity_is_checked(monkeypatch):
     n = 60
     S = get_case("schur", "xexp").build(n)
-    original = linalg.generalized_sym_eigvals
+    original = linalg._pencil_eigvals
     solves = []
 
     def spy(K, M):
         solves.append((K, M))
         return original(K, M)
 
-    monkeypatch.setattr(linalg, "generalized_sym_eigvals", spy)
+    monkeypatch.setattr(linalg, "_pencil_eigvals", spy)
     lam = real_eigvals(S).values
-    # one n x n solve: K' is pentadiagonal (ka = 2), L L^T tridiagonal (kb = 1)
+    # one n x n solve: K' is pentadiagonal (ka = 2), given by its upper
+    # diagonals alone, and L L^T tridiagonal (kb = 1)
     [(K, M)] = solves
-    assert (K.n, K.upper_bw, M.upper_bw) == (n, 2, 1)
+    assert (K.n, K.lower_bw, K.upper_bw, M.upper_bw) == (n, 0, 2, 1)
     trace = np.sum(S.T.diagonal_values(0)) + S.s * (S.u @ S.u)
     assert abs(np.sum(lam) - trace) <= 1e-13 * n * np.max(np.abs(lam))
 
@@ -1156,7 +1265,7 @@ def test_rank_one_trace_identity_is_checked(monkeypatch):
         values[-1] += 1e-6 * np.max(np.abs(values))
         return SpectralSet(values, "eigenvalues", "pencil_band")
 
-    monkeypatch.setattr(linalg, "generalized_sym_eigvals", perturbed)
+    monkeypatch.setattr(linalg, "_pencil_eigvals", perturbed)
     with pytest.raises(EigenConvergenceError, match="trace check"):
         real_eigvals(S)
 
