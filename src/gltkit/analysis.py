@@ -240,16 +240,16 @@ class DistributionReport:
 
 
 def _backing(case: DiscretizationCase, solver: str, mode: str) -> str:
-    """The theory behind the predicted distribution: a case that declares
-    corrections (``companions``) is a Hermitian part plus a vanishing-norm
-    split; otherwise the solver path says whether the matrix is symmetric
-    or diagonally similar to a symmetric one."""
+    """The theory behind the predicted distribution, read off the solved
+    operand first: a symmetric one is Hermitian, whatever the case declares;
+    another is a Hermitian part plus a vanishing-norm split where the case
+    declares corrections (``companions``), else what its solver path says."""
     if mode == "sigma":
         return "sigma distribution (symbol algebra)"
-    if case.companions:
-        return "lambda distribution (Hermitian + vanishing-norm split)"
     if solver.startswith(("sym_", "pencil_")):
         return "lambda distribution (Hermitian)"
+    if case.companions:
+        return "lambda distribution (Hermitian + vanishing-norm split)"
     if solver.startswith("similarity_"):
         return "lambda distribution (similar to Hermitian)"
     return "exploratory (no Hermitian split registered)"

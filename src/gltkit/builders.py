@@ -312,22 +312,13 @@ def fd_nondiv(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationC
     _require_continuous(a, "diffusion")
     _require_bounded(b, "convection")
     _require_bounded(c, "reaction")
-    zero_lower = b.sup == 0 and c.sup == 0  # by the values; an undeclared sup is nonzero
     Z = partial(fd_lower_order_matrix, b, c)
-
-    def build(n):
-        K = _nondiv_diffusion(a, n)
-        return K if zero_lower else K + Z(n)
-
-    companions = {"N": partial(_nondiv_correction, a)}
-    if not zero_lower:
-        companions["Z"] = Z
     return DiscretizationCase(
         name="fd_t4",
         tag="FD convection-diffusion-reaction, non-divergence form",
-        build=build,
+        build=lambda n: _nondiv_diffusion(a, n) + Z(n),
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
-        companions=companions,
+        companions={"N": partial(_nondiv_correction, a), "Z": Z},
     )
 
 
@@ -521,22 +512,16 @@ def fe_gradient_coupling(n) -> BandedMatrix:
 
 
 def fe_cdr(a: Coefficient, b: Coefficient, c: Coefficient) -> DiscretizationCase:
-    symmetric = b.sup == 0 and c.sup == 0  # by the values; an undeclared sup is nonzero
-
     def lower_order(n):
         return fe_convection(b, n) + fe_mass(c, n)
-
-    def build(n):
-        K = fe_stiffness(a, n)
-        return K if symmetric else K + lower_order(n)
 
     return DiscretizationCase(
         name="fe_t1",
         tag="FE convection-diffusion-reaction (hat functions)",
-        build=build,
+        build=lambda n: fe_stiffness(a, n) + lower_order(n),
         alpha_power=-1,
         predicted_symbol=multiply(a, LAPLACE_SYMBOL),
-        companions={} if symmetric else {"Z": lower_order},
+        companions={"Z": lower_order},
     )
 
 

@@ -66,7 +66,6 @@ from .symbols import (
 
 DEFAULT_NS = (50, 100, 200, 500)
 DEFAULT_MS = (2, 4, 8)
-READS_M = ("fd_t7", "fe_t1")  # the families that read m; the CLI refuses --m elsewhere
 
 #: trig polynomials used by the Hadamard-split family, with exact sup norms
 _HADAMARD_POLYS = (
@@ -100,7 +99,7 @@ class CertificateCheck:
 # family implementations
 # ----------------------------------------------------------------------------
 
-def _family_thm2(ns, ms, seed=0):
+def _family_thm2(ns):
     if min(ns) < 4:  # T_n(f) needs deg f < n, and 2-2cos3 has degree 3
         raise ValueError(f"Hadamard split (thm2) needs n >= 4, got n = {min(ns)}")
     checks = []
@@ -128,7 +127,7 @@ def _random_table_coefficient(seed):
     return Coefficient.from_table(np.linspace(0.0, 1.0, 33), vals, name=f"table-seed{seed}")
 
 
-def _family_fd_t2(ns, ms, seed=0):
+def _family_fd_t2(ns, seed):
     checks = []
     rnd_b = _random_table_coefficient(seed)
     rnd_c = _random_table_coefficient(seed + 1)
@@ -146,7 +145,7 @@ def _family_fd_t2(ns, ms, seed=0):
     return checks
 
 
-def _family_fd_t3(ns, ms, seed=0):
+def _family_fd_t3(ns, seed):
     checks = []
     rnd_b = _random_table_coefficient(seed + 2)
     combos = (("a=xexp,b=one", "xexp", coefficient_preset("one")),
@@ -163,7 +162,7 @@ def _family_fd_t3(ns, ms, seed=0):
     return checks
 
 
-def _family_fd_t4(ns, ms, seed=0):
+def _family_fd_t4(ns):
     checks = []
     one = coefficient_preset("one")
     for a_name in ("x", "xexp"):
@@ -177,7 +176,7 @@ def _family_fd_t4(ns, ms, seed=0):
     return checks
 
 
-def _family_fd_t5(ns, ms, seed=0):
+def _family_fd_t5(ns):
     checks = []
     one = coefficient_preset("one")
     for a_name in ("x", "xexp"):
@@ -197,7 +196,7 @@ def _family_fd_t5(ns, ms, seed=0):
     return checks
 
 
-def _family_fd_t7(ns, ms, seed=0):
+def _family_fd_t7(ns, ms):
     """Small-rank/small-norm split for G(x) = x^2 (singularity at 0)."""
     checks = []
     gmap = power_map(2.0)
@@ -269,7 +268,7 @@ def _tail_element_integrals(n, m):
     return antiderivative(b) - antiderivative(a) - float(m) * (b - a)
 
 
-def _family_fe_t1(ns, ms, seed=0):
+def _family_fe_t1(ns, ms):
     small = [m for m in ms if float(m) ** (1.0 / _SING_EXPONENT) >= _SING_CENTER]  # m^-4 >= 1/2
     if small:  # the closed form of truncated_tail_l1 does not hold
         raise ValueError(f"stiffness truncation trace-norm bound (fe_t1) needs m >= 2, "
@@ -285,14 +284,15 @@ def _family_fe_t1(ns, ms, seed=0):
     return checks
 
 
+#: name -> (family function, the options it reads besides ns: "ms", "seed")
 _FAMILIES = {
-    "thm2": _family_thm2,
-    "fd_t2": _family_fd_t2,
-    "fd_t3": _family_fd_t3,
-    "fd_t4": _family_fd_t4,
-    "fd_t5": _family_fd_t5,
-    "fd_t7": _family_fd_t7,
-    "fe_t1": _family_fe_t1,
+    "thm2": (_family_thm2, ()),
+    "fd_t2": (_family_fd_t2, ("seed",)),
+    "fd_t3": (_family_fd_t3, ("seed",)),
+    "fd_t4": (_family_fd_t4, ()),
+    "fd_t5": (_family_fd_t5, ()),
+    "fd_t7": (_family_fd_t7, ("ms",)),
+    "fe_t1": (_family_fe_t1, ("ms",)),
 }
 
 
@@ -300,14 +300,19 @@ def certificate_families():
     return sorted(_FAMILIES)
 
 
+def families_reading(option) -> list:
+    """The families that read ``option`` ("ms" or "seed"); the others ignore it."""
+    return [family for family in certificate_families() if option in _FAMILIES[family][1]]
+
+
 def run_certificates(family: str, ns=None, ms=None, seed=0) -> list:
     """Evaluate every registered inequality of ``family`` on the (n, m) grid."""
     if family not in _FAMILIES:
         raise KeyError(f"unknown certificate family {family!r}; "
                        f"known: {', '.join(certificate_families())}")
-    ns = tuple(ns) if ns else DEFAULT_NS
-    ms = tuple(ms) if ms else DEFAULT_MS
-    return _FAMILIES[family](ns, ms, seed=seed)
+    fn, reads = _FAMILIES[family]
+    options = {"ms": tuple(ms) if ms else DEFAULT_MS, "seed": seed}
+    return fn(tuple(ns) if ns else DEFAULT_NS, **{key: options[key] for key in reads})
 
 
 def run_all_certificates(ns=None, ms=None, seed=0) -> dict:

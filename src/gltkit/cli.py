@@ -39,7 +39,7 @@ from .analysis import (
     weyl_compare,
 )
 from .builders import DEFAULT_COEFFICIENT, ComplexSpectrumError, get_case, registry_lines
-from .certificates import READS_M, certificate_families, run_certificates
+from .certificates import certificate_families, families_reading, run_certificates
 from .symbols import SymbolSingularityError, monotone_rearrangement
 
 #: published reference column for the diffusion benchmark (a = x e^{-x}):
@@ -236,11 +236,14 @@ def cmd_table2(args) -> int:
 
 def cmd_certify(args) -> int:
     families = certificate_families() if args.family == "all" else [args.family]
-    if args.m and args.family in certificate_families() and args.family not in READS_M:
-        raise ValueError(f"certificate family {args.family!r} reads no --m; only "
-                         f"{' and '.join(READS_M)} do")
+    for flag, option, value in (("--m", "ms", args.m), ("--seed", "seed", args.seed)):
+        readers = families_reading(option)
+        if value is not None and args.family in certificate_families() \
+                and args.family not in readers:
+            raise ValueError(f"certificate family {args.family!r} reads no {flag}; only "
+                             f"{' and '.join(readers)} do")
     checks = [check for family in families
-              for check in run_certificates(family, args.n, args.m, seed=args.seed)]
+              for check in run_certificates(family, args.n, args.m, seed=args.seed or 0)]
     _emit(args.out, "".join(check.line() + "\n" for check in checks))
     return 0 if all(check.ok for check in checks) else 1
 
@@ -298,7 +301,7 @@ def _build_parser():
                         help=f"one of {', '.join(certificate_families())}, or 'all'")
     p_cert.add_argument("--n", type=_parse_int_list, default=None)
     p_cert.add_argument("--m", type=_parse_int_list, default=None)
-    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--seed", type=int, default=None)  # None: not given, which means 0
     p_cert.add_argument("--out", default="")
     p_cert.set_defaults(fn=cmd_certify)
 

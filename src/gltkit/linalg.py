@@ -714,7 +714,8 @@ def real_eigvals(A) -> SpectralSet:
             f"genuinely complex eigenvalues (max |Im| = {imag:.3e} > 1e-7 * {scale:.3e}); "
             "run the singular-value mode instead"
         )
-    return SpectralSet(np.sort(ev.real), "eigenvalues", "nonsym_dense")
+    # a stable sort keeps the sign of each equal zero, which numpy's default does not
+    return SpectralSet(np.sort(ev.real, kind="stable"), "eigenvalues", "nonsym_dense")
 
 
 def schatten_norm(A, p) -> float:

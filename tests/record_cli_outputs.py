@@ -80,6 +80,11 @@ def _argvs():
     # an m below the one fe_t1's closed form needs, alone and through all
     argvs += [["certify", "--family", "fe_t1", "--n", "4", "--m", "1"],
               ["certify", "--family", "all", "--m", "1"]]
+    # symmetric operands of cases that declare corrections: their backing is Hermitian
+    argvs += [["compare", "--case", spec, "--n", "12", "--r", "64", "--quad-res", "8",
+               "--format", "json"] for spec in ("fd_t2:b=zero,c=zero", "fe_t1:b=zero,c=x")]
+    # a seed that thm2 does not read
+    argvs += [["certify", "--family", "thm2", "--n", "50", "--seed", "3"]]
     return argvs
 
 

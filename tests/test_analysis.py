@@ -336,10 +336,13 @@ PENCIL_SOLVERS = {"schur": "pencil_rank_one", "Ln": "pencil_band"}
     ("fd_t4:b=zero,c=zero", SPLIT), ("fd_t5", SPLIT), ("fd_t6", SIMILAR),
     ("fd_t7", HERMITIAN), ("fe_t1", HERMITIAN), ("fe_mass", HERMITIAN),
     ("schur", HERMITIAN), ("Ln", HERMITIAN),
+    ("fd_t2:b=zero,c=zero", HERMITIAN), ("fd_t3:b=zero", HERMITIAN),
+    ("fe_t1:b=zero,c=x", HERMITIAN), ("fe_t1:b=x,c=one", SPLIT),
 ])
 def test_backing_of_every_registry_case(spec, backing):
-    # the backing names the theory, so it does not move with the solver path: a
-    # case that declares corrections is a split, also where a similarity solves it;
+    # the backing is read off the solved operand first: a symmetric operand is
+    # Hermitian, whatever corrections its case declares, and a split backs only a
+    # non-symmetric one, also where a similarity solves it (fd_t4 with b = c = zero);
     # the two band pencils (the Schur complement, a rank-one update, is solved as one) are Hermitian
     rep = weyl_compare(get_case(spec, "xexp"), 40, quad_res=40)
     assert rep.backing == backing

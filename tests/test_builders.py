@@ -1,6 +1,7 @@
 """Tests for grids and the FD/FE matrix families."""
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,9 +43,9 @@ from gltkit import (
     toeplitz,
     uniform_grid,
 )
-from gltkit.builders import (_CASE_FACTORIES, GridMap, au_deviation, case_names,
-                             fd_nonuniform_matrix)
-from gltkit.symbols import FOURTH_ORDER_LAPLACE_SYMBOL
+from gltkit.builders import (_CASE_FACTORIES, GridMap, _nondiv_diffusion, au_deviation,
+                             case_names, fd_nonuniform_matrix)
+from gltkit.symbols import COEFFICIENT_PRESETS, FOURTH_ORDER_LAPLACE_SYMBOL
 
 ONE = coefficient_preset("one")
 X = coefficient_preset("x")
@@ -219,20 +220,35 @@ def test_fd_nondiv_constant_coefficient_collapses():
     assert not as_dense(case.companions["N"](4)).any()  # K~ = K = T
 
 
-@pytest.mark.parametrize("factory", [fd_nondiv, fe_cdr])
+#: the two families whose lower-order part a zero b and c leave empty, with their principal part
+_PRINCIPAL_PARTS = {fd_nondiv: _nondiv_diffusion, fe_cdr: fe_stiffness}
+
+
+@pytest.mark.parametrize("factory", list(_PRINCIPAL_PARTS))
 def test_lower_order_part_vanishes_by_its_values_not_its_name(factory):
+    """The lower-order part is always added: with b = c = zero it adds
+    nothing, so the build stores the principal part's bytes, and for a =
+    zero (whose zero outer diagonals the sum drops) it solves to the same
+    spectrum bytes."""
+    principal = _PRINCIPAL_PARTS[factory]
+    for name in sorted(COEFFICIENT_PRESETS):
+        a = coefficient_preset(name)
+        case = factory(a, ZERO, ZERO)
+        for n in (2, 3, 7, 50, 400):
+            if name == "zero":
+                alone = replace(case, build=partial(principal, a))
+                assert case.spectrum(n).values.tobytes() == alone.spectrum(n).values.tobytes()
+            else:
+                assert case.build(n).bands.tobytes() == principal(a, n).bands.tobytes()
+
+
+@pytest.mark.parametrize("factory", list(_PRINCIPAL_PARTS))
+def test_a_coefficient_that_misdeclares_its_sup_enters_the_build(factory):
+    liar = Coefficient("liar", lambda x: np.ones_like(x), "continuous", sup=0.0)
+    case = factory(X, ZERO, liar)
+    assert "Z" in case.companions
     n = 6
-    plain = factory(X, ZERO, ZERO)
-    # an all-zero table builds as the zero preset does
-    table = Coefficient.from_table([0.0, 1.0], [0.0, 0.0])
-    same = factory(X, table, table)
-    assert set(same.companions) == set(plain.companions)
-    assert np.array_equal(as_dense(same.build(n)), as_dense(plain.build(n)))
-    # a nonzero coefficient named "zero" is not dropped
-    named = Coefficient("zero", lambda x: np.ones_like(x), "continuous")
-    kept = factory(X, ZERO, named)
-    assert "Z" in kept.companions
-    assert not np.array_equal(as_dense(kept.build(n)), as_dense(plain.build(n)))
+    assert not np.array_equal(as_dense(case.build(n)), as_dense(_PRINCIPAL_PARTS[factory](X, n)))
 
 
 def test_fd_nondiv_subdiagonal_shift():
@@ -600,10 +616,10 @@ def test_registry_lines_contain_required_entries():
             "| alpha=(n+1)^-2 | FE generalized") in text
 
 
-#: the corrections each case declares; every other registry case declares none
+#: the corrections each family declares, whatever its parameters; every
+#: other registry case declares none
 DECLARED_CORRECTIONS = {
-    "fd_t2": {"Z"}, "fd_t3": {"Z", "R"}, "fd_t4": {"N", "Z"}, "fd_t4:b=zero,c=zero": {"N"},
-    "fd_t5": {"Z", "N"}, "fe_t1": set(), "fe_t1:b=x,c=one": {"Z"},
+    "fd_t2": {"Z"}, "fd_t3": {"Z", "R"}, "fd_t4": {"N", "Z"}, "fd_t5": {"Z", "N"}, "fe_t1": {"Z"},
 }
 
 
@@ -615,7 +631,7 @@ def test_build_minus_its_corrections_is_symmetric(spec, coeff):
     is symmetric, Z and N vanish in the normalized Frobenius norm divided
     by n^(1/2), and R has rank at most 2."""
     case = get_case(spec, coeff)
-    assert set(case.companions) == DECLARED_CORRECTIONS.get(spec, set())
+    assert set(case.companions) == DECLARED_CORRECTIONS.get(spec.partition(":")[0], set())
     for n in (4, 7, 50, 400):
         if not case.companions:
             break

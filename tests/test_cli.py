@@ -429,6 +429,28 @@ def test_certify_all_and_the_families_that_read_m_take_m(capsys):
     assert code == 0 and out.count("\n") == 2
 
 
+@pytest.mark.parametrize("family", ["thm2", "fd_t4", "fd_t5", "fd_t7", "fe_t1"])
+def test_certify_refuses_a_seed_it_would_not_read(capsys, family):
+    # these families had printed the same bytes as without --seed and exited 0;
+    # an explicit --seed 0, the default, is refused as well
+    for seed in ("3", "0"):
+        code, out, err = run_cli(capsys, "certify", "--family", family, "--n", "50",
+                                 "--seed", seed)
+        assert (code, out, err) == (
+            2, "", f"error: certificate family {family!r} reads no --seed; only fd_t2 and fd_t3 do\n")
+
+
+def test_certify_all_and_the_families_that_read_the_seed_take_it(capsys):
+    for family in ("fd_t2", "fd_t3"):
+        _, default, _ = run_cli(capsys, "certify", "--family", family, "--n", "50")
+        code, zero, _ = run_cli(capsys, "certify", "--family", family, "--n", "50", "--seed", "0")
+        assert code == 0 and zero == default
+        code, other, _ = run_cli(capsys, "certify", "--family", family, "--n", "50", "--seed", "3")
+        assert code == 0 and other != default
+    code, out, _ = run_cli(capsys, "certify", "--family", "all", "--n", "50", "--seed", "3")
+    assert code == 0 and other in out
+
+
 def test_empty_coefficient_table_exits_2(capsys, tmp_path):
     # a 0-byte file has no header for genfromtxt, which fails with IndexError
     table = tmp_path / "empty.csv"

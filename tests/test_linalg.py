@@ -1062,6 +1062,17 @@ def test_spectra_keep_the_signed_zeros_lapack_returns():
         assert np.signbit(values).sum() == 1 and not np.any(values)
 
 
+def test_nonsymmetric_spectra_keep_their_signed_zeros(monkeypatch):
+    """The dense nonsymmetric path sorts stably: numpy 2.4's default np.sort
+    turned one -0.0 among eight +0.0 into five."""
+    zeros = np.append(np.zeros(8), -0.0).astype(complex)
+    monkeypatch.setattr(linalg, "nonsym_eigvals", lambda A: zeros)
+    A = np.triu(np.ones((9, 9)))
+    ev = real_eigvals(A)
+    assert ev.solver == "nonsym_dense"
+    assert np.signbit(ev.values).sum() == 1 and not np.any(ev.values)
+
+
 def _fresh_python(code):
     """stdout of ``code`` run in a new interpreter that imports this gltkit."""
     src = os.path.dirname(os.path.dirname(linalg.__file__))
