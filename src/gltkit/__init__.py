@@ -92,7 +92,6 @@ from .analysis import (
     default_suite,
     empirical_functional,
     hat,
-    inflate,
     monomial,
     outlier_count,
     rearrangement_compare,

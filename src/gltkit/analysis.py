@@ -91,21 +91,20 @@ def hat(center, width) -> TestFunction:
                         label=f"hat({center:g},{width:g})")
 
 
-def default_suite(window) -> list:
-    """Normalized clipped monomials of degrees 0-3 on ``window`` (inflate it).
+def default_suite(lo, hi) -> list:
+    """Normalized clipped monomials of degrees 0-3 on the range [lo, hi] of a
+    symbol, widened on each side by 5 % of hi - lo, or of max(|lo|, 1) when
+    the symbol is constant.
 
-    The normalization divides out max(|lo|, |hi|) so the functionals are
-    dimensionless; with raw t^d the gaps of wide-range symbols would be
-    dominated by the symbol magnitude cubed rather than by convergence.
+    The normalization divides out the larger magnitude of the window's ends
+    so the functionals are dimensionless; with raw t^d the gaps of wide-range
+    symbols would be dominated by the symbol magnitude cubed rather than by
+    convergence.
     """
-    lo, hi = window
-    scale = max(abs(lo), abs(hi), np.finfo(float).tiny)
+    m = 0.05 * (hi - lo if hi > lo else max(abs(lo), 1.0))
+    window = (lo - m, hi + m)
+    scale = max(abs(window[0]), abs(window[1]))
     return [monomial(d, window, scale) for d in range(4)]
-
-
-def inflate(lo, hi):
-    m = 0.05 * max(hi - lo, np.finfo(float).tiny)
-    return lo - m, hi + m
 
 
 # ----------------------------------------------------------------------------
@@ -272,9 +271,9 @@ class SymbolSamples:
     _symbol_sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def default_suite(self):
-        """:func:`default_suite` on the inflated range of ``full``: the test
-        functions of :func:`weyl_compare` when it is given none."""
-        return default_suite(inflate(self.full.lo, self.full.hi))
+        """:func:`default_suite` of the range of ``full``: the test functions
+        of :func:`weyl_compare` when it is given none."""
+        return default_suite(self.full.lo, self.full.hi)
 
     def symbol_sides(self, Fs):
         """``(mean F(full), |mean F(full) - mean F(coarse)|, None if it keeps no point)``
@@ -401,13 +400,14 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
 
     e_n: eigenvalues of alpha_n A_n ascending; s_n: rearrangement samples at
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
-    magnitude of the essential range), and outliers beyond the essential
-    range by more than 1e-8.  Pass a precomputed ``rearr`` of the case's
-    ``predicted_symbol``, built for the :func:`rearrangement_nodes` of every
-    n it serves, to amortize the sampling (r = :data:`DEFAULT_R` by default)
-    across several n, another symbol or an ``r`` other than its own raising
-    ValueError, and the eigenvalues ``spectrum`` of alpha_n A_n when already
-    at hand (e.g. from ``weyl_compare``)."""
+    magnitude of the essential range; None when that is 0), and outliers
+    beyond the essential range by more than 1e-8.  Pass a precomputed
+    ``rearr`` of the case's ``predicted_symbol``, built for the
+    :func:`rearrangement_nodes` of every n it serves, to amortize the
+    sampling (r = :data:`DEFAULT_R` by default) across several n, another
+    symbol or an ``r`` other than its own raising ValueError, and the
+    eigenvalues ``spectrum`` of alpha_n A_n when already at hand (e.g. from
+    ``weyl_compare``)."""
     if not case.predicted_symbol.bounded:
         raise UnboundedSymbolError(
             f"case {case.name}: the symbol is unbounded (essential sup is infinite); "
@@ -429,11 +429,11 @@ def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
     s = rearr(t)
     e = spectrum.values
     gap = float(np.max(np.abs(s - e)))
-    scale = max(abs(rearr.ess_inf), abs(rearr.ess_sup), np.finfo(float).tiny)
+    scale = max(abs(rearr.ess_inf), abs(rearr.ess_sup))
     count, values = outlier_count(spectrum, rearr.ess_inf, rearr.ess_sup, 1e-8)
     return DistributionReport(
         case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode="lambda",
-        rearrangement_gap=gap, rearrangement_gap_rel=gap / scale,
+        rearrangement_gap=gap, rearrangement_gap_rel=gap / scale if scale else None,
         outlier_count=count, outlier_values=tuple(values),
         spectrum=spectrum, overlay=(t, s, e),
         backing=_backing(case, spectrum.solver, "lambda"), rearrangement=rearr,

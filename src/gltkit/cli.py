@@ -72,14 +72,18 @@ def _emit(path, text):
         sys.stdout.write(text)
 
 
-def _positive_int(text):
+def _positive_int(text, least=1, what="a positive integer"):
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"need {what}, got {value}")
     return value
+
+
+def _nonnegative_int(text):
+    return _positive_int(text, 0, "an integer >= 0")
 
 
 def _parse_int_list(text):
@@ -301,7 +305,8 @@ def _build_parser():
                         help=f"one of {', '.join(certificate_families())}, or 'all'")
     p_cert.add_argument("--n", type=_parse_int_list, default=None)
     p_cert.add_argument("--m", type=_parse_int_list, default=None)
-    p_cert.add_argument("--seed", type=int, default=None)  # None: not given, which means 0
+    # None: not given, which means 0
+    p_cert.add_argument("--seed", type=_nonnegative_int, default=None)
     p_cert.add_argument("--out", default="")
     p_cert.set_defaults(fn=cmd_certify)
 

@@ -345,13 +345,12 @@ class BandedMatrix:
         """The band ``A @ B`` of bandwidths ``min(A.bw + B.bw, n - 1)``, in
         O(n bw_A bw_B); an operand that is not a band raises TypeError."""
         _require_bands(self, other)
-        return BandedMatrix.from_diagonals(self.n, _product_diagonals(self, other, -self.n))
+        return BandedMatrix.from_diagonals(self.n, _product_diagonals(self, other))
 
 
-def _product_diagonals(A: BandedMatrix, B: BandedMatrix, lowest):
-    """``{k: diagonal k}`` of the band product ``A @ B`` for the offsets
-    ``k >= lowest``: every k = p + q with |k| < n gets a term, and each
-    diagonal sums its terms in ascending p."""
+def _product_diagonals(A: BandedMatrix, B: BandedMatrix):
+    """``{k: diagonal k}`` of the band product ``A @ B``: every k = p + q
+    with |k| < n gets a term, and each diagonal sums its terms in ascending p."""
     n, C = A.n, {}
 
     def rows(k, lo, hi):  # rows lo .. hi - 1 of diagonal k, which starts in row max(0, -k)
@@ -362,7 +361,7 @@ def _product_diagonals(A: BandedMatrix, B: BandedMatrix, lowest):
             # C[i, i + k] += A[i, i + p] B[i + p, i + k] over the rows i where all exist
             k = p + q
             lo, hi = max(0, -p, -k), n - max(0, p, k)
-            if k >= lowest and lo < hi:
+            if lo < hi:
                 c = C.setdefault(k, np.zeros(n - abs(k), np.result_type(a, b, float)))
                 c[rows(k, lo, hi)] += a[rows(p, lo, hi)] * b[rows(q, lo + p, hi + p)]
     return C
@@ -743,7 +742,8 @@ def _banded_spectral_norm(A: BandedMatrix) -> float:
     band ``B.T @ B`` over ``scale``, where ``B = scale * A`` and the power of two
     ``scale`` puts max |A| in [1/2, 1) (at most 2^1023): exact at any finite scale."""
     scale = math.ldexp(1.0, min(-math.frexp(_max_abs(A))[1], 1023))
-    n, ab = A.n, _upper_gram(A.scaled(scale))
+    B = A.scaled(scale)
+    n, ab = A.n, _upper_band(B.T @ B)
     top = np.empty(n)
     # the largest eigenvalue alone (range I, il = iu = n) to the absolute
     # tolerance 2 dlamch('S') that LAPACK recommends for it
@@ -771,14 +771,6 @@ def _upper_band(A: BandedMatrix, kd=0):
     ab = np.zeros((max(kd, A.upper_bw) + 1, A.n), order="F")  # AB(LDAB, N), column-major
     ab[-A.upper_bw - 1:] = A.bands[:A.upper_bw + 1]
     return ab
-
-
-def _upper_gram(A: BandedMatrix):
-    """:func:`_upper_band` of ``A.T @ A`` for a real band ``A``, bit for bit:
-    only the diagonals k >= 0 are formed, each summed as ``A.T @ A`` sums
-    it."""
-    gram = _product_diagonals(A.T, A, 0)
-    return np.asfortranarray(BandedMatrix.from_diagonals(A.n, gram).bands)
 
 
 def solve_spd_banded(A: BandedMatrix, B) -> np.ndarray:

@@ -85,6 +85,19 @@ def _argvs():
                "--format", "json"] for spec in ("fd_t2:b=zero,c=zero", "fe_t1:b=zero,c=x")]
     # a seed that thm2 does not read
     argvs += [["certify", "--family", "thm2", "--n", "50", "--seed", "3"]]
+    # symbols whose range is {0}: the Weyl window is [-0.05, 0.05], and the
+    # rearrangement has no relative gap
+    argvs += [["compare", "--case", spec, "--coeff", "zero", *mode, "--n", "12,48", "--r", "64",
+               "--quad-res", "8", "--format", "json"]
+              for spec, mode in (("fd_t2", ("--mode", "sigma")), ("fe_t1:b=zero,c=x", ()))]
+    # a negative seed is refused by the parser
+    argvs += [["certify", "--family", "fd_t2", "--n", "50", "--seed", "-1"]]
+    # a parameter given twice, a q that is NaN or not a number, a parameter
+    # without a key, a colon with nothing after it, an unknown coefficient
+    argvs += [["spectrum", "--case", spec, *coeff, "--n", n]
+              for spec, coeff, n in (("fd_t2:b=one,b=x", (), "3"), ("fd_t7:q=nan", (), "5"),
+                                     ("fd_t7:q=abc", (), "5"), ("fd_t2:=x", (), "5"),
+                                     ("fd_t2:", (), "3"), ("fd_t1", ("--coeff", "nosuch"), "3"))]
     return argvs
 
 

@@ -1,10 +1,13 @@
 """Tests for functionals, distribution reports, and trend diagnostics."""
 import dataclasses
+import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gltkit import (
     Coefficient,
@@ -23,7 +26,6 @@ from gltkit import (
     fd_diffusion,
     get_case,
     hat,
-    inflate,
     monomial,
     monotone_rearrangement,
     multiply,
@@ -37,7 +39,8 @@ from gltkit import (
     zero_distribution_check,
 )
 import gltkit.analysis as analysis
-from gltkit.linalg import as_dense
+from gltkit.builders import DiscretizationCase
+from gltkit.linalg import BandedMatrix, as_dense
 from gltkit.symbols import SYMBOL_RECT, nonfinite_count, require_finite
 
 ONE = coefficient_preset("one")
@@ -60,6 +63,42 @@ def test_monomial_is_the_clipped_power_bit_for_bit(degree):
     assert got.dtype == float and got.shape == t.shape
     assert np.array_equal(got, np.where(inside, (t / 2.5) ** degree, 0.0))
     assert F(0.5) == 0.2 ** degree and F(-3.0) == 0.0  # 0-d arguments
+
+
+def _old_default_suite(lo, hi):
+    """The suite of a range as it was chosen before: the window widened by
+    5 % of its width floored at the least normal float, and the scale floored
+    there too."""
+    tiny = np.finfo(float).tiny
+    m = 0.05 * max(hi - lo, tiny)
+    window = (lo - m, hi + m)
+    scale = max(abs(window[0]), abs(window[1]), tiny)
+    return [monomial(d, window, scale) for d in range(4)]
+
+
+def _field_bits(F):
+    """Every field of a TestFunction, with each float as its 8 bytes."""
+    def bits(v):
+        if isinstance(v, tuple):
+            return tuple(map(bits, v))
+        return struct.pack("<d", v) if isinstance(v, float) else v
+    return [bits(getattr(F, f.name)) for f in dataclasses.fields(F)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0, 4 / math.e)
+@example(-2.0, -0.0)
+@example(-1e308, 1e308)
+def test_default_suite_of_a_range_of_positive_width_keeps_its_bits(a, b):
+    """A range at least twice the least normal float wide gets the old
+    rule's window and scale, bit for bit; below that width the old floors,
+    which are gone, chose them."""
+    lo, hi = min(a, b), max(a, b)
+    assume(hi - lo >= 2 * np.finfo(float).tiny)
+    assert list(map(_field_bits, default_suite(lo, hi))) == \
+        list(map(_field_bits, _old_default_suite(lo, hi)))
 
 
 def test_empirical_mean_is_normalized_trace():
@@ -180,7 +219,7 @@ def _assert_streamed_sides_are_the_oracle(kappa, mode, quad_res, suite=None):
         points = (res if kappa.has_quotient else 2 * res) ** 2
         assert grid == (held.size, points - held.size, held.min(), held.max())
     if suite is None:
-        suite = default_suite(inflate(float(full.min()), float(full.max())))
+        suite = default_suite(float(full.min()), float(full.max()))
         assert samples.default_suite() == suite
     for F, (sym, refinement) in zip(suite, samples.symbol_sides(suite)):
         assert sym == _oracle_mean(F, full)
@@ -366,6 +405,34 @@ def test_weyl_report_json_schema():
     assert doc["solver"] == "sym_tridiagonal"
 
 
+@pytest.mark.parametrize("c", [-2.0, 0.0, 1.0])
+def test_weyl_window_of_a_constant_symbol_is_5_percent_of_its_magnitude(c):
+    # the window had been the zero-width range widened by 1e-309, which held
+    # none of the eigenvalues c +- 1e-15 (gaps 0.92, 1.0 and 0.96; an overflow
+    # for c = 0)
+    case = DiscretizationCase(
+        f"const({c:g})", "test",
+        lambda n: BandedMatrix.diagonal(c + 1e-15 * np.cos(np.arange(n))),
+        predicted_symbol=TrigFactor(TrigPoly([c])))
+    rep = weyl_compare(case, 50, quad_res=8)
+    assert all(f.gap <= 1e-15 for f in rep.functionals), rep.functionals
+    m = 0.05 * max(abs(c), 1.0)
+    assert symbol_samples(case.predicted_symbol, quad_res=8).default_suite() == \
+        [monomial(d, (c - m, c + m), abs(c) + m) for d in range(4)]
+
+
+def test_weyl_sigma_gaps_of_a_zero_symbol_fall():
+    # fd_t2 with a = b = c = 0: its singular values are O(1/n), its symbol 0;
+    # the zero-width window had overflowed and kept a degree-0 gap of 1.0
+    case = get_case("fd_t2", "zero")
+    samples = symbol_samples(case.predicted_symbol, "sigma", quad_res=8)
+    gaps = [[f.gap for f in weyl_compare(case, n, mode="sigma", quad_res=8,
+                                         samples=samples).functionals]
+            for n in (12, 48, 192)]
+    assert gaps[1][0] == gaps[2][0] == 0.0
+    assert gaps[0][1] > gaps[1][1] > gaps[2][1]
+
+
 # ---------------------------------------------------------------------------
 # rearrangement comparison
 # ---------------------------------------------------------------------------
@@ -383,6 +450,20 @@ def test_rearrangement_compare_constant_coefficient_decay():
     g200 = rearrangement_compare(case, 200, rearr=R).rearrangement_gap
     g400 = rearrangement_compare(case, 400, rearr=R).rearrangement_gap
     assert g200 <= 0.75 * g100 and g400 <= 0.75 * g200
+
+
+def test_rearrangement_gap_of_a_zero_symbol_has_no_relative_gap():
+    # fe_t1 with a = b = 0, c = x: a symbol of essential range {0}, whose
+    # relative gap had been divided by the least normal float (2e+305)
+    case = get_case("fe_t1:b=zero,c=x", "zero")
+    ns = (12, 48, 192)
+    R = monotone_rearrangement(case.predicted_symbol, 64, rearrangement_nodes(ns))
+    reports = [rearrangement_compare(case, n, rearr=R) for n in ns]
+    assert [rep.rearrangement_gap_rel for rep in reports] == [None] * 3
+    assert all('"rearrangement_gap_rel": null' in json.dumps(rep.to_json_dict())
+               for rep in reports)
+    gaps = [rep.rearrangement_gap for rep in reports]
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
 def test_rearrangement_compare_refuses_an_r_other_than_its_rearrangements():
@@ -416,8 +497,7 @@ def test_weyl_compare_reuses_a_given_spectrum():
     case = get_case("fd_t2", "xexp")
     samples = symbol_samples(case.predicted_symbol, quad_res=40)
     full = _oracle_samples(case.predicted_symbol, 40, absolute=False)
-    assert samples.default_suite() == default_suite(
-        inflate(float(full.min()), float(full.max())))
+    assert samples.default_suite() == default_suite(float(full.min()), float(full.max()))
     own = weyl_compare(case, 30, quad_res=40, samples=samples)
     given = weyl_compare(case, 30, quad_res=40, samples=samples, spectrum=own.spectrum)
     assert given.to_json_dict() == own.to_json_dict()
@@ -447,7 +527,7 @@ def test_dagger_functional_consistency():
     t = (np.arange(4000) + 0.5) / 4000
     R = monotone_rearrangement(kappa, 2000, ts=t)
     samples = symbol_samples(kappa, quad_res=400)
-    for F in default_suite((0.0, 4 / math.e)):
+    for F in default_suite(0.0, 4 / math.e):
         direct = samples.symbol_sides([F])[0][0]
         via_dagger = float(np.mean(F(R(t))))
         assert direct == pytest.approx(via_dagger, abs=2e-3)

@@ -451,6 +451,17 @@ def test_certify_all_and_the_families_that_read_the_seed_take_it(capsys):
     assert code == 0 and other in out
 
 
+@pytest.mark.parametrize("family, seed", [("fd_t2", "-1"), ("fd_t3", "-2")])
+def test_certify_refuses_a_negative_seed_in_its_parser(capsys, family, seed):
+    # fd_t2 had failed in numpy naming no flag, and fd_t3, which draws with
+    # seed + 2, had exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--family", family, "--n", "50", "--seed", seed])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.endswith(f"error: argument --seed: need an integer >= 0, got {seed}\n")
+
+
 def test_empty_coefficient_table_exits_2(capsys, tmp_path):
     # a 0-byte file has no header for genfromtxt, which fails with IndexError
     table = tmp_path / "empty.csv"

@@ -938,29 +938,6 @@ def test_spectral_norm_tolerance_is_twice_the_lapack_safe_minimum():
 
 
 @st.composite
-def mixed_scale_bands(draw):
-    """Real bands with kl, ku in 0..3 and n in 1..40: whole diagonals of
-    zeros, and entries from 1e-100 to 1e100 in magnitude."""
-    n = draw(st.integers(1, 40))
-    kl, ku = (draw(st.integers(0, min(3, n - 1))) for _ in range(2))
-    entry = st.builds(lambda u, s: u * s, st.floats(-1.0, 1.0),
-                      st.sampled_from([1e-100, 1e-8, 1.0, 1e8, 1e100]))
-    rows = [[0.0] * n if draw(st.booleans()) else
-            draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(kl + ku + 1)]
-    return BandedMatrix(n, kl, ku, np.array(rows))
-
-
-@settings(max_examples=300, deadline=None)
-@given(mixed_scale_bands())
-def test_upper_gram_is_the_upper_band_of_the_full_product(A):
-    """The diagonals k >= 0 of A.T A, formed alone, are those of the whole
-    product, bit for bit, in LAPACK's Fortran-ordered upper band storage."""
-    got, full = linalg._upper_gram(A), linalg._upper_band(A.T @ A)
-    assert got.shape == full.shape and got.flags.f_contiguous
-    assert got.tobytes(order="F") == full.tobytes(order="F")
-
-
-@st.composite
 def scaled_real_bands(draw):
     """Real bands, symmetric or not, of n in 1..40 and kl, ku in 0..3, with
     entries from +-0.0 and finite floats in [-4, 4] (subnormals included),
