@@ -4,13 +4,15 @@ Subcommands
 -----------
 list      registry of discretization cases with symbols and normalizations
 spectrum  sorted eigenvalues / singular values of the normalized matrices
-compare   Weyl-functional + rearrangement reports, with a plot-ready overlay CSV
+compare   Weyl-functional reports; in lambda mode also rearrangement gaps, with
+          a plot-ready overlay CSV
 table2    sup-norm rearrangement gaps for the diffusion benchmark, checked
           against the published reference column
 certify   finite-n proof-inequality certificates, PASS/FAIL per (n, m)
 
 ``compare`` solves the spectra on one worker thread while the main thread
-builds the rearrangement and samples the symbol (LAPACK releases the GIL);
+samples the symbol, and in lambda mode builds the rearrangement (LAPACK
+releases the GIL);
 the output is the same as when the two run one after the other, errors exit
 as they did, and no thread outlives the command.
 
@@ -47,10 +49,6 @@ from .symbols import SymbolSingularityError, monotone_rearrangement
 TABLE2_REFERENCE = {50: 0.0327, 100: 0.0165, 200: 0.0083, 400: 0.0042,
                     800: 0.0022, 1600: 0.0011}
 TABLE2_NS = tuple(sorted(TABLE2_REFERENCE))
-
-
-def _fmt(v):
-    return "" if v is None else f"{v:.17g}"
 
 
 def _atomic_write(path, text):
@@ -96,7 +94,7 @@ def _parse_int_list(text):
 def _csv(rows, header):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -165,10 +163,11 @@ def _solving(solve, ns):
 
 def cmd_compare(args) -> int:
     case = get_case(args.case, args.coeff)
-    solve = case.singular_spectrum if args.mode == "sigma" else case.spectrum
+    lam = args.mode == "lambda"
+    solve = case.spectrum if lam else case.singular_spectrum
     with _solving(solve, args.n) as collect:
         rearr = None
-        if case.predicted_symbol.bounded:
+        if lam and case.predicted_symbol.bounded:
             rearr = monotone_rearrangement(case.predicted_symbol, args.r,
                                            rearrangement_nodes(args.n))
         samples = symbol_samples(case.predicted_symbol, args.mode, args.quad_res)
@@ -180,19 +179,19 @@ def cmd_compare(args) -> int:
         report = weyl_compare(case, n, F_suite=suite, mode=args.mode, quad_res=args.quad_res,
                               samples=samples, spectrum=spectrum)
         doc = report.to_json_dict()
-        # lambda mode already solved for the eigenvalues; sigma mode holds singular values
-        eigenvalues = spectrum if args.mode == "lambda" else None
-        try:
-            rr = rearrangement_compare(case, n, rearr=rearr, spectrum=eigenvalues)
-            rr_doc = rr.to_json_dict()
-            for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers", "rearrangement"):
-                doc[key] = rr_doc[key]
-            if args.out:  # the overlay is only ever written next to --out
-                t, s, e = rr.overlay
-                overlay_rows += [(n, float(ti), float(si), float(ei))
-                                 for ti, si, ei in zip(t, s, e)]
-        except (UnboundedSymbolError, ComplexSpectrumError) as exc:
-            doc["rearrangement_error"] = str(exc)
+        if lam:
+            try:
+                rr = rearrangement_compare(case, n, rearr=rearr, spectrum=spectrum)
+                rr_doc = rr.to_json_dict()
+                for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers",
+                            "rearrangement"):
+                    doc[key] = rr_doc[key]
+                if args.out:  # the overlay is only ever written next to --out
+                    t, s, e = rr.overlay
+                    overlay_rows += [(n, float(ti), float(si), float(ei))
+                                     for ti, si, ei in zip(t, s, e)]
+            except UnboundedSymbolError as exc:
+                doc["rearrangement_error"] = str(exc)
         reports.append(doc)
 
     if args.format == "json":

@@ -98,6 +98,24 @@ def _argvs():
               for spec, coeff, n in (("fd_t2:b=one,b=x", (), "3"), ("fd_t7:q=nan", (), "5"),
                                      ("fd_t7:q=abc", (), "5"), ("fd_t2:=x", (), "5"),
                                      ("fd_t2:", (), "3"), ("fd_t1", ("--coeff", "nosuch"), "3"))]
+    # CSV on stdout: compare's functional rows in both modes, and table2's rows
+    argvs += [["compare", "--case", "fd_t1", *mode, "--n", "12", "--r", "64", "--quad-res", "8"]
+              for mode in ((), ("--mode", "sigma"))]
+    argvs += [["table2", "--format", "csv"]]
+    # an all-negative schur spectrum through the rank-one band pencil; an Ln
+    # pencil symbol unbounded at x = 0, whose rearrangement every report
+    # refuses; fd_t7's G' = x^(-1/2) / 2, singular at 0, where no probe may
+    # read it; n = 1, where the bidiagonal L that carries u to e_1 has no
+    # subdiagonal; a Pencil and a RankOneUpdate operand through sigma mode
+    argvs += [["compare", "--case", "schur:rho=-1", "--coeff", "one", "--n", "50", "--r", "100",
+               "--format", "json"],
+              ["compare", "--case", "Ln:c=x", "--coeff", "one", "--n", "40,160", "--r", "300",
+               "--format", "json"],
+              ["compare", "--case", "fd_t7:q=0.5", "--n", "20", "--r", "50"],
+              ["spectrum", "--case", "schur", "--coeff", "xexp", "--n", "1,2,7", "--format", "json"],
+              ["spectrum", "--case", "Ln", "--n", "20", "--mode", "sigma", "--format", "json"],
+              ["spectrum", "--case", "schur", "--n", "20", "--mode", "sigma", "--format", "json"],
+              ["spectrum", "--case", "fe_mass", "--n", "20"]]
     return argvs
 
 

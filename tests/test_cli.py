@@ -137,7 +137,7 @@ def test_compare_schur_runs(capsys, tmp_path):
 def test_compare_unbounded_symbol_records_refusal(capsys, tmp_path):
     path = tmp_path / "t7.json"
     code, _, _ = run_cli(capsys, "compare", "--case", "fd_t7:q=2", "--coeff", "one",
-                         "--n", "40", "--quad-res", "100", "--mode", "sigma",
+                         "--n", "40", "--quad-res", "100",
                          "--format", "json", "--out", str(path))
     assert code == 0
     rep = json.loads(path.read_text())["reports"][0]
@@ -167,6 +167,34 @@ def test_compare_solves_each_spectrum_once(capsys, tmp_path, monkeypatch):
     assert calls == [30, 60]
     reports = json.loads(path.read_text())["reports"]
     assert [r["solver"] for r in reports] == ["similarity_tridiagonal"] * 2
+
+
+def test_sigma_compare_solves_only_the_singular_values(capsys, tmp_path, monkeypatch):
+    # sigma mode compares Weyl functionals alone: no eigensolve, no rearrangement
+    eigen, rearranged, singular = [], [], []
+    spectrum, sigma = DiscretizationCase.spectrum, DiscretizationCase.singular_spectrum
+    monkeypatch.setattr(DiscretizationCase, "spectrum",
+                        lambda self, n: eigen.append(n) or spectrum(self, n))
+    monkeypatch.setattr(cli, "monotone_rearrangement",
+                        lambda *a, **k: rearranged.append(a) or monotone_rearrangement(*a, **k))
+    monkeypatch.setattr(DiscretizationCase, "singular_spectrum",
+                        lambda self, n: singular.append((n, threading.current_thread()))
+                        or sigma(self, n))
+    path = tmp_path / "F.json"
+    code, _, _ = run_cli(capsys, "compare", "--case", "fd_t2", "--coeff", "xexp",
+                         "--mode", "sigma", "--n", "30,60", "--r", "200", "--quad-res", "80",
+                         "--format", "json", "--out", str(path))
+    assert code == 0
+    assert eigen == [] and rearranged == []
+    assert [n for n, _ in singular] == [30, 60]
+    threads = {thread for _, thread in singular}
+    assert len(threads) == 1 and threading.main_thread() not in threads
+    reports = json.loads(path.read_text())["reports"]
+    assert len(reports) == 2
+    for rep in reports:
+        assert rep["mode"] == "sigma" and rep["rearrangement_gap"] is None
+        assert "rearrangement_error" not in rep
+    assert not (tmp_path / "F_overlay.csv").exists()
 
 
 def test_compare_reports_the_band_pencil_solver(capsys):
@@ -597,19 +625,21 @@ def test_compare_rearranges_fd_t7_where_g_prime_is_unbounded_but_positive(capsys
 
 def _serial_compare(spec, mode, ns, r, quad_res, fmt):
     """Exit code and output of ``compare`` from the analysis functions called
-    one after the other, each solving its own spectrum."""
+    one after the other, each solving its own spectrum; only lambda mode
+    compares with the rearrangement."""
     try:
         case = get_case(spec, "xexp")
         reports = []
         for n in ns:
             doc = weyl_compare(case, n, mode=mode, quad_res=quad_res).to_json_dict()
-            try:
-                rr_doc = rearrangement_compare(case, n, r=r).to_json_dict()
-                for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers",
-                            "rearrangement"):
-                    doc[key] = rr_doc[key]
-            except (UnboundedSymbolError, ComplexSpectrumError) as exc:
-                doc["rearrangement_error"] = str(exc)
+            if mode == "lambda":
+                try:
+                    rr_doc = rearrangement_compare(case, n, r=r).to_json_dict()
+                    for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers",
+                                "rearrangement"):
+                        doc[key] = rr_doc[key]
+                except UnboundedSymbolError as exc:
+                    doc["rearrangement_error"] = str(exc)
             reports.append(doc)
     except (ComplexSpectrumError, UnboundedSymbolError) as exc:
         return 1, "", f"error: {exc}\n"
