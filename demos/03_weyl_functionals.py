@@ -20,8 +20,7 @@ for name, coeff in CASES:
     case = get_case(name, coeff)
     print(f"\n{name} (coeff {coeff}), symbol {case.predicted_symbol}, alpha = {case.alpha_text}")
     print(f"  {'F':>14} {'gap n=100':>12} {'gap n=400':>12}")
-    r100 = weyl_compare(case, 100, quad_res=300)
-    r400 = weyl_compare(case, 400, quad_res=300)
+    r100, r400 = weyl_compare(case, [100, 400], quad_res=300)
     for g1, g4 in zip(r100.functionals, r400.functionals):
         print(f"  {g1.label:>14} {g1.gap:>12.3e} {g4.gap:>12.3e}")
     print(f"  backing: {r400.backing}; quadrature {r400.quad_rule} at "

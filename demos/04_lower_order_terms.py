@@ -1,6 +1,6 @@
 """Lower-order terms and boundary conditions do not move the symbol.
 
-Adding convection b(x) u' and reaction c(x) u tot he diffusion equation
+Adding convection b(x) u' and reaction c(x) u to the diffusion equation
 perturbs the matrix by Z_n with ||Z_n||_2 = o(n^(1/2)); switching Dirichlet
 to Neumann data adds a rank-2 boundary correction R_n.  Both families are
 zero-distributed, so the convection-diffusion-reaction matrices share the
@@ -37,6 +37,5 @@ print("  ", [f"{r:.3e}" for r in rep.ratios], "->", "PASS" if rep.overall_pass e
 
 # consequence: the full nonsymmetric matrix still matches the rearranged
 # diffusion symbol (eigenvalues are real thanks to the Hermitian split)
-for n in (100, 400):
-    gap = rearrangement_compare(case, n, r=2000).rearrangement_gap
-    print(f"rearrangement gap of the full CDR matrix at n={n}: {gap:.4f}")
+for rep in rearrangement_compare(case, [100, 400], r=2000):
+    print(f"rearrangement gap of the full CDR matrix at n={rep.n}: {rep.rearrangement_gap:.4f}")

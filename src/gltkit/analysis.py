@@ -22,9 +22,8 @@ import numpy as np
 
 from .builders import DiscretizationCase, uniform_grid
 from .linalg import SpectralSet, schatten_norm
-from .symbols import (SYMBOL_RECT, CoeffFactor, Rearrangement, SymbolExpr,
-                      SymbolSingularityError, TrigFactor, _grid_blocks,
-                      monotone_rearrangement, nonfinite_count, require_finite)
+from .symbols import (SYMBOL_RECT, Rearrangement, SymbolExpr, SymbolSingularityError,
+                      _grid_blocks, monotone_rearrangement, nonfinite_count, require_finite)
 
 
 class UnboundedSymbolError(ValueError):
@@ -305,75 +304,38 @@ def symbol_samples(kappa: SymbolExpr, mode="lambda", quad_res=DEFAULT_QUAD_RES) 
     return SymbolSamples(kappa, mode, rule, int(quad_res), full, coarse)
 
 
-def weyl_compare(case: DiscretizationCase, n, F_suite=None, mode="lambda",
-                 quad_res=DEFAULT_QUAD_RES, samples=None, spectrum=None) -> DistributionReport:
+def weyl_compare(case: DiscretizationCase, ns, F_suite=None, mode="lambda",
+                 quad_res=DEFAULT_QUAD_RES) -> list:
     """Test-functional comparison of the spectrum of alpha_n A_n with the
-    predicted symbol.
+    predicted symbol, one :class:`DistributionReport` per n of ``ns``.
 
     ``mode`` selects eigenvalues ("lambda") or singular values ("sigma");
     sigma mode compares against F(|kappa|) as the distribution definition
-    prescribes.  Pass ``samples`` from :func:`symbol_samples` (of the case's
-    ``predicted_symbol``, same mode and ``quad_res``, else ValueError) to
-    reuse them across n, and the ``spectrum`` of alpha_n A_n (its n
-    eigenvalues, or singular values in sigma mode) when it is already at
-    hand.
+    prescribes.  The symbol is sampled once, and each F's symbol side taken
+    once, for every n; each n is solved once.  ``F_suite`` defaults to
+    :meth:`SymbolSamples.default_suite`.
     """
-    if samples is None:
-        samples = symbol_samples(case.predicted_symbol, mode, quad_res)
-    else:
-        _require_symbol_of(case, samples.kappa, "symbol samples were taken")
-        if (samples.mode, samples.quad_res) != (mode, quad_res):
-            raise ValueError(f"symbol samples were taken for mode={samples.mode}, "
-                             f"quad_res={samples.quad_res}; this comparison asks for "
-                             f"mode={mode}, quad_res={quad_res}")
+    samples = symbol_samples(case.predicted_symbol, mode, quad_res)
     if F_suite is None:
         F_suite = samples.default_suite()
-    sigma = mode == "sigma"
-    if spectrum is None:
-        spectrum = case.singular_spectrum(n) if sigma else case.spectrum(n)
-    else:
-        _require_spectrum(case, n, spectrum, "singular_values" if sigma else "eigenvalues")
+    solve = case.singular_spectrum if mode == "sigma" else case.spectrum
+    return [_weyl_report(case, n, solve(n), samples, F_suite) for n in ns]
 
+
+def _weyl_report(case, n, spectrum, samples, F_suite) -> DistributionReport:
+    """The Weyl report of the ``spectrum`` of alpha_n A_n against the
+    :class:`SymbolSamples` of the case's symbol, in the samples' mode."""
     sides = samples.symbol_sides(F_suite)
     gaps = [FunctionalGap(F.label, empirical_functional(spectrum, F), sym)
             for F, (sym, _) in zip(F_suite, sides)]
-
     return DistributionReport(
-        case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode=mode,
+        case=case.name, n=int(n), alpha_n=float(case.alpha(n)), mode=samples.mode,
         functionals=tuple(gaps), spectrum=spectrum,
         quad_rule=samples.quad_rule, quad_res=samples.quad_res,
         quad_refinement=max((d for _, d in sides), default=0.0) if samples.coarse.count else None,
         quad_excluded=samples.full.excluded,
-        backing=_backing(case, spectrum.solver, mode),
+        backing=_backing(case, spectrum.solver, samples.mode),
     )
-
-
-def _same_symbol(a, b):
-    """Whether two symbol trees match node by node: trig leaves by their
-    coefficients, coefficient leaves as equal Coefficients."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, CoeffFactor):
-        return a.coefficient == b.coefficient
-    if isinstance(a, TrigFactor):
-        return np.array_equal(a.poly.coeffs, b.poly.coeffs)
-    return len(a.children) == len(b.children) and all(map(_same_symbol, a.children, b.children))
-
-
-def _require_symbol_of(case, kappa, what):
-    """ValueError, saying ``what`` was done of ``kappa``, unless it is the
-    case's predicted symbol, node by node."""
-    predicted = case.predicted_symbol
-    if not _same_symbol(kappa, predicted):
-        other = " with other coefficient functions" if str(kappa) == str(predicted) else ""
-        raise ValueError(f"{what} of {kappa}; case {case.name} predicts {predicted}{other}")
-
-
-def _require_spectrum(case, n, spectrum, kind):
-    """ValueError unless ``spectrum`` holds the n values of ``kind``."""
-    if spectrum.kind != kind or len(spectrum) != n:
-        raise ValueError(f"expected the {n} {kind.replace('_', ' ')} of case {case.name}, "
-                         f"got {len(spectrum)} {spectrum.kind}")
 
 
 def outlier_count(spectrum, lo, hi, eps):
@@ -394,37 +356,35 @@ def rearrangement_nodes(ns):
     return np.concatenate([uniform_grid(n) for n in ns])
 
 
-def rearrangement_compare(case: DiscretizationCase, n, r=None, rearr=None,
-                          spectrum=None) -> DistributionReport:
-    """Sorted-spectrum vs rearranged-symbol comparison.
+def _unbounded_refusal(case: DiscretizationCase):
+    """Why ``case`` has no rearrangement comparison, None when its symbol is bounded."""
+    if case.predicted_symbol.bounded:
+        return None
+    return (f"case {case.name}: the symbol is unbounded (essential sup is infinite); "
+            "use sigma-mode Weyl comparison on a bounded window instead")
+
+
+def rearrangement_compare(case: DiscretizationCase, ns, r=DEFAULT_R) -> list:
+    """Sorted-spectrum vs rearranged-symbol comparison, one
+    :class:`DistributionReport` per n of ``ns``.
 
     e_n: eigenvalues of alpha_n A_n ascending; s_n: rearrangement samples at
     i/n.  Reports the sup-norm gap, its scale-free version (divided by the
     magnitude of the essential range; None when that is 0), and outliers
-    beyond the essential range by more than 1e-8.  Pass a precomputed
-    ``rearr`` of the case's ``predicted_symbol``, built for the
-    :func:`rearrangement_nodes` of every n it serves, to amortize the
-    sampling (r = :data:`DEFAULT_R` by default) across several n, another
-    symbol or an ``r`` other than its own raising ValueError, and the
-    eigenvalues ``spectrum`` of alpha_n A_n when already at hand (e.g. from
-    ``weyl_compare``)."""
-    if not case.predicted_symbol.bounded:
-        raise UnboundedSymbolError(
-            f"case {case.name}: the symbol is unbounded (essential sup is infinite); "
-            "use sigma-mode Weyl comparison on a bounded window instead"
-        )
-    if rearr is None:
-        rearr = monotone_rearrangement(case.predicted_symbol, DEFAULT_R if r is None else r,
-                                       uniform_grid(n))
-    else:
-        _require_symbol_of(case, rearr.kappa, "the rearrangement was built")
-        if r is not None and r != rearr.r:
-            raise ValueError(f"the rearrangement was sampled at r={rearr.r}; "
-                             f"this comparison asks for r={r}")
-    if spectrum is None:
-        spectrum = case.spectrum(n)  # complex spectra surface as ComplexSpectrumError
-    else:
-        _require_spectrum(case, n, spectrum, "eigenvalues")
+    beyond the essential range by more than 1e-8.  One rearrangement on the
+    r x r lattice serves every n, each n is solved once, and complex spectra
+    surface as ComplexSpectrumError; an unbounded symbol raises
+    UnboundedSymbolError."""
+    refusal = _unbounded_refusal(case)
+    if refusal:
+        raise UnboundedSymbolError(refusal)
+    rearr = monotone_rearrangement(case.predicted_symbol, r, rearrangement_nodes(ns))
+    return [_rearrangement_report(case, n, case.spectrum(n), rearr) for n in ns]
+
+
+def _rearrangement_report(case, n, spectrum, rearr) -> DistributionReport:
+    """The rearrangement report of the eigenvalues ``spectrum`` of alpha_n A_n
+    against ``rearr``, built for the :func:`rearrangement_nodes` of n."""
     t = uniform_grid(n)
     s = rearr(t)
     e = spectrum.values

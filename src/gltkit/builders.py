@@ -33,7 +33,7 @@ multiplies the eigenvalues by alpha_n once.  The returned
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -96,12 +96,10 @@ class GridMap:
             raise ValueError("grid map derivative must be nonnegative")
 
 
-@cache
 def power_map(q: float) -> GridMap:
     """G(x) = x^q; singular at 0 for q > 1 (local refinement near 0).  G' =
     q x^(q-1) declares its exact range on (0, 1]: [0, q] for q > 1, {1} at
-    q = 1 and [q, inf) for q < 1, where it is unbounded (the L1 tag).  One
-    GridMap per q, so that fd_t7 cases built apart predict equal symbols."""
+    q = 1 and [q, inf) for q < 1, where it is unbounded (the L1 tag)."""
     if not (np.isfinite(q) and q > 0):
         raise ValueError(f"power map needs a finite q > 0, got q={q}")
     dG = Coefficient(f"x^{q:g}'", lambda x: q * x ** (q - 1.0), "L1" if q < 1 else "continuous",
@@ -410,17 +408,10 @@ def fd_nonuniform_matrix(a: Coefficient, gmap: GridMap, n) -> BandedMatrix:
     return BandedMatrix.tridiagonal(diag, off, off)
 
 
-@cache
-def _on_mapped_grid(a: Coefficient, gmap: GridMap):
-    """a(G(x)) and G' as Coefficients, the same two for equal (a, gmap), so
-    that fd_t7 cases built apart predict equal symbols."""
-    return (Coefficient(f"{a.name}(G)", lambda x: a(np.asarray(gmap.G(x))), a.regularity),
-            gmap.dG if isinstance(gmap.dG, Coefficient) else Coefficient(f"{gmap.name}'", gmap.dG))
-
-
 def fd_nonuniform(a: Coefficient, gmap: GridMap) -> DiscretizationCase:
     _require_continuous(a, "diffusion")
-    a_of_G, dG = _on_mapped_grid(a, gmap)
+    a_of_G = Coefficient(f"{a.name}(G)", lambda x: a(np.asarray(gmap.G(x))), a.regularity)
+    dG = gmap.dG if isinstance(gmap.dG, Coefficient) else Coefficient(f"{gmap.name}'", gmap.dG)
     symbol = divide(multiply(a_of_G, LAPLACE_SYMBOL), CoeffFactor(dG))
     return DiscretizationCase(
         name="fd_t7",

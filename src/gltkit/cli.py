@@ -35,10 +35,12 @@ from .analysis import (
     DEFAULT_QUAD_RES,
     DEFAULT_R,
     UnboundedSymbolError,
+    _rearrangement_report,
+    _unbounded_refusal,
+    _weyl_report,
     rearrangement_compare,
     rearrangement_nodes,
     symbol_samples,
-    weyl_compare,
 )
 from .builders import DEFAULT_COEFFICIENT, ComplexSpectrumError, get_case, registry_lines
 from .certificates import certificate_families, families_reading, run_certificates
@@ -52,14 +54,18 @@ TABLE2_NS = tuple(sorted(TABLE2_REFERENCE))
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to a file beside ``path`` and move it there; an OSError
+    names ``path``, not that file."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):  # it may never have been made
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -85,9 +91,13 @@ def _nonnegative_int(text):
 
 
 def _parse_int_list(text):
-    values = [_positive_int(v) for v in text.split(",") if v.strip()]
-    if not values or any(b <= a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError("need a nonempty ascending comma list")
+    items = text.split(",")
+    for i, item in enumerate(items, 1):
+        if not item.strip():
+            raise argparse.ArgumentTypeError(f"item {i} of {text!r} is empty")
+    values = [_positive_int(v) for v in items]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError("need an ascending comma list")
     return values
 
 
@@ -164,10 +174,10 @@ def _solving(solve, ns):
 def cmd_compare(args) -> int:
     case = get_case(args.case, args.coeff)
     lam = args.mode == "lambda"
+    refusal = _unbounded_refusal(case) if lam else None
     solve = case.spectrum if lam else case.singular_spectrum
     with _solving(solve, args.n) as collect:
-        rearr = None
-        if lam and case.predicted_symbol.bounded:
+        if lam and refusal is None:
             rearr = monotone_rearrangement(case.predicted_symbol, args.r,
                                            rearrangement_nodes(args.n))
         samples = symbol_samples(case.predicted_symbol, args.mode, args.quad_res)
@@ -176,22 +186,18 @@ def cmd_compare(args) -> int:
         spectra = collect()
     reports, overlay_rows = [], []
     for n, spectrum in zip(args.n, spectra):
-        report = weyl_compare(case, n, F_suite=suite, mode=args.mode, quad_res=args.quad_res,
-                              samples=samples, spectrum=spectrum)
-        doc = report.to_json_dict()
-        if lam:
-            try:
-                rr = rearrangement_compare(case, n, rearr=rearr, spectrum=spectrum)
-                rr_doc = rr.to_json_dict()
-                for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers",
-                            "rearrangement"):
-                    doc[key] = rr_doc[key]
-                if args.out:  # the overlay is only ever written next to --out
-                    t, s, e = rr.overlay
-                    overlay_rows += [(n, float(ti), float(si), float(ei))
-                                     for ti, si, ei in zip(t, s, e)]
-            except UnboundedSymbolError as exc:
-                doc["rearrangement_error"] = str(exc)
+        doc = _weyl_report(case, n, spectrum, samples, suite).to_json_dict()
+        if refusal:
+            doc["rearrangement_error"] = refusal
+        elif lam:
+            rr = _rearrangement_report(case, n, spectrum, rearr)
+            rr_doc = rr.to_json_dict()
+            for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers", "rearrangement"):
+                doc[key] = rr_doc[key]
+            if args.out:  # the overlay is only ever written next to --out
+                t, s, e = rr.overlay
+                overlay_rows += [(n, float(ti), float(si), float(ei))
+                                 for ti, si, ei in zip(t, s, e)]
         reports.append(doc)
 
     if args.format == "json":
@@ -212,15 +218,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    case = get_case("fd_t1", "xexp")
-    rearr = monotone_rearrangement(case.predicted_symbol, args.r, rearrangement_nodes(TABLE2_NS))
+    reports = rearrangement_compare(get_case("fd_t1", "xexp"), TABLE2_NS, args.r)
     # stdout carries the aligned table, unless --format without --out puts the document there
     aligned = args.out or args.format is None
     rows, all_ok = [], True
     if aligned:
         print(f"{'n':>6}  {'computed':>10}  {'reference':>10}  {'within tol':>10}")
-    for n in TABLE2_NS:
-        report = rearrangement_compare(case, n, rearr=rearr)
+    for n, report in zip(TABLE2_NS, reports):
         gap = report.rearrangement_gap
         ref = TABLE2_REFERENCE[n]
         ok = abs(gap - ref) <= max(5e-4, 0.05 * ref)

@@ -539,8 +539,7 @@ class Rearrangement:
     is N + 1.  Only the samples it is read at are kept: ``values`` holds
     the sorted samples of the ascending ``ranks``, which include 0 and
     N - 1.  The endpoints approximate the essential infimum and supremum
-    of the symbol on :data:`SYMBOL_RECT`.  ``kappa`` is the symbol the
-    samples were taken of (None for samples given by hand).
+    of the symbol on :data:`SYMBOL_RECT`.
     """
 
     values: np.ndarray = field(repr=False)
@@ -548,7 +547,6 @@ class Rearrangement:
     r: int
     ranks: np.ndarray = field(repr=False)
     excluded: int = 0
-    kappa: SymbolExpr | None = field(default=None, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -893,7 +891,7 @@ def monotone_rearrangement(kappa: SymbolExpr, r, ts) -> Rearrangement:
         N = r * row.size
         ranks = ranks_of(N)
         values = row[ranks // r]
-    return Rearrangement(values=values, N=N, r=r, ranks=ranks, excluded=r * r - N, kappa=kappa)
+    return Rearrangement(values=values, N=N, r=r, ranks=ranks, excluded=r * r - N)
 
 
 # ----------------------------------------------------------------------------

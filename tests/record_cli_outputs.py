@@ -116,6 +116,9 @@ def _argvs():
               ["spectrum", "--case", "Ln", "--n", "20", "--mode", "sigma", "--format", "json"],
               ["spectrum", "--case", "schur", "--n", "20", "--mode", "sigma", "--format", "json"],
               ["spectrum", "--case", "fe_mass", "--n", "20"]]
+    # an empty item of a comma list, in --n and in --m
+    argvs += [["spectrum", "--case", "fd_t1", "--n", "5,,6"],
+              ["certify", "--family", "fe_t1", "--m", "2,"]]
     return argvs
 
 

@@ -25,9 +25,7 @@ from gltkit import (
     get_case,
     hat,
     monomial,
-    monotone_rearrangement,
     rearrangement_compare,
-    rearrangement_nodes,
     run_all_certificates,
     spectral_norm,
     sym_eigvals,
@@ -55,11 +53,10 @@ def test_criterion_1_rearrangement_benchmark_table():
     max(5e-4, 5% relative) per row; total runtime under two minutes."""
     t0 = time.time()
     case = fd_diffusion(XEXP)
-    rearr = monotone_rearrangement(case.predicted_symbol, 5000,
-                                   ts=rearrangement_nodes(TABLE2_REFERENCE))
+    ns = sorted(TABLE2_REFERENCE)
     rows, ok = [], True
-    for n, ref in sorted(TABLE2_REFERENCE.items()):
-        gap = rearrangement_compare(case, n, rearr=rearr).rearrangement_gap
+    for n, rep in zip(ns, rearrangement_compare(case, ns, r=5000)):
+        gap, ref = rep.rearrangement_gap, TABLE2_REFERENCE[n]
         good = abs(gap - ref) <= max(5e-4, 0.05 * ref)
         rows.append(f"n={n}: {gap:.4f} vs {ref}")
         ok &= good
@@ -104,8 +101,7 @@ def test_criterion_3_weyl_convergence_suite():
     ok = True
     details = []
     for name, case in cases:
-        r100 = weyl_compare(case, 100, quad_res=400)
-        r800 = weyl_compare(case, 800, quad_res=400)
+        r100, r800 = weyl_compare(case, [100, 800], quad_res=400)
         for g1, g8 in zip(r100.functionals, r800.functionals):
             halved = g8.gap <= max(0.5 * g1.gap, GAP_FLOOR)
             small = g8.gap <= 0.02
@@ -132,7 +128,7 @@ def test_criterion_4_closed_form_functionals():
     case1 = fd_diffusion(ONE)
     emp2 = empirical_functional(case1.spectrum(n), wide2)
     ok &= abs(emp2 - (6 * n - 2) / n) <= 1e-9
-    sym2 = weyl_compare(case1, 10, F_suite=[wide2], quad_res=400).functionals[0].symbol_value
+    sym2 = weyl_compare(case1, [10], F_suite=[wide2], quad_res=400)[0].functionals[0].symbol_value
     ok &= abs(sym2 - 6.0) <= 1e-6
     _report(4, ok, f"mean {emp:.6f} vs {target:.6f}; second moment {emp2:.12f} vs {(6*n-2)/n}; "
                    f"symbol integral {sym2:.8f} vs 6")
@@ -168,7 +164,7 @@ def test_criterion_6_nonsymmetric_spectral_reality():
         E = as_dense(case.build(n))
         ev = np.linalg.eigvals(E)
         imag_ok = np.max(np.abs(ev.imag)) <= 1e-7 * spectral_norm(E)
-        rep = rearrangement_compare(case, n, r=3000)
+        rep, = rearrangement_compare(case, [n], r=3000)
         gap_ok = rep.rearrangement_gap_rel <= 0.05
         ok &= imag_ok and gap_ok
         details.append(f"a={name}: max|Im|={np.max(np.abs(ev.imag)):.1e}, "
@@ -183,12 +179,12 @@ def test_criterion_7_nonuniform_grid_sigma_mode():
     rearrangement comparison refuses the unbounded symbol."""
     case = get_case("fd_t7:q=2", "one")
     hats = [hat(c, 2.0) for c in range(1, 20, 2)]
-    g200 = weyl_compare(case, 200, F_suite=hats, mode="sigma", quad_res=400).max_gap()
-    g800 = weyl_compare(case, 800, F_suite=hats, mode="sigma", quad_res=400).max_gap()
+    g200, g800 = (rep.max_gap() for rep in
+                  weyl_compare(case, [200, 800], F_suite=hats, mode="sigma", quad_res=400))
     decay_ok = g800 * 1.5 <= g200
     refused = False
     try:
-        rearrangement_compare(case, 100)
+        rearrangement_compare(case, [100])
     except UnboundedSymbolError:
         refused = True
     ok = decay_ok and refused

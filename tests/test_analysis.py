@@ -259,7 +259,7 @@ def test_streamed_symbol_sides_of_hats_and_of_excluded_cells(tmp_path):
     suite = samples.default_suite()
     assert samples.symbol_sides(suite) == [(_oracle_mean(F, full), None) for F in suite]
     case = get_case(f"Ln:c=csv:{table}", f"csv:{table}")
-    assert weyl_compare(case, 20, quad_res=3, samples=samples).quad_refinement is None
+    assert weyl_compare(case, [20], quad_res=3)[0].quad_refinement is None
 
 
 def test_streamed_symbol_sides_take_chunks_of_2_17_values_on_large_grids():
@@ -299,7 +299,7 @@ def test_the_coarse_grid_takes_half_the_panels(quad_res):
         return
     samples = symbol_samples(case.predicted_symbol, quad_res=quad_res)
     assert (samples.full.count, samples.coarse.count) == ((2 * quad_res) ** 2, 2 ** 2)
-    assert weyl_compare(case, 20, quad_res=quad_res, samples=samples).quad_refinement > 0
+    assert weyl_compare(case, [20], quad_res=quad_res)[0].quad_refinement > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -319,7 +319,7 @@ def test_symbol_samples_refuse_non_finite_values(bad):
         with pytest.raises(SymbolSingularityError, match=f"^{count} samples .* not finite"):
             symbol_samples(case.predicted_symbol, mode, quad_res)
     with pytest.raises(SymbolSingularityError, match=f"^{count} samples .* not finite"):
-        weyl_compare(case, 40, quad_res=quad_res)
+        weyl_compare(case, [40], quad_res=quad_res)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_symbol_samples_refuse_non_finite_values(bad):
 # ---------------------------------------------------------------------------
 
 def test_weyl_constant_coefficient_first_moment_gap_vanishes():
-    rep = weyl_compare(fd_diffusion(ONE), 200, F_suite=[WIDE], quad_res=400)
+    rep, = weyl_compare(fd_diffusion(ONE), [200], F_suite=[WIDE], quad_res=400)
     assert rep.functionals[0].gap < 1e-8
     assert "Hermitian" in rep.backing
 
@@ -335,32 +335,29 @@ def test_weyl_constant_coefficient_first_moment_gap_vanishes():
 def test_weyl_xexp_first_moment_matches_closed_form_and_decays():
     case = fd_diffusion(XEXP)
     target = 2 * (1 - 2 / math.e)
-    gaps = {}
-    for n in (100, 400):
-        rep = weyl_compare(case, n, F_suite=[WIDE], quad_res=400)
+    gaps = []
+    for rep in weyl_compare(case, [100, 400], F_suite=[WIDE], quad_res=400):
         assert rep.functionals[0].symbol_value == pytest.approx(target, abs=1e-8)
-        gaps[n] = rep.functionals[0].gap
-    assert gaps[400] < gaps[100]
+        gaps.append(rep.functionals[0].gap)
+    assert gaps[1] < gaps[0]
 
 
 def test_weyl_default_suite_gaps_decay():
     case = fd_diffusion(XEXP)
-    r100 = weyl_compare(case, 100, quad_res=200)
-    r400 = weyl_compare(case, 400, quad_res=200)
+    r100, r400 = weyl_compare(case, [100, 400], quad_res=200)
     for g1, g4 in zip(r100.functionals, r400.functionals):
         assert g4.gap <= max(g1.gap, 1e-9)
 
 
 def test_weyl_schur_gap_shrinks():
     case = get_case("schur", "one")
-    g100 = weyl_compare(case, 100, quad_res=400).max_gap()
-    g400 = weyl_compare(case, 400, quad_res=400).max_gap()
+    g100, g400 = (rep.max_gap() for rep in weyl_compare(case, [100, 400], quad_res=400))
     assert g400 * 1.5 <= g100
 
 
 def test_weyl_nonsymmetric_case_reports_split_backing():
     case = fd_cdr_dirichlet(XEXP, ONE, ONE)
-    rep = weyl_compare(case, 80, quad_res=100)
+    rep, = weyl_compare(case, [80], quad_res=100)
     assert "split" in rep.backing
 
 
@@ -383,7 +380,7 @@ def test_backing_of_every_registry_case(spec, backing):
     # Hermitian, whatever corrections its case declares, and a split backs only a
     # non-symmetric one, also where a similarity solves it (fd_t4 with b = c = zero);
     # the two band pencils (the Schur complement, a rank-one update, is solved as one) are Hermitian
-    rep = weyl_compare(get_case(spec, "xexp"), 40, quad_res=40)
+    rep, = weyl_compare(get_case(spec, "xexp"), [40], quad_res=40)
     assert rep.backing == backing
     if spec in PENCIL_SOLVERS:
         assert rep.spectrum.solver == PENCIL_SOLVERS[spec]
@@ -391,13 +388,13 @@ def test_backing_of_every_registry_case(spec, backing):
 
 def test_weyl_sigma_mode_on_symmetric_case_matches_lambda():
     case = fd_diffusion(XEXP)  # nonnegative spectrum: sigma and lambda agree
-    r_l = weyl_compare(case, 60, F_suite=[WIDE], quad_res=200)
-    r_s = weyl_compare(case, 60, F_suite=[WIDE], mode="sigma", quad_res=200)
+    r_l, = weyl_compare(case, [60], F_suite=[WIDE], quad_res=200)
+    r_s, = weyl_compare(case, [60], F_suite=[WIDE], mode="sigma", quad_res=200)
     assert r_s.functionals[0].empirical == pytest.approx(r_l.functionals[0].empirical, rel=1e-12)
 
 
 def test_weyl_report_json_schema():
-    rep = weyl_compare(fd_diffusion(ONE), 30, quad_res=100)
+    rep, = weyl_compare(fd_diffusion(ONE), [30], quad_res=100)
     doc = rep.to_json_dict()
     for key in ("case", "n", "alpha_n", "functionals", "rearrangement_gap", "outliers"):
         assert key in doc
@@ -414,7 +411,7 @@ def test_weyl_window_of_a_constant_symbol_is_5_percent_of_its_magnitude(c):
         f"const({c:g})", "test",
         lambda n: BandedMatrix.diagonal(c + 1e-15 * np.cos(np.arange(n))),
         predicted_symbol=TrigFactor(TrigPoly([c])))
-    rep = weyl_compare(case, 50, quad_res=8)
+    rep, = weyl_compare(case, [50], quad_res=8)
     assert all(f.gap <= 1e-15 for f in rep.functionals), rep.functionals
     m = 0.05 * max(abs(c), 1.0)
     assert symbol_samples(case.predicted_symbol, quad_res=8).default_suite() == \
@@ -425,10 +422,8 @@ def test_weyl_sigma_gaps_of_a_zero_symbol_fall():
     # fd_t2 with a = b = c = 0: its singular values are O(1/n), its symbol 0;
     # the zero-width window had overflowed and kept a degree-0 gap of 1.0
     case = get_case("fd_t2", "zero")
-    samples = symbol_samples(case.predicted_symbol, "sigma", quad_res=8)
-    gaps = [[f.gap for f in weyl_compare(case, n, mode="sigma", quad_res=8,
-                                         samples=samples).functionals]
-            for n in (12, 48, 192)]
+    gaps = [[f.gap for f in rep.functionals]
+            for rep in weyl_compare(case, [12, 48, 192], mode="sigma", quad_res=8)]
     assert gaps[1][0] == gaps[2][0] == 0.0
     assert gaps[0][1] > gaps[1][1] > gaps[2][1]
 
@@ -438,17 +433,15 @@ def test_weyl_sigma_gaps_of_a_zero_symbol_fall():
 # ---------------------------------------------------------------------------
 
 def test_rearrangement_compare_reference_row():
-    rep = rearrangement_compare(fd_diffusion(XEXP), 50, r=5000)
+    rep, = rearrangement_compare(fd_diffusion(XEXP), [50], r=5000)
     assert rep.rearrangement_gap == pytest.approx(0.0327, abs=5e-4)
     assert rep.outlier_count == 0
 
 
 def test_rearrangement_compare_constant_coefficient_decay():
     case = fd_diffusion(ONE)
-    R = monotone_rearrangement(case.predicted_symbol, 3000, rearrangement_nodes((100, 200, 400)))
-    g100 = rearrangement_compare(case, 100, rearr=R).rearrangement_gap
-    g200 = rearrangement_compare(case, 200, rearr=R).rearrangement_gap
-    g400 = rearrangement_compare(case, 400, rearr=R).rearrangement_gap
+    g100, g200, g400 = (rep.rearrangement_gap
+                        for rep in rearrangement_compare(case, [100, 200, 400], 3000))
     assert g200 <= 0.75 * g100 and g400 <= 0.75 * g200
 
 
@@ -457,8 +450,7 @@ def test_rearrangement_gap_of_a_zero_symbol_has_no_relative_gap():
     # relative gap had been divided by the least normal float (2e+305)
     case = get_case("fe_t1:b=zero,c=x", "zero")
     ns = (12, 48, 192)
-    R = monotone_rearrangement(case.predicted_symbol, 64, rearrangement_nodes(ns))
-    reports = [rearrangement_compare(case, n, rearr=R) for n in ns]
+    reports = rearrangement_compare(case, ns, 64)
     assert [rep.rearrangement_gap_rel for rep in reports] == [None] * 3
     assert all('"rearrangement_gap_rel": null' in json.dumps(rep.to_json_dict())
                for rep in reports)
@@ -466,55 +458,14 @@ def test_rearrangement_gap_of_a_zero_symbol_has_no_relative_gap():
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
-def test_rearrangement_compare_refuses_an_r_other_than_its_rearrangements():
-    case = fd_diffusion(ONE)
-    R = monotone_rearrangement(case.predicted_symbol, 300, rearrangement_nodes([20]))
-    with pytest.raises(ValueError, match="sampled at r=300; this comparison asks for r=9999"):
-        rearrangement_compare(case, 20, r=9999, rearr=R)
-    assert rearrangement_compare(case, 20, r=300, rearr=R).rearrangement.r == 300
-
-
 def test_rearrangement_compare_refuses_unbounded_symbol():
     case = get_case("fd_t7:q=2", "one")
     with pytest.raises(UnboundedSymbolError):
-        rearrangement_compare(case, 30)
-
-
-def test_rearrangement_compare_reuses_a_given_spectrum():
-    case = fd_cdr_dirichlet(XEXP, ONE, ONE)
-    R = monotone_rearrangement(case.predicted_symbol, 500, rearrangement_nodes([40]))
-    own = rearrangement_compare(case, 40, rearr=R)
-    given = rearrangement_compare(case, 40, rearr=R, spectrum=own.spectrum)
-    assert given.rearrangement_gap == own.rearrangement_gap
-    assert given.to_json_dict() == own.to_json_dict()
-    with pytest.raises(ValueError):
-        rearrangement_compare(case, 41, rearr=R, spectrum=own.spectrum)
-    with pytest.raises(ValueError):
-        rearrangement_compare(case, 40, rearr=R, spectrum=case.singular_spectrum(40))
-
-
-def test_weyl_compare_reuses_a_given_spectrum():
-    case = get_case("fd_t2", "xexp")
-    samples = symbol_samples(case.predicted_symbol, quad_res=40)
-    full = _oracle_samples(case.predicted_symbol, 40, absolute=False)
-    assert samples.default_suite() == default_suite(float(full.min()), float(full.max()))
-    own = weyl_compare(case, 30, quad_res=40, samples=samples)
-    given = weyl_compare(case, 30, quad_res=40, samples=samples, spectrum=own.spectrum)
-    assert given.to_json_dict() == own.to_json_dict()
-    sigma = symbol_samples(case.predicted_symbol, "sigma", quad_res=40)
-    singular = case.singular_spectrum(30)
-    assert weyl_compare(case, 30, mode="sigma", quad_res=40, samples=sigma,
-                        spectrum=singular).spectrum is singular
-    with pytest.raises(ValueError, match="expected the 31 eigenvalues"):
-        weyl_compare(case, 31, quad_res=40, samples=samples, spectrum=own.spectrum)
-    with pytest.raises(ValueError, match="expected the 30 eigenvalues"):
-        weyl_compare(case, 30, quad_res=40, samples=samples, spectrum=singular)
-    with pytest.raises(ValueError, match="expected the 30 singular values"):
-        weyl_compare(case, 30, mode="sigma", quad_res=40, samples=sigma, spectrum=own.spectrum)
+        rearrangement_compare(case, [30])
 
 
 def test_rearrangement_overlay_shape():
-    rep = rearrangement_compare(fd_diffusion(XEXP), 25, r=500)
+    rep, = rearrangement_compare(fd_diffusion(XEXP), [25], r=500)
     t, s, e = rep.overlay
     assert len(t) == len(s) == len(e) == 25
     assert np.all(np.diff(s) >= 0) and np.all(np.diff(e) >= -1e-12)
@@ -574,19 +525,47 @@ def test_zero_distribution_neumann_correction_passes():
 @pytest.mark.parametrize("spec,mode", [("fd_t2", "lambda"), ("Ln", "lambda"),
                                        ("fd_t7:q=2", "sigma")])
 def test_weyl_reused_samples_give_identical_gaps(spec, mode):
+    """One symbol sampling serves every n: the reports of [20, 40] are those
+    of [20] and of [40] run apart, bit for bit."""
     case = get_case(spec, "xexp")
-    samples = symbol_samples(case.predicted_symbol, mode, quad_res=60)
-    for n in (20, 40):
-        fresh = weyl_compare(case, n, mode=mode, quad_res=60)
-        reused = weyl_compare(case, n, mode=mode, quad_res=60, samples=samples)
+    together = weyl_compare(case, [20, 40], mode=mode, quad_res=60)
+    apart = [rep for n in (20, 40) for rep in weyl_compare(case, [n], mode=mode, quad_res=60)]
+    assert len(together) == len(apart) == 2
+    for reused, fresh in zip(together, apart):
         assert reused.functionals == fresh.functionals
         assert reused.quad_refinement == fresh.quad_refinement
         assert (reused.quad_rule, reused.quad_res) == (fresh.quad_rule, fresh.quad_res)
+        assert reused.to_json_dict() == fresh.to_json_dict()
+        assert np.array_equal(reused.spectrum.values, fresh.spectrum.values)
+
+
+def _counted_calls(monkeypatch, owner, name):
+    """The results of every call of ``owner.name`` from here on, in order."""
+    results, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, counted)
+    return results
+
+
+def _solved_sizes(monkeypatch):
+    """The n of every DiscretizationCase.spectrum call from here on, in order."""
+    sizes, original = [], DiscretizationCase.spectrum
+    monkeypatch.setattr(DiscretizationCase, "spectrum",
+                        lambda self, n: sizes.append(n) or original(self, n))
+    return sizes
 
 
 def test_weyl_symbol_side_is_computed_once_per_test_function(monkeypatch):
-    """symbol_samples ranges each grid in one pass; the symbol sides of a
-    whole suite then take one more pass per grid, shared by every n."""
+    """weyl_compare(case, ns) takes one symbol_samples, which ranges each
+    grid in one pass; the symbol sides of a whole suite then take one more
+    pass per grid, shared by every n, and each n is solved once."""
+    case = get_case("fd_t1", "xexp")
+    full = _oracle_samples(case.predicted_symbol, 40, absolute=False)
+    coarse = _oracle_samples(case.predicted_symbol, 20, absolute=False)
     passes = []
     blocks = analysis._grid_blocks
 
@@ -595,9 +574,8 @@ def test_weyl_symbol_side_is_computed_once_per_test_function(monkeypatch):
         return blocks(kappa, axes, absolute, step)
 
     monkeypatch.setattr(analysis, "_grid_blocks", counted_blocks)
-    case = get_case("fd_t1", "xexp")
-    samples = symbol_samples(case.predicted_symbol, "lambda", quad_res=40)
-    assert passes == [(80, False), (40, False)]  # Gauss rule: two nodes per panel
+    sampled = _counted_calls(monkeypatch, analysis, "symbol_samples")
+    solved = _solved_sizes(monkeypatch)
     F = monomial(2, (0.0, 5.0))
     sizes = []
 
@@ -606,18 +584,18 @@ def test_weyl_symbol_side_is_computed_once_per_test_function(monkeypatch):
         return F(t)
 
     counted.label = F.label
-    suite = samples.default_suite() + [counted]
-    reports = [weyl_compare(case, n, F_suite=suite, quad_res=40, samples=samples)
-               for n in (20, 40)]
-    assert passes[2:] == [(80, True), (40, True)]
+    suite = default_suite(float(full.min()), float(full.max())) + [counted]
+    reports = weyl_compare(case, [20, 40], F_suite=suite, quad_res=40)
+    samples, = sampled
+    # Gauss rule: two nodes per panel; each grid ranged, then streamed once
+    assert passes == [(80, False), (40, False), (80, True), (40, True)]
+    assert solved == [20, 40]
     # the full and coarse values once, in chunks of min(2^17, N/16) values
     # so that F never sees them at full size, then the spectra at n = 20 and 40
     assert sizes[-2:] == [20, 40]
     chunks = sizes[:-2]
     assert sum(chunks) == samples.full.count + samples.coarse.count
     assert max(chunks) == min(1 << 17, samples.full.count // 16) < samples.coarse.count
-    full = _oracle_samples(case.predicted_symbol, 40, absolute=False)
-    coarse = _oracle_samples(case.predicted_symbol, 20, absolute=False)
     sym = _oracle_mean(F, full)
     refinement = max(abs(_oracle_mean(G, full) - _oracle_mean(G, coarse)) for G in suite)
     for rep in reports:
@@ -627,106 +605,33 @@ def test_weyl_symbol_side_is_computed_once_per_test_function(monkeypatch):
             == [g.symbol_value for g in reports[1].functionals])
 
 
-def test_weyl_rejects_samples_taken_for_other_settings():
+def test_rearrangement_compare_builds_one_rearrangement_for_every_n(monkeypatch):
+    """rearrangement_compare(case, ns) builds one rearrangement, for the
+    rearrangement_nodes of ns, and solves each n once; each report is that
+    of its n run apart, bit for bit."""
     case = get_case("fd_t1", "xexp")
-    samples = symbol_samples(case.predicted_symbol, "lambda", quad_res=60)
-    for kwargs in ({"mode": "sigma", "quad_res": 60}, {"quad_res": 80}):
-        with pytest.raises(ValueError, match="symbol samples"):
-            weyl_compare(case, 20, samples=samples, **kwargs)
-
-
-def _built_twice(specs):
-    """Two separate get_case builds of each spec, with each coefficient of
-    "one" and "xexp": their symbols are equal but not the same object."""
-    for spec in specs:
-        for coeff in ("one", "xexp"):
-            case, again = get_case(spec, coeff), get_case(spec, coeff)
-            assert again.predicted_symbol is not case.predicted_symbol
-            yield case, again
-
-
-def test_weyl_rejects_samples_of_another_symbol():
-    case = get_case("fd_t1", "xexp")
-    other = symbol_samples(get_case("fd_t5", "one").predicted_symbol, quad_res=60)
-    with pytest.raises(ValueError, match="symbol samples were taken of .* case fd_t1 predicts"):
-        weyl_compare(case, 40, quad_res=60, samples=other)
-    # the same symbol from another get_case call is the same symbol
-    own = symbol_samples(get_case("fd_t1", "xexp").predicted_symbol, quad_res=60)
-    assert own.kappa is not case.predicted_symbol
-    assert weyl_compare(case, 40, quad_res=60, samples=own).max_gap() < 0.01
-    for case, again in _built_twice(case_names() + ["fd_t7:q=0.5"]):
-        own = symbol_samples(again.predicted_symbol, "sigma", quad_res=40)
-        weyl_compare(case, 20, mode="sigma", quad_res=40, samples=own)
-
-
-def test_rearrangement_compare_rejects_a_rearrangement_of_another_symbol():
-    case = get_case("fd_t1", "xexp")
-    ts = rearrangement_nodes([40])
-    other = monotone_rearrangement(get_case("Ln", "xexp").predicted_symbol, 300, ts)
-    with pytest.raises(ValueError, match="the rearrangement was built of .* case fd_t1 predicts"):
-        rearrangement_compare(case, 40, rearr=other)
-    # the same symbol from another get_case call is the same symbol
-    own = monotone_rearrangement(get_case("fd_t1", "xexp").predicted_symbol, 300, ts)
-    assert own.kappa is not case.predicted_symbol
-    assert rearrangement_compare(case, 40, rearr=own).rearrangement_gap < 0.05
-    # fd_t7's default grid map makes its symbol unbounded; q = 1 and 0.5 keep it bounded
-    for case, again in _built_twice(case_names() + ["fd_t7:q=1", "fd_t7:q=0.5"]):
-        if case.predicted_symbol.bounded:
-            own = monotone_rearrangement(again.predicted_symbol, 300, ts)
-            rearrangement_compare(case, 40, rearr=own)
-
-
-def _assert_symbol_checks_refuse(built, other):
-    """Rearrangement and Weyl samples of ``built``'s symbol are refused for
-    ``other``, whose symbol prints the same but has other coefficients."""
-    assert str(built.predicted_symbol) == str(other.predicted_symbol)
-    assert not analysis._same_symbol(built.predicted_symbol, other.predicted_symbol)
-    if built.predicted_symbol.bounded:  # no rearrangement of an unbounded symbol
-        rearr = monotone_rearrangement(built.predicted_symbol, 300, rearrangement_nodes([40]))
-        with pytest.raises(ValueError, match="the rearrangement was built of .* with other coefficient functions$"):
-            rearrangement_compare(other, 40, rearr=rearr)
-    samples = symbol_samples(built.predicted_symbol, quad_res=60)
-    with pytest.raises(ValueError, match="symbol samples were taken of .* with other coefficient functions$"):
-        weyl_compare(other, 40, quad_res=60, samples=samples)
-
-
-def test_symbol_checks_refuse_another_function_of_the_same_name():
-    impostor = Coefficient("xexp", lambda x: 2 * x * np.exp(-x))
-    _assert_symbol_checks_refuse(get_case("fd_t1", "xexp"), fd_diffusion(impostor))
+    built = _counted_calls(monkeypatch, analysis, "monotone_rearrangement")
+    solved = _solved_sizes(monkeypatch)
+    reports = rearrangement_compare(case, [20, 40], 300)
+    rearr, = built
+    assert solved == [20, 40]
+    assert [rep.n for rep in reports] == [20, 40]
+    assert all(rep.rearrangement is rearr for rep in reports)
+    assert rearr.r == 300
+    rearr(rearrangement_nodes([20, 40]))  # built for every point it is read at
+    apart = [rep for n in (20, 40) for rep in rearrangement_compare(case, [n], 300)]
+    for together, alone in zip(reports, apart):
+        assert together.to_json_dict() == alone.to_json_dict()
+        assert all(map(np.array_equal, together.overlay, alone.overlay))
 
 
 @pytest.mark.parametrize("coeff", ["xexp", "one", "x"])
 @pytest.mark.parametrize("name", case_names())
 def test_a_second_build_of_every_registry_symbol_matches_it(name, coeff):
-    """A second build of a registry symbol matches it node by node, trig
-    leaves included, with the same flags; a coefficient that declares the
-    same name and metadata as the preset but is another function does not."""
+    """A second build of a registry symbol prints the same, with the same flags."""
     a = coefficient_preset(coeff)
     built, again = get_case(name, a), get_case(name, a)
-    assert analysis._same_symbol(built.predicted_symbol, again.predicted_symbol)
+    assert str(built.predicted_symbol) == str(again.predicted_symbol)
     flags = ("is_real", "has_quotient", "reads_x", "bounded")
     assert [getattr(built.predicted_symbol, f) for f in flags] == \
         [getattr(again.predicted_symbol, f) for f in flags]
-    impostor = dataclasses.replace(a, fn=lambda x: 2 * a(x))
-    _assert_symbol_checks_refuse(built, get_case(name, impostor))
-
-
-def test_symbol_checks_refuse_another_table_of_the_default_name():
-    tables = [Coefficient.from_table([0.0, 1.0], values) for values in ([1.0, 2.0], [30.0, 1.0])]
-    assert tables[0].name == tables[1].name == "table"
-    _assert_symbol_checks_refuse(*map(fd_diffusion, tables))
-
-
-def test_symbol_checks_accept_a_table_read_twice(tmp_path):
-    path = tmp_path / "a.csv"
-    path.write_text("x,value\n0.0,1.0\n0.5,2.5\n1.0,0.5\n")
-    case, again = (get_case(spec, f"csv:{path}") for spec in ("fd_t1", "fd_t1"))
-    assert again.predicted_symbol is not case.predicted_symbol
-    # neither check refuses the other build's rearrangement or samples
-    rearr = monotone_rearrangement(again.predicted_symbol, 300, rearrangement_nodes([40]))
-    rearrangement_compare(case, 40, rearr=rearr)
-    weyl_compare(case, 40, quad_res=60, samples=symbol_samples(again.predicted_symbol, quad_res=60))
-    # the same knots given as lists make an equal function (under another name)
-    same_knots = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 2.5, 0.5])
-    read = case.predicted_symbol.children[0].coefficient
-    assert same_knots.fn == read.fn and same_knots != read

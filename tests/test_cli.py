@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface."""
+import errno
 import json
 import os
 import subprocess
@@ -19,7 +20,6 @@ from gltkit import (
     get_case,
     monotone_rearrangement,
     rearrangement_compare,
-    rearrangement_nodes,
     weyl_compare,
 )
 from gltkit.builders import DiscretizationCase, case_names
@@ -116,12 +116,10 @@ def test_compare_overlay_csv_lists_every_rearrangement_point(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "compare", "--case", "Ln", "--coeff", "xexp",
                          "--n", "20,50", "--r", "300", "--quad-res", "60", "--out", str(path))
     assert code == 0
-    case = get_case("Ln", "xexp")
-    rearr = monotone_rearrangement(case.predicted_symbol, 300, rearrangement_nodes([20, 50]))
     lines = ["n,t,rearrangement,eigenvalue"]
-    for n in (20, 50):
-        t, s, e = rearrangement_compare(case, n, r=300, rearr=rearr).overlay
-        lines += [f"{n},{ti:.17g},{si:.17g},{ei:.17g}" for ti, si, ei in zip(t, s, e)]
+    for rep in rearrangement_compare(get_case("Ln", "xexp"), [20, 50], r=300):
+        t, s, e = rep.overlay
+        lines += [f"{rep.n},{ti:.17g},{si:.17g},{ei:.17g}" for ti, si, ei in zip(t, s, e)]
     assert (tmp_path / "ln_overlay.csv").read_text() == "\n".join(lines) + "\n"
 
 
@@ -259,6 +257,27 @@ def test_unwritable_out_is_usage_error_and_leaves_no_temp_file(capsys, tmp_path,
     assert err.startswith("error:") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
     assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("target, errno_", [("adir", errno.EISDIR),
+                                            ("nodir/out.json", errno.ENOENT)])
+def test_unwritable_out_error_names_the_given_path(capsys, tmp_path, target, errno_):
+    # not the temporary file beside it, whose name carries the process id
+    (tmp_path / "adir").mkdir()
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "spectrum", "--case", "fd_t1", "--n", "3", "--out", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno_}] {os.strerror(errno_)}: {path!r}\n"
+
+
+@pytest.mark.parametrize("command", [("spectrum", "--case", "fd_t1", "--n"),
+                                     ("certify", "--family", "fe_t1", "--m")])
+@pytest.mark.parametrize("text, item", [("5,,6", 2), ("5,", 2), (",5", 1), ("", 1), ("5, ,6", 2)])
+def test_an_empty_list_item_is_a_usage_error(capsys, command, text, item):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": item {item} of {text!r} is empty\n")
 
 
 def test_certify_pass_and_unknown_family(capsys):
@@ -629,18 +648,18 @@ def _serial_compare(spec, mode, ns, r, quad_res, fmt):
     compares with the rearrangement."""
     try:
         case = get_case(spec, "xexp")
-        reports = []
-        for n in ns:
-            doc = weyl_compare(case, n, mode=mode, quad_res=quad_res).to_json_dict()
-            if mode == "lambda":
-                try:
-                    rr_doc = rearrangement_compare(case, n, r=r).to_json_dict()
+        reports = [rep.to_json_dict()
+                   for rep in weyl_compare(case, ns, mode=mode, quad_res=quad_res)]
+        if mode == "lambda":
+            try:
+                for doc, rr in zip(reports, rearrangement_compare(case, ns, r=r)):
+                    rr_doc = rr.to_json_dict()
                     for key in ("rearrangement_gap", "rearrangement_gap_rel", "outliers",
                                 "rearrangement"):
                         doc[key] = rr_doc[key]
-                except UnboundedSymbolError as exc:
+            except UnboundedSymbolError as exc:
+                for doc in reports:
                     doc["rearrangement_error"] = str(exc)
-            reports.append(doc)
     except (ComplexSpectrumError, UnboundedSymbolError) as exc:
         return 1, "", f"error: {exc}\n"
     except (KeyError, ValueError, SymbolSingularityError) as exc:

@@ -962,6 +962,15 @@ def test_table_coefficient_roundtrip(tmp_path):
     assert coef(0.75) == pytest.approx(1.25)
 
 
+def test_a_table_read_from_csv_is_the_function_of_its_knots(tmp_path):
+    # the same knots given as lists make an equal function (under another name)
+    path = tmp_path / "a.csv"
+    path.write_text("x,value\n0.0,1.0\n0.5,2.5\n1.0,0.5\n")
+    read = get_case("fd_t1", f"csv:{path}").predicted_symbol.children[0].coefficient
+    same_knots = Coefficient.from_table([0.0, 0.5, 1.0], [1.0, 2.5, 0.5])
+    assert same_knots.fn == read.fn and same_knots != read
+
+
 def test_table_coefficient_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n1,2\n")
